@@ -18,7 +18,6 @@ from .consistency import (
     establish_kl,
 )
 from .errors import (
-    ArityError,
     ArityMismatch,
     BudgetExceeded,
     ClassMismatch,

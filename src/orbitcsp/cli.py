@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import homog, polyengine, temporal
 from .consistency import EMPTY_DERIVED, establish_kl
-from .errors import ArityError, OrbitCspError, ParseError
+from .errors import ArityMismatch, OrbitCspError, ParseError
 from .homog import (
     GRAPH,
     TOURNAMENT,
@@ -273,7 +273,7 @@ def parse_instance(text: str, template: Template) -> Instance:
         if rel is None:
             raise ParseError(f"unknown relation {name}", line_no, 1)
         if rel.arity != len(scope):
-            raise ArityError(
+            raise ArityMismatch(
                 f"line {line_no}: {name} has arity {rel.arity}, got {len(scope)}"
             )
         for v in scope:

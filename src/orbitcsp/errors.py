@@ -29,7 +29,8 @@ class ClassMismatch(OrbitCspError):
 
 
 class ArityMismatch(OrbitCspError):
-    """Objects of different arities were combined."""
+    """Objects of different arities were combined, or a parsed constraint
+    has the wrong arity."""
 
 
 class MalformedPattern(OrbitCspError):
@@ -66,7 +67,3 @@ class ParseError(OrbitCspError):
         if line:
             message = f"line {line}, column {column}: {message}"
         super().__init__(message)
-
-
-class ArityError(OrbitCspError):
-    """A parsed constraint or type literal has the wrong arity."""

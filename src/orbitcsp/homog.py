@@ -522,18 +522,13 @@ def behavior_preserves(behavior: PairBehavior, rel: TypeSetRelation) -> bool:
     return True
 
 
-TemplateLike = Union[HomogTemplate, Mapping[str, TypeSetRelation], Sequence[TypeSetRelation]]
+TemplateLike = Union[HomogTemplate, Sequence[TypeSetRelation]]
 
 
 def _template_relations(template: TemplateLike) -> tuple[Base, list[TypeSetRelation]]:
     if isinstance(template, HomogTemplate):
         relations = [template.relations[n] for n in sorted(template.relations)]
         base = template.base
-    elif isinstance(template, Mapping):
-        relations = [template[n] for n in sorted(template)]
-        if not relations:
-            raise ParameterError("empty template")
-        base = relations[0].base
     else:
         relations = list(template)
         if not relations:

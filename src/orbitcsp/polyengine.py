@@ -6,8 +6,10 @@ boolean template is equationally non-trivial exactly when it is preserved by
 one of those four or by a constant map; testing the fixed tables is therefore
 both the classifier and the solver dispatch.  Identity-driven table search
 (cyclic, weak near-unanimity, ...) is available for small non-boolean
-domains; the six-ary condition is answered on booleans by delegation to the
-fixed tables rather than by searching a 64-cell table.
+domains; it compiles the identities and the template's power into
+constraints and runs the backtracker in ``relstruct``, which owns all
+finite-domain search.  The six-ary condition is answered on booleans by
+delegation to the fixed tables rather than by searching a 64-cell table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from typing import Iterable, Optional
 
 from .consistency import EMPTY_DERIVED, establish_kl
 from .errors import BudgetExceeded, ClassMismatch, DomainMismatch, ParameterError
-from .relstruct import FiniteStructure, Instance, Relation, check_signature
+from .relstruct import (
+    FiniteStructure,
+    Instance,
+    Relation,
+    _assignments,
+    check_signature,
+    power_structure,
+)
 
 SEARCH_DOMAIN_LIMIT = 4
 SEARCH_ARITY_LIMIT = 4
@@ -162,7 +171,8 @@ def wnu(m: int) -> IdentitySystem:
 
 
 class _Cells:
-    """Union-find over table cells with optional forced values."""
+    """Union-find over table cells with optional forced values.  A class's
+    root is its smallest cell, and ``forced`` is keyed by roots."""
 
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -283,9 +293,11 @@ def satisfies_identities(op: OpTable, identities: IdentitySystem) -> bool:
 def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
                       arity: int) -> Optional[OpTable]:
     """Search for an operation table of the given arity satisfying the
-    identity system and preserving every relation.  Deterministic: free cell
-    classes are filled in ascending order, values ascending, and the first
-    complete table found is returned.  Returns None when no table exists."""
+    identity system and preserving every relation: a homomorphism from the
+    arity-th power of the template into the template, with the cells glued by
+    the identities.  Deterministic: cell classes are filled in ascending order
+    of their smallest cell, values ascending, and the first complete table
+    found is returned.  Returns None when no table exists."""
     required = identities.required_arity()
     if required is not None and arity != required:
         raise ParameterError(
@@ -310,71 +322,27 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
     cells = _compile_identities(identities, arity, d)
     if cells.conflict:
         return None
-    ncells = d ** arity
-    roots = sorted({cells.find(i) for i in range(ncells)})
+    # Variables are the identity classes of table cells, numbered by their
+    # smallest cell; each tuple of a power relation names the cells one
+    # choice of rows feeds, and its image must land in the base relation.
+    roots = sorted({cells.find(i) for i in range(d ** arity)})
     root_slot = {r: i for i, r in enumerate(roots)}
-    slot_of_cell = [root_slot[cells.find(i)] for i in range(ncells)]
-    values: list[Optional[int]] = [None] * len(roots)
-    for root, val in cells.forced.items():
-        values[root_slot[cells.find(root)]] = val
-
-    # Preservation constraints: one per choice of rows; each records the cell
-    # slots feeding every column and the relation to land in.
-    constraints = []
-    for name in sorted(template.relations):
-        rel = template.relations[name]
-        rows = rel.sorted_tuples()
-        for choice in product(rows, repeat=arity):
-            slots = []
-            for j in range(rel.arity):
-                code = 0
-                for row in choice:
-                    code = code * d + row[j]
-                slots.append(slot_of_cell[code])
-            constraints.append((tuple(slots), rel.tuples))
-    watch: dict[int, list[int]] = {}
-    for ci, (slots, _) in enumerate(constraints):
-        for s in set(slots):
-            watch.setdefault(s, []).append(ci)
-
-    def check(ci: int) -> bool:
-        slots, tuples = constraints[ci]
-        image = []
-        for s in slots:
-            v = values[s]
-            if v is None:
-                return True
-            image.append(v)
-        return tuple(image) in tuples
-
-    free = [i for i, v in enumerate(values) if v is None]
-    fixed = [i for i, v in enumerate(values) if v is not None]
-    for slot in fixed:
-        if not all(check(ci) for ci in watch.get(slot, ())):
-            return None
-
-    def leaf_ok() -> bool:
+    slot_of_cell = [root_slot[cells.find(i)] for i in range(d ** arity)]
+    constraints = [(frozenset({(val,)}), (root_slot[root],))
+                   for root, val in cells.forced.items()]
+    power = power_structure(template, arity)
+    for name, rel in template.relations.items():
+        scopes = {tuple(slot_of_cell[c] for c in cell_codes)
+                  for cell_codes in power.relations[name].tuples}
+        constraints.extend((rel.tuples, scope) for scope in scopes)
+    for slots in _assignments(len(roots), d, constraints):
+        table = OpTable(arity, d, tuple(slots[s] for s in slot_of_cell))
         # Associativity is not expressible as cell equalities; validate whole
         # candidate tables when the system demands it.
-        if identities.kind != IdentitySystem.SEMILATTICE_KIND:
-            return True
-        table = OpTable(arity, d, tuple(values[slot_of_cell[i]] for i in range(ncells)))
-        return satisfies_identities(table, identities)
-
-    def search(pos: int) -> bool:
-        if pos == len(free):
-            return leaf_ok()
-        slot = free[pos]
-        for v in range(d):
-            values[slot] = v
-            if all(check(ci) for ci in watch.get(slot, ())) and search(pos + 1):
-                return True
-        values[slot] = None
-        return False
-
-    if not search(0):
-        return None
-    return OpTable(arity, d, tuple(values[slot_of_cell[i]] for i in range(ncells)))
+        if (identities.kind != IdentitySystem.SEMILATTICE_KIND
+                or satisfies_identities(table, identities)):
+            return table
+    return None
 
 
 # --- dispatch solving -------------------------------------------------------

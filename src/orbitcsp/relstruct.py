@@ -1,18 +1,24 @@
-"""Finite relational structures, instances over them, and a deterministic
-homomorphism search.
+"""Finite relational structures, instances over them, and the package's
+finite-domain backtracking search.
 
 A :class:`FiniteStructure` is a template: a domain ``{0, ..., domain_size-1}``
 together with named relations.  An :class:`Instance` is a conjunctive query
 over such a template; :func:`hom_search` decides whether the instance maps
 homomorphically into the template and returns the first witness found under a
 fixed search order (variables in declaration order, values ascending).
+
+Search lives here, in one private generator over integer variables and
+``(tuple set, scope)`` constraints.  :func:`hom_search` takes its first
+answer; ``polyengine.find_polymorphism`` runs it on the identity-glued cells
+of a power of the template (:func:`power_structure`), since a polymorphism is
+a homomorphism from a power into the template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceeded, SignatureMismatch
 
@@ -103,75 +109,90 @@ def check_signature(instance: Instance, template: FiniteStructure) -> None:
             )
 
 
-def hom_search(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
-    """Backtracking search with forward checking.
+def _assignments(n: int, domain_size: int,
+                 constraints: Sequence[tuple[frozenset, tuple[int, ...]]],
+                 ) -> Iterator[tuple[int, ...]]:
+    """Every assignment of values in ``range(domain_size)`` to variables
+    ``0..n-1`` that puts each constraint's scope inside its tuple set, in
+    lexicographic order (variables in index order, values ascending).
 
-    Deterministic: variables are assigned in declaration order and values are
-    tried in ascending order, so the returned witness is canonical.  Returns
-    None when the instance has no homomorphism into the template.
+    This is the package's one finite-domain backtracker.  Constraints over a
+    single variable filter its initial domain.  Every other constraint is
+    forward-checked when the variable before its last one is assigned: the
+    last variable, the hole, keeps the values whose tuple is a member, so the
+    constraint holds whatever value the hole takes later.  Prunings are
+    undone through a trail.
     """
-    check_signature(instance, template)
-    variables = instance.variables
-    index = {v: i for i, v in enumerate(variables)}
-    cons = [(template.relations[name].tuples, tuple(index[v] for v in scope))
-            for name, scope in instance.constraints]
-    # Constraints indexed by the variable that completes them / touches them.
-    touching: list[list[int]] = [[] for _ in variables]
-    for ci, (_, scope) in enumerate(cons):
-        for vi in set(scope):
-            touching[vi].append(ci)
+    domains = [list(range(domain_size)) for _ in range(n)]
+    # checks[i]: (tuples, scope, hole, positions of the hole in the scope)
+    # for each constraint that assigning variable i leaves one hole in.
+    checks: list[list] = [[] for _ in range(n)]
+    for tuples, scope in constraints:
+        distinct = sorted(set(scope))
+        hole = distinct[-1]
+        if len(distinct) == 1:
+            domains[hole] = [v for v in domains[hole]
+                             if (v,) * len(scope) in tuples]
+            continue
+        positions = tuple(p for p, u in enumerate(scope) if u == hole)
+        checks[distinct[-2]].append((tuples, scope, hole, positions))
+    if not all(domains):
+        return
+    assignment = [0] * n
+    trail: list[tuple[int, list[int]]] = []
 
-    n = len(variables)
-    domain = list(template.domain)
-    domains: list[list[int]] = [list(domain) for _ in range(n)]
-    assignment: list[Optional[int]] = [None] * n
-
-    def consistent(ci: int) -> bool:
-        tuples, scope = cons[ci]
-        # Fully assigned: membership test.  One unassigned: prune its domain.
-        missing = [vi for vi in scope if assignment[vi] is None]
-        if not missing:
-            return tuple(assignment[vi] for vi in scope) in tuples
-        unset = set(missing)
-        if len(unset) == 1:
-            (hole,) = unset
-            allowed = set()
-            for t in tuples:
-                ok = True
-                val = None
-                for pos, vi in enumerate(scope):
-                    if vi == hole:
-                        if val is None:
-                            val = t[pos]
-                        elif val != t[pos]:
-                            ok = False
-                            break
-                    elif assignment[vi] != t[pos]:
-                        ok = False
-                        break
-                if ok and val is not None:
-                    allowed.add(val)
-            domains[hole] = [v for v in domains[hole] if v in allowed]
-            return bool(domains[hole])
+    def consistent(var: int) -> bool:
+        for tuples, scope, hole, positions in checks[var]:
+            row = [assignment[u] for u in scope]
+            kept = []
+            for v in domains[hole]:
+                for p in positions:
+                    row[p] = v
+                if tuple(row) in tuples:
+                    kept.append(v)
+            if len(kept) < len(domains[hole]):
+                trail.append((hole, domains[hole]))
+                domains[hole] = kept
+                if not kept:
+                    return False
         return True
 
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        saved = [list(d) for d in domains]
-        for value in saved[depth]:
-            assignment[depth] = value
-            ok = all(consistent(ci) for ci in touching[depth])
-            if ok and extend(depth + 1):
-                return True
-            assignment[depth] = None
-            for i in range(n):
-                domains[i] = list(saved[i])
-        return False
+    # An explicit stack, so the depth is not bounded by the recursion limit.
+    marks = [0] * (n + 1)  # trail length when each variable was reached
+    tried = [0] * n        # how many values of its domain each has taken
+    var = 0
+    while var >= 0:
+        if var == n:
+            yield tuple(assignment)
+            var -= 1
+            continue
+        while len(trail) > marks[var]:
+            hole, saved = trail.pop()
+            domains[hole] = saved
+        if tried[var] == len(domains[var]):
+            tried[var] = 0
+            var -= 1
+            continue
+        assignment[var] = domains[var][tried[var]]
+        tried[var] += 1
+        if consistent(var):
+            var += 1
+            marks[var] = len(trail)
 
-    if extend(0):
-        return {v: assignment[i] for i, v in enumerate(variables)}
-    return None
+
+def hom_search(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
+    """The first homomorphism found by the backtracker, or None when the
+    instance has none into the template.
+
+    Deterministic: variables are assigned in declaration order and values are
+    tried in ascending order, so the returned witness is canonical.
+    """
+    check_signature(instance, template)
+    index = {v: i for i, v in enumerate(instance.variables)}
+    cons = [(template.relations[name].tuples, tuple(index[v] for v in scope))
+            for name, scope in instance.constraints]
+    first = next(_assignments(len(index), template.domain_size, cons), None)
+    return None if first is None else dict(zip(instance.variables, first))
 
 
 def encode_tuple(values: tuple[int, ...], domain_size: int) -> int:
@@ -204,15 +225,14 @@ def power_structure(template: FiniteStructure, n: int,
     relations = {}
     for name, rel in template.relations.items():
         rows = rel.sorted_tuples()
-        tuples = set()
-        for sections in product(rows, repeat=n):
-            # sections[j] supplies coordinate j of every power element.
-            members = tuple(
-                encode_tuple(tuple(sections[j][i] for j in range(n)), template.domain_size)
-                for i in range(rel.arity)
-            )
-            tuples.add(members)
-        relations[name] = Relation(rel.arity, frozenset(tuples))
+        # sections[j] supplies coordinate j of every power element, so the
+        # elements are the columns of the chosen rows.
+        tuples = frozenset(
+            tuple(encode_tuple(column, template.domain_size)
+                  for column in zip(*sections))
+            for sections in product(rows, repeat=n)
+        )
+        relations[name] = Relation(rel.arity, tuples)
     return FiniteStructure(size, relations)
 
 

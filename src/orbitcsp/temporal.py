@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -177,23 +177,23 @@ class SignedWeakOrderType:
         return f"{self.order} [{''.join(marks[s] for s in self.signs)}]"
 
 
-@lru_cache(maxsize=None)
-def enumerate_weak_orders(k: int) -> tuple[WeakOrderType, ...]:
-    """All weak-order types of arity k, sorted by rank vector."""
-    if k > ENUMERATION_LIMIT:
-        raise BudgetExceeded(f"weak orders on {k} > {ENUMERATION_LIMIT} positions")
-    if k < 1:
-        raise ParameterError("arity must be positive")
-    out: list[WeakOrderType] = []
+def _dense_rank_vectors(
+        k: int, prefix_ok: Callable[[list[int], int], bool],
+) -> Iterator[tuple[int, ...]]:
+    """Rank vectors of the weak orders on k positions, ascending.
+
+    ``prefix_ok(ranks, i)`` is called once after position i is placed; a
+    false answer skips every completion of ``ranks[:i + 1]``.
+    """
     ranks = [0] * k
     counts = [0] * k
 
-    def go(i: int, top: int, missing: int) -> None:
+    def go(i: int, top: int, missing: int) -> Iterator[tuple[int, ...]]:
         # top: highest rank used so far (-1 initially); missing: unused
-        # levels below it.  Dense completions need missing <= slots left.
+        # levels below it.  Dense completions need missing <= slots left,
+        # so none is missing once every position is placed.
         if i == k:
-            if missing == 0:
-                out.append(WeakOrderType(tuple(ranks)))
+            yield tuple(ranks)
             return
         slots = k - i - 1
         for r in range(k):
@@ -206,12 +206,24 @@ def enumerate_weak_orders(k: int) -> tuple[WeakOrderType, ...]:
             if gap > slots:
                 continue
             ranks[i] = r
+            if not prefix_ok(ranks, i):
+                continue
             counts[r] += 1
-            go(i + 1, new_top, gap)
+            yield from go(i + 1, new_top, gap)
             counts[r] -= 1
 
-    go(0, -1, 0)
-    return tuple(out)
+    return go(0, -1, 0)
+
+
+@lru_cache(maxsize=None)
+def enumerate_weak_orders(k: int) -> tuple[WeakOrderType, ...]:
+    """All weak-order types of arity k, sorted by rank vector."""
+    if k > ENUMERATION_LIMIT:
+        raise BudgetExceeded(f"weak orders on {k} > {ENUMERATION_LIMIT} positions")
+    if k < 1:
+        raise ParameterError("arity must be positive")
+    return tuple(WeakOrderType(ranks)
+                 for ranks in _dense_rank_vectors(k, lambda ranks, i: True))
 
 
 @dataclass(frozen=True)
@@ -585,10 +597,13 @@ def _run_master(variables: tuple[str, ...],
                     if frozenset(t.blocks[0]) == positions]
             rest = [i for i in range(len(scope)) if i not in positions]
             if not rest:
-                assert keep, "level contradicts a fully covered constraint"
+                if not keep:
+                    raise AssertionError(
+                        "level contradicts a fully covered constraint")
                 continue
             types = frozenset(t.restrict(rest) for t in keep)
-            assert types, "level starves an intersecting constraint"
+            if not types:
+                raise AssertionError("level starves an intersecting constraint")
             projected.append((TemporalRelation(len(rest), types),
                               tuple(scope[i] for i in rest)))
         current = projected
@@ -626,7 +641,8 @@ def solve_master(instance: Instance, template: TemporalTemplate,
     rank = {v: i for i, lvl in enumerate(levels) for v in lvl}
     for rel, scope in constraints:
         induced = WeakOrderType.from_values([rank[v] for v in scope])
-        assert induced in rel.types, "levels fail the original instance"
+        if induced not in rel.types:
+            raise AssertionError("levels fail the original instance")
     return levels
 
 
@@ -642,35 +658,14 @@ def brute_oracle(instance: Instance,
         idx = tuple(index[v] for v in scope)
         signatures = frozenset(t.ranks for t in rel.types)
         checks[max(idx)].append((idx, signatures))
-    ranks = [0] * n
-    counts = [0] * n
 
-    def go(i: int, top: int, missing: int) -> Optional[tuple[int, ...]]:
-        if i == n:
-            return tuple(ranks) if missing == 0 else None
-        slots = n - i - 1
-        for r in range(n):
-            if r > top:
-                gap = missing + (r - top - 1)
-                new_top = r
-            else:
-                gap = missing - (1 if counts[r] == 0 else 0)
-                new_top = top
-            if gap > slots:
-                continue
-            ranks[i] = r
-            # Prefix ranks never change later, so constraints close as
-            # soon as their last variable is placed.
-            if all(_canon([ranks[j] for j in idx]) in signatures
-                   for idx, signatures in checks[i]):
-                counts[r] += 1
-                found = go(i + 1, new_top, gap)
-                counts[r] -= 1
-                if found is not None:
-                    return found
-        return None
+    def prefix_ok(ranks: list[int], i: int) -> bool:
+        # Prefix ranks never change later, so constraints close as soon as
+        # their last variable is placed.
+        return all(_canon([ranks[j] for j in idx]) in signatures
+                   for idx, signatures in checks[i])
 
-    vector = go(0, -1, 0)
+    vector = next(_dense_rank_vectors(n, prefix_ok), None)
     if vector is None:
         return None
     order = WeakOrderType(vector)

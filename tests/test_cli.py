@@ -11,7 +11,7 @@ from orbitcsp.cli import (
     parse_template,
     run,
 )
-from orbitcsp.errors import ArityError, ParseError
+from orbitcsp.errors import ArityMismatch, ParseError
 from orbitcsp.homog import GRAPH, TOURNAMENT, HomogTemplate, Label
 from orbitcsp.temporal import TemporalTemplate, WeakOrderType
 
@@ -140,7 +140,7 @@ class TestParseInstance:
 
     def test_arity_mismatch(self):
         template = parse_template(LT_TEXT)
-        with pytest.raises(ArityError):
+        with pytest.raises(ArityMismatch):
             parse_instance("vars x y\nLT(x,y,y)\n", template)
 
 

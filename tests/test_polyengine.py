@@ -12,6 +12,7 @@ from orbitcsp.polyengine import (
     OR2,
     XOR3,
     BooleanClass,
+    IDEMPOTENT,
     IdentitySystem,
     MAJORITY,
     MINORITY,
@@ -180,6 +181,34 @@ class TestFindPolymorphism:
         assert preserves_op(table, sat)
         hard = structure(R=ONE_IN_THREE, U0=U0, U1=U1)
         assert find_polymorphism(hard, SIGGERS, 6) is None
+
+    def test_first_found_is_first_enumerated_table(self):
+        # The search must return the lexicographically first table (cell 0
+        # most significant) that satisfies the identities and preserves the
+        # template, i.e. the first one full enumeration meets.
+        shapes = [
+            (2, 2, [IDEMPOTENT, SEMILATTICE, cyclic(2), wnu(2)]),
+            (2, 3, [IDEMPOTENT, MAJORITY, MINORITY, cyclic(3), wnu(3)]),
+            # On binary tables wnu(2) and cyclic(2) are both commutativity.
+            (3, 2, [IDEMPOTENT, SEMILATTICE, cyclic(2)]),
+        ]
+        rng = random.Random(31)
+        for d, n, systems in shapes:
+            candidates = {ids: [op for op in all_op_tables(d, n)
+                                if satisfies_identities(op, ids)]
+                          for ids in systems}
+            for _ in range(6 if d == 2 else 3):
+                rels = {}
+                for i in range(rng.randint(1, 2)):
+                    arity = rng.randint(1, 3 if d == 2 else 2)
+                    pool = list(product(range(d), repeat=arity))
+                    rels[f"R{i}"] = relation(
+                        arity, [t for t in pool if rng.random() < 0.6])
+                tpl = FiniteStructure(d, rels)
+                for ids in systems:
+                    want = next((op for op in candidates[ids]
+                                 if preserves_op(op, tpl)), None)
+                    assert find_polymorphism(tpl, ids, n) == want, (tpl, ids)
 
 
 class TestSchaeferSolve:

@@ -69,6 +69,16 @@ class TestHomSearch:
         inst = make_instance("x", [("R", "x")])
         assert hom_search(inst, tpl) is None
 
+    def test_long_path_beyond_recursion_limit(self):
+        # Search depth is the number of variables; it must not be bounded by
+        # the interpreter's recursion limit.
+        n = 3000
+        names = [f"v{i}" for i in range(n)]
+        inst = make_instance(names, [("E", (names[i], names[i + 1]))
+                                     for i in range(n - 1)])
+        got = hom_search(inst, clique(2))
+        assert got == {v: i % 2 for i, v in enumerate(names)}
+
     def test_unknown_relation_rejected(self):
         inst = make_instance("xy", [("Q", "xy")])
         with pytest.raises(SignatureMismatch):

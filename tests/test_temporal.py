@@ -1,10 +1,16 @@
 """Tests for the dense-linear-order pipeline."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+
+from orbitcsp import temporal
 
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.errors import (
@@ -529,6 +535,29 @@ class TestSolveMaster:
         with pytest.raises(ParameterError):
             solve_master(self_chain := make_instance("xy", [("LT", "xy")]),
                          Q_LT, TemporalOp.LEX)
+
+    def test_wrong_levels_raise_under_optimize(self):
+        # The final check must survive ``python -O``, which strips asserts.
+        script = (
+            "import sys\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('asserts are not stripped')\n"
+            "from orbitcsp import temporal\n"
+            "from orbitcsp.relstruct import make_instance\n"
+            "temporal._run_master = lambda *args: (('y',), ('x',))\n"
+            "inst = make_instance('xy', [('LT', 'xy')])\n"
+            "tpl = temporal.TemporalTemplate({'LT': temporal.LT})\n"
+            "try:\n"
+            "    temporal.solve_master(inst, tpl, temporal.TemporalOp.PP)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(temporal.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised\n"
 
     def test_dual_pp_on_reversed_min(self):
         assert preserves_temporal(TemporalOp.DUAL_PP, R_MAX) is True
