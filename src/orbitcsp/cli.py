@@ -12,6 +12,7 @@ and 2 an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Callable, Optional, Sequence, Union
@@ -47,6 +48,12 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REL_LINE = re.compile(r"rel\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:\s*(.*)")
 _CONSTRAINT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^)]*)\)\s*")
 _EDGE_ITEM = re.compile(r"E\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+
+#: Largest declared relation arity.  Parsing sizes per-position tables by
+#: the arity, and a homogeneous type holds a label for each of its k(k-1)/2
+#: position pairs, so a larger arity is refused before anything is sized
+#: by it.
+ARITY_LIMIT = 4096
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -214,9 +221,14 @@ def parse_template(text: str) -> Template:
         match = _REL_LINE.fullmatch(line)
         if not match:
             raise ParseError("expected 'rel NAME/ARITY: types'", line_no, 1)
-        name, arity, body = match.group(1), int(match.group(2)), match.group(3)
+        name, digits, body = match.groups()
         if name in temporal_rels or name in homog_rels:
             raise ParseError(f"relation {name} declared twice", line_no, 5)
+        # Compare lengths first: int() refuses very long digit strings.
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(ARITY_LIMIT)) or int(digits) > ARITY_LIMIT:
+            raise ParseError(f"relations need arity <= {ARITY_LIMIT}", line_no, 5)
+        arity = int(digits)
         if arity < 1:
             raise ParseError("relations need arity >= 1", line_no, 5)
         literals = [lit.strip() for lit in body.split(";")]
@@ -534,7 +546,10 @@ def _cmd_oracle(
     ], 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``run`` call (parsing keeps no state in it)."""
     parser = argparse.ArgumentParser(prog="orbitcsp", add_help=True)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -569,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> tuple[str, int]:
     """Execute one command; returns the report text and the exit code."""
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return "", int(exc.code or 0)
     try:

@@ -557,6 +557,14 @@ def schaefer_solve(instance: Instance, template: FiniteStructure,
     check_signature(instance, template)
     if cls not in boolean_classify(template):
         raise ClassMismatch(f"{cls.value} is not a class of this template")
+    return _dispatch(instance, template, cls)
+
+
+def _dispatch(instance: Instance, template: FiniteStructure,
+              cls: BooleanClass) -> Optional[dict[str, int]]:
+    """The solver for cls, run without checking the signature or the class:
+    the caller vouches for both (``temporal`` classifies its quotients once
+    and caches the class set)."""
     if cls == BooleanClass.HORN_AND:
         return _horn_solve(instance, template, top_down=False)
     if cls == BooleanClass.DUAL_HORN_OR:

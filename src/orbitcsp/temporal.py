@@ -36,7 +36,7 @@ from .errors import (
     SignatureMismatch,
     UnknownVariable,
 )
-from .polyengine import BooleanClass, boolean_classify, schaefer_solve
+from .polyengine import BooleanClass, _dispatch, boolean_classify
 from .relstruct import FiniteStructure, Instance, hom_search, relation
 
 ENUMERATION_LIMIT = 8       # weak orders on more positions get huge
@@ -358,8 +358,10 @@ def _sign_cuts(num_blocks: int):
             yield neg, True
 
 
+@lru_cache(maxsize=None)
 def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
-    """True, or a falsy counterexample pattern.
+    """True, or a falsy counterexample pattern.  Memoised: both arguments
+    and both kinds of answer are frozen values.
 
     Every componentwise application to members of the relation is covered
     by enumerating type pairs and sign annotations of the first argument:
@@ -414,21 +416,34 @@ _classify_cache: dict[frozenset, frozenset[BooleanClass]] = {}
 
 
 def _fin_patterns(rel: TemporalRelation,
-                  scope: Optional[tuple[str, ...]] = None) -> set[tuple[int, ...]]:
+                  scope: Optional[tuple[str, ...]] = None,
+                  ) -> frozenset[tuple[int, ...]]:
     """Zero/positive patterns realised by the relation's types.
 
     With a scope given, types that assign distinct levels to repeated
-    variables cannot be realised by a valuation and are skipped.
+    variables cannot be realised by a valuation and are skipped.  Only
+    which positions repeat matters, so the scope is reduced to the index
+    of each variable's first occurrence, e.g. ``(0, 0, 2)`` for
+    ``(x, x, y)``, and the patterns are memoised on that.
     """
+    if scope is None:
+        return _fin_patterns_of(rel, None)
+    return _fin_patterns_of(rel, tuple(scope.index(v) for v in scope))
+
+
+@lru_cache(maxsize=None)
+def _fin_patterns_of(rel: TemporalRelation,
+                     repeats: Optional[tuple[int, ...]],
+                     ) -> frozenset[tuple[int, ...]]:
     patterns: set[tuple[int, ...]] = set()
     for t in rel.types:
-        if scope is not None and not t.respects(scope):
+        if repeats is not None and not t.respects(repeats):
             continue
         patterns.add(tuple(P_VALUE for _ in range(rel.arity)))
         bottom = set(t.blocks[0])
         patterns.add(tuple(Z_VALUE if i in bottom else P_VALUE
                            for i in range(rel.arity)))
-    return patterns
+    return frozenset(patterns)
 
 
 def build_afin(template: TemporalTemplate) -> FiniteStructure:
@@ -465,7 +480,7 @@ def _solve_afin(variables: tuple[str, ...], constraints: Sequence[_Constraint],
     names: dict[tuple[int, frozenset], str] = {}
     inst_constraints = []
     for rel, scope in constraints:
-        patterns = frozenset(_fin_patterns(rel, scope))
+        patterns = _fin_patterns(rel, scope)
         key = (rel.arity, patterns)
         name = names.get(key)
         if name is None:
@@ -487,7 +502,7 @@ def _solve_afin(variables: tuple[str, ...], constraints: Sequence[_Constraint],
         _classify_cache[cache_key] = classes
     for cls in _DISPATCH_ORDER:
         if cls in classes:
-            return schaefer_solve(inst, quotient, cls)
+            return _dispatch(inst, quotient, cls)
     return hom_search(inst, quotient)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from orbitcsp.cli import (
+    ARITY_LIMIT,
     format_instance,
     format_template,
     parse_instance,
@@ -291,6 +292,18 @@ class TestSolveCommand:
         assert report == "result: UNSAT\n"
         assert code == 1
 
+    def test_flags_do_not_leak_between_calls(self, files):
+        # run() reuses one argument parser across calls.
+        template = files.path(LT_TEXT)
+        instance = files.path("vars x y\nLT(x,y)\n")
+        report, code = run(["solve", template, instance, "--mode", "ll"])
+        assert (report.splitlines()[0], code) == ("mode: LL", 0)
+        report, code = run(["solve", template, instance])
+        assert report == "mode: PP\nresult: SAT\nlevels: [x][y]\n"
+        assert code == 0
+        assert run(["solve", template, instance, "--mode", "lex"]) == ("", 2)
+        assert run(["solve", template, instance]) == (report, 0)
+
     def test_mode_flag_rejected_for_tournaments(self, files):
         template = files.path(ARC_TEXT)
         instance = files.path("vars a b\nARC(a,b)\n")
@@ -440,6 +453,24 @@ class TestRunHarness:
     def test_unknown_command(self):
         report, code = run(["improvise"])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "base: temporal\nrel BIG/2000000000: 1<2\nrel LT/2: 1<2\n",
+        "base: tournament\nrel BIG/2000000000: 1->2\n",
+        "base: graph\nrel BIG/2000000000: E(1,2)\n",
+        "base: temporal\nrel BIG/" + "9" * 5000 + ": 1<2\n",
+    ])
+    def test_huge_arity_rejected_before_allocation(self, files, text):
+        report, code = run(["classify", files.path(text)])
+        assert report == f"error: line 2, column 5: relations need arity <= {ARITY_LIMIT}\n"
+        assert code == 2
+
+    def test_arity_limit_is_inclusive(self):
+        wide = "<".join(str(p) for p in range(1, ARITY_LIMIT + 1))
+        template = parse_template(f"base: temporal\nrel R/{ARITY_LIMIT}: {wide}\n"
+                                  "rel LT/0002: 1<2\n")
+        assert template.relations["R"].arity == ARITY_LIMIT
+        assert template.relations["LT"].arity == 2
 
     def test_arity_error_reported(self, files):
         template = files.path(LT_TEXT)

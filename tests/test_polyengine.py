@@ -222,6 +222,14 @@ class TestSchaeferSolve:
         with pytest.raises(ClassMismatch):
             schaefer_solve(inst, tpl, BooleanClass.HORN_AND)
 
+    def test_class_mismatch_on_a_tractable_template(self):
+        # Horn but not affine: the public entry checks the requested class,
+        # not merely that the template has one.
+        tpl = self.horn_template()
+        inst = make_instance("ab", [("IMP", "ab")])
+        with pytest.raises(ClassMismatch):
+            schaefer_solve(inst, tpl, BooleanClass.MINORITY_AFFINE)
+
     def test_horn_least_solution(self):
         tpl = self.horn_template()
         inst = make_instance("abc", [("U1", "a"), ("IMP", "ab"), ("IMP", "bc")])

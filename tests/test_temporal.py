@@ -9,6 +9,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcsp import temporal
 
@@ -334,6 +335,22 @@ class TestBuildAfin:
         with pytest.raises(SignatureMismatch):
             build_afin(TemporalTemplate({"LT": LT, "Z": EQ}))
 
+    @pytest.mark.parametrize("first", [("x", "x"), ("x", "y")])
+    def test_memoised_patterns_follow_the_scope(self, first):
+        # Memoised by which scope positions repeat: the two scopes below
+        # must not share an entry, whichever of them is computed first.
+        temporal._fin_patterns_of.cache_clear()
+        other = ("x", "y") if first == ("x", "x") else ("x", "x")
+        for scope in (first, other, first):
+            want = set()
+            for t in LE.types:
+                if t.respects(scope):
+                    want.add((temporal.P_VALUE,) * 2)
+                    want.add(tuple(temporal.Z_VALUE if r == 0 else temporal.P_VALUE
+                                   for r in t.ranks))
+            assert temporal._fin_patterns(LE, scope) == want
+        assert temporal._fin_patterns(LE, ("x", "x")) != temporal._fin_patterns(LE, ("x", "y"))
+
     def test_ll_templates_inherit_meet(self):
         # Whenever ll preserves every relation, the conjunction table is a
         # polymorphism of the quotient structure.
@@ -510,6 +527,26 @@ def levels_satisfy(levels, instance, template):
     return True
 
 
+@st.composite
+def master_cases(draw):
+    """A template, a mode preserving it, and an instance of 2 to 7 variables."""
+    template = draw(st.sampled_from([Q_RMIN, Q_RMAX, Q_LE]))
+    modes = [m for m in (TemporalOp.PP, TemporalOp.LL,
+                         TemporalOp.DUAL_PP, TemporalOp.DUAL_LL)
+             if all(preserves_temporal(m, rel) is True
+                    for rel in template.relations.values())]
+    mode = draw(st.sampled_from(modes))
+    names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+    relation = st.sampled_from(sorted(template.relations))
+    constraints = draw(st.lists(relation.flatmap(lambda name: st.tuples(
+        st.just(name),
+        st.lists(st.sampled_from(names),
+                 min_size=template.relations[name].arity,
+                 max_size=template.relations[name].arity))),
+        min_size=1, max_size=8))
+    return template, mode, make_instance(names, constraints)
+
+
 class TestSolveMaster:
     def test_chain(self):
         inst = make_instance("xyz", [("LT", "xy"), ("LT", "yz")])
@@ -527,6 +564,14 @@ class TestSolveMaster:
         assert brute_oracle(inst, Q_RMIN) is not None
 
     def test_precondition(self):
+        inst = make_instance("xyz", [("BETW", "xyz")])
+        with pytest.raises(PreconditionFailed):
+            solve_master(inst, Q_BETW, TemporalOp.PP)
+
+    def test_precondition_after_classify(self):
+        # classify_temporal memoises preservation verdicts; the master's own
+        # precondition loop must still see the counterexample.
+        assert classify_temporal(Q_BETW).polynomial is False
         inst = make_instance("xyz", [("BETW", "xyz")])
         with pytest.raises(PreconditionFailed):
             solve_master(inst, Q_BETW, TemporalOp.PP)
@@ -591,6 +636,16 @@ class TestSolveMaster:
                 assert levels_satisfy(got, inst, template)
                 sat += 1
         assert sat > 5 and unsat > 5
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(master_cases())
+    def test_agrees_with_oracle_property(self, case):
+        template, mode, inst = case
+        got = solve_master(inst, template, mode)
+        want = brute_oracle(inst, template)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert levels_satisfy(got, inst, template)
 
 
 class TestBruteOracle:
