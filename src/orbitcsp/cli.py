@@ -12,7 +12,6 @@ and 2 an input error.
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from typing import Callable, Optional, Sequence, Union
@@ -546,10 +545,7 @@ def _cmd_oracle(
     ], 0
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every
-    ``run`` call (parsing keeps no state in it)."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbitcsp", add_help=True)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -584,7 +580,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> tuple[str, int]:
     """Execute one command; returns the report text and the exit code."""
     try:
-        args = _parser().parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return "", int(exc.code or 0)
     try:

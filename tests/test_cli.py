@@ -293,7 +293,7 @@ class TestSolveCommand:
         assert code == 1
 
     def test_flags_do_not_leak_between_calls(self, files):
-        # run() reuses one argument parser across calls.
+        # Several run() calls in one process share no flag state.
         template = files.path(LT_TEXT)
         instance = files.path("vars x y\nLT(x,y)\n")
         report, code = run(["solve", template, instance, "--mode", "ll"])
