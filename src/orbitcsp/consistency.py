@@ -4,8 +4,12 @@ The engine derives, for every at-most-k-element set of instance variables,
 the strongest constraint implied by looking at at most l variables at a time.
 It is agnostic about what a "local pattern" is: assignments into a finite
 domain, weak orders, or labeled partitions all plug in through the small
-:class:`PatternSpace` interface, so the same fixpoint serves finite,
-temporal, and homogeneous-base instances.
+positional :class:`PatternSpace` contract -- the patterns of an arity, the
+projection of a pattern to a list of positions, and the set of patterns of a
+relation -- so the same fixpoint serves finite, temporal, and
+homogeneous-base instances.  Only the engine knows variable names: it turns
+every sub-tuple and constraint scope into positions once per superset,
+before the fixpoint runs.
 
 Rejection is reported through the :data:`EMPTY_DERIVED` sentinel: some
 subset's constraint became empty, which soundly implies the instance has no
@@ -16,26 +20,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Protocol, Sequence, Union
+from typing import Any, Collection, Protocol, Sequence, Union
 
-from .errors import ParameterError
+from .errors import BudgetExceeded, ParameterError
 from .relstruct import FiniteStructure, Instance, check_signature
 
 
 class PatternSpace(Protocol):
-    """What the fixpoint needs to know about local solution fragments."""
+    """What the fixpoint needs to know about local solution fragments.
 
-    def patterns(self, variables: tuple[str, ...]) -> Sequence[object]:
-        """All candidate patterns on this sorted variable tuple."""
+    ``template`` is the structure the space belongs to; the engine reads the
+    declared arity of each relation from it.
+    """
 
-    def restrict(self, variables: tuple[str, ...], pattern: object,
-                 sub: tuple[str, ...]) -> object:
-        """The induced pattern on a sub-tuple of the variables."""
+    template: Any
 
-    def satisfies(self, variables: tuple[str, ...], pattern: object,
-                  rel_name: str, scope: tuple[str, ...]) -> bool:
-        """Does the pattern satisfy one constraint whose scope lies inside
-        the variable tuple?  (Scopes may repeat variables.)"""
+    def patterns(self, arity: int) -> Sequence[object]:
+        """All candidate patterns on ``arity`` positions."""
+
+    def project(self, pattern: object, positions: Sequence[int]) -> object:
+        """The pattern read at ``positions`` (repeats allowed)."""
+
+    def members(self, name: str) -> Collection[object]:
+        """The patterns of relation ``name``."""
 
 
 class FinitePatterns:
@@ -44,16 +51,14 @@ class FinitePatterns:
     def __init__(self, template: FiniteStructure):
         self.template = template
 
-    def patterns(self, variables):
-        return list(product(range(self.template.domain_size), repeat=len(variables)))
+    def patterns(self, arity):
+        return list(product(range(self.template.domain_size), repeat=arity))
 
-    def restrict(self, variables, pattern, sub):
-        pos = {v: i for i, v in enumerate(variables)}
-        return tuple(pattern[pos[v]] for v in sub)
+    def project(self, pattern, positions):
+        return tuple(pattern[i] for i in positions)
 
-    def satisfies(self, variables, pattern, rel_name, scope):
-        pos = {v: i for i, v in enumerate(variables)}
-        return tuple(pattern[pos[v]] for v in scope) in self.template.relations[rel_name].tuples
+    def members(self, name):
+        return self.template.relations[name].tuples
 
 
 class _EmptyDerived:
@@ -95,74 +100,62 @@ def establish_kl(instance: Instance,
     """Run the (k,l)-consistency fixpoint.
 
     Returns a :class:`ConsistencyState`, or :data:`EMPTY_DERIVED` as soon as
-    some subset's pattern set becomes empty.  The fixpoint is independent of
-    processing order; supersets are swept in lexicographic order for
-    reproducibility of the work done.
+    some subset's pattern set becomes empty.  Raises BudgetExceeded, naming
+    (k,l), before any work when the space cannot enumerate the patterns of
+    the largest superset.  The fixpoint is independent of processing order;
+    supersets are swept in lexicographic order for reproducibility of the
+    work done.
     """
     if k < 1 or l < k:
         raise ParameterError(f"need 1 <= k <= l, got ({k}, {l})")
-    if isinstance(template, FiniteStructure):
-        check_signature(instance, template)
-        space: PatternSpace = FinitePatterns(template)
-    else:
-        space = template
+    space = FinitePatterns(template) if isinstance(template, FiniteStructure) else template
+    check_signature(instance, space.template)
 
     variables = instance.variables
     n = len(variables)
     k_eff = min(k, n)
     l_eff = min(l, n)
+    # Largest arity first, so that an over-budget (k,l) fails before any work.
+    try:
+        by_arity = {m: space.patterns(m) for m in range(l_eff, 0, -1)}
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"(k,l) = ({k},{l}) needs patterns of arity {l_eff}: {exc}"
+        ) from exc
 
-    def subsets(max_size: int) -> list[tuple[str, ...]]:
-        out = []
-        for size in range(1, max_size + 1):
-            out.extend(combinations(variables, size))
-        return out
-
-    small = subsets(k_eff)
-    constraints = list(instance.constraints)
-
-    def constraints_inside(varset: frozenset[str]):
-        return [(name, scope) for name, scope in constraints
-                if set(scope) <= varset]
-
-    # Initial constraints on each small subset.
+    # Per superset L, in size-then-lexicographic order: its patterns that
+    # satisfy every constraint inside L, and the positions in L of each of
+    # its at-most-k subsets.  For |L| <= k the filtered list seeds allowed[L].
+    project = space.project
     allowed: dict[tuple[str, ...], set] = {}
-    for S in small:
-        inside = constraints_inside(frozenset(S))
-        keep = set()
-        for p in space.patterns(S):
-            if all(space.satisfies(S, p, name, scope) for name, scope in inside):
-                keep.add(p)
-        if not keep:
-            return EMPTY_DERIVED
-        allowed[S] = keep
-
-    # Precompute, per superset L: its constraints, its small subsets, and the
-    # (cached) pattern list.
     sweeps = []
-    for L in subsets(l_eff):
-        subs = [S for S in small if set(S) <= set(L)]
-        sweeps.append((L, constraints_inside(frozenset(L)), subs))
-
-    pattern_cache: dict[tuple[str, ...], list] = {}
+    for size in range(1, l_eff + 1):
+        for L in combinations(variables, size):
+            at = {v: i for i, v in enumerate(L)}
+            inside = [(tuple(at[v] for v in scope), space.members(name))
+                      for name, scope in instance.constraints
+                      if all(v in at for v in scope)]
+            candidates = [p for p in by_arity[size]
+                          if all(project(p, pos) in rel for pos, rel in inside)]
+            if size <= k_eff:
+                if not candidates:
+                    return EMPTY_DERIVED
+                allowed[L] = set(candidates)
+            subs = [(tuple(L[i] for i in pos), pos)
+                    for m in range(1, min(size, k_eff) + 1)
+                    for pos in combinations(range(size), m)]
+            sweeps.append((candidates, subs))
 
     changed = True
     while changed:
         changed = False
-        for L, inside, subs in sweeps:
-            if L not in pattern_cache:
-                pattern_cache[L] = [
-                    p for p in space.patterns(L)
-                    if all(space.satisfies(L, p, name, scope) for name, scope in inside)
-                ]
-            viable = [
-                p for p in pattern_cache[L]
-                if all(space.restrict(L, p, S) in allowed[S] for S in subs)
-            ]
-            for S in subs:
-                projected = {space.restrict(L, p, S) for p in viable}
+        for candidates, subs in sweeps:
+            viable = [p for p in candidates
+                      if all(project(p, pos) in allowed[S] for S, pos in subs)]
+            for S, pos in subs:
+                projected = {project(p, pos) for p in viable}
                 if projected != allowed[S]:
-                    # Each viable pattern restricts into allowed[S], so this
+                    # Each viable pattern projects into allowed[S], so this
                     # is a strict shrink.
                     allowed[S] = projected
                     changed = True

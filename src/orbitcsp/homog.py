@@ -916,38 +916,15 @@ def solve_instance_brute(
 
 @dataclass(frozen=True, eq=False)
 class HomogPatterns:
-    """Pattern-space adapter: complete types as local consistency patterns."""
+    """Pattern space of a homogeneous template: patterns are complete types."""
 
     template: HomogTemplate
 
-    def patterns(self, variables: Sequence[str]) -> list[LabeledType]:
-        return enumerate_types(len(variables), self.template.base)
+    def patterns(self, arity: int) -> list[LabeledType]:
+        return enumerate_types(arity, self.template.base)
 
-    def restrict(
-        self,
-        variables: Sequence[str],
-        pattern: LabeledType,
-        sub: Sequence[str],
-    ) -> LabeledType:
-        position = {v: i for i, v in enumerate(variables)}
-        return pattern.project(tuple(position[v] for v in sub))
+    def project(self, pattern: LabeledType, positions: Sequence[int]) -> LabeledType:
+        return pattern.project(positions)
 
-    def satisfies(
-        self,
-        variables: Sequence[str],
-        pattern: LabeledType,
-        rel_name: str,
-        scope: Sequence[str],
-    ) -> bool:
-        rel = self.template.relations.get(rel_name)
-        if rel is None:
-            raise SignatureMismatch(f"instance uses unknown relation {rel_name}")
-        if rel.arity != len(scope):
-            raise SignatureMismatch(f"constraint {rel_name} has arity {rel.arity}")
-        position = {v: i for i, v in enumerate(variables)}
-        idx = [position[v] for v in scope]
-        fp = tuple(
-            pattern.label(idx[a], idx[b])
-            for a, b in itertools.combinations(range(len(idx)), 2)
-        )
-        return fp in rel.fingerprints
+    def members(self, name: str) -> frozenset[LabeledType]:
+        return self.template.relations[name].types

@@ -358,7 +358,7 @@ def _horn_solve(instance: Instance, template: FiniteStructure,
 
     def feasible_rows(rel: Relation, scope):
         rows = []
-        for t in rel.sorted_tuples():
+        for t in rel.tuples:
             if top_down:
                 ok = all(t[i] <= bound[v] for i, v in enumerate(scope))
             else:

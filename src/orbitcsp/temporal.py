@@ -715,19 +715,16 @@ def classify_temporal(template: TemporalTemplate) -> TemporalVerdict:
 
 
 class TemporalPatterns:
-    """Adapter exposing weak orders as local consistency patterns."""
+    """Pattern space of a temporal template: patterns are weak-order types."""
 
     def __init__(self, template: TemporalTemplate):
         self.template = template
 
-    def patterns(self, variables):
-        return enumerate_weak_orders(len(variables))
+    def patterns(self, arity):
+        return enumerate_weak_orders(arity)
 
-    def restrict(self, variables, pattern, sub):
-        pos = {v: i for i, v in enumerate(variables)}
-        return pattern.restrict([pos[v] for v in sub])
+    def project(self, pattern, positions):
+        return pattern.restrict(positions)
 
-    def satisfies(self, variables, pattern, rel_name, scope):
-        pos = {v: i for i, v in enumerate(variables)}
-        induced = pattern.restrict([pos[v] for v in scope])
-        return induced in self.template.relations[rel_name].types
+    def members(self, name):
+        return self.template.relations[name].types

@@ -415,6 +415,19 @@ class TestConsistencyCommand:
         report, code = run(["consistency", template, instance, "--kl", "wide"])
         assert code == 2
 
+    @pytest.mark.parametrize("text,relation,n,kl", [
+        (ARC_TEXT, "ARC", 7, "2,7"),
+        (LT_TEXT, "LT", 9, "2,9"),
+    ])
+    def test_over_budget_kl_is_a_one_line_error(self, files, text, relation, n, kl):
+        names = [f"v{i}" for i in range(n)]
+        chain = "".join(f"{relation}({a},{b})\n" for a, b in zip(names, names[1:]))
+        instance = files.path(f"vars {' '.join(names)}\n{chain}")
+        report, code = run(["consistency", files.path(text), instance, "--kl", kl])
+        assert code == 2
+        assert report.startswith(f"error: (k,l) = ({kl}) needs patterns of arity {n}: ")
+        assert report.count("\n") == 1
+
 
 class TestOracleCommand:
     def test_temporal(self, files):

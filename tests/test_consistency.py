@@ -1,13 +1,35 @@
-"""Tests for the (k,l)-consistency fixpoint on finite templates."""
+"""Tests for the (k,l)-consistency fixpoint over every pattern space."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitcsp.consistency import EMPTY_DERIVED, ConsistencyState, establish_kl
-from orbitcsp.errors import ParameterError
+from orbitcsp.consistency import (
+    EMPTY_DERIVED,
+    ConsistencyState,
+    FinitePatterns,
+    establish_kl,
+)
+from orbitcsp.errors import BudgetExceeded, ParameterError, SignatureMismatch
+from orbitcsp.homog import (
+    GRAPH,
+    TOURNAMENT,
+    HomogPatterns,
+    Label,
+    enumerate_types,
+    homog_template,
+    type_set_relation,
+)
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
+from orbitcsp.temporal import (
+    LT,
+    TemporalPatterns,
+    TemporalTemplate,
+    enumerate_weak_orders,
+    temporal_relation,
+)
 
 from oracles import exhaustive_hom
 
@@ -124,3 +146,116 @@ def test_monotonicity_in_k_l():
             assert establish_kl(inst, tpl, 2, 4) is EMPTY_DERIVED
             assert establish_kl(inst, tpl, 3, 4) is EMPTY_DERIVED
     assert checked > 5
+
+
+# --- every pattern space ----------------------------------------------------
+
+FWD, E, N, EQ = Label.FWD, Label.E, Label.N, Label.EQ
+
+
+def homog_relation(base, arity, fingerprints):
+    return type_set_relation(arity, base, [
+        t for t in enumerate_types(arity, base) if t.fingerprint in fingerprints
+    ])
+
+
+FINITE = FiniteStructure(2, {**TWO_COLORING.relations, **ONE_IN_THREE.relations})
+TEMPORAL = TemporalTemplate({
+    "LT": LT,
+    "RMIN": temporal_relation(3, [t for t in enumerate_weak_orders(3)
+                                  if t.ranks[0] > min(t.ranks[1:])]),
+})
+TOURNAMENT_TEMPLATE = homog_template(TOURNAMENT, {
+    "ARC": homog_relation(TOURNAMENT, 2, {(FWD,)}),
+    "AEQ": homog_relation(TOURNAMENT, 2, {(FWD,), (EQ,)}),
+    "TR": homog_relation(TOURNAMENT, 3, {(FWD, FWD, FWD)}),
+})
+GRAPH_TEMPLATE = homog_template(GRAPH, {
+    "E": homog_relation(GRAPH, 2, {(E,)}),
+    "N": homog_relation(GRAPH, 2, {(N,)}),
+    "SAME": homog_relation(GRAPH, 2, {(EQ,)}),
+    "ONE": homog_relation(GRAPH, 3, {(E, N, N), (N, E, N), (N, N, E)}),
+})
+
+# name -> (pattern space, every pattern on n positions, projection)
+SPACES = {
+    "finite": (FinitePatterns(FINITE),
+               lambda n: product(range(2), repeat=n),
+               lambda p, pos: tuple(p[i] for i in pos)),
+    "temporal": (TemporalPatterns(TEMPORAL), enumerate_weak_orders,
+                 lambda p, pos: p.restrict(pos)),
+    "tournament": (HomogPatterns(TOURNAMENT_TEMPLATE),
+                   lambda n: enumerate_types(n, TOURNAMENT),
+                   lambda p, pos: p.project(pos)),
+    "graph": (HomogPatterns(GRAPH_TEMPLATE),
+              lambda n: enumerate_types(n, GRAPH),
+              lambda p, pos: p.project(pos)),
+}
+
+
+def members(template, name):
+    rel = template.relations[name]
+    return rel.tuples if isinstance(template, FiniteStructure) else rel.types
+
+
+@st.composite
+def kl_cases(draw, kind):
+    space = SPACES[kind][0]
+    relations = space.template.relations
+    n = draw(st.integers(1, 5))
+    names = [f"x{i}" for i in range(n)]
+    constraints = draw(st.lists(
+        st.sampled_from(sorted(relations)).flatmap(lambda name: st.tuples(
+            st.just(name),
+            st.lists(st.sampled_from(names), min_size=relations[name].arity,
+                     max_size=relations[name].arity).map(tuple))),
+        max_size=6))
+    kl = draw(st.sampled_from([(2, 3), (2, 4)]))
+    return make_instance(names, constraints), kl
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_allowed_holds_every_solution(kind, data):
+    instance, (k, l) = data.draw(kl_cases(kind))
+    space, every, project = SPACES[kind]
+    at = {v: i for i, v in enumerate(instance.variables)}
+    solutions = [
+        p for p in every(len(instance.variables))
+        if all(project(p, tuple(at[v] for v in scope)) in members(space.template, name)
+               for name, scope in instance.constraints)
+    ]
+    state = establish_kl(instance, space, k, l)
+    if state is EMPTY_DERIVED:
+        assert not solutions
+        return
+    for size in range(1, min(k, len(at)) + 1):
+        for subset in combinations(instance.variables, size):
+            positions = tuple(at[v] for v in subset)
+            for p in solutions:
+                assert project(p, positions) in state.allowed[subset]
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_signature_is_checked_for_every_space(kind):
+    space = SPACES[kind][0]
+    binary = min(name for name, rel in space.template.relations.items() if rel.arity == 2)
+    for constraint in [("MISSING", ("x", "y")), (binary, ("x", "y", "z"))]:
+        with pytest.raises(SignatureMismatch):
+            establish_kl(make_instance("xyz", [constraint]), space, 2, 3)
+
+
+def chain(relation_name, n):
+    names = [f"v{i}" for i in range(n)]
+    return make_instance(names, [(relation_name, (a, b)) for a, b in zip(names, names[1:])])
+
+
+@pytest.mark.parametrize("kind,instance,k,l,arity", [
+    ("tournament", chain("ARC", 7), 2, 7, 7),
+    ("temporal", chain("LT", 9), 2, 9, 9),
+    ("temporal", chain("LT", 9), 3, 12, 9),
+])
+def test_over_budget_kl_fails_before_any_work(kind, instance, k, l, arity):
+    with pytest.raises(BudgetExceeded, match=rf"\({k},{l}\) needs patterns of arity {arity}:"):
+        establish_kl(instance, SPACES[kind][0], k, l)

@@ -598,10 +598,10 @@ class TestSolveInstanceBrute:
             for _ in range(30):
                 inst = random_instance(rng, template, max_vars=4)
                 position = {v: i for i, v in enumerate(inst.variables)}
-                space = HomogPatterns(template)
                 expected = any(
                     all(
-                        space.satisfies(inst.variables, t, name, scope)
+                        t.project(tuple(position[v] for v in scope))
+                        in template.relations[name].types
                         for name, scope in inst.constraints
                     )
                     for t in enumerate_types(len(inst.variables), template.base)
