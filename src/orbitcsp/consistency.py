@@ -11,6 +11,18 @@ homogeneous-base instances.  Only the engine knows variable names: it turns
 every sub-tuple and constraint scope into positions once per superset,
 before the fixpoint runs.
 
+The fixpoint runs on pattern numbers: a pattern's number is its index in
+``space.patterns(arity)``.  Two lazily filled tables stand in for the
+space's methods.  A projection table maps a pattern number of one arity to
+the number of its projection to fixed positions.  A membership table says
+whether a pattern, read at fixed positions, lies in a relation's
+``members``.  Both are memoised across calls per ``space.universe``, since
+spaces with the same universe number and project their patterns alike.
+Projection tables are bounded by the universes, arities and position
+tuples in use; membership tables also by the relations seen, and they are
+dropped all at once when more than ``_MEMBERSHIP_TABLE_CAP`` of them
+pile up.  The state is mapped back to pattern objects once, at the end.
+
 Rejection is reported through the :data:`EMPTY_DERIVED` sentinel: some
 subset's constraint became empty, which soundly implies the instance has no
 solution.  The converse holds only for templates of bounded width.
@@ -19,24 +31,32 @@ solution.  The converse holds only for templates of bounded width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Any, Collection, Protocol, Sequence, Union
+from functools import cached_property
+from itertools import chain, combinations, compress, product
+from typing import Any, Collection, Hashable, Protocol, Sequence, Union
 
 from .errors import BudgetExceeded, ParameterError
 from .relstruct import FiniteStructure, Instance, check_signature
+
+_MEMBERSHIP_TABLE_CAP = 4096  # membership tables kept across calls
 
 
 class PatternSpace(Protocol):
     """What the fixpoint needs to know about local solution fragments.
 
     ``template`` is the structure the space belongs to; the engine reads the
-    declared arity of each relation from it.
+    declared arity of each relation from it.  ``universe`` names what the
+    patterns range over, independently of the template's relations: spaces
+    with equal universes must list the same patterns in the same order and
+    project them alike, because the engine numbers patterns by their index
+    in ``patterns(arity)`` and shares its tables between such spaces.
     """
 
     template: Any
+    universe: Hashable
 
     def patterns(self, arity: int) -> Sequence[object]:
-        """All candidate patterns on ``arity`` positions."""
+        """All candidate patterns on ``arity`` positions, in a fixed order."""
 
     def project(self, pattern: object, positions: Sequence[int]) -> object:
         """The pattern read at ``positions`` (repeats allowed)."""
@@ -50,6 +70,7 @@ class FinitePatterns:
 
     def __init__(self, template: FiniteStructure):
         self.template = template
+        self.universe = ("finite", template.domain_size)
 
     def patterns(self, arity):
         return list(product(range(self.template.domain_size), repeat=arity))
@@ -59,6 +80,60 @@ class FinitePatterns:
 
     def members(self, name):
         return self.template.relations[name].tuples
+
+
+class _Table(dict):
+    """A table on pattern numbers, filled by ``fill`` on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, number):
+        value = self[number] = self.fill(number)
+        return value
+
+
+class _Numbering:
+    """The numbered patterns of one universe and the tables built on them."""
+
+    def __init__(self, project):
+        self.project = project
+        self.patterns: dict[int, Sequence[object]] = {}
+        self._index: dict[int, dict[object, int]] = {}
+        self._projections: dict[tuple, _Table] = {}
+        self._memberships: dict[tuple, _Table] = {}
+
+    def projection(self, arity: int, positions: tuple[int, ...]) -> _Table:
+        """Pattern number of ``arity`` -> number of its ``positions`` reading."""
+        table = self._projections.get((arity, positions))
+        if table is None:
+            m = len(positions)
+            index = self._index.get(m)
+            if index is None:
+                index = self._index[m] = {p: i for i, p in enumerate(self.patterns[m])}
+            source, project = self.patterns[arity], self.project
+            table = self._projections[arity, positions] = _Table(
+                lambda number: index[project(source[number], positions)])
+        return table
+
+    def membership(self, arity: int, positions: tuple[int, ...], members) -> _Table:
+        """Pattern number of ``arity`` -> whether its ``positions`` reading
+        lies in ``members``."""
+        key = (arity, positions, members)
+        table = self._memberships.get(key)
+        if table is None:
+            if len(self._memberships) >= _MEMBERSHIP_TABLE_CAP:
+                self._memberships.clear()
+            source, project = self.patterns[arity], self.project
+            table = self._memberships[key] = _Table(
+                lambda number: project(source[number], positions) in members)
+        return table
+
+
+_NUMBERINGS: dict[Hashable, _Numbering] = {}
 
 
 class _EmptyDerived:
@@ -86,9 +161,12 @@ class ConsistencyState:
     variables: tuple[str, ...]
     allowed: dict[tuple[str, ...], set]
 
+    @cached_property
+    def _order(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.variables)}
+
     def key(self, subset) -> tuple[str, ...]:
-        order = {v: i for i, v in enumerate(self.variables)}
-        return tuple(sorted(set(subset), key=order.__getitem__))
+        return tuple(sorted(set(subset), key=self._order.__getitem__))
 
     def count(self, subset) -> int:
         return len(self.allowed[self.key(subset)])
@@ -122,43 +200,73 @@ def establish_kl(instance: Instance,
         raise BudgetExceeded(
             f"(k,l) = ({k},{l}) needs patterns of arity {l_eff}: {exc}"
         ) from exc
+    numbering = _NUMBERINGS.get(space.universe)
+    if numbering is None:
+        numbering = _NUMBERINGS[space.universe] = _Numbering(space.project)
+    patterns = numbering.patterns
+    for m, listed in by_arity.items():
+        patterns.setdefault(m, listed)
 
-    # Per superset L, in size-then-lexicographic order: its patterns that
-    # satisfy every constraint inside L, and the positions in L of each of
-    # its at-most-k subsets.  For |L| <= k the filtered list seeds allowed[L].
-    project = space.project
-    allowed: dict[tuple[str, ...], set] = {}
+    # Per superset size: the projection table onto each at-most-k subset,
+    # in the order in which combinations() lists the subsets.
+    projections = {size: [numbering.projection(size, pos)
+                          for m in range(1, min(size, k_eff) + 1)
+                          for pos in combinations(range(size), m)]
+                   for size in range(1, l_eff + 1)}
+    constraints = [(name, scope, frozenset(scope)) for name, scope in instance.constraints]
+    # (size, positions, name) -> membership table, so that a freshly parsed
+    # relation's members are compared with the memo's keys once per call.
+    tests = {}
+
+    # Per superset L, in size-then-lexicographic order: the numbers of its
+    # patterns that satisfy every constraint inside L, and each of its
+    # at-most-k subsets with its projection table.  For |L| <= k the
+    # filtered numbers seed allowed[L].
+    allowed: dict[tuple[str, ...], set[int]] = {}
     sweeps = []
     for size in range(1, l_eff + 1):
         for L in combinations(variables, size):
             at = {v: i for i, v in enumerate(L)}
-            inside = [(tuple(at[v] for v in scope), space.members(name))
-                      for name, scope in instance.constraints
-                      if all(v in at for v in scope)]
-            candidates = [p for p in by_arity[size]
-                          if all(project(p, pos) in rel for pos, rel in inside)]
+            inside = at.keys()
+            candidates = range(len(patterns[size]))
+            for name, scope, support in constraints:
+                if not support <= inside:
+                    continue
+                pos = tuple(map(at.__getitem__, scope))
+                test = tests.get((size, pos, name))
+                if test is None:
+                    test = tests[size, pos, name] = numbering.membership(
+                        size, pos, space.members(name))
+                candidates = list(compress(candidates, map(test.__getitem__, candidates)))
+            candidates = list(candidates)
             if size <= k_eff:
                 if not candidates:
                     return EMPTY_DERIVED
                 allowed[L] = set(candidates)
-            subs = [(tuple(L[i] for i in pos), pos)
-                    for m in range(1, min(size, k_eff) + 1)
-                    for pos in combinations(range(size), m)]
-            sweeps.append((candidates, subs))
+            subs = list(zip(
+                chain.from_iterable(combinations(L, m) for m in range(1, min(size, k_eff) + 1)),
+                projections[size]))
+            sweeps.append([candidates, subs])
 
     changed = True
     while changed:
         changed = False
-        for candidates, subs in sweeps:
-            viable = [p for p in candidates
-                      if all(project(p, pos) in allowed[S] for S, pos in subs)]
-            for S, pos in subs:
-                projected = {project(p, pos) for p in viable}
-                if projected != allowed[S]:
+        for sweep in sweeps:
+            viable, subs = sweep
+            for S, table in subs:
+                viable = list(compress(viable, map(
+                    allowed[S].__contains__, map(table.__getitem__, viable))))
+            # Allowed sets only shrink, so a pattern that is not viable now
+            # never becomes viable again.
+            sweep[0] = viable
+            for S, table in subs:
+                projected = set(map(table.__getitem__, viable))
+                if len(projected) != len(allowed[S]):
                     # Each viable pattern projects into allowed[S], so this
                     # is a strict shrink.
                     allowed[S] = projected
                     changed = True
                     if not projected:
                         return EMPTY_DERIVED
-    return ConsistencyState(k, l, variables, allowed)
+    return ConsistencyState(k, l, variables, {
+        S: {patterns[len(S)][p] for p in numbers} for S, numbers in allowed.items()})

@@ -342,13 +342,15 @@ def _set_partitions(k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
 
 def enumerate_types(
     k: int, base: Base, injective_only: bool = False
-) -> list[LabeledType]:
-    """All complete types of arity ``k`` over the base, in a fixed order."""
+) -> tuple[LabeledType, ...]:
+    """All complete types of arity ``k`` over the base, in a fixed order.
+
+    The tuple is shared between calls."""
     if k < 1:
         raise ParameterError("arity must be at least 1")
     if k > TYPE_ARITY_LIMIT:
         raise BudgetExceeded(f"type enumeration capped at arity {TYPE_ARITY_LIMIT}")
-    return list(_enumerate_types_cached(k, base, injective_only))
+    return _enumerate_types_cached(k, base, injective_only)
 
 
 @lru_cache(maxsize=None)
@@ -916,11 +918,17 @@ def solve_instance_brute(
 
 @dataclass(frozen=True, eq=False)
 class HomogPatterns:
-    """Pattern space of a homogeneous template: patterns are complete types."""
+    """Pattern space of a homogeneous template: patterns are complete types.
+
+    Its ``universe`` is the base, clique bound included."""
 
     template: HomogTemplate
 
-    def patterns(self, arity: int) -> list[LabeledType]:
+    @property
+    def universe(self) -> Base:
+        return self.template.base
+
+    def patterns(self, arity: int) -> tuple[LabeledType, ...]:
         return enumerate_types(arity, self.template.base)
 
     def project(self, pattern: LabeledType, positions: Sequence[int]) -> LabeledType:

@@ -134,3 +134,76 @@ def labeled_type_count(k: int, alphabet: int = 2) -> int:
     return sum(
         stirling2(k, m) * alphabet ** (m * (m - 1) // 2) for m in range(1, k + 1)
     )
+
+
+def reference_establish_kl(instance, template, k=2, l=3):
+    """The object-based (k,l)-consistency fixpoint, kept as a differential
+    reference for :func:`orbitcsp.consistency.establish_kl`: every superset's
+    patterns are pattern objects, and every projection calls the space's
+    ``project``."""
+    from itertools import combinations
+
+    from orbitcsp.consistency import (
+        EMPTY_DERIVED,
+        ConsistencyState,
+        FinitePatterns,
+    )
+    from orbitcsp.errors import BudgetExceeded, ParameterError
+    from orbitcsp.relstruct import check_signature
+
+    if k < 1 or l < k:
+        raise ParameterError(f"need 1 <= k <= l, got ({k}, {l})")
+    space = FinitePatterns(template) if isinstance(template, FiniteStructure) else template
+    check_signature(instance, space.template)
+
+    variables = instance.variables
+    n = len(variables)
+    k_eff = min(k, n)
+    l_eff = min(l, n)
+    # Largest arity first, so that an over-budget (k,l) fails before any work.
+    try:
+        by_arity = {m: space.patterns(m) for m in range(l_eff, 0, -1)}
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"(k,l) = ({k},{l}) needs patterns of arity {l_eff}: {exc}"
+        ) from exc
+
+    # Per superset L, in size-then-lexicographic order: its patterns that
+    # satisfy every constraint inside L, and the positions in L of each of
+    # its at-most-k subsets.  For |L| <= k the filtered list seeds allowed[L].
+    project = space.project
+    allowed: dict[tuple[str, ...], set] = {}
+    sweeps = []
+    for size in range(1, l_eff + 1):
+        for L in combinations(variables, size):
+            at = {v: i for i, v in enumerate(L)}
+            inside = [(tuple(at[v] for v in scope), space.members(name))
+                      for name, scope in instance.constraints
+                      if all(v in at for v in scope)]
+            candidates = [p for p in by_arity[size]
+                          if all(project(p, pos) in rel for pos, rel in inside)]
+            if size <= k_eff:
+                if not candidates:
+                    return EMPTY_DERIVED
+                allowed[L] = set(candidates)
+            subs = [(tuple(L[i] for i in pos), pos)
+                    for m in range(1, min(size, k_eff) + 1)
+                    for pos in combinations(range(size), m)]
+            sweeps.append((candidates, subs))
+
+    changed = True
+    while changed:
+        changed = False
+        for candidates, subs in sweeps:
+            viable = [p for p in candidates
+                      if all(project(p, pos) in allowed[S] for S, pos in subs)]
+            for S, pos in subs:
+                projected = {project(p, pos) for p in viable}
+                if projected != allowed[S]:
+                    # Each viable pattern projects into allowed[S], so this
+                    # is a strict shrink.
+                    allowed[S] = projected
+                    changed = True
+                    if not projected:
+                        return EMPTY_DERIVED
+    return ConsistencyState(k, l, variables, allowed)

@@ -20,6 +20,7 @@ from orbitcsp.homog import (
     Label,
     enumerate_types,
     homog_template,
+    kfree,
     type_set_relation,
 )
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
@@ -31,7 +32,7 @@ from orbitcsp.temporal import (
     temporal_relation,
 )
 
-from oracles import exhaustive_hom
+from oracles import exhaustive_hom, reference_establish_kl
 
 TWO_COLORING = FiniteStructure(2, {"E": relation(2, [(0, 1), (1, 0)])})
 ONE_IN_THREE = FiniteStructure(2, {"R": relation(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])})
@@ -199,10 +200,10 @@ def members(template, name):
 
 
 @st.composite
-def kl_cases(draw, kind):
-    space = SPACES[kind][0]
-    relations = space.template.relations
-    n = draw(st.integers(1, 5))
+def instances(draw, relations, max_vars=5):
+    """Up to six constraints on at most ``max_vars`` variables; scopes may
+    repeat variables."""
+    n = draw(st.integers(1, max_vars))
     names = [f"x{i}" for i in range(n)]
     constraints = draw(st.lists(
         st.sampled_from(sorted(relations)).flatmap(lambda name: st.tuples(
@@ -210,8 +211,14 @@ def kl_cases(draw, kind):
             st.lists(st.sampled_from(names), min_size=relations[name].arity,
                      max_size=relations[name].arity).map(tuple))),
         max_size=6))
+    return make_instance(names, constraints)
+
+
+@st.composite
+def kl_cases(draw, kind):
+    instance = draw(instances(SPACES[kind][0].template.relations))
     kl = draw(st.sampled_from([(2, 3), (2, 4)]))
-    return make_instance(names, constraints), kl
+    return instance, kl
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
@@ -259,3 +266,91 @@ def chain(relation_name, n):
 def test_over_budget_kl_fails_before_any_work(kind, instance, k, l, arity):
     with pytest.raises(BudgetExceeded, match=rf"\({k},{l}\) needs patterns of arity {arity}:"):
         establish_kl(instance, SPACES[kind][0], k, l)
+
+
+# --- the numbered engine against the object-based reference -----------------
+
+KFREE3_TEMPLATE = homog_template(kfree(3), {
+    "E": homog_relation(kfree(3), 2, {(E,)}),
+    "N": homog_relation(kfree(3), 2, {(N,)}),
+    "PATH": homog_relation(kfree(3), 3, {(E, N, E), (E, E, N), (N, E, E)}),
+})
+# Each space has a relation of arity 4, above l = 3.
+REFERENCE_SPACES = {
+    "finite": FinitePatterns(FiniteStructure(2, {
+        **FINITE.relations,
+        "EVEN4": relation(4, [t for t in product(range(2), repeat=4) if sum(t) % 2 == 0]),
+    })),
+    "temporal": TemporalPatterns(TemporalTemplate({
+        **TEMPORAL.relations,
+        "R4": temporal_relation(4, [t for t in enumerate_weak_orders(4)
+                                    if t.ranks[0] < t.ranks[3] or t.ranks[1] == t.ranks[2]]),
+    })),
+    "tournament": HomogPatterns(homog_template(TOURNAMENT, {
+        **TOURNAMENT_TEMPLATE.relations,
+        "CHAIN4": homog_relation(TOURNAMENT, 4, {
+            t.fingerprint for t in enumerate_types(4, TOURNAMENT)
+            if t.label(0, 1) is t.label(2, 3)}),
+    })),
+    "graph": HomogPatterns(homog_template(GRAPH, {
+        **GRAPH_TEMPLATE.relations,
+        "MATCH4": homog_relation(GRAPH, 4, {
+            t.fingerprint for t in enumerate_types(4, GRAPH)
+            if t.label(0, 1) is not N and t.label(2, 3) is not E}),
+    })),
+    "kfree3": HomogPatterns(KFREE3_TEMPLATE),
+}
+REFERENCE_KL = [(1, 2), (2, 3), (2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matches_the_object_based_reference(kind, data):
+    space = REFERENCE_SPACES[kind]
+    instance = data.draw(instances(space.template.relations))
+    k, l = data.draw(st.sampled_from(REFERENCE_KL))
+    # Equal allowed dicts, or EMPTY_DERIVED from both.
+    assert establish_kl(instance, space, k, l) == reference_establish_kl(instance, space, k, l)
+
+
+@pytest.mark.parametrize("scope,expect_empty", [
+    (("x", "x", "y", "z"), False),
+    (("x", "y", "z", "x"), True),  # x < x fails, and y = z is ruled out
+])
+def test_wide_relation_on_repeated_variables(scope, expect_empty):
+    space = REFERENCE_SPACES["temporal"]
+    instance = make_instance("xyz", [("R4", scope), ("LT", ("y", "z"))])
+    result = establish_kl(instance, space, 2, 3)
+    assert (result is EMPTY_DERIVED) == expect_empty
+    assert result == reference_establish_kl(instance, space, 2, 3)
+
+
+def triangle(relation_name, *extra):
+    return make_instance("xyz", [(relation_name, pair) for pair in ("xy", "yz", "xz")]
+                         + list(extra))
+
+
+def test_tables_are_not_shared_across_universes():
+    # Triangles tell the bases apart: kfree(3) has no E-triangle, kfree(4)
+    # has one, and NEQ-triangles need three colors.
+    kfree4 = kfree(4)
+    neq = lambda d: FiniteStructure(d, {  # noqa: E731
+        "NEQ": relation(2, [(a, b) for a in range(d) for b in range(d) if a != b])})
+    runs = [
+        (HomogPatterns(GRAPH_TEMPLATE), triangle("E", ("ONE", ("x", "y", "z")))),
+        (HomogPatterns(TOURNAMENT_TEMPLATE), triangle("ARC")),
+        (HomogPatterns(KFREE3_TEMPLATE), triangle("E")),
+        (HomogPatterns(homog_template(kfree4, {
+            "E": homog_relation(kfree4, 2, {(E,)})})), triangle("E")),
+        (FinitePatterns(neq(2)), triangle("NEQ")),
+        (FinitePatterns(neq(3)), triangle("NEQ")),
+    ]
+    outcomes = set()
+    for order in (runs, runs[::-1]):
+        for space, instance in order:
+            for k, l in REFERENCE_KL:
+                result = establish_kl(instance, space, k, l)
+                assert result == reference_establish_kl(instance, space, k, l)
+                outcomes.add(result is EMPTY_DERIVED)
+    assert outcomes == {True, False}
