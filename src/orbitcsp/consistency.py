@@ -12,16 +12,16 @@ every sub-tuple and constraint scope into positions once per superset,
 before the fixpoint runs.
 
 The fixpoint runs on pattern numbers: a pattern's number is its index in
-``space.patterns(arity)``.  Two lazily filled tables stand in for the
-space's methods.  A projection table maps a pattern number of one arity to
-the number of its projection to fixed positions.  A membership table says
-whether a pattern, read at fixed positions, lies in a relation's
-``members``.  Both are memoised across calls per ``space.universe``, since
-spaces with the same universe number and project their patterns alike.
-Projection tables are bounded by the universes, arities and position
-tuples in use; membership tables also by the relations seen, and they are
-dropped all at once when more than ``_MEMBERSHIP_TABLE_CAP`` of them
-pile up.  The state is mapped back to pattern objects once, at the end.
+``space.patterns(arity)``.  Two kinds of lazily filled tables stand in for
+the space's methods.  A projection table maps a pattern number of one arity
+to the number of its projection to fixed positions; a reading of fewer than
+k positions goes through the k-position reading that covers it, so each
+pattern is projected once per k-subset.  A membership table says whether a
+pattern, read at fixed positions, lies in a relation; it reads the number of
+the projection and looks it up in the relation's numbered members.  The
+tables belong to one call and go with it, so memory is bounded by the
+patterns of that call.  The state is mapped back to pattern objects once,
+at the end.
 
 Rejection is reported through the :data:`EMPTY_DERIVED` sentinel: some
 subset's constraint became empty, which soundly implies the instance has no
@@ -33,27 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, product
-from typing import Any, Collection, Hashable, Protocol, Sequence, Union
+from typing import Any, Collection, Protocol, Sequence, Union
 
 from .errors import BudgetExceeded, ParameterError
 from .relstruct import FiniteStructure, Instance, check_signature
-
-_MEMBERSHIP_TABLE_CAP = 4096  # membership tables kept across calls
 
 
 class PatternSpace(Protocol):
     """What the fixpoint needs to know about local solution fragments.
 
     ``template`` is the structure the space belongs to; the engine reads the
-    declared arity of each relation from it.  ``universe`` names what the
-    patterns range over, independently of the template's relations: spaces
-    with equal universes must list the same patterns in the same order and
-    project them alike, because the engine numbers patterns by their index
-    in ``patterns(arity)`` and shares its tables between such spaces.
+    declared arity of each relation from it.  Within one call the engine
+    numbers patterns by their index in ``patterns(arity)``, so ``project``
+    and ``members`` must return patterns equal to listed ones.
     """
 
     template: Any
-    universe: Hashable
 
     def patterns(self, arity: int) -> Sequence[object]:
         """All candidate patterns on ``arity`` positions, in a fixed order."""
@@ -70,7 +65,6 @@ class FinitePatterns:
 
     def __init__(self, template: FiniteStructure):
         self.template = template
-        self.universe = ("finite", template.domain_size)
 
     def patterns(self, arity):
         return list(product(range(self.template.domain_size), repeat=arity))
@@ -97,43 +91,77 @@ class _Table(dict):
 
 
 class _Numbering:
-    """The numbered patterns of one universe and the tables built on them."""
+    """The numbered patterns of one call and the tables built on them."""
 
-    def __init__(self, project):
-        self.project = project
-        self.patterns: dict[int, Sequence[object]] = {}
+    def __init__(self, space: PatternSpace, patterns: dict[int, Sequence[object]],
+                 widest: int):
+        self.space = space
+        self.patterns = patterns
+        self.widest = widest  # k: the fixpoint fills every k-position reading
         self._index: dict[int, dict[object, int]] = {}
         self._projections: dict[tuple, _Table] = {}
         self._memberships: dict[tuple, _Table] = {}
+        self._members: dict[str, set[int]] = {}
+
+    def number(self, arity: int) -> dict[object, int]:
+        """Pattern of ``arity`` -> its number."""
+        index = self._index.get(arity)
+        if index is None:
+            index = self._index[arity] = {p: i for i, p in enumerate(self.patterns[arity])}
+        return index
 
     def projection(self, arity: int, positions: tuple[int, ...]) -> _Table:
-        """Pattern number of ``arity`` -> number of its ``positions`` reading."""
+        """Pattern number of ``arity`` -> number of its ``positions`` reading.
+
+        A reading is looked up through the ascending reading of its distinct
+        positions, padded to ``widest`` positions when that is fewer than
+        ``arity``.  The fixpoint fills those ``widest``-position readings
+        anyway, so one ``project`` call per pattern and k-subset serves the
+        narrower, permuted and repeated readings inside it.
+        """
         table = self._projections.get((arity, positions))
         if table is None:
-            m = len(positions)
-            index = self._index.get(m)
-            if index is None:
-                index = self._index[m] = {p: i for i, p in enumerate(self.patterns[m])}
-            source, project = self.patterns[arity], self.project
-            table = self._projections[arity, positions] = _Table(
-                lambda number: index[project(source[number], positions)])
+            wider = sorted(set(positions))
+            if len(wider) <= self.widest < arity:
+                # Pad with the first positions not read.
+                wider += [i for i in range(arity) if i not in wider][:self.widest - len(wider)]
+            wider = tuple(sorted(wider))
+            if wider != positions and len(wider) < arity:
+                outer = self.projection(arity, wider)
+                inner = self.projection(len(wider), tuple(map(wider.index, positions)))
+                table = _Table(lambda number: inner[outer[number]])
+            else:
+                index = self.number(len(positions))
+                source, project = self.patterns[arity], self.space.project
+                table = _Table(lambda number: index[project(source[number], positions)])
+            self._projections[arity, positions] = table
         return table
 
-    def membership(self, arity: int, positions: tuple[int, ...], members) -> _Table:
+    def membership(self, arity: int, positions: tuple[int, ...], name: str) -> _Table:
         """Pattern number of ``arity`` -> whether its ``positions`` reading
-        lies in ``members``."""
-        key = (arity, positions, members)
+        lies in relation ``name``."""
+        key = (arity, positions, name)
         table = self._memberships.get(key)
         if table is None:
-            if len(self._memberships) >= _MEMBERSHIP_TABLE_CAP:
-                self._memberships.clear()
-            source, project = self.patterns[arity], self.project
-            table = self._memberships[key] = _Table(
-                lambda number: project(source[number], positions) in members)
+            if len(positions) in self.patterns:
+                numbers = self._members.get(name)
+                if numbers is None:
+                    numbers = self._members[name] = set(
+                        map(self.number(len(positions)).get, self.space.members(name)))
+                    numbers.discard(None)
+                if positions == tuple(range(arity)):
+                    table = _Table(numbers.__contains__)
+                else:
+                    reading = self.projection(arity, positions)
+                    table = _Table(lambda number: reading[number] in numbers)
+            else:
+                # A relation wider than l, on repeated variables: its
+                # readings are not numbered.
+                source, project = self.patterns[arity], self.space.project
+                members = self.space.members(name)
+                table = _Table(lambda number: project(source[number], positions) in members)
+            self._memberships[key] = table
         return table
-
-
-_NUMBERINGS: dict[Hashable, _Numbering] = {}
 
 
 class _EmptyDerived:
@@ -195,17 +223,12 @@ def establish_kl(instance: Instance,
     l_eff = min(l, n)
     # Largest arity first, so that an over-budget (k,l) fails before any work.
     try:
-        by_arity = {m: space.patterns(m) for m in range(l_eff, 0, -1)}
+        patterns = {m: space.patterns(m) for m in range(l_eff, 0, -1)}
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             f"(k,l) = ({k},{l}) needs patterns of arity {l_eff}: {exc}"
         ) from exc
-    numbering = _NUMBERINGS.get(space.universe)
-    if numbering is None:
-        numbering = _NUMBERINGS[space.universe] = _Numbering(space.project)
-    patterns = numbering.patterns
-    for m, listed in by_arity.items():
-        patterns.setdefault(m, listed)
+    numbering = _Numbering(space, patterns, k_eff)
 
     # Per superset size: the projection table onto each at-most-k subset,
     # in the order in which combinations() lists the subsets.
@@ -214,9 +237,6 @@ def establish_kl(instance: Instance,
                           for pos in combinations(range(size), m)]
                    for size in range(1, l_eff + 1)}
     constraints = [(name, scope, frozenset(scope)) for name, scope in instance.constraints]
-    # (size, positions, name) -> membership table, so that a freshly parsed
-    # relation's members are compared with the memo's keys once per call.
-    tests = {}
 
     # Per superset L, in size-then-lexicographic order: the numbers of its
     # patterns that satisfy every constraint inside L, and each of its
@@ -232,11 +252,7 @@ def establish_kl(instance: Instance,
             for name, scope, support in constraints:
                 if not support <= inside:
                     continue
-                pos = tuple(map(at.__getitem__, scope))
-                test = tests.get((size, pos, name))
-                if test is None:
-                    test = tests[size, pos, name] = numbering.membership(
-                        size, pos, space.members(name))
+                test = numbering.membership(size, tuple(map(at.__getitem__, scope)), name)
                 candidates = list(compress(candidates, map(test.__getitem__, candidates)))
             candidates = list(candidates)
             if size <= k_eff:

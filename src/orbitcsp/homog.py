@@ -253,10 +253,33 @@ class LabeledType:
 
     def project(self, positions: Sequence[int]) -> "LabeledType":
         """The type of the reordered tuple; repeated positions merge."""
-        positions = tuple(positions)
-        return LabeledType.from_pair_labels(
-            len(positions), lambda a, b: self.label(positions[a], positions[b])
-        )
+        if not positions:
+            raise MalformedPattern("types need arity >= 1")
+        block_of = self._block_index
+        # Old block -> new block, numbered by first occurrence, so new
+        # blocks are ordered by least position.
+        renumber: dict[int, int] = {}
+        partition: list[list[int]] = []
+        for a, p in enumerate(positions):
+            if not 0 <= p < self.arity:
+                raise ParameterError("position out of range")
+            c = renumber.setdefault(block_of[p], len(partition))
+            if c == len(partition):
+                partition.append([a])
+            else:
+                partition[c].append(a)
+        m, labels = len(self.partition), self.labels
+        projected = object.__new__(LabeledType)
+        # The parts are valid by construction, so __post_init__'s checks
+        # are skipped; the instance is frozen, hence the __dict__ update.
+        projected.__dict__.update(
+            arity=len(positions),
+            partition=tuple(map(tuple, partition)),
+            labels=tuple(
+                labels[_pair_index(m, b1, b2)] if b1 < b2
+                else labels[_pair_index(m, b2, b1)].flipped
+                for b1, b2 in itertools.combinations(renumber, 2)))
+        return projected
 
     def permute(self, perm: Sequence[int]) -> "LabeledType":
         if sorted(perm) != list(range(self.arity)):
@@ -918,15 +941,9 @@ def solve_instance_brute(
 
 @dataclass(frozen=True, eq=False)
 class HomogPatterns:
-    """Pattern space of a homogeneous template: patterns are complete types.
-
-    Its ``universe`` is the base, clique bound included."""
+    """Pattern space of a homogeneous template: patterns are complete types."""
 
     template: HomogTemplate
-
-    @property
-    def universe(self) -> Base:
-        return self.template.base
 
     def patterns(self, arity: int) -> tuple[LabeledType, ...]:
         return enumerate_types(arity, self.template.base)

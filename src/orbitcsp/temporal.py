@@ -717,8 +717,6 @@ def classify_temporal(template: TemporalTemplate) -> TemporalVerdict:
 class TemporalPatterns:
     """Pattern space of a temporal template: patterns are weak-order types."""
 
-    universe = "temporal"
-
     def __init__(self, template: TemporalTemplate):
         self.template = template
 

@@ -324,33 +324,3 @@ def test_wide_relation_on_repeated_variables(scope, expect_empty):
     result = establish_kl(instance, space, 2, 3)
     assert (result is EMPTY_DERIVED) == expect_empty
     assert result == reference_establish_kl(instance, space, 2, 3)
-
-
-def triangle(relation_name, *extra):
-    return make_instance("xyz", [(relation_name, pair) for pair in ("xy", "yz", "xz")]
-                         + list(extra))
-
-
-def test_tables_are_not_shared_across_universes():
-    # Triangles tell the bases apart: kfree(3) has no E-triangle, kfree(4)
-    # has one, and NEQ-triangles need three colors.
-    kfree4 = kfree(4)
-    neq = lambda d: FiniteStructure(d, {  # noqa: E731
-        "NEQ": relation(2, [(a, b) for a in range(d) for b in range(d) if a != b])})
-    runs = [
-        (HomogPatterns(GRAPH_TEMPLATE), triangle("E", ("ONE", ("x", "y", "z")))),
-        (HomogPatterns(TOURNAMENT_TEMPLATE), triangle("ARC")),
-        (HomogPatterns(KFREE3_TEMPLATE), triangle("E")),
-        (HomogPatterns(homog_template(kfree4, {
-            "E": homog_relation(kfree4, 2, {(E,)})})), triangle("E")),
-        (FinitePatterns(neq(2)), triangle("NEQ")),
-        (FinitePatterns(neq(3)), triangle("NEQ")),
-    ]
-    outcomes = set()
-    for order in (runs, runs[::-1]):
-        for space, instance in order:
-            for k, l in REFERENCE_KL:
-                result = establish_kl(instance, space, k, l)
-                assert result == reference_establish_kl(instance, space, k, l)
-                outcomes.add(result is EMPTY_DERIVED)
-    assert outcomes == {True, False}

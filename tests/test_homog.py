@@ -202,6 +202,26 @@ class TestLabeledType:
             for a, b in itertools.combinations(range(3), 2):
                 assert p.label(a, b) is t.label(positions[a], positions[b])
 
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
+    def test_project_equals_the_checked_construction(self, base):
+        # project skips __post_init__'s checks; the parts it builds must
+        # pass them and equal those of the pairwise construction.
+        for t in enumerate_types(4, base):
+            for m in (1, 2, 3):
+                for positions in itertools.product(range(4), repeat=m):
+                    p = t.project(positions)
+                    expected = LabeledType.from_pair_labels(
+                        m, lambda a, b: t.label(positions[a], positions[b]))
+                    assert p == expected
+                    assert hash(p) == hash(expected)
+                    assert LabeledType(p.arity, p.partition, p.labels) == p
+
+    @pytest.mark.parametrize("positions,error", [
+        ((), MalformedPattern), ((0, 2), ParameterError), ((-1,), ParameterError)])
+    def test_project_rejects_bad_positions(self, positions, error):
+        with pytest.raises(error):
+            inj((F,)).project(positions)
+
     def test_clique_detection(self):
         triangle = inj((E, E, E))
         assert triangle.has_clique(3)
