@@ -107,6 +107,7 @@ from .temporal import (
     classify_temporal,
     enumerate_weak_orders,
     free_set_containing,
+    free_sets,
     is_free_set,
     minimal_free_set,
     preserves_temporal,

@@ -435,8 +435,8 @@ def _cmd_freesets(
 ) -> tuple[list[str], int]:
     template = _require_temporal(template, "freesets")
     lines = []
-    for variable in instance.variables:
-        found = temporal.free_set_containing(instance, template, variable)
+    found_sets = temporal.free_sets(instance, template)
+    for variable, found in zip(instance.variables, found_sets):
         if found is None:
             lines.append(f"free {variable}: NONE")
         else:

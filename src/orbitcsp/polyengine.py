@@ -10,6 +10,13 @@ domains; it compiles the identities and the template's power into
 constraints and runs the backtracker in ``relstruct``, which owns all
 finite-domain search.  The six-ary condition is answered on booleans by
 delegation to the fixed tables rather than by searching a 64-cell table.
+
+Both Horn classes are solved by one engine, ``_HornEngine``: a watch-list
+fixpoint on ``(rows, variable indices)`` constraints that computes the
+pin-free fixpoint once and answers each set of pinned variables from it,
+in time linear in the instance size.  ``schaefer_solve`` reaches it through
+``_horn_solve``; ``temporal`` builds one per quotient level and solves it
+under many pin sets.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .consistency import EMPTY_DERIVED, establish_kl
 from .errors import BudgetExceeded, ClassMismatch, DomainMismatch, ParameterError
@@ -348,47 +355,115 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
 # --- dispatch solving -------------------------------------------------------
 
 
+class _HornEngine:
+    """Watch-list Horn fixpoint on boolean ``(rows, indices)`` constraints
+    over variables ``0..n-1``, for meet-closed rows (bottom-up, least
+    solution) or join-closed rows (top-down, greatest solution).
+
+    Every variable starts at the start value (0 bottom-up, 1 top-down) and
+    moves to the other value at most once, when every still-feasible row of
+    some constraint has the other value at one of its positions.  Each
+    constraint is watched by the variables in its scope and revisited only
+    when one of them moves, so a fixpoint costs time linear in the instance
+    size (Dowling and Gallier, 1984).  The pin-free fixpoint is computed
+    once, when the engine is built; :meth:`solve` starts from it and queues
+    only the constraints of the variables its pins move.
+    """
+
+    def __init__(self, n: int,
+                 constraints: Sequence[tuple[frozenset, tuple[int, ...]]],
+                 top_down: bool):
+        start = 1 if top_down else 0
+        self.start = start
+        self.constraints = constraints
+        # Per constraint: each row as a bit mask of the positions where it
+        # leaves the start value, computed once per distinct row set.
+        masks_of: dict[frozenset, tuple[int, ...]] = {}
+        self.masks = []
+        for rows, _ in constraints:
+            masks = masks_of.get(rows)
+            if masks is None:
+                masks = masks_of[rows] = tuple(
+                    sum(1 << i for i, x in enumerate(row) if x != start)
+                    for row in rows)
+            self.masks.append(masks)
+        self.watch: list[list[int]] = [[] for _ in range(n)]
+        for c, (_, scope) in enumerate(constraints):
+            for v in dict.fromkeys(scope):
+                self.watch[v].append(c)
+        # Only constraints without the start row force a move from the start.
+        queue = [c for c, masks in enumerate(self.masks) if 0 not in masks]
+        self.base: Optional[bytearray] = bytearray([start]) * n
+        if not self._propagate(self.base, (), queue):
+            self.base = None
+
+    def _propagate(self, bound: bytearray, frozen, queue: list[int]) -> bool:
+        """Move variables until every queued constraint is stable; False
+        when a constraint runs out of feasible rows or a frozen variable
+        would move."""
+        start, moved_to = self.start, 1 - self.start
+        constraints, masks, watch = self.constraints, self.masks, self.watch
+        while queue:
+            c = queue.pop()
+            scope = constraints[c][1]
+            have = 0
+            for i, v in enumerate(scope):
+                if bound[v] != start:
+                    have |= 1 << i
+            forced = -1
+            for row in masks[c]:
+                if row & have == have:
+                    forced &= row
+            if forced < 0:
+                return False
+            new = forced & ~have
+            if new:
+                for i, v in enumerate(scope):
+                    if new >> i & 1 and bound[v] == start:
+                        if v in frozen:
+                            return False
+                        bound[v] = moved_to
+                        queue.extend(watch[v])
+        return True
+
+    def solve(self, pins: Mapping[int, int]) -> Optional[list[int]]:
+        """The least (greatest) solution with the pinned variables fixed to
+        their values, or None."""
+        if self.base is None:
+            return None
+        bound = bytearray(self.base)
+        frozen = set()
+        queue: list[int] = []
+        for v, value in pins.items():
+            if value == self.start:
+                if bound[v] != value:
+                    return None
+                frozen.add(v)
+            elif bound[v] != value:
+                bound[v] = value
+                queue.extend(self.watch[v])
+        if not self._propagate(bound, frozen, queue):
+            return None
+        # At the fixpoint the meet (join) of each constraint's feasible rows
+        # equals the bound on its scope, and closure puts it inside the rows.
+        for rows, scope in self.constraints:
+            if tuple(bound[v] for v in scope) not in rows:
+                return None
+        if any(bound[v] != value for v, value in pins.items()):
+            return None
+        return list(bound)
+
+
 def _horn_solve(instance: Instance, template: FiniteStructure,
                 top_down: bool) -> Optional[dict[str, int]]:
-    """Least (or, for the dual, greatest) fixpoint solving for meet-closed
-    (join-closed) templates: maintain a bound vector and tighten each
-    constraint to the meet (join) of its still-feasible rows."""
-    variables = instance.variables
-    bound = {v: (1 if top_down else 0) for v in variables}
-
-    def feasible_rows(rel: Relation, scope):
-        rows = []
-        for t in rel.tuples:
-            if top_down:
-                ok = all(t[i] <= bound[v] for i, v in enumerate(scope))
-            else:
-                ok = all(t[i] >= bound[v] for i, v in enumerate(scope))
-            if ok:
-                rows.append(t)
-        return rows
-
-    changed = True
-    while changed:
-        changed = False
-        for name, scope in instance.constraints:
-            rel = template.relations[name]
-            rows = feasible_rows(rel, scope)
-            if not rows:
-                return None
-            for i, v in enumerate(scope):
-                col = [t[i] for t in rows]
-                # Tighten monotonically (a variable may occur at several
-                # positions of the scope).
-                agg = min(bound[v], max(col)) if top_down else max(bound[v], min(col))
-                if agg != bound[v]:
-                    bound[v] = agg
-                    changed = True
-    # At the fixpoint the aggregated row of each constraint equals the bound
-    # restricted to its scope, and closure puts it inside the relation.
-    for name, scope in instance.constraints:
-        if tuple(bound[v] for v in scope) not in template.relations[name].tuples:
-            return None
-    return dict(bound)
+    """Least (or, for the dual, greatest) solution of a meet-closed
+    (join-closed) instance, through :class:`_HornEngine` with no pins."""
+    index = {v: i for i, v in enumerate(instance.variables)}
+    constraints = [(template.relations[name].tuples,
+                    tuple(index[v] for v in scope))
+                   for name, scope in instance.constraints]
+    values = _HornEngine(len(index), constraints, top_down).solve({})
+    return None if values is None else dict(zip(instance.variables, values))
 
 
 def _binary_projections(instance: Instance, template: FiniteStructure):

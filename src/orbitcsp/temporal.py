@@ -36,7 +36,7 @@ from .errors import (
     SignatureMismatch,
     UnknownVariable,
 )
-from .polyengine import BooleanClass, _dispatch, boolean_classify
+from .polyengine import BooleanClass, _dispatch, _HornEngine, boolean_classify
 from .relstruct import FiniteStructure, Instance, hom_search, relation
 
 ENUMERATION_LIMIT = 8       # weak orders on more positions get huge
@@ -394,6 +394,16 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # minimal and mutually equal, so the possible zero sets of a type are
 # the empty set and its bottom block.  Z is encoded as 1 and P as 0, which
 # makes the induced action of ll the boolean AND.
+#
+# The master loop asks one quotient instance many questions that differ
+# only in their pins (variables fixed to Z or P).  So each level's quotient
+# is compiled once (_compile_quotient): one pattern lookup per constraint,
+# scopes as variable indices, and the class from _classify_cache.  A Horn
+# quotient (the only kind the master loop's templates produce) gets a
+# polyengine._HornEngine, which computes the pin-free fixpoint once and
+# starts every pinned solve from it; any other class builds its Instance
+# per solve and goes through polyengine._dispatch.  Every quotient solve is
+# a call of _solve_afin, under that global name, so that it can be counted.
 # ---------------------------------------------------------------------------
 
 Z_VALUE = 1
@@ -473,37 +483,74 @@ def _constraint_list(instance: Instance,
     return out
 
 
-def _solve_afin(variables: tuple[str, ...], constraints: Sequence[_Constraint],
-                pins: Mapping[str, int]) -> Optional[dict[str, int]]:
-    """Solve the quotient instance, dispatching on the detected class."""
-    rels: dict[str, object] = {}
-    names: dict[tuple[int, frozenset], str] = {}
-    inst_constraints = []
+@dataclass(frozen=True, eq=False)
+class _Quotient:
+    """A quotient instance compiled for repeated solves under pins.
+
+    A Horn class sets ``engine``.  Any other sets ``structure``, the
+    quotient relations (``R0``, ``R1``, ... in order of first use, plus
+    ``Z`` and ``P``), ``constraints``, the instance's constraints on them,
+    and ``cls``, the class to dispatch on (None: search).
+    """
+
+    variables: tuple[str, ...]
+    index: dict[str, int]
+    engine: Optional[_HornEngine] = None
+    structure: Optional[FiniteStructure] = None
+    constraints: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    cls: Optional[BooleanClass] = None
+
+
+def _compile_quotient(variables: tuple[str, ...],
+                      constraints: Sequence[_Constraint]) -> _Quotient:
+    index = {v: i for i, v in enumerate(variables)}
+    numbers: dict[tuple[int, frozenset], int] = {}
+    compiled = []
     for rel, scope in constraints:
         patterns = _fin_patterns(rel, scope)
-        key = (rel.arity, patterns)
-        name = names.get(key)
-        if name is None:
-            name = f"R{len(names)}"
-            names[key] = name
-            rels[name] = relation(rel.arity, patterns)
-        inst_constraints.append((name, scope))
-    rels["Z"] = relation(1, [(Z_VALUE,)])
-    rels["P"] = relation(1, [(P_VALUE,)])
-    for v in variables:
-        if v in pins:
-            inst_constraints.append(("Z" if pins[v] == Z_VALUE else "P", (v,)))
-    quotient = FiniteStructure(2, rels)
-    inst = Instance(variables, tuple(inst_constraints))
-    cache_key = frozenset(names)
+        numbers.setdefault((rel.arity, patterns), len(numbers))
+        compiled.append((patterns, tuple(index[v] for v in scope)))
+    cache_key = frozenset(numbers)
     classes = _classify_cache.get(cache_key)
     if classes is None:
-        classes = boolean_classify(quotient)
+        classes = boolean_classify(_quotient_structure(numbers))
         _classify_cache[cache_key] = classes
-    for cls in _DISPATCH_ORDER:
-        if cls in classes:
-            return _dispatch(inst, quotient, cls)
-    return hom_search(inst, quotient)
+    cls = next((c for c in _DISPATCH_ORDER if c in classes), None)
+    if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
+        engine = _HornEngine(len(variables), compiled,
+                             top_down=cls is BooleanClass.DUAL_HORN_OR)
+        return _Quotient(variables, index, engine=engine)
+    named = tuple((f"R{numbers[rel.arity, patterns]}", scope)
+                  for (rel, scope), (patterns, _) in zip(constraints, compiled))
+    return _Quotient(variables, index, structure=_quotient_structure(numbers),
+                     constraints=named, cls=cls)
+
+
+def _quotient_structure(numbers: Mapping[tuple[int, frozenset], int],
+                        ) -> FiniteStructure:
+    rels = {f"R{number}": relation(arity, patterns)
+            for (arity, patterns), number in numbers.items()}
+    rels["Z"] = relation(1, [(Z_VALUE,)])
+    rels["P"] = relation(1, [(P_VALUE,)])
+    return FiniteStructure(2, rels)
+
+
+def _solve_afin(quotient: _Quotient,
+                pins: Mapping[str, int]) -> Optional[dict[str, int]]:
+    """Solve the compiled quotient instance with the pinned variables fixed
+    to Z or P, dispatching on its class."""
+    variables = quotient.variables
+    if quotient.engine is not None:
+        index = quotient.index
+        values = quotient.engine.solve({index[v]: value
+                                        for v, value in pins.items()})
+        return None if values is None else dict(zip(variables, values))
+    pinned = tuple(("Z" if pins[v] == Z_VALUE else "P", (v,))
+                   for v in variables if v in pins)
+    inst = Instance(variables, quotient.constraints + pinned)
+    if quotient.cls is None:
+        return hom_search(inst, quotient.structure)
+    return _dispatch(inst, quotient.structure, quotient.cls)
 
 
 def is_free_set(instance: Instance, template: TemporalTemplate,
@@ -536,31 +583,45 @@ def free_set_containing(instance: Instance, template: TemporalTemplate,
     """
     if x not in instance.variables:
         raise UnknownVariable(x)
-    constraints = _constraint_list(instance, template)
-    solution = _solve_afin(instance.variables, constraints, {x: Z_VALUE})
+    return _free_set(_quotient_of(instance, template), x)
+
+
+def free_sets(instance: Instance, template: TemporalTemplate,
+              ) -> tuple[Optional[frozenset[str]], ...]:
+    """:func:`free_set_containing` for every variable, in declaration
+    order, on one compiled quotient."""
+    quotient = _quotient_of(instance, template)
+    return tuple(_free_set(quotient, x) for x in instance.variables)
+
+
+def _quotient_of(instance: Instance, template: TemporalTemplate) -> _Quotient:
+    return _compile_quotient(instance.variables,
+                             _constraint_list(instance, template))
+
+
+def _free_set(quotient: _Quotient, x: str) -> Optional[frozenset[str]]:
+    solution = _solve_afin(quotient, {x: Z_VALUE})
     if solution is None:
         return None
-    return frozenset(v for v in instance.variables if solution[v] == Z_VALUE)
+    return frozenset(v for v in quotient.variables if solution[v] == Z_VALUE)
 
 
-def _shrink_free_set(variables: tuple[str, ...],
-                     constraints: Sequence[_Constraint],
+def _shrink_free_set(quotient: _Quotient,
                      start: frozenset[str]) -> frozenset[str]:
+    variables = quotient.variables
     current = [v for v in variables if v in start]
     improved = True
     while improved:
         improved = False
+        # Keep x at the bottom, push y and everything outside the
+        # candidate strictly above: solutions are proper subsets.
+        outside = {w: P_VALUE for w in variables if w not in current}
         for x in current:
             for y in current:
                 if y == x:
                     continue
-                # Keep x at the bottom, push y and everything outside the
-                # candidate strictly above: solutions are proper subsets.
-                pins = {x: Z_VALUE, y: P_VALUE}
-                for w in variables:
-                    if w not in current:
-                        pins.setdefault(w, P_VALUE)
-                solution = _solve_afin(variables, constraints, pins)
+                pins = {x: Z_VALUE, y: P_VALUE, **outside}
+                solution = _solve_afin(quotient, pins)
                 if solution is not None:
                     current = [v for v in variables
                                if solution[v] == Z_VALUE]
@@ -577,8 +638,7 @@ def minimal_free_set(instance: Instance, template: TemporalTemplate,
     sub = frozenset(subset)
     if not is_free_set(instance, template, sub):
         raise NotFree(f"{sorted(sub)} is not a free set")
-    constraints = _constraint_list(instance, template)
-    return _shrink_free_set(instance.variables, constraints, sub)
+    return _shrink_free_set(_quotient_of(instance, template), sub)
 
 
 def _run_master(variables: tuple[str, ...],
@@ -588,9 +648,10 @@ def _run_master(variables: tuple[str, ...],
     current = list(constraints)
     levels: list[tuple[str, ...]] = []
     while remaining:
+        quotient = _compile_quotient(tuple(remaining), current)
         solution = None
         for x in remaining:
-            solution = _solve_afin(tuple(remaining), current, {x: Z_VALUE})
+            solution = _solve_afin(quotient, {x: Z_VALUE})
             if solution is not None:
                 break
         if solution is None:
@@ -599,7 +660,7 @@ def _run_master(variables: tuple[str, ...],
             return None
         level = frozenset(v for v in remaining if solution[v] == Z_VALUE)
         if use_minimal:
-            level = _shrink_free_set(tuple(remaining), current, level)
+            level = _shrink_free_set(quotient, level)
         levels.append(tuple(v for v in remaining if v in level))
         projected: list[_Constraint] = []
         for rel, scope in current:

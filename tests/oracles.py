@@ -207,3 +207,51 @@ def reference_establish_kl(instance, template, k=2, l=3):
                     if not projected:
                         return EMPTY_DERIVED
     return ConsistencyState(k, l, variables, allowed)
+
+
+def reference_horn_solve(instance: Instance, template: FiniteStructure,
+                         top_down: bool) -> Optional[dict[str, int]]:
+    """The sweeping Horn fixpoint, kept as a differential reference for the
+    watch-list engine behind ``orbitcsp.polyengine._horn_solve``.
+
+    Least (or, for the dual, greatest) fixpoint solving for meet-closed
+    (join-closed) templates: maintain a bound vector and tighten each
+    constraint to the meet (join) of its still-feasible rows."""
+    from orbitcsp.relstruct import Relation
+
+    variables = instance.variables
+    bound = {v: (1 if top_down else 0) for v in variables}
+
+    def feasible_rows(rel: Relation, scope):
+        rows = []
+        for t in rel.tuples:
+            if top_down:
+                ok = all(t[i] <= bound[v] for i, v in enumerate(scope))
+            else:
+                ok = all(t[i] >= bound[v] for i, v in enumerate(scope))
+            if ok:
+                rows.append(t)
+        return rows
+
+    changed = True
+    while changed:
+        changed = False
+        for name, scope in instance.constraints:
+            rel = template.relations[name]
+            rows = feasible_rows(rel, scope)
+            if not rows:
+                return None
+            for i, v in enumerate(scope):
+                col = [t[i] for t in rows]
+                # Tighten monotonically (a variable may occur at several
+                # positions of the scope).
+                agg = min(bound[v], max(col)) if top_down else max(bound[v], min(col))
+                if agg != bound[v]:
+                    bound[v] = agg
+                    changed = True
+    # At the fixpoint the aggregated row of each constraint equals the bound
+    # restricted to its scope, and closure puts it inside the relation.
+    for name, scope in instance.constraints:
+        if tuple(bound[v] for v in scope) not in template.relations[name].tuples:
+            return None
+    return dict(bound)

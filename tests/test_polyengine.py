@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcsp.errors import BudgetExceeded, ClassMismatch, DomainMismatch, ParameterError
 from orbitcsp.polyengine import (
@@ -28,9 +29,10 @@ from orbitcsp.polyengine import (
     schaefer_solve,
     wnu,
 )
+from orbitcsp.polyengine import _horn_solve, _HornEngine
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
 
-from oracles import all_op_tables, exhaustive_hom
+from oracles import all_op_tables, exhaustive_hom, reference_horn_solve
 
 U0 = relation(1, [(0,)])
 U1 = relation(1, [(1,)])
@@ -295,3 +297,104 @@ class TestSchaeferSolve:
             if got is not None:
                 for name, scope in inst.constraints:
                     assert tuple(got[v] for v in scope) in rels[name].tuples
+
+
+# --- the watch-list Horn engine against the sweeping reference ---------------
+
+
+@st.composite
+def closed_relation(draw, meet: bool):
+    """A random row set closed under meet (AND) or join (OR); may be empty."""
+    arity = draw(st.integers(1, 3))
+    rows = set(draw(st.sets(st.tuples(*[st.integers(0, 1)] * arity), max_size=5)))
+    op = AND2 if meet else OR2
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(product(rows, repeat=2)):
+            image = tuple(op(x, y) for x, y in zip(a, b))
+            if image not in rows:
+                rows.add(image)
+                changed = True
+    return relation(arity, rows)
+
+
+@st.composite
+def horn_cases(draw):
+    """A meet-closed (bottom-up) or join-closed (top-down) template, an
+    instance whose scopes may repeat variables, and a few pin sets."""
+    top_down = draw(st.booleans())
+    rels = {f"R{i}": draw(closed_relation(meet=not top_down))
+            for i in range(draw(st.integers(1, 3)))}
+    n = draw(st.integers(1, 6))
+    names = [f"x{i}" for i in range(n)]
+    constraints = draw(st.lists(
+        st.sampled_from(sorted(rels)).flatmap(lambda name: st.tuples(
+            st.just(name),
+            st.lists(st.sampled_from(names), min_size=rels[name].arity,
+                     max_size=rels[name].arity).map(tuple))),
+        max_size=8))
+    pin_sets = draw(st.lists(
+        st.dictionaries(st.sampled_from(names), st.integers(0, 1)),
+        min_size=1, max_size=4))
+    return top_down, FiniteStructure(2, rels), make_instance(names, constraints), pin_sets
+
+
+def engine_answer(engine, instance, pins):
+    index = {v: i for i, v in enumerate(instance.variables)}
+    values = engine.solve({index[v]: value for v, value in pins.items()})
+    return None if values is None else dict(zip(instance.variables, values))
+
+
+def reference_answer(instance, template, pins, top_down):
+    """The reference on the instance with each pin as a unary Z or P
+    constraint, as the quotient solver once posed it."""
+    rels = dict(template.relations, Z=relation(1, [(1,)]), P=relation(1, [(0,)]))
+    pinned = [("Z" if pins[v] else "P", (v,)) for v in instance.variables if v in pins]
+    return reference_horn_solve(make_instance(instance.variables,
+                                              list(instance.constraints) + pinned),
+                                FiniteStructure(2, rels), top_down)
+
+
+class TestHornEngine:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=horn_cases())
+    def test_matches_the_sweeping_reference(self, case):
+        top_down, template, instance, pin_sets = case
+        index = {v: i for i, v in enumerate(instance.variables)}
+        engine = _HornEngine(len(index), [
+            (template.relations[name].tuples, tuple(index[v] for v in scope))
+            for name, scope in instance.constraints], top_down)
+        assert _horn_solve(instance, template, top_down) == \
+            reference_horn_solve(instance, template, top_down)
+        # One engine answers every pin set from its one pin-free fixpoint.
+        for pins in pin_sets + [{}]:
+            assert engine_answer(engine, instance, pins) == \
+                reference_answer(instance, template, pins, top_down), pins
+
+    def test_unsatisfiable_without_pins(self):
+        tpl = structure(IMP=IMPLIES, U0=U0, U1=U1)
+        inst = make_instance("abc", [("U1", "a"), ("IMP", "ab"), ("IMP", "bc"),
+                                     ("U0", "c")])
+        for top_down in (False, True):
+            assert reference_horn_solve(inst, tpl, top_down) is None
+            assert _horn_solve(inst, tpl, top_down) is None
+            engine = _HornEngine(3, [(tpl.relations[name].tuples,
+                                      tuple("abc".index(v) for v in scope))
+                                     for name, scope in inst.constraints], top_down)
+            assert engine.solve({}) is None
+            assert engine.solve({0: 1}) is None
+
+    def test_pins_start_from_the_pin_free_fixpoint(self):
+        # IMP(a,b), IMP(b,c) bottom-up: the pin-free least solution is all
+        # 0; pinning a to 1 moves b and c, and the engine keeps its base.
+        tpl = structure(IMP=IMPLIES)
+        engine = _HornEngine(3, [(IMPLIES.tuples, (0, 1)), (IMPLIES.tuples, (1, 2))],
+                             top_down=False)
+        assert engine.solve({}) == [0, 0, 0]
+        assert engine.solve({0: 1}) == [1, 1, 1]
+        assert engine.solve({0: 1, 2: 0}) is None
+        assert engine.solve({1: 1}) == [0, 1, 1]
+        assert engine.solve({}) == [0, 0, 0]
+        inst = make_instance("abc", [("IMP", "ab"), ("IMP", "bc")])
+        assert reference_answer(inst, tpl, {"a": 1, "c": 0}, False) is None

@@ -23,7 +23,7 @@ from orbitcsp.errors import (
     SignatureMismatch,
     UnknownVariable,
 )
-from orbitcsp.polyengine import AND2, preserves_op
+from orbitcsp.polyengine import AND2, BooleanClass, boolean_classify, preserves_op
 from orbitcsp.relstruct import make_instance
 from orbitcsp.temporal import (
     LT,
@@ -69,6 +69,8 @@ Q_RMIN = TemporalTemplate({"LT": LT, "RMIN": R_MIN})
 Q_RMAX = TemporalTemplate({"LT": LT, "RMAX": R_MAX})
 Q_BETW = TemporalTemplate({"LT": LT, "BETW": BETW})
 Q_EQ = TemporalTemplate({"LT": LT, "EQ": EQ})
+# Types 1=2<3 and 2=3<1: a relation whose quotient has no polymorphism class.
+Q_SPLIT = TemporalTemplate({"LT": LT, "S": temporal_relation(3, [wot(0, 0, 1), wot(1, 0, 0)])})
 
 
 def realize(pattern: SignedWeakOrderType) -> list[Fraction]:
@@ -472,6 +474,34 @@ class TestFreeSets:
                 checked_some += 1
         assert checked_some > 30 and checked_none > 30
 
+    def test_free_sets_match_free_set_containing(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            template = rng.choice([Q_LT, Q_LE, Q_RMIN, Q_RMAX, Q_EQ, Q_SPLIT])
+            inst = random_instance(rng, template)
+            assert temporal.free_sets(inst, template) == tuple(
+                free_set_containing(inst, template, x) for x in inst.variables)
+
+    def test_quotient_without_a_class_is_searched(self):
+        # S's quotient rows 000, 110, 011 are closed under none of the
+        # fixed tables, so its quotient solves go through hom_search.
+        assert boolean_classify(build_afin(Q_SPLIT)) == {BooleanClass.TRIVIAL}
+        rng = random.Random(43)
+        for _ in range(80):
+            inst = random_instance(rng, Q_SPLIT, max_vars=5)
+            x = rng.choice(inst.variables)
+            got = free_set_containing(inst, Q_SPLIT, x)
+            names = [v for v in inst.variables if v != x]
+            usable = [frozenset(rest) | {x}
+                      for r in range(len(names) + 1)
+                      for rest in combinations(names, r)
+                      if free_by_definition(inst, Q_SPLIT, frozenset(rest) | {x})
+                      and outside_constraints_realisable(
+                          inst, Q_SPLIT, frozenset(rest) | {x})]
+            assert (got is None) == (not usable)
+            if got is not None:
+                assert x in got and free_by_definition(inst, Q_SPLIT, got)
+
     def test_minimal_examples(self):
         assert minimal_free_set(self.chain(), Q_LT, {"x"}) == {"x"}
         free_pair = make_instance("xy", [])
@@ -646,6 +676,43 @@ class TestSolveMaster:
         assert (got is None) == (want is None)
         if got is not None:
             assert levels_satisfy(got, inst, template)
+
+
+class TestQuotientSolveCount:
+    """The number of quotient solves (``temporal._solve_afin`` calls) a
+    master solve makes, on fixed golden instances.  A faster quotient
+    solver must change what each solve costs, not which solves run."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    def count(self, monkeypatch, template_file, instance_file, mode):
+        from orbitcsp.cli import parse_instance, parse_template
+
+        template = parse_template((self.GOLDEN / template_file).read_text(encoding="utf-8"))
+        instance = parse_instance((self.GOLDEN / instance_file).read_text(encoding="utf-8"),
+                                  template)
+        calls = []
+        solve = temporal._solve_afin
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(temporal, "_solve_afin", counted)
+        levels = solve_master(instance, template, mode)
+        return len(calls), None if levels is None else len(levels)
+
+    def test_pp_on_rmin(self, monkeypatch):
+        assert self.count(monkeypatch, "rmin.tmpl", "rmin40_sat.inst",
+                          TemporalOp.PP) == (193, 40)
+
+    def test_ll_on_le(self, monkeypatch):
+        assert self.count(monkeypatch, "le.tmpl", "le80_sat.inst",
+                          TemporalOp.LL) == (212, 80)
+
+    def test_dual_ll_on_le(self, monkeypatch):
+        assert self.count(monkeypatch, "le.tmpl", "le80_sat.inst",
+                          TemporalOp.DUAL_LL) == (573, 80)
 
 
 class TestBruteOracle:
