@@ -88,7 +88,6 @@ from .relstruct import (
     hom_search,
     make_instance,
     power_structure,
-    structure_as_instance,
 )
 from .temporal import (
     LT,

@@ -10,6 +10,15 @@ behavior action.  That reduces the dichotomy questions to finite searches
 over behavior tables, which this module implements together with a
 brute-force instance oracle and a pattern-space adapter for the local
 consistency engine.
+
+A behavior search compiles the closure checks of a template once per
+behavior arity (``_compile_checks``): each type's fingerprint becomes a
+vector of symbol indices, and every tuple of types becomes the vector of
+table cells it reads.  The checks depend on the arity, not on the shape, so
+``classify_reduct`` shares one compile between the shapes of an arity.  A
+check that reads only cells fixed by the shape is evaluated directly; every
+other check becomes a finite constraint over the free cells, solved by
+``relstruct._assignments``, the package's one backtracker.
 """
 
 from __future__ import annotations
@@ -31,11 +40,12 @@ from .errors import (
     SignatureMismatch,
     UnsupportedBase,
 )
-from .relstruct import Instance
+from .relstruct import Instance, _assignments, encode_tuple
 
 TYPE_ARITY_LIMIT = 6
 BRUTE_VARIABLE_LIMIT = 6
 RECHECK_CELL_LIMIT = 20
+CHECK_LIMIT = 2 ** 20  # closure checks one relation may ask of one arity
 
 
 class Label(IntEnum):
@@ -550,105 +560,207 @@ def behavior_preserves(behavior: PairBehavior, rel: TypeSetRelation) -> bool:
 TemplateLike = Union[HomogTemplate, Sequence[TypeSetRelation]]
 
 
-def _template_relations(template: TemplateLike) -> tuple[Base, list[TypeSetRelation]]:
+def _template_relations(
+    template: TemplateLike,
+) -> tuple[Base, list[tuple[str, TypeSetRelation]]]:
+    """The base and the named relations; a bare sequence names them #1, #2..."""
     if isinstance(template, HomogTemplate):
-        relations = [template.relations[n] for n in sorted(template.relations)]
+        named = [(n, template.relations[n]) for n in sorted(template.relations)]
         base = template.base
     else:
-        relations = list(template)
-        if not relations:
+        named = [(f"#{i}", rel) for i, rel in enumerate(template, start=1)]
+        if not named:
             raise ParameterError("empty template")
-        base = relations[0].base
-    if any(rel.base != base for rel in relations):
+        base = named[0][1].base
+    if any(rel.base != base for _, rel in named):
         raise DomainMismatch("relations must share the base")
-    return base, relations
+    return base, named
 
 
-@dataclass(frozen=True)
-class _PreservationCheck:
-    """One closure condition: a tuple of types whose image must stay inside.
-
-    ``template_fp`` fixes the merged pairs to EQ; ``pair_cells`` lists the
-    remaining fingerprint positions with the behavior cell feeding them.
-    """
-
-    template_fp: tuple[Optional[Label], ...]
-    pair_cells: tuple[tuple[int, int], ...]
-    fingerprints: frozenset[tuple[Label, ...]]
-
-    def passes(self, table: Sequence[Optional[Label]]) -> bool:
-        fp = list(self.template_fp)
-        for pos, cell in self.pair_cells:
-            fp[pos] = table[cell]
-        return tuple(fp) in self.fingerprints
-
-
-@dataclass
-class _SearchSpace:
-    symbols: tuple[Label, ...]
-    table: list[Optional[Label]]
-    flip_index: Optional[list[int]]
-    free: list[int]
-    checks: list[_PreservationCheck]
-
-
-def _build_search_space(
-    base: Base, relations: Sequence[TypeSetRelation], shape: Shape
-) -> _SearchSpace:
+def _require_shape(base: Base, shape: Shape) -> None:
     if base.oriented and shape in (Shape.BINARY_SL_E, Shape.BINARY_SL_N):
         raise ShapeUnsupported(
             "a semilattice on arcs would break flip-equivariance"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class _Checks:
+    """The closure checks of one template for behaviors of one arity.
+
+    A table cell is a tuple of symbols (EQ, then the base labels), numbered
+    in ``itertools.product`` order, so cell 0 is all-EQ; labels are stored
+    as symbol indices.  A check is a tuple of relation types: at each
+    position pair it reads the cell of the pair's labels across the tuple,
+    and it passes when the table's values there form a fingerprint of the
+    relation.  Cells mixing EQ with base labels are free; the others are
+    fixed by the shape.  None of this depends on the shape.
+    """
+
+    arity: int
+    symbols: tuple[Label, ...]
+    flip_symbol: tuple[int, ...]
+    mixed: tuple[bool, ...]
+    # Per cell, the cell of the reversed arcs; None over a graph base.
+    flip_index: Optional[tuple[int, ...]]
+    # The free cells, ascending, keeping the lower cell of each flip pair.
+    free: tuple[int, ...]
+    # Per relation: its fingerprints, one column per position pair (the cell
+    # each check reads there, checks in product order), and a mask of the
+    # checks that read no free cell, None when that is all of them.
+    relations: tuple[
+        tuple[frozenset, tuple[list[int], ...], Optional[list[bool]]], ...
+    ]
+    # (cells, fingerprints) of every check that reads a free cell.
+    free_checks: tuple[tuple[tuple[int, ...], frozenset], ...]
+
+
+def _compile_checks(
+    base: Base, named: Sequence[tuple[str, TypeSetRelation]], n: int
+) -> _Checks:
+    """Build every closure check for behaviors of arity ``n``.
+
+    Each type's fingerprint is read once; the cell column of a position
+    pair is extended one tuple position at a time.  Raises BudgetExceeded
+    before building anything when a relation asks for more than
+    CHECK_LIMIT checks.
+    """
+    for name, rel in named:
+        count = len(rel.types) ** n
+        if count > CHECK_LIMIT:
+            raise BudgetExceeded(
+                f"relation {name} needs {count} closure checks at arity {n}; "
+                f"the cap is {CHECK_LIMIT}"
+            )
     symbols = (Label.EQ,) + base.labels
-    n = shape.arity
-    cells = list(itertools.product(symbols, repeat=n))
-    index_of = {cell: i for i, cell in enumerate(cells)}
-    table: list[Optional[Label]] = [None] * len(cells)
-    for i, cell in enumerate(cells):
-        if all(l is Label.EQ for l in cell):
-            table[i] = Label.EQ
-        elif all(l is not Label.EQ for l in cell):
-            table[i] = _shape_value(shape, cell)
+    q = len(symbols)
+    sym_pos = {s: i for i, s in enumerate(symbols)}
+    flip_symbol = tuple(sym_pos[s.flipped] for s in symbols)
+    digits = list(itertools.product(range(q), repeat=n))
+    mixed = tuple(0 in d and any(d) for d in digits)
     flip_index = None
     if base.oriented:
-        flip_index = [
-            index_of[tuple(l.flipped for l in cell)] for cell in cells
+        flip_index = tuple(
+            encode_tuple(tuple(flip_symbol[s] for s in d), q) for d in digits
+        )
+    free = tuple(
+        c for c, m in enumerate(mixed)
+        if m and (flip_index is None or c <= flip_index[c])
+    )
+    relations = []
+    free_checks: list[tuple[tuple[int, ...], frozenset]] = []
+    for _, rel in named:
+        vectors = [
+            tuple(sym_pos[l] for l in t.fingerprint) for t in rel.sorted_types()
         ]
-    free = [
-        i
-        for i in range(len(cells))
-        if table[i] is None and (flip_index is None or i <= flip_index[i])
-    ]
-
-    sym_pos = {s: i for i, s in enumerate(symbols)}
-
-    def cell_index(vec: Sequence[Label]) -> int:
-        idx = 0
-        for lbl in vec:
-            idx = idx * len(symbols) + sym_pos[lbl]
-        return idx
-
-    checks = []
-    for rel in relations:
-        if not set(rel.base.labels) <= set(symbols):
-            raise DomainMismatch("relation base outside the search alphabet")
-        pairs = list(itertools.combinations(range(rel.arity), 2))
-        for ts in itertools.product(rel.sorted_types(), repeat=n):
-            template_fp: list[Optional[Label]] = []
-            pair_cells = []
-            for pos, (i, j) in enumerate(pairs):
-                vec = tuple(t.label(i, j) for t in ts)
-                if all(l is Label.EQ for l in vec):
-                    template_fp.append(Label.EQ)
-                else:
-                    template_fp.append(None)
-                    pair_cells.append((pos, cell_index(vec)))
-            checks.append(
-                _PreservationCheck(
-                    tuple(template_fp), tuple(pair_cells), rel.fingerprints
-                )
+        fingerprints = frozenset(vectors)
+        columns = []
+        for p in range(rel.arity * (rel.arity - 1) // 2):
+            at_p = [v[p] for v in vectors]
+            column = [0]
+            for _ in range(n):
+                column = [c * q + s for c in column for s in at_p]
+            columns.append(column)
+        pinned = None
+        if any(0 in v for v in vectors):
+            reads_free = [
+                any(row)
+                for row in zip(*(map(mixed.__getitem__, col) for col in columns))
+            ]
+            pinned = [not r for r in reads_free]
+            free_checks.extend(
+                (cells, fingerprints)
+                for cells, r in zip(zip(*columns), reads_free) if r
             )
-    return _SearchSpace(symbols, table, flip_index, free, checks)
+        relations.append((fingerprints, tuple(columns), pinned))
+    return _Checks(
+        n, symbols, flip_symbol, mixed, flip_index, free,
+        tuple(relations), tuple(free_checks),
+    )
+
+
+def _pinned_table(checks: _Checks, shape: Shape) -> list[Optional[int]]:
+    """The shape's table as symbol indices, None on the free cells."""
+    cells = itertools.product(checks.symbols, repeat=checks.arity)
+    table = [
+        None if mixed else checks.symbols.index(_shape_value(shape, cell))
+        for mixed, cell in zip(checks.mixed, cells)
+    ]
+    table[0] = 0  # all-EQ
+    return table
+
+
+def _free_constraint(
+    readings: Sequence[int], fingerprints: frozenset, flip_symbol: Sequence[int]
+) -> tuple[frozenset, tuple[int, ...]]:
+    """One check as a ``(tuple set, scope)`` constraint over free variables.
+
+    A reading ``r >= 0`` is the symbol of a fixed cell; ``-1 - (2x + f)``
+    reads variable x, flipped when f is 1.  A variable's value is the index
+    of its representative cell's label in ``base.labels``.
+    """
+    scope = sorted({(-1 - r) >> 1 for r in readings if r < 0})
+    slot = {x: i for i, x in enumerate(scope)}
+    tuples = set()
+    for fp in fingerprints:
+        values: list[Optional[int]] = [None] * len(scope)
+        for r, s in zip(readings, fp):
+            if r >= 0:
+                if r != s:
+                    break
+                continue
+            if s == 0:
+                break
+            x, flipped = divmod(-1 - r, 2)
+            value = (flip_symbol[s] if flipped else s) - 1
+            i = slot[x]
+            if values[i] is None:
+                values[i] = value
+            elif values[i] != value:
+                break
+        else:
+            tuples.add(tuple(values))
+    return frozenset(tuples), tuple(scope)
+
+
+def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
+    """The first behavior acting as ``shape`` that passes every check."""
+    table = _pinned_table(checks, shape)
+    read = table.__getitem__
+    for fingerprints, columns, pinned in checks.relations:
+        images = zip(*[map(read, column) for column in columns])
+        if pinned is not None:
+            images = itertools.compress(images, pinned)
+        if not all(map(fingerprints.__contains__, images)):
+            return None
+    readings: list = list(table)
+    for x, c in enumerate(checks.free):
+        readings[c] = -1 - 2 * x
+        if checks.flip_index is not None:
+            readings[checks.flip_index[c]] = -2 - 2 * x
+    # Checks with the same readings of the same relation are one constraint.
+    constraints: dict[tuple, tuple[frozenset, tuple[int, ...]]] = {}
+    for cells, fingerprints in checks.free_checks:
+        key = (tuple(map(readings.__getitem__, cells)), fingerprints)
+        if key not in constraints:
+            constraints[key] = _free_constraint(*key, checks.flip_symbol)
+            if not constraints[key][0]:
+                return None
+    first = next(
+        _assignments(
+            len(checks.free), len(checks.symbols) - 1, list(constraints.values())
+        ),
+        None,
+    )
+    if first is None:
+        return None
+    for c, value in zip(checks.free, first):
+        table[c] = value + 1
+        if checks.flip_index is not None:
+            table[checks.flip_index[c]] = checks.flip_symbol[value + 1]
+    return PairBehavior(
+        shape.arity, checks.symbols, tuple(checks.symbols[s] for s in table)
+    )
 
 
 def search_behavior(
@@ -658,79 +770,58 @@ def search_behavior(
 
     The injective cells are pinned by the shape and the all-EQ cell maps to
     EQ; the EQ-mixed cells are search variables (paired up by arc reversal
-    over the tournament).  Backtracking prunes with every preservation
-    condition as soon as its last free cell is assigned, so an exhausted
-    search is a proof that no such behavior exists.
+    over the tournament).  Every tuple of relation types is one closure
+    check.  A check that reads only pinned cells is evaluated at once, and
+    the first failure ends the search.  Each other check becomes a finite
+    constraint over the variables it reads, and the first solution of
+    ``relstruct._assignments`` (variables in cell order, values in
+    ``base.labels`` order) fills the table, so an exhausted search is a
+    proof that no such behavior exists.
     """
-    base, relations = _template_relations(template)
-    space = _build_search_space(base, relations, shape)
-    table = space.table
-    rep_position = {}
-    for pos, idx in enumerate(space.free):
-        rep_position[idx] = pos
-        if space.flip_index is not None:
-            rep_position[space.flip_index[idx]] = pos
-    by_last: dict[int, list[_PreservationCheck]] = {}
-    for check in space.checks:
-        last = -1
-        for _, cell in check.pair_cells:
-            if table[cell] is None:
-                last = max(last, rep_position[cell])
-        by_last.setdefault(last, []).append(check)
-    if not all(check.passes(table) for check in by_last.get(-1, [])):
-        return None
-
-    def assign(pos: int, value: Optional[Label]) -> None:
-        idx = space.free[pos]
-        table[idx] = value
-        if space.flip_index is not None and space.flip_index[idx] != idx:
-            table[space.flip_index[idx]] = None if value is None else value.flipped
-
-    def dfs(pos: int) -> bool:
-        if pos == len(space.free):
-            return True
-        for value in base.labels:
-            assign(pos, value)
-            if all(check.passes(table) for check in by_last.get(pos, [])):
-                if dfs(pos + 1):
-                    return True
-        assign(pos, None)
-        return False
-
-    if not dfs(0):
-        return None
-    return PairBehavior(shape.arity, space.symbols, tuple(table))
+    base, named = _template_relations(template)
+    _require_shape(base, shape)
+    return _search(_compile_checks(base, named, shape.arity), shape)
 
 
 def confirm_no_behavior(template: TemplateLike, shape: Shape) -> bool:
     """Re-check a failed search by enumerating every free-cell assignment.
 
-    Returns True when no assignment passes all preservation conditions.
-    Candidates are screened against the most recently violated condition
-    first, so the enumeration stays cheap even at the 2^20 cap.
+    Returns True when no assignment passes all closure checks.  This is the
+    hardness certificate, so it shares only the compiled cells with
+    ``search_behavior``: every assignment is tested against every check,
+    pinned or not.  Candidates are screened against the most recently
+    violated check first, so the enumeration stays cheap even at the 2^20
+    cap.
     """
-    base, relations = _template_relations(template)
-    space = _build_search_space(base, relations, shape)
-    if len(space.free) > RECHECK_CELL_LIMIT:
+    base, named = _template_relations(template)
+    _require_shape(base, shape)
+    checks = _compile_checks(base, named, shape.arity)
+    if len(checks.free) > RECHECK_CELL_LIMIT:
         raise BudgetExceeded(
             f"full enumeration capped at {RECHECK_CELL_LIMIT} free cells"
         )
-    table = space.table
-    checks = list(space.checks)
-    for assignment in itertools.product(base.labels, repeat=len(space.free)):
-        for pos, value in zip(space.free, assignment):
-            table[pos] = value
-            if space.flip_index is not None and space.flip_index[pos] != pos:
-                table[space.flip_index[pos]] = value.flipped
+    table = _pinned_table(checks, shape)
+    read = table.__getitem__
+    every = [
+        (cells, fingerprints)
+        for fingerprints, columns, _ in checks.relations
+        for cells in zip(*columns)
+    ]
+    symbols = range(1, len(checks.symbols))
+    for assignment in itertools.product(symbols, repeat=len(checks.free)):
+        for c, s in zip(checks.free, assignment):
+            table[c] = s
+            if checks.flip_index is not None:
+                table[checks.flip_index[c]] = checks.flip_symbol[s]
         failed = -1
-        for i, check in enumerate(checks):
-            if not check.passes(table):
+        for i, (cells, fingerprints) in enumerate(every):
+            if tuple(map(read, cells)) not in fingerprints:
                 failed = i
                 break
         if failed < 0:
             return False
         if failed > 0:
-            checks.insert(0, checks.pop(failed))
+            every.insert(0, every.pop(failed))
     return True
 
 
@@ -798,9 +889,12 @@ def classify_reduct(template: TemplateLike) -> Verdict:
     relations that only constrain equalities), then searches behaviors: any
     majority or semilattice behavior gives bounded width, a minority
     behavior alone gives tractability without bounded width, and an
-    exhausted search certifies NP-completeness.
+    exhausted search certifies NP-completeness.  The closure checks of
+    each behavior arity are compiled at most once per call and shared by
+    the shapes of that arity.
     """
-    base, relations = _template_relations(template)
+    base, named = _template_relations(template)
+    relations = [rel for _, rel in named]
     if base.kind == "kfree":
         raise UnsupportedBase(
             "no finite classification criterion for clique-free bases"
@@ -814,6 +908,13 @@ def classify_reduct(template: TemplateLike) -> Verdict:
         if one_block or all(_meet_closed(r) for r in relations):
             return Verdict(VerdictKind.EQUALITY_P)
         return Verdict(VerdictKind.EQUALITY_NPC)
+    compiled: dict[int, _Checks] = {}
+
+    def search(shape: Shape) -> Optional[PairBehavior]:
+        if shape.arity not in compiled:
+            compiled[shape.arity] = _compile_checks(base, named, shape.arity)
+        return _search(compiled[shape.arity], shape)
+
     if base.oriented:
         width_shapes = (Shape.TERNARY_MAJORITY,)
     else:
@@ -823,10 +924,10 @@ def classify_reduct(template: TemplateLike) -> Verdict:
             Shape.TERNARY_MAJORITY,
         )
     for shape in width_shapes:
-        witness = search_behavior(relations, shape)
+        witness = search(shape)
         if witness is not None:
             return Verdict(VerdictKind.P_BOUNDED_WIDTH, witness, shape)
-    witness = search_behavior(relations, Shape.TERNARY_MINORITY)
+    witness = search(Shape.TERNARY_MINORITY)
     if witness is not None:
         return Verdict(
             VerdictKind.P_NOT_BOUNDED_WIDTH, witness, Shape.TERNARY_MINORITY

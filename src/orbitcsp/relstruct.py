@@ -235,14 +235,3 @@ def power_structure(template: FiniteStructure, n: int,
         relations[name] = Relation(rel.arity, tuples)
     return FiniteStructure(size, relations)
 
-
-def structure_as_instance(struct: FiniteStructure, prefix: str = "t") -> Instance:
-    """Present a structure as the instance whose solutions are exactly the
-    homomorphisms out of it (one variable per domain element, one constraint
-    per relation tuple)."""
-    variables = tuple(f"{prefix}{i}" for i in struct.domain)
-    constraints = []
-    for name in sorted(struct.relations):
-        for t in struct.relations[name].sorted_tuples():
-            constraints.append((name, tuple(f"{prefix}{v}" for v in t)))
-    return Instance(variables, tuple(constraints))

@@ -255,3 +255,100 @@ def reference_horn_solve(instance: Instance, template: FiniteStructure,
         if tuple(bound[v] for v in scope) not in template.relations[name].tuples:
             return None
     return dict(bound)
+
+
+def reference_search_behavior(template, shape):
+    """The check-object behaviour search, kept as a differential reference
+    for :func:`orbitcsp.homog.search_behavior`: one closure check per tuple
+    of relation types, built from ``LabeledType.label``, and a recursive
+    search over the free cells that tests each check once its last free
+    cell is assigned."""
+    from itertools import product
+
+    from orbitcsp.errors import DomainMismatch, ParameterError, ShapeUnsupported
+    from orbitcsp.homog import HomogTemplate, Label, PairBehavior, Shape, _shape_value
+
+    if isinstance(template, HomogTemplate):
+        relations = [template.relations[n] for n in sorted(template.relations)]
+        base = template.base
+    else:
+        relations = list(template)
+        if not relations:
+            raise ParameterError("empty template")
+        base = relations[0].base
+    if any(rel.base != base for rel in relations):
+        raise DomainMismatch("relations must share the base")
+    if base.oriented and shape in (Shape.BINARY_SL_E, Shape.BINARY_SL_N):
+        raise ShapeUnsupported("a semilattice on arcs would break flip-equivariance")
+
+    symbols = (Label.EQ,) + base.labels
+    n = shape.arity
+    cells = list(product(symbols, repeat=n))
+    index_of = {cell: i for i, cell in enumerate(cells)}
+    table = [None] * len(cells)
+    for i, cell in enumerate(cells):
+        if all(l is Label.EQ for l in cell):
+            table[i] = Label.EQ
+        elif all(l is not Label.EQ for l in cell):
+            table[i] = _shape_value(shape, cell)
+    flip_index = None
+    if base.oriented:
+        flip_index = [index_of[tuple(l.flipped for l in cell)] for cell in cells]
+    free = [i for i in range(len(cells))
+            if table[i] is None and (flip_index is None or i <= flip_index[i])]
+
+    # A check: the fingerprint template (EQ on merged pairs, None elsewhere),
+    # the (position, cell) pairs that fill it, and the relation's fingerprints.
+    checks = []
+    for rel in relations:
+        pairs = [(i, j) for i in range(rel.arity) for j in range(i + 1, rel.arity)]
+        for ts in product(rel.sorted_types(), repeat=n):
+            template_fp, pair_cells = [], []
+            for pos, (i, j) in enumerate(pairs):
+                vec = tuple(t.label(i, j) for t in ts)
+                if all(l is Label.EQ for l in vec):
+                    template_fp.append(Label.EQ)
+                else:
+                    template_fp.append(None)
+                    pair_cells.append((pos, index_of[vec]))
+            checks.append((template_fp, pair_cells, rel.fingerprints))
+
+    def passes(check):
+        template_fp, pair_cells, fingerprints = check
+        fp = list(template_fp)
+        for pos, cell in pair_cells:
+            fp[pos] = table[cell]
+        return tuple(fp) in fingerprints
+
+    rep_position = {}
+    for pos, idx in enumerate(free):
+        rep_position[idx] = pos
+        if flip_index is not None:
+            rep_position[flip_index[idx]] = pos
+    by_last = {}
+    for check in checks:
+        last = max((rep_position[cell] for _, cell in check[1] if table[cell] is None),
+                   default=-1)
+        by_last.setdefault(last, []).append(check)
+    if not all(passes(check) for check in by_last.get(-1, [])):
+        return None
+
+    def assign(pos, value):
+        idx = free[pos]
+        table[idx] = value
+        if flip_index is not None and flip_index[idx] != idx:
+            table[flip_index[idx]] = None if value is None else value.flipped
+
+    def dfs(pos):
+        if pos == len(free):
+            return True
+        for value in base.labels:
+            assign(pos, value)
+            if all(passes(check) for check in by_last.get(pos, [])) and dfs(pos + 1):
+                return True
+        assign(pos, None)
+        return False
+
+    if not dfs(0):
+        return None
+    return PairBehavior(n, symbols, tuple(table))

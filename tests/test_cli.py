@@ -485,6 +485,21 @@ class TestRunHarness:
         assert template.relations["R"].arity == ARITY_LIMIT
         assert template.relations["LT"].arity == 2
 
+    @pytest.mark.parametrize("command", [["classify"], ["polysearch", "--shape", "minority"]])
+    def test_too_many_closure_checks_are_a_one_line_error(self, files, command):
+        # 128 five-ary tournament types: 128^3 = 2^21 checks per ternary shape.
+        pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+        literals = [
+            ", ".join(f"{i}->{j}" if bits >> b & 1 else f"{j}->{i}"
+                      for b, (i, j) in enumerate(pairs))
+            for bits in range(128)
+        ]
+        template = files.path("base: tournament\nrel WIDE/5: " + "; ".join(literals) + "\n")
+        report, code = run([command[0], template] + command[1:])
+        assert report == ("error: relation WIDE needs 2097152 closure checks at arity 3; "
+                          "the cap is 1048576\n")
+        assert code == 2
+
     def test_arity_error_reported(self, files):
         template = files.path(LT_TEXT)
         instance = files.path("vars x y\nLT(x)\n")

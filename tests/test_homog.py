@@ -6,7 +6,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbitcsp import homog
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.errors import (
     ArityMismatch,
@@ -44,7 +46,7 @@ from orbitcsp.homog import (
 )
 from orbitcsp.relstruct import make_instance
 
-from oracles import labeled_type_count
+from oracles import labeled_type_count, reference_search_behavior
 
 EQ, F, B, E, N = Label.EQ, Label.FWD, Label.BWD, Label.E, Label.N
 
@@ -447,6 +449,61 @@ class TestSearchBehavior:
                 [arc_relation(), type_set_relation(2, GRAPH, [inj((E,))])],
                 Shape.TERNARY_MAJORITY,
             )
+
+    def test_a_free_cell_read_at_two_pairs_takes_one_value(self):
+        # With the merged type in a tuple, pairs (0,3), (1,3) and (2,3) can
+        # read one free cell; fingerprints labeling them differently must
+        # not allow either label for it.
+        types = [inj((E, E, E, E, E, N)), inj((E, E, E, N, E, E)),
+                 LabeledType(4, ((0, 1, 2), (3,)), (E,))]
+        rel = type_set_relation(4, GRAPH, types)
+        for shape in (Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY):
+            assert search_behavior([rel], shape) == reference_search_behavior([rel], shape)
+
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_check_object_reference(self, base, data):
+        # Types of every partition, so checks read free cells and, over the
+        # tournament, cells paired with their arc reversal.
+        template = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            k = data.draw(st.integers(1, 4))
+            types = data.draw(st.lists(st.sampled_from(enumerate_types(k, base)),
+                                       min_size=1, max_size=6, unique=True))
+            template.append(type_set_relation(k, base, types))
+        shapes = [Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY]
+        if not base.oriented:
+            shapes += [Shape.BINARY_SL_E, Shape.BINARY_SL_N]
+        for shape in shapes:
+            found = search_behavior(template, shape)
+            assert found == reference_search_behavior(template, shape)
+            if found is not None:
+                assert all(behavior_preserves(found, rel) for rel in template)
+
+
+class TestCompileCount:
+    """Closure checks compiled per ``classify_reduct`` call: each behavior
+    arity at most once, shared by the shapes of that arity."""
+
+    def compiled(self, monkeypatch, template):
+        arities = []
+        compile_checks = homog._compile_checks
+
+        def counted(base, named, n):
+            arities.append(n)
+            return compile_checks(base, named, n)
+
+        monkeypatch.setattr(homog, "_compile_checks", counted)
+        return classify_reduct(template).kind, arities
+
+    def test_tournament_parity_compiles_arity_three_once(self, monkeypatch):
+        assert self.compiled(monkeypatch, [parity_relation()]) == (
+            VerdictKind.P_NOT_BOUNDED_WIDTH, [3])
+
+    def test_graph_parity_compiles_each_arity_once(self, monkeypatch):
+        assert self.compiled(monkeypatch, [parity_relation(GRAPH)]) == (
+            VerdictKind.P_NOT_BOUNDED_WIDTH, [2, 3])
 
 
 class TestConfirmNoBehavior:

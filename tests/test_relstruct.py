@@ -16,7 +16,6 @@ from orbitcsp.relstruct import (
     make_instance,
     power_structure,
     relation,
-    structure_as_instance,
 )
 
 from oracles import exhaustive_hom
@@ -142,7 +141,13 @@ class TestPower:
         for _ in range(25):
             tuples = [t for t in [(0, 0), (0, 1), (1, 0), (1, 1)] if rng.random() < 0.6]
             tpl = FiniteStructure(2, {"R": relation(2, tuples)})
-            inst = structure_as_instance(power_structure(tpl, 2))
+            # The square as an instance: one variable per element, one
+            # constraint per tuple.
+            square = power_structure(tpl, 2)
+            inst = make_instance(
+                [f"t{i}" for i in square.domain],
+                [("R", [f"t{v}" for v in t]) for t in square.relations["R"].sorted_tuples()],
+            )
             hom = hom_search(inst, tpl)
             some_op = any(preserves_op(op, tpl) for op in all_op_tables(2, 2))
             assert (hom is not None) == some_op
