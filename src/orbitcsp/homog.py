@@ -19,6 +19,13 @@ table cells it reads.  The checks depend on the arity, not on the shape, so
 check that reads only cells fixed by the shape is evaluated directly; every
 other check becomes a finite constraint over the free cells, solved by
 ``relstruct._assignments``, the package's one backtracker.
+
+Complete types are built by one generator, ``_placements``: it places one
+position at a time, joining each existing block and then opening a new
+block under every labeling toward the earlier blocks, and a prefix callback
+prunes every completion of a rejected prefix.  ``enumerate_types`` sorts
+its output into partition-major order, and ``solve_instance_brute`` takes
+its first placement that passes every constraint.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -119,19 +126,6 @@ def kfree(n: int) -> Base:
 def _pair_index(k: int, i: int, j: int) -> int:
     """Index of the pair (i, j), i < j, in lexicographic pair order."""
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
-
-
-def _labels_have_clique(m: int, labels: Sequence[Label], size: int) -> bool:
-    """Whether ``size`` blocks out of ``m`` are pairwise labeled E."""
-    if size > m:
-        return False
-    for combo in itertools.combinations(range(m), size):
-        if all(
-            labels[_pair_index(m, a, b)] is Label.E
-            for a, b in itertools.combinations(combo, 2)
-        ):
-            return True
-    return False
 
 
 @dataclass(frozen=True, order=True)
@@ -298,7 +292,14 @@ class LabeledType:
 
     def has_clique(self, size: int) -> bool:
         """Whether ``size`` blocks are pairwise labeled E."""
-        return _labels_have_clique(len(self.partition), self.labels, size)
+        m = len(self.partition)
+        return any(
+            all(
+                self.labels[_pair_index(m, a, b)] is Label.E
+                for a, b in itertools.combinations(combo, 2)
+            )
+            for combo in itertools.combinations(range(m), size)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,28 +356,61 @@ def homog_template(
     return HomogTemplate(base, relations)
 
 
-def _set_partitions(k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
-    """All partitions of range(k), blocks ordered by least member."""
-    assignment = [0] * k
+def _placements(
+    n: int,
+    base: Base,
+    prefix_ok: Callable[[list[int], list[tuple[Label, ...]], int], bool],
+) -> Iterator[LabeledType]:
+    """Complete types of arity ``n`` over the base, one position at a time.
 
-    def go(i: int, used: int) -> Iterable[tuple[tuple[int, ...], ...]]:
-        if i == k:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for p, b in enumerate(assignment):
-                blocks[b].append(p)
-            yield tuple(tuple(b) for b in blocks)
+    Position i joins block 0, 1, ... in turn, then opens a new block whose
+    labels toward the earlier blocks run through ``product(base.labels)``;
+    over a clique-free base a new block that closes a forbidden clique is
+    skipped.  ``block_of[p]`` is the block of position p and ``table[b][c]``
+    the label from block b toward block c (EQ when b == c), so the position
+    pair (p, q) reads ``table[block_of[p]][block_of[q]]``.  Once position i
+    is placed, ``prefix_ok(block_of, table, i)`` is called; a false answer
+    skips every completion of ``block_of[:i + 1]``.
+    """
+    block_of = [0] * n
+
+    def closes_clique(table: list[tuple[Label, ...]], choice: Sequence[Label]) -> bool:
+        neighbours = [b for b, lbl in enumerate(choice) if lbl is Label.E]
+        return any(
+            all(table[x][y] is Label.E for x, y in itertools.combinations(combo, 2))
+            for combo in itertools.combinations(neighbours, base.forbidden - 1)
+        )
+
+    def go(i: int, table: list[tuple[Label, ...]]) -> Iterator[LabeledType]:
+        m = len(table)
+        if i == n:
+            yield LabeledType(
+                n,
+                tuple(tuple(p for p in range(n) if block_of[p] == b) for b in range(m)),
+                tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
+            )
             return
-        for b in range(used + 1):
-            assignment[i] = b
-            yield from go(i + 1, used + (1 if b == used else 0))
+        for b in range(m):
+            block_of[i] = b
+            if prefix_ok(block_of, table, i):
+                yield from go(i + 1, table)
+        for choice in itertools.product(base.labels, repeat=m):
+            if base.kind == "kfree" and closes_clique(table, choice):
+                continue
+            block_of[i] = m
+            grown = [row + (lbl,) for row, lbl in zip(table, choice)]
+            grown.append(tuple(lbl.flipped for lbl in choice) + (Label.EQ,))
+            if prefix_ok(block_of, grown, i):
+                yield from go(i + 1, grown)
 
-    yield from go(0, 0)
+    return go(0, [])
 
 
 def enumerate_types(
     k: int, base: Base, injective_only: bool = False
 ) -> tuple[LabeledType, ...]:
-    """All complete types of arity ``k`` over the base, in a fixed order.
+    """All complete types of arity ``k`` over the base, in a fixed order:
+    partitions as restricted growth strings, then labels in product order.
 
     The tuple is shared between calls."""
     if k < 1:
@@ -390,21 +424,12 @@ def enumerate_types(
 def _enumerate_types_cached(
     k: int, base: Base, injective_only: bool
 ) -> tuple[LabeledType, ...]:
-    out = []
-    partitions: Iterable[tuple[tuple[int, ...], ...]]
-    if injective_only:
-        partitions = [tuple((p,) for p in range(k))]
-    else:
-        partitions = _set_partitions(k)
-    for partition in partitions:
-        m = len(partition)
-        for labels in itertools.product(base.labels, repeat=m * (m - 1) // 2):
-            if base.kind == "kfree" and _labels_have_clique(
-                m, labels, base.forbidden
-            ):
-                continue
-            out.append(LabeledType(k, partition, labels))
-    return tuple(out)
+    def prefix_ok(block_of: list[int], table: list[tuple[Label, ...]], i: int) -> bool:
+        return not injective_only or block_of[i] == i
+
+    return tuple(sorted(
+        _placements(k, base, prefix_ok), key=lambda t: (t._block_index, t.labels)
+    ))
 
 
 @dataclass(frozen=True)
@@ -548,11 +573,18 @@ def behavior_image(
 
 
 def behavior_preserves(behavior: PairBehavior, rel: TypeSetRelation) -> bool:
-    """Whether every tuple of relation types has its image in the relation."""
+    """Whether every tuple of relation types has its image in the relation.
+
+    The image of a tuple reads, at each position pair, the table cell of the
+    inputs' labels there; the table maps only the all-EQ cell to EQ, so a
+    pair stays merged exactly where every input merges it.
+    """
     if any(l not in behavior._symbol_index for l in rel.base.labels):
         raise DomainMismatch("relation base outside the behavior alphabet")
-    for ts in itertools.product(rel.sorted_types(), repeat=behavior.arity):
-        if behavior_image(behavior, ts) not in rel.types:
+    value_of = dict(behavior.cells()).__getitem__
+    fingerprints = [t.fingerprint for t in rel.sorted_types()]
+    for inputs in itertools.product(fingerprints, repeat=behavior.arity):
+        if tuple(map(value_of, zip(*inputs))) not in rel.fingerprints:
             return False
     return True
 
@@ -935,21 +967,6 @@ def classify_reduct(template: TemplateLike) -> Verdict:
     return Verdict(VerdictKind.NP_COMPLETE)
 
 
-def _constraint_indices(
-    instance: Instance, template: HomogTemplate
-) -> list[tuple[TypeSetRelation, tuple[int, ...]]]:
-    position = {v: i for i, v in enumerate(instance.variables)}
-    out = []
-    for name, scope in instance.constraints:
-        rel = template.relations.get(name)
-        if rel is None:
-            raise SignatureMismatch(f"instance uses unknown relation {name}")
-        if rel.arity != len(scope):
-            raise SignatureMismatch(f"constraint {name} has arity {rel.arity}")
-        out.append((rel, tuple(position[v] for v in scope)))
-    return out
-
-
 def solve_instance_brute(
     instance: Instance, template: HomogTemplate
 ) -> Optional[LabeledType]:
@@ -957,87 +974,44 @@ def solve_instance_brute(
 
     A solution is exactly a complete type over the variable tuple whose
     projection to every constraint scope lies in the constraint's relation
-    (and which avoids forbidden cliques over a clique-free base).  Variables
-    are placed one at a time -- joining an existing block or opening a new
-    one -- and each constraint is checked as soon as its scope is placed.
+    (and which avoids forbidden cliques over a clique-free base).  The first
+    placement of ``_placements`` that passes every constraint is returned;
+    each constraint is checked as soon as its last variable is placed.
     """
     n = len(instance.variables)
     if n > BRUTE_VARIABLE_LIMIT:
         raise BudgetExceeded(
             f"brute search capped at {BRUTE_VARIABLE_LIMIT} variables"
         )
-    constraints = _constraint_indices(instance, template)
-    by_last: dict[int, list[tuple[TypeSetRelation, tuple[int, ...]]]] = {}
-    for rel, scope in constraints:
-        by_last.setdefault(max(scope), []).append((rel, scope))
-    base = template.base
-    block_of: list[int] = []
-    blocks: list[list[int]] = []
-    labels: dict[tuple[int, int], Label] = {}
+    position = {v: i for i, v in enumerate(instance.variables)}
+    constraints = []
+    # Per last variable: the fingerprints and position pairs of a constraint.
+    checks: list[list[tuple[frozenset, list[tuple[int, int]]]]] = [[] for _ in range(n)]
+    for name, scope in instance.constraints:
+        rel = template.relations.get(name)
+        if rel is None:
+            raise SignatureMismatch(f"instance uses unknown relation {name}")
+        if rel.arity != len(scope):
+            raise SignatureMismatch(f"constraint {name} has arity {rel.arity}")
+        indices = tuple(position[v] for v in scope)
+        constraints.append((rel, indices))
+        pairs = list(itertools.combinations(indices, 2))
+        checks[max(indices)].append((rel.fingerprints, pairs))
 
-    def state_label(p: int, q: int) -> Label:
-        bp, bq = block_of[p], block_of[q]
-        if bp == bq:
-            return Label.EQ
-        lbl = labels[(min(bp, bq), max(bp, bq))]
-        return lbl if bp < bq else lbl.flipped
-
-    def satisfied(rel: TypeSetRelation, scope: tuple[int, ...]) -> bool:
-        fp = tuple(
-            state_label(scope[a], scope[b])
-            for a, b in itertools.combinations(range(len(scope)), 2)
+    def prefix_ok(block_of: list[int], table: list[tuple[Label, ...]], i: int) -> bool:
+        # Placed positions never move, so a constraint is decided once its
+        # last variable is placed.
+        return all(
+            tuple(table[block_of[p]][block_of[q]] for p, q in pairs) in fingerprints
+            for fingerprints, pairs in checks[i]
         )
-        return fp in rel.fingerprints
 
-    def creates_clique(vec: Sequence[Label]) -> bool:
-        neighbours = [b for b, lbl in enumerate(vec) if lbl is Label.E]
-        for combo in itertools.combinations(neighbours, base.forbidden - 1):
-            if all(
-                labels[(x, y)] is Label.E
-                for x, y in itertools.combinations(combo, 2)
-            ):
-                return True
-        return False
-
-    def place(i: int) -> Optional[LabeledType]:
-        if i == n:
-            return LabeledType(
-                n,
-                tuple(tuple(b) for b in blocks),
-                tuple(
-                    labels[(b1, b2)]
-                    for b1, b2 in itertools.combinations(range(len(blocks)), 2)
-                ),
-            )
-        options: list[Optional[tuple[Label, ...]]] = [None] * len(blocks)
-        options += list(itertools.product(base.labels, repeat=len(blocks)))
-        for choice_index, choice in enumerate(options):
-            if choice is None:
-                blocks[choice_index].append(i)
-                block_of.append(choice_index)
-                added: list[tuple[int, int]] = []
-            else:
-                if base.kind == "kfree" and creates_clique(choice):
-                    continue
-                added = [(b, len(blocks)) for b in range(len(blocks))]
-                for (b, _), lbl in zip(added, choice):
-                    labels[(b, len(blocks))] = lbl
-                blocks.append([i])
-                block_of.append(len(blocks) - 1)
-            if all(satisfied(rel, scope) for rel, scope in by_last.get(i, [])):
-                found = place(i + 1)
-                if found is not None:
-                    return found
-            block_of.pop()
-            if choice is None:
-                blocks[choice_index].pop()
-            else:
-                blocks.pop()
-                for key in added:
-                    del labels[key]
-        return None
-
-    return place(0)
+    solution = next(_placements(n, template.base, prefix_ok), None)
+    if solution is not None:
+        for rel, scope in constraints:
+            if solution.project(scope) not in rel.types:
+                raise AssertionError(f"brute solution violates the constraint on {scope}")
+    return solution
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ from .relstruct import (
     Relation,
     _assignments,
     check_signature,
-    power_structure,
+    encode_tuple,
 )
 
 SEARCH_DOMAIN_LIMIT = 4
@@ -330,17 +330,18 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
     if cells.conflict:
         return None
     # Variables are the identity classes of table cells, numbered by their
-    # smallest cell; each tuple of a power relation names the cells one
-    # choice of rows feeds, and its image must land in the base relation.
+    # smallest cell; each choice of one row per argument feeds the cells
+    # named by the columns of those rows (a tuple of the power relation),
+    # and its image must land in the base relation.
     roots = sorted({cells.find(i) for i in range(d ** arity)})
     root_slot = {r: i for i, r in enumerate(roots)}
     slot_of_cell = [root_slot[cells.find(i)] for i in range(d ** arity)]
     constraints = [(frozenset({(val,)}), (root_slot[root],))
                    for root, val in cells.forced.items()]
-    power = power_structure(template, arity)
-    for name, rel in template.relations.items():
-        scopes = {tuple(slot_of_cell[c] for c in cell_codes)
-                  for cell_codes in power.relations[name].tuples}
+    for rel in template.relations.values():
+        scopes = {tuple(slot_of_cell[encode_tuple(column, d)]
+                        for column in zip(*rows))
+                  for rows in product(rel.sorted_tuples(), repeat=arity)}
         constraints.extend((rel.tuples, scope) for scope in scopes)
     for slots in _assignments(len(roots), d, constraints):
         table = OpTable(arity, d, tuple(slots[s] for s in slot_of_cell))

@@ -10,8 +10,9 @@ fixed search order (variables in declaration order, values ascending).
 Search lives here, in one private generator over integer variables and
 ``(tuple set, scope)`` constraints.  :func:`hom_search` takes its first
 answer; ``polyengine.find_polymorphism`` runs it on the identity-glued cells
-of a power of the template (:func:`power_structure`), since a polymorphism is
-a homomorphism from a power into the template.
+of a power of the template, since a polymorphism is a homomorphism from a
+power into the template.  :func:`power_structure` builds that power as a
+structure of its own.
 """
 
 from __future__ import annotations

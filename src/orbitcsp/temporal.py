@@ -730,7 +730,8 @@ def brute_oracle(instance: Instance,
         raise BudgetExceeded(f"{n} variables > {ORACLE_VARIABLE_LIMIT}")
     index = {v: i for i, v in enumerate(instance.variables)}
     checks: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
-    for rel, scope in _constraint_list(instance, template):
+    constraints = _constraint_list(instance, template)
+    for rel, scope in constraints:
         idx = tuple(index[v] for v in scope)
         signatures = frozenset(t.ranks for t in rel.types)
         checks[max(idx)].append((idx, signatures))
@@ -745,6 +746,9 @@ def brute_oracle(instance: Instance,
     if vector is None:
         return None
     order = WeakOrderType(vector)
+    for rel, scope in constraints:
+        if order.restrict([index[v] for v in scope]) not in rel.types:
+            raise AssertionError("oracle order fails the original instance")
     return tuple(tuple(instance.variables[p] for p in block)
                  for block in order.blocks)
 

@@ -352,3 +352,127 @@ def reference_search_behavior(template, shape):
     if not dfs(0):
         return None
     return PairBehavior(n, symbols, tuple(table))
+
+
+def reference_enumerate_types(k, base, injective_only=False):
+    """Complete types of arity k in partition-major order: set partitions
+    as restricted growth strings in lexicographic order, then the block-pair
+    labels in ``itertools.product`` order, dropping types with a forbidden
+    clique.  The order :func:`orbitcsp.homog.enumerate_types` must keep."""
+    from orbitcsp.homog import LabeledType
+
+    out = []
+    for growth in product(range(k), repeat=k):
+        if any(b > max(growth[:p], default=-1) + 1 for p, b in enumerate(growth)):
+            continue
+        m = max(growth) + 1
+        if injective_only and m < k:
+            continue
+        partition = tuple(tuple(p for p in range(k) if growth[p] == b) for b in range(m))
+        for labels in product(base.labels, repeat=m * (m - 1) // 2):
+            t = LabeledType(k, partition, labels)
+            if base.kind != "kfree" or not t.has_clique(base.forbidden):
+                out.append(t)
+    return tuple(out)
+
+
+def reference_solve_instance_brute(instance, template):
+    """The recursive labeled-partition search, kept as a differential
+    reference for :func:`orbitcsp.homog.solve_instance_brute`: variables are
+    placed one at a time -- joining an existing block or opening a new one
+    -- with the state undone by hand, and each constraint is checked as soon
+    as its scope is placed."""
+    import itertools
+
+    from orbitcsp.errors import BudgetExceeded, SignatureMismatch
+    from orbitcsp.homog import BRUTE_VARIABLE_LIMIT, Label, LabeledType
+
+    def _constraint_indices(instance, template):
+        position = {v: i for i, v in enumerate(instance.variables)}
+        out = []
+        for name, scope in instance.constraints:
+            rel = template.relations.get(name)
+            if rel is None:
+                raise SignatureMismatch(f"instance uses unknown relation {name}")
+            if rel.arity != len(scope):
+                raise SignatureMismatch(f"constraint {name} has arity {rel.arity}")
+            out.append((rel, tuple(position[v] for v in scope)))
+        return out
+
+    n = len(instance.variables)
+    if n > BRUTE_VARIABLE_LIMIT:
+        raise BudgetExceeded(
+            f"brute search capped at {BRUTE_VARIABLE_LIMIT} variables"
+        )
+    constraints = _constraint_indices(instance, template)
+    by_last = {}
+    for rel, scope in constraints:
+        by_last.setdefault(max(scope), []).append((rel, scope))
+    base = template.base
+    block_of = []
+    blocks = []
+    labels = {}
+
+    def state_label(p, q):
+        bp, bq = block_of[p], block_of[q]
+        if bp == bq:
+            return Label.EQ
+        lbl = labels[(min(bp, bq), max(bp, bq))]
+        return lbl if bp < bq else lbl.flipped
+
+    def satisfied(rel, scope):
+        fp = tuple(
+            state_label(scope[a], scope[b])
+            for a, b in itertools.combinations(range(len(scope)), 2)
+        )
+        return fp in rel.fingerprints
+
+    def creates_clique(vec):
+        neighbours = [b for b, lbl in enumerate(vec) if lbl is Label.E]
+        for combo in itertools.combinations(neighbours, base.forbidden - 1):
+            if all(
+                labels[(x, y)] is Label.E
+                for x, y in itertools.combinations(combo, 2)
+            ):
+                return True
+        return False
+
+    def place(i):
+        if i == n:
+            return LabeledType(
+                n,
+                tuple(tuple(b) for b in blocks),
+                tuple(
+                    labels[(b1, b2)]
+                    for b1, b2 in itertools.combinations(range(len(blocks)), 2)
+                ),
+            )
+        options = [None] * len(blocks)
+        options += list(itertools.product(base.labels, repeat=len(blocks)))
+        for choice_index, choice in enumerate(options):
+            if choice is None:
+                blocks[choice_index].append(i)
+                block_of.append(choice_index)
+                added = []
+            else:
+                if base.kind == "kfree" and creates_clique(choice):
+                    continue
+                added = [(b, len(blocks)) for b in range(len(blocks))]
+                for (b, _), lbl in zip(added, choice):
+                    labels[(b, len(blocks))] = lbl
+                blocks.append([i])
+                block_of.append(len(blocks) - 1)
+            if all(satisfied(rel, scope) for rel, scope in by_last.get(i, [])):
+                found = place(i + 1)
+                if found is not None:
+                    return found
+            block_of.pop()
+            if choice is None:
+                blocks[choice_index].pop()
+            else:
+                blocks.pop()
+                for key in added:
+                    del labels[key]
+        return None
+
+    return place(0)

@@ -46,7 +46,12 @@ from orbitcsp.homog import (
 )
 from orbitcsp.relstruct import make_instance
 
-from oracles import labeled_type_count, reference_search_behavior
+from oracles import (
+    labeled_type_count,
+    reference_enumerate_types,
+    reference_search_behavior,
+    reference_solve_instance_brute,
+)
 
 EQ, F, B, E, N = Label.EQ, Label.FWD, Label.BWD, Label.E, Label.N
 
@@ -255,6 +260,14 @@ class TestEnumerateTypes:
         types = enumerate_types(4, GRAPH)
         assert len(set(types)) == len(types) == labeled_type_count(4)
 
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3), kfree(4)], ids=str)
+    @pytest.mark.parametrize("injective_only", [False, True])
+    def test_order_is_partition_major(self, base, injective_only):
+        for k in range(1, 6):
+            assert enumerate_types(k, base, injective_only) == reference_enumerate_types(
+                k, base, injective_only
+            )
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_types(7, GRAPH)
@@ -394,6 +407,27 @@ class TestBehaviorPreserves:
                     assert behavior_preserves(behavior, rel) == naive_preserves(
                         behavior, rel
                     )
+
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_image_definition_on_random_tables(self, base, data):
+        # A table that reads the first non-EQ input label, changed on a few
+        # cells (and on their arc reversals), against types of every partition.
+        n = data.draw(st.integers(2, 3))
+        symbols = (EQ,) + base.labels
+        cells = list(itertools.product(symbols, repeat=n))[1:]
+        table = {(EQ,) * n: EQ}
+        table.update((cell, next(l for l in cell if l is not EQ)) for cell in cells)
+        for cell in data.draw(st.lists(st.sampled_from(cells), max_size=3)):
+            table[cell] = data.draw(st.sampled_from(base.labels))
+            table[tuple(l.flipped for l in cell)] = table[cell].flipped
+        behavior = PairBehavior.from_function(n, symbols, lambda *cell: table[cell])
+        pool = enumerate_types(data.draw(st.integers(2, 4)), base)
+        types = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                                   unique=True))
+        rel = type_set_relation(pool[0].arity, base, types)
+        assert behavior_preserves(behavior, rel) == naive_preserves(behavior, rel)
 
 
 class TestSearchBehavior:
@@ -660,6 +694,45 @@ class TestSolveInstanceBrute:
         inst = make_instance("xy", [("EDGE", "xy")])
         with pytest.raises(SignatureMismatch):
             solve_instance_brute(inst, self.tournament)
+
+    def test_a_wrong_placement_is_caught(self, monkeypatch):
+        # The SAT check is an explicit raise, so it also runs under python -O.
+        inst = make_instance("xy", [("ARC", "xy")])
+        monkeypatch.setattr(
+            homog, "_placements", lambda n, base, ok: iter([inj((B,))])
+        )
+        with pytest.raises(AssertionError):
+            solve_instance_brute(inst, self.tournament)
+
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_recursive_reference(self, base, data):
+        # Relations of every partition or of injective types only, and
+        # scopes drawn with replacement, so constraints read merged
+        # positions and repeat variables.  Above arity 1 the pool's first
+        # type is left out; over every partition that is the all-equal type,
+        # so witnesses need several blocks.
+        relations = {}
+        for r in range(data.draw(st.integers(1, 3))):
+            pool = enumerate_types(data.draw(st.integers(1, 3)), base,
+                                   injective_only=data.draw(st.booleans()))
+            types = data.draw(st.lists(st.sampled_from(pool[1:] or pool),
+                                       min_size=1, unique=True))
+            relations[f"R{r}"] = type_set_relation(pool[0].arity, base, types)
+        template = homog_template(base, relations)
+        variables = [f"v{i}" for i in range(data.draw(st.integers(1, 6)))]
+        constraints = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            name = data.draw(st.sampled_from(sorted(relations)))
+            scope = data.draw(st.lists(st.sampled_from(variables),
+                                       min_size=relations[name].arity,
+                                       max_size=relations[name].arity))
+            constraints.append((name, tuple(scope)))
+        inst = make_instance(variables, constraints)
+        found = solve_instance_brute(inst, template)
+        expected = reference_solve_instance_brute(inst, template)
+        assert found == expected
 
     def test_agrees_with_type_enumeration(self):
         # independent oracle: try every complete type over the variables

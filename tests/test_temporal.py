@@ -731,6 +731,14 @@ class TestBruteOracle:
         with pytest.raises(BudgetExceeded):
             brute_oracle(inst, Q_LT)
 
+    def test_a_wrong_order_is_caught(self, monkeypatch):
+        # The SAT check is an explicit raise, so it also runs under python -O.
+        monkeypatch.setattr(
+            temporal, "_dense_rank_vectors", lambda k, ok: iter([(1, 0)])
+        )
+        with pytest.raises(AssertionError):
+            brute_oracle(make_instance("xy", [("LT", "xy")]), Q_LT)
+
 
 class TestClassify:
     def test_order_alone(self):
