@@ -44,10 +44,9 @@ from .errors import (
     MalformedPattern,
     ParameterError,
     ShapeUnsupported,
-    SignatureMismatch,
     UnsupportedBase,
 )
-from .relstruct import Instance, _assignments, encode_tuple
+from .relstruct import Instance, _assignments, check_signature, encode_tuple
 
 TYPE_ARITY_LIMIT = 6
 BRUTE_VARIABLE_LIMIT = 6
@@ -983,16 +982,13 @@ def solve_instance_brute(
         raise BudgetExceeded(
             f"brute search capped at {BRUTE_VARIABLE_LIMIT} variables"
         )
+    check_signature(instance, template)
     position = {v: i for i, v in enumerate(instance.variables)}
     constraints = []
     # Per last variable: the fingerprints and position pairs of a constraint.
     checks: list[list[tuple[frozenset, list[tuple[int, int]]]]] = [[] for _ in range(n)]
     for name, scope in instance.constraints:
-        rel = template.relations.get(name)
-        if rel is None:
-            raise SignatureMismatch(f"instance uses unknown relation {name}")
-        if rel.arity != len(scope):
-            raise SignatureMismatch(f"constraint {name} has arity {rel.arity}")
+        rel = template.relations[name]
         indices = tuple(position[v] for v in scope)
         constraints.append((rel, indices))
         pairs = list(itertools.combinations(indices, 2))

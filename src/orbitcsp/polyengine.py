@@ -1,21 +1,27 @@
-"""Polymorphism tables, identity-driven search, and boolean dispatch solving.
+"""Polymorphism tables, identity-driven search, and boolean solving.
 
 The two-element analysis rests on four fixed tables: conjunction,
 disjunction, ternary majority, and ternary minority (xor of three).  A
 boolean template is equationally non-trivial exactly when it is preserved by
 one of those four or by a constant map; testing the fixed tables is therefore
-both the classifier and the solver dispatch.  Identity-driven table search
+both the classifier and the choice of solver.  Identity-driven table search
 (cyclic, weak near-unanimity, ...) is available for small non-boolean
 domains; it compiles the identities and the template's power into
 constraints and runs the backtracker in ``relstruct``, which owns all
 finite-domain search.  The six-ary condition is answered on booleans by
 delegation to the fixed tables rather than by searching a 64-cell table.
 
-Both Horn classes are solved by one engine, ``_HornEngine``: a watch-list
-fixpoint on ``(rows, variable indices)`` constraints that computes the
-pin-free fixpoint once and answers each set of pinned variables from it,
-in time linear in the instance size.  ``schaefer_solve`` reaches it through
-``_horn_solve``; ``temporal`` builds one per quotient level and solves it
+Boolean solving has one entry point, ``_boolean_solver``.  It takes
+``(rows, variable indices)`` constraints and a class set, picks the first
+class in table order, and returns ``solve(pins)``.  Both Horn classes
+share ``_HornEngine``, a watch-list fixpoint that computes the pin-free
+fixpoint once and answers each pin set from it, in time linear in the
+instance size.  The other classes take the pins as unary constraints:
+majority runs (2,3)-consistency on binary projections, affine runs
+Gaussian elimination over GF(2), a constant class tries its constant, and
+no class means backtracking search.  Their answers are checked against
+every constraint.  ``schaefer_solve`` indexes a named instance and solves
+it once; ``temporal`` compiles one solver per quotient level and solves it
 under many pin sets.
 """
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .consistency import EMPTY_DERIVED, establish_kl
 from .errors import BudgetExceeded, ClassMismatch, DomainMismatch, ParameterError
@@ -57,10 +63,7 @@ class OpTable:
             raise ValueError("operation value leaves the domain")
 
     def index(self, args: tuple[int, ...]) -> int:
-        code = 0
-        for a in args:
-            code = code * self.domain_size + a
-        return code
+        return encode_tuple(args, self.domain_size)
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -214,10 +217,7 @@ def _compile_identities(identities: IdentitySystem, arity: int, d: int) -> _Cell
     cells = _Cells(d ** arity)
 
     def code(args: tuple[int, ...]) -> int:
-        c = 0
-        for a in args:
-            c = c * d + a
-        return c
+        return encode_tuple(args, d)
 
     kind = identities.kind
     if kind == IdentitySystem.IDEMPOTENT_KIND:
@@ -255,23 +255,23 @@ def _compile_identities(identities: IdentitySystem, arity: int, d: int) -> _Cell
 
 
 def _siggers_from_boolean(template: FiniteStructure) -> Optional[OpTable]:
-    """Boolean shortcut: build a six-ary table from whichever fixed table
-    preserves the template.  s(a1..a6) = o(a1, a5, a4) turns the fixed
-    symmetric ternary tables (and, via repetition, the binary ones) into a
-    table satisfying the six-ary condition; constants work directly."""
+    """Boolean shortcut: build a six-ary table from the first fixed table
+    that preserves the template.  s(a1..a6) = o(a1, a5, a4) for a ternary
+    table o, o(o(a1, a5), a4) for a binary one, and the constant for a
+    unary one; each satisfies the six-ary condition."""
     classes = boolean_classify(template)
-    builders = [
-        (BooleanClass.HORN_AND, lambda a: AND2(AND2(a[0], a[4]), a[3])),
-        (BooleanClass.DUAL_HORN_OR, lambda a: OR2(OR2(a[0], a[4]), a[3])),
-        (BooleanClass.MAJORITY_2SAT, lambda a: MAJ3(a[0], a[4], a[3])),
-        (BooleanClass.MINORITY_AFFINE, lambda a: XOR3(a[0], a[4], a[3])),
-        (BooleanClass.CONSTANT0, lambda a: 0),
-        (BooleanClass.CONSTANT1, lambda a: 1),
-    ]
-    for cls, fn in builders:
-        if cls in classes:
-            return OpTable.from_function(6, 2, lambda *a, fn=fn: fn(a))
-    return None
+    op = next((op for cls, op in _CLASS_TABLES if cls in classes), None)
+    if op is None:
+        return None
+
+    def siggers(*a: int) -> int:
+        if op.arity == 3:
+            return op(a[0], a[4], a[3])
+        if op.arity == 2:
+            return op(op(a[0], a[4]), a[3])
+        return op(a[0])
+
+    return OpTable.from_function(6, 2, siggers)
 
 
 def satisfies_identities(op: OpTable, identities: IdentitySystem) -> bool:
@@ -353,7 +353,10 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
     return None
 
 
-# --- dispatch solving -------------------------------------------------------
+# --- boolean solving --------------------------------------------------------
+
+#: Boolean constraints on variable indices: (allowed rows, scope).
+_Constraints = Sequence[tuple[frozenset, tuple[int, ...]]]
 
 
 class _HornEngine:
@@ -371,9 +374,7 @@ class _HornEngine:
     only the constraints of the variables its pins move.
     """
 
-    def __init__(self, n: int,
-                 constraints: Sequence[tuple[frozenset, tuple[int, ...]]],
-                 top_down: bool):
+    def __init__(self, n: int, constraints: _Constraints, top_down: bool):
         start = 1 if top_down else 0
         self.start = start
         self.constraints = constraints
@@ -455,83 +456,43 @@ class _HornEngine:
         return list(bound)
 
 
-def _horn_solve(instance: Instance, template: FiniteStructure,
-                top_down: bool) -> Optional[dict[str, int]]:
-    """Least (or, for the dual, greatest) solution of a meet-closed
-    (join-closed) instance, through :class:`_HornEngine` with no pins."""
-    index = {v: i for i, v in enumerate(instance.variables)}
-    constraints = [(template.relations[name].tuples,
-                    tuple(index[v] for v in scope))
-                   for name, scope in instance.constraints]
-    values = _HornEngine(len(index), constraints, top_down).solve({})
-    return None if values is None else dict(zip(instance.variables, values))
-
-
-def _binary_projections(instance: Instance, template: FiniteStructure):
-    """Rewrite constraints of arity >= 3 into their binary projections.
-    Exact for templates with a majority polymorphism (every relation is then
-    determined by its binary projections)."""
-    relations: dict[str, Relation] = {}
-    constraints: list[tuple[str, tuple[str, ...]]] = []
-    for name, scope in instance.constraints:
-        rel = template.relations[name]
-        if rel.arity <= 2:
-            relations.setdefault(name, rel)
-            constraints.append((name, scope))
-            continue
-        for i in range(rel.arity):
-            for j in range(i + 1, rel.arity):
-                pname = f"{name}@{i}.{j}"
-                if pname not in relations:
-                    proj = frozenset((t[i], t[j]) for t in rel.tuples)
-                    relations[pname] = Relation(2, proj)
-                constraints.append((pname, (scope[i], scope[j])))
-    return (Instance(instance.variables, tuple(constraints)),
-            FiniteStructure(template.domain_size, relations))
-
-
-def _majority_solve(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
-    binst, btmpl = _binary_projections(instance, template)
-    state = establish_kl(binst, btmpl, 2, 3)
+def _majority_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
+    """Greedy extension of the (2,3)-consistent binary projections.  Exact
+    for majority-closed constraints, which their binary projections
+    determine."""
+    relations: dict[tuple[int, frozenset], str] = {}
+    projected = []
+    for rows, scope in constraints:
+        k = len(scope)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)] if k > 2 else [tuple(range(k))]
+        for positions in pairs:
+            rel = (len(positions), frozenset(tuple(row[p] for p in positions) for row in rows))
+            projected.append((relations.setdefault(rel, f"R{len(relations)}"),
+                              tuple(scope[p] for p in positions)))
+    template = FiniteStructure(2, {name: Relation(*rel) for rel, name in relations.items()})
+    # Variables are their indices, so subset keys are ascending index tuples.
+    state = establish_kl(Instance(tuple(range(n)), tuple(projected)), template, 2, 3)
     if state is EMPTY_DERIVED:
         return None
-    order = {v: i for i, v in enumerate(instance.variables)}
-    assignment: dict[str, int] = {}
-    for v in instance.variables:
-        picked = None
-        for value in range(template.domain_size):
-            if (value,) not in state.allowed[(v,)]:
-                continue
-            ok = True
-            for u, uval in assignment.items():
-                # Subset keys follow variable declaration order.
-                if order[u] < order[v]:
-                    pair, pattern = (u, v), (uval, value)
-                else:
-                    pair, pattern = (v, u), (value, uval)
-                if pattern not in state.allowed[pair]:
-                    ok = False
-                    break
-            if ok:
-                picked = value
-                break
-        if picked is None:
+    values: list[int] = []
+    for v in range(n):
+        value = next((x for x in (0, 1) if (x,) in state.allowed[(v,)]
+                      and all((y, x) in state.allowed[(u, v)] for u, y in enumerate(values))),
+                     None)
+        if value is None:
             return None
-        assignment[v] = picked
-    for name, scope in instance.constraints:
-        if tuple(assignment[v] for v in scope) not in template.relations[name].tuples:
-            raise AssertionError("pairwise-consistent extension violated a constraint")
-    return assignment
+        values.append(value)
+    return values
 
 
-def _affine_rows(rel: Relation) -> Optional[list[tuple[tuple[int, ...], int]]]:
+def _affine_rows(tuples: frozenset) -> Optional[list[tuple[tuple[int, ...], int]]]:
     """Defining linear equations (coeffs, rhs) over GF(2) of a xor-closed
-    relation; None for the empty relation."""
-    rows = rel.sorted_tuples()
+    row set; None for the empty set."""
+    rows = sorted(tuples)
     if not rows:
         return None
-    k = rel.arity
     t0 = rows[0]
+    k = len(t0)
     diffs = [tuple(a ^ b for a, b in zip(t, t0)) for t in rows[1:]]
     # Row-reduce the difference vectors to find pivot columns.
     basis: list[tuple[int, ...]] = []
@@ -593,64 +554,71 @@ def _gf2_solve(n_vars: int, rows: list[tuple[list[int], int]]) -> Optional[list[
     return solution
 
 
-def _affine_solve(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
-    variables = instance.variables
-    index = {v: i for i, v in enumerate(variables)}
+def _affine_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
     rows: list[tuple[list[int], int]] = []
-    for name, scope in instance.constraints:
-        equations = _affine_rows(template.relations[name])
+    for tuples, scope in constraints:
+        equations = _affine_rows(tuples)
         if equations is None:
             return None
         for coeffs, rhs in equations:
-            folded = [0] * len(variables)
+            folded = [0] * n
             for pos, v in enumerate(scope):
-                folded[index[v]] ^= coeffs[pos]
+                folded[v] ^= coeffs[pos]
             rows.append((folded, rhs))
-    solution = _gf2_solve(len(variables), rows)
-    if solution is None:
-        return None
-    assignment = {v: solution[index[v]] for v in variables}
-    for name, scope in instance.constraints:
-        if tuple(assignment[v] for v in scope) not in template.relations[name].tuples:
-            raise AssertionError("affine solution violated a source relation")
-    return assignment
+    return _gf2_solve(n, rows)
 
 
-def _constant_solve(instance: Instance, template: FiniteStructure,
-                    value: int) -> Optional[dict[str, int]]:
-    assignment = {v: value for v in instance.variables}
-    for name, scope in instance.constraints:
-        if tuple(assignment[v] for v in scope) not in template.relations[name].tuples:
+def _boolean_solver(n: int, constraints: _Constraints,
+                    classes: Iterable[BooleanClass],
+                    ) -> Callable[[Mapping[int, int]], Optional[list[int]]]:
+    """The solver of boolean constraints on variables ``0..n-1`` for the
+    first of ``classes`` in table order; backtracking search when none is
+    given.  The returned ``solve(pins)`` fixes each pinned variable to its
+    value and returns a solution vector, or None.
+
+    This is the one place that maps a class to its algorithm.  Both Horn
+    classes answer from one :class:`_HornEngine`.  Every other solver gets
+    the pins as unary constraints, and its answer is checked against every
+    constraint: a constant answer that fails means no constant solution,
+    any other that fails is a solver fault.
+    """
+    cls = next((c for c, _ in _CLASS_TABLES if c in classes), BooleanClass.TRIVIAL)
+    if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
+        return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR).solve
+
+    def solve(pins: Mapping[int, int]) -> Optional[list[int]]:
+        pinned = [*constraints, *((frozenset({(value,)}), (v,)) for v, value in pins.items())]
+        if cls is BooleanClass.MAJORITY_2SAT:
+            values = _majority_solve(n, pinned)
+        elif cls is BooleanClass.MINORITY_AFFINE:
+            values = _affine_solve(n, pinned)
+        elif cls is BooleanClass.TRIVIAL:
+            values = next(_assignments(n, 2, pinned), None)
+        else:
+            values = [0 if cls is BooleanClass.CONSTANT0 else 1] * n
+        if values is None:
             return None
-    return assignment
+        if all(tuple(values[v] for v in scope) in tuples for tuples, scope in pinned):
+            return list(values)
+        if cls in (BooleanClass.CONSTANT0, BooleanClass.CONSTANT1):
+            return None
+        raise AssertionError(f"{cls.value} solution violated a constraint")
+
+    return solve
 
 
 def schaefer_solve(instance: Instance, template: FiniteStructure,
                    cls: BooleanClass) -> Optional[dict[str, int]]:
     """Solve a boolean instance with the algorithm matching a detected
-    class.  Raises ClassMismatch unless cls is in boolean_classify(template).
-    Returns a satisfying assignment or None."""
+    class.  Raises ClassMismatch unless cls is in boolean_classify(template)
+    and is not TRIVIAL.  Returns a satisfying assignment or None."""
     check_signature(instance, template)
     if cls not in boolean_classify(template):
         raise ClassMismatch(f"{cls.value} is not a class of this template")
-    return _dispatch(instance, template, cls)
-
-
-def _dispatch(instance: Instance, template: FiniteStructure,
-              cls: BooleanClass) -> Optional[dict[str, int]]:
-    """The solver for cls, run without checking the signature or the class:
-    the caller vouches for both (``temporal`` classifies its quotients once
-    and caches the class set)."""
-    if cls == BooleanClass.HORN_AND:
-        return _horn_solve(instance, template, top_down=False)
-    if cls == BooleanClass.DUAL_HORN_OR:
-        return _horn_solve(instance, template, top_down=True)
-    if cls == BooleanClass.MAJORITY_2SAT:
-        return _majority_solve(instance, template)
-    if cls == BooleanClass.MINORITY_AFFINE:
-        return _affine_solve(instance, template)
-    if cls == BooleanClass.CONSTANT0:
-        return _constant_solve(instance, template, 0)
-    if cls == BooleanClass.CONSTANT1:
-        return _constant_solve(instance, template, 1)
-    raise ClassMismatch(f"{cls.value} is not solvable")
+    if cls is BooleanClass.TRIVIAL:
+        raise ClassMismatch(f"{cls.value} is not solvable")
+    index = {v: i for i, v in enumerate(instance.variables)}
+    constraints = [(template.relations[name].tuples, tuple(index[v] for v in scope))
+                   for name, scope in instance.constraints]
+    values = _boolean_solver(len(index), constraints, {cls})({})
+    return None if values is None else dict(zip(instance.variables, values))

@@ -99,7 +99,9 @@ def make_instance(variables: Iterable[str],
 
 def check_signature(instance: Instance, template: FiniteStructure) -> None:
     """Raise SignatureMismatch unless every constraint names a declared
-    relation with the right arity."""
+    relation with the right arity.  Any template whose ``relations`` map
+    names to objects with an ``arity`` will do: the temporal and homogeneous
+    templates are checked here too."""
     for name, scope in instance.constraints:
         rel = template.relations.get(name)
         if rel is None:

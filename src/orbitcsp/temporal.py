@@ -36,8 +36,8 @@ from .errors import (
     SignatureMismatch,
     UnknownVariable,
 )
-from .polyengine import BooleanClass, _dispatch, _HornEngine, boolean_classify
-from .relstruct import FiniteStructure, Instance, hom_search, relation
+from .polyengine import BooleanClass, _boolean_solver, boolean_classify
+from .relstruct import FiniteStructure, Instance, check_signature, relation
 
 ENUMERATION_LIMIT = 8       # weak orders on more positions get huge
 PRESERVE_ARITY_LIMIT = 6    # pattern budget for preservation tests
@@ -398,25 +398,19 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # The master loop asks one quotient instance many questions that differ
 # only in their pins (variables fixed to Z or P).  So each level's quotient
 # is compiled once (_compile_quotient): one pattern lookup per constraint,
-# scopes as variable indices, and the class from _classify_cache.  A Horn
-# quotient (the only kind the master loop's templates produce) gets a
-# polyengine._HornEngine, which computes the pin-free fixpoint once and
-# starts every pinned solve from it; any other class builds its Instance
-# per solve and goes through polyengine._dispatch.  Every quotient solve is
-# a call of _solve_afin, under that global name, so that it can be counted.
+# scopes as variable indices, the class set from _classify_cache, and the
+# solver that polyengine._boolean_solver picks for it.  A pin is a variable
+# index mapped to Z or P; a Horn quotient (the only kind the master loop's
+# templates produce) answers it from its pin-free fixpoint.  Every quotient
+# solve is a call of _solve_afin, under that global name, so that it can be
+# counted.
 # ---------------------------------------------------------------------------
 
 Z_VALUE = 1
 P_VALUE = 0
 
-_DISPATCH_ORDER = (
-    BooleanClass.HORN_AND,
-    BooleanClass.DUAL_HORN_OR,
-    BooleanClass.MAJORITY_2SAT,
-    BooleanClass.MINORITY_AFFINE,
-    BooleanClass.CONSTANT0,
-    BooleanClass.CONSTANT1,
-)
+#: The named points of the quotient, as unary relations.
+_POINTS = {"Z": relation(1, [(Z_VALUE,)]), "P": relation(1, [(P_VALUE,)])}
 
 _Constraint = tuple[TemporalRelation, tuple[str, ...]]
 
@@ -464,93 +458,46 @@ def build_afin(template: TemporalTemplate) -> FiniteStructure:
             raise SignatureMismatch(f"relation name {name} is reserved")
         rel = template.relations[name]
         rels[name] = relation(rel.arity, _fin_patterns(rel))
-    rels["Z"] = relation(1, [(Z_VALUE,)])
-    rels["P"] = relation(1, [(P_VALUE,)])
-    return FiniteStructure(2, rels)
+    return FiniteStructure(2, {**rels, **_POINTS})
 
 
 def _constraint_list(instance: Instance,
                      template: TemporalTemplate) -> list[_Constraint]:
-    out = []
-    for name, scope in instance.constraints:
-        rel = template.relations.get(name)
-        if rel is None:
-            raise SignatureMismatch(f"unknown relation {name}")
-        if rel.arity != len(scope):
-            raise SignatureMismatch(
-                f"{name} has arity {rel.arity}, scope {scope}")
-        out.append((rel, scope))
-    return out
+    check_signature(instance, template)
+    return [(template.relations[name], scope) for name, scope in instance.constraints]
 
 
 @dataclass(frozen=True, eq=False)
 class _Quotient:
-    """A quotient instance compiled for repeated solves under pins.
-
-    A Horn class sets ``engine``.  Any other sets ``structure``, the
-    quotient relations (``R0``, ``R1``, ... in order of first use, plus
-    ``Z`` and ``P``), ``constraints``, the instance's constraints on them,
-    and ``cls``, the class to dispatch on (None: search).
-    """
+    """A quotient instance compiled for repeated solves under pins:
+    ``solve`` maps pins on variable indices to a solution vector, or None."""
 
     variables: tuple[str, ...]
     index: dict[str, int]
-    engine: Optional[_HornEngine] = None
-    structure: Optional[FiniteStructure] = None
-    constraints: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    cls: Optional[BooleanClass] = None
+    solve: Callable[[Mapping[int, int]], Optional[list[int]]]
 
 
 def _compile_quotient(variables: tuple[str, ...],
                       constraints: Sequence[_Constraint]) -> _Quotient:
     index = {v: i for i, v in enumerate(variables)}
-    numbers: dict[tuple[int, frozenset], int] = {}
-    compiled = []
-    for rel, scope in constraints:
-        patterns = _fin_patterns(rel, scope)
-        numbers.setdefault((rel.arity, patterns), len(numbers))
-        compiled.append((patterns, tuple(index[v] for v in scope)))
-    cache_key = frozenset(numbers)
+    compiled = [(_fin_patterns(rel, scope), tuple(index[v] for v in scope))
+                for rel, scope in constraints]
+    cache_key = frozenset((len(scope), patterns) for patterns, scope in compiled)
     classes = _classify_cache.get(cache_key)
     if classes is None:
-        classes = boolean_classify(_quotient_structure(numbers))
+        rels = {f"R{i}": relation(arity, patterns)
+                for i, (arity, patterns) in enumerate(cache_key)}
+        classes = boolean_classify(FiniteStructure(2, {**rels, **_POINTS}))
         _classify_cache[cache_key] = classes
-    cls = next((c for c in _DISPATCH_ORDER if c in classes), None)
-    if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
-        engine = _HornEngine(len(variables), compiled,
-                             top_down=cls is BooleanClass.DUAL_HORN_OR)
-        return _Quotient(variables, index, engine=engine)
-    named = tuple((f"R{numbers[rel.arity, patterns]}", scope)
-                  for (rel, scope), (patterns, _) in zip(constraints, compiled))
-    return _Quotient(variables, index, structure=_quotient_structure(numbers),
-                     constraints=named, cls=cls)
-
-
-def _quotient_structure(numbers: Mapping[tuple[int, frozenset], int],
-                        ) -> FiniteStructure:
-    rels = {f"R{number}": relation(arity, patterns)
-            for (arity, patterns), number in numbers.items()}
-    rels["Z"] = relation(1, [(Z_VALUE,)])
-    rels["P"] = relation(1, [(P_VALUE,)])
-    return FiniteStructure(2, rels)
+    return _Quotient(variables, index, _boolean_solver(len(variables), compiled, classes))
 
 
 def _solve_afin(quotient: _Quotient,
                 pins: Mapping[str, int]) -> Optional[dict[str, int]]:
     """Solve the compiled quotient instance with the pinned variables fixed
-    to Z or P, dispatching on its class."""
-    variables = quotient.variables
-    if quotient.engine is not None:
-        index = quotient.index
-        values = quotient.engine.solve({index[v]: value
-                                        for v, value in pins.items()})
-        return None if values is None else dict(zip(variables, values))
-    pinned = tuple(("Z" if pins[v] == Z_VALUE else "P", (v,))
-                   for v in variables if v in pins)
-    inst = Instance(variables, quotient.constraints + pinned)
-    if quotient.cls is None:
-        return hom_search(inst, quotient.structure)
-    return _dispatch(inst, quotient.structure, quotient.cls)
+    to Z or P."""
+    values = quotient.solve({quotient.index[v]: value for v, value in pins.items()})
+    return None if values is None else dict(zip(quotient.variables, values))
 
 
 def is_free_set(instance: Instance, template: TemporalTemplate,

@@ -212,7 +212,7 @@ def reference_establish_kl(instance, template, k=2, l=3):
 def reference_horn_solve(instance: Instance, template: FiniteStructure,
                          top_down: bool) -> Optional[dict[str, int]]:
     """The sweeping Horn fixpoint, kept as a differential reference for the
-    watch-list engine behind ``orbitcsp.polyengine._horn_solve``.
+    watch-list engine ``orbitcsp.polyengine._HornEngine``.
 
     Least (or, for the dual, greatest) fixpoint solving for meet-closed
     (join-closed) templates: maintain a bound vector and tighten each

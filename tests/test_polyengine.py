@@ -1,4 +1,4 @@
-"""Tests for the polymorphism engine and boolean dispatch solving."""
+"""Tests for the polymorphism engine and boolean solving."""
 
 import random
 from itertools import product
@@ -29,7 +29,8 @@ from orbitcsp.polyengine import (
     schaefer_solve,
     wnu,
 )
-from orbitcsp.polyengine import _horn_solve, _HornEngine
+from orbitcsp import polyengine
+from orbitcsp.polyengine import _boolean_solver, _HornEngine
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
 
 from oracles import all_op_tables, exhaustive_hom, reference_horn_solve
@@ -275,7 +276,7 @@ class TestSchaeferSolve:
         (BooleanClass.MINORITY_AFFINE, XOR3),
     ])
     def test_dispatch_agrees_with_exhaustive(self, cls, table):
-        rng = random.Random(hash(cls.value) % 100000)
+        rng = random.Random(cls.value)
         for _ in range(60):
             rels = {
                 f"R{i}": self._random_closed_relation(rng, table, rng.randint(1, 3))
@@ -303,16 +304,16 @@ class TestSchaeferSolve:
 
 
 @st.composite
-def closed_relation(draw, meet: bool):
-    """A random row set closed under meet (AND) or join (OR); may be empty."""
+def closed_relation(draw, op=None):
+    """A random row set closed under the fixed table op (not closed when op
+    is None); may be empty."""
     arity = draw(st.integers(1, 3))
     rows = set(draw(st.sets(st.tuples(*[st.integers(0, 1)] * arity), max_size=5)))
-    op = AND2 if meet else OR2
-    changed = True
+    changed = op is not None
     while changed:
         changed = False
-        for a, b in list(product(rows, repeat=2)):
-            image = tuple(op(x, y) for x, y in zip(a, b))
+        for choice in list(product(rows, repeat=op.arity)):
+            image = tuple(op(*column) for column in zip(*choice))
             if image not in rows:
                 rows.add(image)
                 changed = True
@@ -324,7 +325,7 @@ def horn_cases(draw):
     """A meet-closed (bottom-up) or join-closed (top-down) template, an
     instance whose scopes may repeat variables, and a few pin sets."""
     top_down = draw(st.booleans())
-    rels = {f"R{i}": draw(closed_relation(meet=not top_down))
+    rels = {f"R{i}": draw(closed_relation(OR2 if top_down else AND2))
             for i in range(draw(st.integers(1, 3)))}
     n = draw(st.integers(1, 6))
     names = [f"x{i}" for i in range(n)]
@@ -356,6 +357,10 @@ def reference_answer(instance, template, pins, top_down):
                                 FiniteStructure(2, rels), top_down)
 
 
+def horn_class(top_down):
+    return BooleanClass.DUAL_HORN_OR if top_down else BooleanClass.HORN_AND
+
+
 class TestHornEngine:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=horn_cases())
@@ -365,7 +370,7 @@ class TestHornEngine:
         engine = _HornEngine(len(index), [
             (template.relations[name].tuples, tuple(index[v] for v in scope))
             for name, scope in instance.constraints], top_down)
-        assert _horn_solve(instance, template, top_down) == \
+        assert schaefer_solve(instance, template, horn_class(top_down)) == \
             reference_horn_solve(instance, template, top_down)
         # One engine answers every pin set from its one pin-free fixpoint.
         for pins in pin_sets + [{}]:
@@ -378,7 +383,7 @@ class TestHornEngine:
                                      ("U0", "c")])
         for top_down in (False, True):
             assert reference_horn_solve(inst, tpl, top_down) is None
-            assert _horn_solve(inst, tpl, top_down) is None
+            assert schaefer_solve(inst, tpl, horn_class(top_down)) is None
             engine = _HornEngine(3, [(tpl.relations[name].tuples,
                                       tuple("abc".index(v) for v in scope))
                                      for name, scope in inst.constraints], top_down)
@@ -398,3 +403,85 @@ class TestHornEngine:
         assert engine.solve({}) == [0, 0, 0]
         inst = make_instance("abc", [("IMP", "ab"), ("IMP", "bc")])
         assert reference_answer(inst, tpl, {"a": 1, "c": 0}, False) is None
+
+
+# --- the one boolean solver entry point under pins ----------------------------
+
+CLOSURES = {
+    BooleanClass.HORN_AND: AND2,
+    BooleanClass.DUAL_HORN_OR: OR2,
+    BooleanClass.MAJORITY_2SAT: MAJ3,
+    BooleanClass.MINORITY_AFFINE: XOR3,
+    BooleanClass.TRIVIAL: None,
+}
+
+
+@st.composite
+def pinned_cases(draw):
+    """A class, a template closed under its fixed table (TRIVIAL: not
+    closed), an instance whose scopes may repeat variables, and pin sets."""
+    cls = draw(st.sampled_from(sorted(CLOSURES, key=lambda c: c.value)))
+    rels = {f"R{i}": draw(closed_relation(CLOSURES[cls]))
+            for i in range(draw(st.integers(1, 3)))}
+    n = draw(st.integers(1, 6))
+    constraints = draw(st.lists(
+        st.sampled_from(sorted(rels)).flatmap(lambda name: st.tuples(
+            st.just(name),
+            st.lists(st.integers(0, n - 1), min_size=rels[name].arity,
+                     max_size=rels[name].arity).map(tuple))),
+        max_size=8))
+    pin_sets = draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)),
+        min_size=1, max_size=4))
+    return cls, rels, n, constraints, pin_sets
+
+
+class TestBooleanSolver:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=pinned_cases())
+    def test_pinned_solves_match_exhaustive_search(self, case):
+        cls, rels, n, constraints, pin_sets = case
+        solve = _boolean_solver(n, [(rels[name].tuples, scope) for name, scope in constraints],
+                                {cls})
+        names = [f"x{i}" for i in range(n)]
+        template = FiniteStructure(2, dict(rels, P=U0, Z=U1))
+        for pins in pin_sets + [{}]:
+            pinned = list(constraints) + [("Z" if value else "P", (v,))
+                                          for v, value in pins.items()]
+            want = exhaustive_hom(make_instance(
+                names, [(name, [names[v] for v in scope]) for name, scope in pinned]),
+                template)
+            got = solve(pins)
+            assert (got is None) == (want is None), pins
+            if got is None:
+                continue
+            for name, scope in pinned:
+                assert tuple(got[v] for v in scope) in template.relations[name].tuples
+            if cls in (BooleanClass.MAJORITY_2SAT, BooleanClass.TRIVIAL):
+                # The greedy extension and the search both assign variables in
+                # index order and try 0 first: the first solution in order.
+                assert got == [want[v] for v in names], pins
+
+    def test_first_class_in_table_order_wins(self):
+        # IMP is closed under all four fixed tables: the Horn engine answers
+        # with the least solution, not a constant or search.
+        solve = _boolean_solver(2, [(IMPLIES.tuples, (0, 1))], {
+            BooleanClass.CONSTANT1, BooleanClass.MAJORITY_2SAT, BooleanClass.HORN_AND})
+        assert solve({}) == [0, 0]
+        assert solve({0: 1}) == [1, 1]
+
+    def test_a_failed_constant_is_no_solution(self):
+        solve = _boolean_solver(2, [(IMPLIES.tuples, (0, 1))], {BooleanClass.CONSTANT1})
+        assert solve({}) == [1, 1]
+        assert solve({0: 0}) is None
+
+    def test_a_wrong_affine_answer_is_caught(self, monkeypatch):
+        # The check is an explicit raise, so it also runs under python -O.
+        monkeypatch.setattr(polyengine, "_affine_solve", lambda n, constraints: [1] * n)
+        solve = _boolean_solver(2, [(XOR_REL.tuples, (0, 1))], {BooleanClass.MINORITY_AFFINE})
+        with pytest.raises(AssertionError):
+            solve({})
+
+    def test_no_variables(self):
+        for cls in CLOSURES:
+            assert _boolean_solver(0, [], {cls})({}) == []

@@ -71,6 +71,10 @@ Q_BETW = TemporalTemplate({"LT": LT, "BETW": BETW})
 Q_EQ = TemporalTemplate({"LT": LT, "EQ": EQ})
 # Types 1=2<3 and 2=3<1: a relation whose quotient has no polymorphism class.
 Q_SPLIT = TemporalTemplate({"LT": LT, "S": temporal_relation(3, [wot(0, 0, 1), wot(1, 0, 0)])})
+# Types 1=2<3, 2=3<1 and 1=3<2: the quotient rows are the even-parity
+# vectors, closed under minority alone.
+Q_PARITY = TemporalTemplate({"LT": LT, "R": temporal_relation(
+    3, [wot(0, 0, 1), wot(1, 0, 0), wot(0, 1, 0)])})
 
 
 def realize(pattern: SignedWeakOrderType) -> list[Fraction]:
@@ -484,23 +488,27 @@ class TestFreeSets:
 
     def test_quotient_without_a_class_is_searched(self):
         # S's quotient rows 000, 110, 011 are closed under none of the
-        # fixed tables, so its quotient solves go through hom_search.
-        assert boolean_classify(build_afin(Q_SPLIT)) == {BooleanClass.TRIVIAL}
-        rng = random.Random(43)
-        for _ in range(80):
-            inst = random_instance(rng, Q_SPLIT, max_vars=5)
-            x = rng.choice(inst.variables)
-            got = free_set_containing(inst, Q_SPLIT, x)
-            names = [v for v in inst.variables if v != x]
-            usable = [frozenset(rest) | {x}
-                      for r in range(len(names) + 1)
-                      for rest in combinations(names, r)
-                      if free_by_definition(inst, Q_SPLIT, frozenset(rest) | {x})
-                      and outside_constraints_realisable(
-                          inst, Q_SPLIT, frozenset(rest) | {x})]
-            assert (got is None) == (not usable)
-            if got is not None:
-                assert x in got and free_by_definition(inst, Q_SPLIT, got)
+        # fixed tables, so its quotient solves go through backtracking
+        # search.  R's are closed under minority alone, so they go through
+        # Gaussian elimination.
+        for template, classes in ((Q_SPLIT, {BooleanClass.TRIVIAL}),
+                                  (Q_PARITY, {BooleanClass.MINORITY_AFFINE})):
+            assert boolean_classify(build_afin(template)) == classes
+            rng = random.Random(43)
+            for _ in range(80):
+                inst = random_instance(rng, template, max_vars=5)
+                x = rng.choice(inst.variables)
+                got = free_set_containing(inst, template, x)
+                names = [v for v in inst.variables if v != x]
+                usable = [frozenset(rest) | {x}
+                          for r in range(len(names) + 1)
+                          for rest in combinations(names, r)
+                          if free_by_definition(inst, template, frozenset(rest) | {x})
+                          and outside_constraints_realisable(
+                              inst, template, frozenset(rest) | {x})]
+                assert (got is None) == (not usable)
+                if got is not None:
+                    assert x in got and free_by_definition(inst, template, got)
 
     def test_minimal_examples(self):
         assert minimal_free_set(self.chain(), Q_LT, {"x"}) == {"x"}
