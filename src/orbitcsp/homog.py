@@ -383,11 +383,18 @@ def _placements(
     def go(i: int, table: list[tuple[Label, ...]]) -> Iterator[LabeledType]:
         m = len(table)
         if i == n:
-            yield LabeledType(
-                n,
-                tuple(tuple(p for p in range(n) if block_of[p] == b) for b in range(m)),
-                tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
-            )
+            blocks: list[list[int]] = [[] for _ in range(m)]
+            for p, b in enumerate(block_of):
+                blocks[b].append(p)
+            placed = object.__new__(LabeledType)
+            # Valid by construction, so __post_init__'s checks are skipped,
+            # as in LabeledType.project; block_of is the cached block index.
+            placed.__dict__.update(
+                arity=n,
+                partition=tuple(map(tuple, blocks)),
+                labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
+                _block_index=tuple(block_of))
+            yield placed
             return
         for b in range(m):
             block_of[i] = b

@@ -21,8 +21,8 @@ majority runs (2,3)-consistency on binary projections, affine runs
 Gaussian elimination over GF(2), a constant class tries its constant, and
 no class means backtracking search.  Their answers are checked against
 every constraint.  ``schaefer_solve`` indexes a named instance and solves
-it once; ``temporal`` compiles one solver per quotient level and solves it
-under many pin sets.
+it once; ``temporal`` compiles one solver per master call, solves it under
+many pin sets, and narrows its Horn engine as levels are committed.
 """
 
 from __future__ import annotations
@@ -370,33 +370,60 @@ class _HornEngine:
     constraint is watched by the variables in its scope and revisited only
     when one of them moves, so a fixpoint costs time linear in the instance
     size (Dowling and Gallier, 1984).  The pin-free fixpoint is computed
-    once, when the engine is built; :meth:`solve` starts from it and queues
-    only the constraints of the variables its pins move.
+    once, when the engine is built; :meth:`solve` (also the engine's call)
+    starts from it and queues only the constraints of the variables its
+    pins move.  A caller whose instance shrinks narrows constraints in
+    place with :meth:`replace` and :meth:`drop`, then recomputes the
+    fixpoint with :meth:`refresh`.
     """
 
     def __init__(self, n: int, constraints: _Constraints, top_down: bool):
-        start = 1 if top_down else 0
-        self.start = start
-        self.constraints = constraints
+        self.n = n
+        self.start = 1 if top_down else 0
+        self.constraints = list(constraints)
         # Per constraint: each row as a bit mask of the positions where it
         # leaves the start value, computed once per distinct row set.
-        masks_of: dict[frozenset, tuple[int, ...]] = {}
-        self.masks = []
-        for rows, _ in constraints:
-            masks = masks_of.get(rows)
-            if masks is None:
-                masks = masks_of[rows] = tuple(
-                    sum(1 << i for i, x in enumerate(row) if x != start)
-                    for row in rows)
-            self.masks.append(masks)
+        self._masks_of: dict[frozenset, tuple[int, ...]] = {}
+        self.masks = [self._row_masks(rows) for rows, _ in self.constraints]
         self.watch: list[list[int]] = [[] for _ in range(n)]
-        for c, (_, scope) in enumerate(constraints):
+        for c, (_, scope) in enumerate(self.constraints):
             for v in dict.fromkeys(scope):
                 self.watch[v].append(c)
-        # Only constraints without the start row force a move from the start.
-        queue = [c for c, masks in enumerate(self.masks) if 0 not in masks]
-        self.base: Optional[bytearray] = bytearray([start]) * n
-        if not self._propagate(self.base, (), queue):
+        # The constraints a solve checks, and those without the start row:
+        # only these force a move from the start.
+        self.live = set(range(len(self.constraints)))
+        self.lacking = {c for c, masks in enumerate(self.masks) if 0 not in masks}
+        self.refresh()
+
+    def _row_masks(self, rows: frozenset) -> tuple[int, ...]:
+        masks = self._masks_of.get(rows)
+        if masks is None:
+            start = self.start
+            masks = self._masks_of[rows] = tuple(
+                sum(1 << i for i, x in enumerate(row) if x != start)
+                for row in rows)
+        return masks
+
+    def replace(self, c: int, rows: frozenset, scope: tuple[int, ...]) -> None:
+        """Narrow constraint c to ``rows`` on ``scope``, whose variables
+        must all be in its current scope, so that the watch lists stay
+        valid.  :meth:`refresh` must follow the last change."""
+        self.constraints[c] = (rows, scope)
+        self.masks[c] = masks = self._row_masks(rows)
+        if 0 in masks:
+            self.lacking.discard(c)
+        else:
+            self.lacking.add(c)
+
+    def drop(self, c: int) -> None:
+        """Remove constraint c.  :meth:`refresh` must follow the last change."""
+        self.live.discard(c)
+        self.lacking.discard(c)
+
+    def refresh(self) -> None:
+        """Recompute the pin-free fixpoint that every solve starts from."""
+        self.base: Optional[bytearray] = bytearray([self.start]) * self.n
+        if not self._propagate(self.base, (), list(self.lacking)):
             self.base = None
 
     def _propagate(self, bound: bytearray, frozen, queue: list[int]) -> bool:
@@ -448,12 +475,16 @@ class _HornEngine:
             return None
         # At the fixpoint the meet (join) of each constraint's feasible rows
         # equals the bound on its scope, and closure puts it inside the rows.
-        for rows, scope in self.constraints:
-            if tuple(bound[v] for v in scope) not in rows:
+        constraints = self.constraints
+        for c in self.live:
+            rows, scope = constraints[c]
+            if tuple(map(bound.__getitem__, scope)) not in rows:
                 return None
         if any(bound[v] != value for v, value in pins.items()):
             return None
         return list(bound)
+
+    __call__ = solve
 
 
 def _majority_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
@@ -554,10 +585,12 @@ def _gf2_solve(n_vars: int, rows: list[tuple[list[int], int]]) -> Optional[list[
     return solution
 
 
-def _affine_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
+def _affine_solve(n: int, systems: Sequence[tuple[Optional[list], tuple[int, ...]]],
+                  ) -> Optional[list[int]]:
+    """Solve constraints given as the equations :func:`_affine_rows` derived
+    from their row sets, each on its scope."""
     rows: list[tuple[list[int], int]] = []
-    for tuples, scope in constraints:
-        equations = _affine_rows(tuples)
+    for equations, scope in systems:
         if equations is None:
             return None
         for coeffs, rhs in equations:
@@ -566,6 +599,16 @@ def _affine_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
                 folded[v] ^= coeffs[pos]
             rows.append((folded, rhs))
     return _gf2_solve(n, rows)
+
+
+#: The row set of a pin to 0 and to 1, as a unary constraint.
+_PIN_ROWS = (frozenset({(0,)}), frozenset({(1,)}))
+
+
+def _solver_class(classes: Iterable[BooleanClass]) -> BooleanClass:
+    """The class whose algorithm :func:`_boolean_solver` runs: the first of
+    ``classes`` in table order, TRIVIAL when none is given."""
+    return next((c for c, _ in _CLASS_TABLES if c in classes), BooleanClass.TRIVIAL)
 
 
 def _boolean_solver(n: int, constraints: _Constraints,
@@ -577,21 +620,28 @@ def _boolean_solver(n: int, constraints: _Constraints,
     value and returns a solution vector, or None.
 
     This is the one place that maps a class to its algorithm.  Both Horn
-    classes answer from one :class:`_HornEngine`.  Every other solver gets
-    the pins as unary constraints, and its answer is checked against every
-    constraint: a constant answer that fails means no constant solution,
-    any other that fails is a solver fault.
+    classes answer from one :class:`_HornEngine`, which is returned itself,
+    so that a caller can narrow it.  Every other solver gets the pins as
+    unary constraints, and its answer is checked against every constraint:
+    a constant answer that fails means no constant solution, any other that
+    fails is a solver fault.  The affine solver derives the equations of
+    each distinct row set once, here.
     """
-    cls = next((c for c, _ in _CLASS_TABLES if c in classes), BooleanClass.TRIVIAL)
+    cls = _solver_class(classes)
     if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
-        return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR).solve
+        return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR)
+    if cls is BooleanClass.MINORITY_AFFINE:
+        equations_of = {rows: _affine_rows(rows) for rows in dict.fromkeys(
+            [*(rows for rows, _ in constraints), *_PIN_ROWS])}
+        systems = [(equations_of[rows], scope) for rows, scope in constraints]
 
     def solve(pins: Mapping[int, int]) -> Optional[list[int]]:
-        pinned = [*constraints, *((frozenset({(value,)}), (v,)) for v, value in pins.items())]
+        pinned = [*constraints, *((_PIN_ROWS[value], (v,)) for v, value in pins.items())]
         if cls is BooleanClass.MAJORITY_2SAT:
             values = _majority_solve(n, pinned)
         elif cls is BooleanClass.MINORITY_AFFINE:
-            values = _affine_solve(n, pinned)
+            values = _affine_solve(n, [*systems, *((equations_of[_PIN_ROWS[value]], (v,))
+                                                   for v, value in pins.items())])
         elif cls is BooleanClass.TRIVIAL:
             values = next(_assignments(n, 2, pinned), None)
         else:

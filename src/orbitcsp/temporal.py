@@ -23,6 +23,7 @@ variable set (tuples of levels, bottom first).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -36,7 +37,13 @@ from .errors import (
     SignatureMismatch,
     UnknownVariable,
 )
-from .polyengine import BooleanClass, _boolean_solver, boolean_classify
+from .polyengine import (
+    BooleanClass,
+    _boolean_solver,
+    _HornEngine,
+    _solver_class,
+    boolean_classify,
+)
 from .relstruct import FiniteStructure, Instance, check_signature, relation
 
 ENUMERATION_LIMIT = 8       # weak orders on more positions get huge
@@ -396,14 +403,24 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # makes the induced action of ll the boolean AND.
 #
 # The master loop asks one quotient instance many questions that differ
-# only in their pins (variables fixed to Z or P).  So each level's quotient
-# is compiled once (_compile_quotient): one pattern lookup per constraint,
-# scopes as variable indices, the class set from _classify_cache, and the
-# solver that polyengine._boolean_solver picks for it.  A pin is a variable
-# index mapped to Z or P; a Horn quotient (the only kind the master loop's
-# templates produce) answers it from its pin-free fixpoint.  Every quotient
-# solve is a call of _solve_afin, under that global name, so that it can be
-# counted.
+# only in their pins (variables fixed to Z or P), then commits a level and
+# asks them of what is left.  So one quotient is compiled per solve_master
+# call (_compile_quotient): one pattern lookup per constraint, scopes as
+# variable indices, the class set from _classify_cache, and the solver that
+# polyengine._boolean_solver picks for it.  Committing a level
+# (_Quotient.commit) visits only the constraints whose scope meets it,
+# found through a variable-to-constraint index; constraints keep their ids
+# in the instance.  Each is projected past the level through a memo that
+# lasts for the call and returns the same relation object for the same
+# (relation, positions), so that the pattern lookup hits by identity.  The
+# class set is kept as a count of (arity, patterns) pairs.  While it picks
+# the same Horn algorithm, the engine is narrowed in place (a scope only
+# shrinks to remaining variables, so its watch lists stay valid) and its
+# pin-free fixpoint is recomputed once per level; otherwise a fresh solver
+# is built on the remaining variables.  A pin is a solver index mapped to
+# Z or P; a Horn quotient answers it from the pin-free fixpoint.  Every
+# quotient solve is a call of _solve_afin, under that global name, so that
+# it can be counted.
 # ---------------------------------------------------------------------------
 
 Z_VALUE = 1
@@ -467,37 +484,124 @@ def _constraint_list(instance: Instance,
     return [(template.relations[name], scope) for name, scope in instance.constraints]
 
 
-@dataclass(frozen=True, eq=False)
 class _Quotient:
-    """A quotient instance compiled for repeated solves under pins:
-    ``solve`` maps pins on variable indices to a solution vector, or None."""
+    """A quotient instance compiled for repeated solves under pins and
+    narrowed one committed level at a time.  ``variables`` are the
+    remaining variables, ``index`` maps each to its solver index, and
+    ``solve`` maps pins on solver indices to a solution vector, or None."""
 
-    variables: tuple[str, ...]
-    index: dict[str, int]
-    solve: Callable[[Mapping[int, int]], Optional[list[int]]]
+    def __init__(self, variables: tuple[str, ...],
+                 constraints: Sequence[_Constraint]):
+        self.variables = list(variables)
+        # Per constraint id: the relation and scope, None once dropped, and
+        # the zero/positive patterns of the relation on that scope.
+        self.constraints: list[Optional[_Constraint]] = list(constraints)
+        self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
+        self.touching: dict[str, list[int]] = {v: [] for v in variables}
+        for c, (_, scope) in enumerate(constraints):
+            for v in dict.fromkeys(scope):
+                self.touching[v].append(c)
+        self.counts = Counter((len(scope), patterns) for (_, scope), patterns
+                              in zip(constraints, self.patterns))
+        self.projections: dict[tuple[TemporalRelation, tuple[int, ...]],
+                               tuple[Optional[TemporalRelation], tuple[int, ...]]] = {}
+        self._build(self._classes())
+
+    def _classes(self) -> frozenset[BooleanClass]:
+        key = frozenset(self.counts)
+        classes = _classify_cache.get(key)
+        if classes is None:
+            rels = {f"R{i}": relation(arity, patterns)
+                    for i, (arity, patterns) in enumerate(key)}
+            classes = boolean_classify(FiniteStructure(2, {**rels, **_POINTS}))
+            _classify_cache[key] = classes
+        return classes
+
+    def _build(self, classes: frozenset[BooleanClass]) -> None:
+        """A fresh solver on the remaining variables and live constraints."""
+        self.cls = _solver_class(classes)
+        index = self.index = {v: i for i, v in enumerate(self.variables)}
+        live = [c for c, constraint in enumerate(self.constraints) if constraint is not None]
+        self.solve = _boolean_solver(
+            len(index),
+            [(self.patterns[c], tuple(index[v] for v in self.constraints[c][1]))
+             for c in live],
+            classes)
+        self.solver_id = {c: k for k, c in enumerate(live)}
+
+    def _project(self, rel: TemporalRelation, positions: tuple[int, ...],
+                 ) -> tuple[Optional[TemporalRelation], tuple[int, ...]]:
+        """The relation left once the positions sit on the committed level,
+        and the positions it keeps; no relation when it keeps none."""
+        key = (rel, positions)
+        projected = self.projections.get(key)
+        if projected is None:
+            keep = [t for t in rel.types if t.blocks[0] == positions]
+            rest = tuple(i for i in range(rel.arity) if i not in positions)
+            if not rest:
+                if not keep:
+                    raise AssertionError(
+                        "level contradicts a fully covered constraint")
+                projected = (None, rest)
+            else:
+                types = frozenset(t.restrict(rest) for t in keep)
+                if not types:
+                    raise AssertionError("level starves an intersecting constraint")
+                projected = (TemporalRelation(len(rest), types), rest)
+            self.projections[key] = projected
+        return projected
+
+    def commit(self, level: tuple[str, ...]) -> None:
+        """Remove a level of remaining variables: project every constraint
+        whose scope meets it past it, dropping those it covers."""
+        members = frozenset(level)
+        touched = list(dict.fromkeys(c for v in level for c in self.touching[v]))
+        counts = self.counts
+        for c in touched:
+            rel, scope = self.constraints[c]
+            old = (len(scope), self.patterns[c])
+            counts[old] -= 1
+            if not counts[old]:
+                del counts[old]
+            rel, rest = self._project(
+                rel, tuple(i for i, v in enumerate(scope) if v in members))
+            if rel is None:
+                self.constraints[c] = None
+                continue
+            scope = tuple(scope[i] for i in rest)
+            self.constraints[c] = (rel, scope)
+            self.patterns[c] = patterns = _fin_patterns(rel, scope)
+            counts[len(scope), patterns] += 1
+        self.variables = [v for v in self.variables if v not in members]
+        classes = self._classes()
+        engine = self.solve
+        if not isinstance(engine, _HornEngine) or _solver_class(classes) is not self.cls:
+            self._build(classes)
+            return
+        index = self.index
+        for v in level:
+            del index[v]
+        for c in touched:
+            constraint = self.constraints[c]
+            if constraint is None:
+                engine.drop(self.solver_id[c])
+            else:
+                engine.replace(self.solver_id[c], self.patterns[c],
+                               tuple(index[v] for v in constraint[1]))
+        engine.refresh()
 
 
-def _compile_quotient(variables: tuple[str, ...],
-                      constraints: Sequence[_Constraint]) -> _Quotient:
-    index = {v: i for i, v in enumerate(variables)}
-    compiled = [(_fin_patterns(rel, scope), tuple(index[v] for v in scope))
-                for rel, scope in constraints]
-    cache_key = frozenset((len(scope), patterns) for patterns, scope in compiled)
-    classes = _classify_cache.get(cache_key)
-    if classes is None:
-        rels = {f"R{i}": relation(arity, patterns)
-                for i, (arity, patterns) in enumerate(cache_key)}
-        classes = boolean_classify(FiniteStructure(2, {**rels, **_POINTS}))
-        _classify_cache[cache_key] = classes
-    return _Quotient(variables, index, _boolean_solver(len(variables), compiled, classes))
+#: The one way to build a quotient.
+_compile_quotient = _Quotient
 
 
 def _solve_afin(quotient: _Quotient,
                 pins: Mapping[str, int]) -> Optional[dict[str, int]]:
     """Solve the compiled quotient instance with the pinned variables fixed
     to Z or P."""
-    values = quotient.solve({quotient.index[v]: value for v, value in pins.items()})
-    return None if values is None else dict(zip(quotient.variables, values))
+    index = quotient.index
+    values = quotient.solve({index[v]: value for v, value in pins.items()})
+    return None if values is None else dict(zip(index, map(values.__getitem__, index.values())))
 
 
 def is_free_set(instance: Instance, template: TemporalTemplate,
@@ -591,11 +695,10 @@ def minimal_free_set(instance: Instance, template: TemporalTemplate,
 def _run_master(variables: tuple[str, ...],
                 constraints: Sequence[_Constraint],
                 use_minimal: bool) -> Optional[Levels]:
-    remaining = list(variables)
-    current = list(constraints)
+    quotient = _compile_quotient(variables, constraints)
     levels: list[tuple[str, ...]] = []
-    while remaining:
-        quotient = _compile_quotient(tuple(remaining), current)
+    while quotient.variables:
+        remaining = quotient.variables
         solution = None
         for x in remaining:
             solution = _solve_afin(quotient, {x: Z_VALUE})
@@ -609,28 +712,7 @@ def _run_master(variables: tuple[str, ...],
         if use_minimal:
             level = _shrink_free_set(quotient, level)
         levels.append(tuple(v for v in remaining if v in level))
-        projected: list[_Constraint] = []
-        for rel, scope in current:
-            positions = frozenset(i for i, v in enumerate(scope)
-                                  if v in level)
-            if not positions:
-                projected.append((rel, scope))
-                continue
-            keep = [t for t in rel.types
-                    if frozenset(t.blocks[0]) == positions]
-            rest = [i for i in range(len(scope)) if i not in positions]
-            if not rest:
-                if not keep:
-                    raise AssertionError(
-                        "level contradicts a fully covered constraint")
-                continue
-            types = frozenset(t.restrict(rest) for t in keep)
-            if not types:
-                raise AssertionError("level starves an intersecting constraint")
-            projected.append((TemporalRelation(len(rest), types),
-                              tuple(scope[i] for i in rest)))
-        current = projected
-        remaining = [v for v in remaining if v not in level]
+        quotient.commit(levels[-1])
     return tuple(levels)
 
 
@@ -651,7 +733,10 @@ def solve_master(instance: Instance, template: TemporalTemplate,
                 f"{mode.value} does not preserve {name}")
     constraints = _constraint_list(instance, template)
     if mode.is_dual:
-        flipped = [(rel.reverse(), scope) for rel, scope in constraints]
+        # One reversed object per relation, so that projections and pattern
+        # lookups of its constraints hit by identity.
+        reverse = {rel: rel.reverse() for rel in template.relations.values()}
+        flipped = [(reverse[rel], scope) for rel, scope in constraints]
         levels = _run_master(instance.variables, flipped,
                              mode.base is TemporalOp.LL)
         if levels is not None:

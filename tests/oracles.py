@@ -476,3 +476,58 @@ def reference_solve_instance_brute(instance, template):
         return None
 
     return place(0)
+
+
+def reference_run_master(variables, constraints, use_minimal):
+    """The master loop that compiles a fresh quotient at every level, kept
+    as a differential reference for ``orbitcsp.temporal._run_master``,
+    which compiles one quotient per call and narrows it level by level."""
+    from orbitcsp.temporal import (
+        Z_VALUE,
+        TemporalRelation,
+        _compile_quotient,
+        _shrink_free_set,
+        _solve_afin,
+    )
+
+    remaining = list(variables)
+    current = list(constraints)
+    levels: list[tuple[str, ...]] = []
+    while remaining:
+        quotient = _compile_quotient(tuple(remaining), current)
+        solution = None
+        for x in remaining:
+            solution = _solve_afin(quotient, {x: Z_VALUE})
+            if solution is not None:
+                break
+        if solution is None:
+            # A satisfying weak order would make its bottom level a free
+            # set, so the search failing for every variable refutes it.
+            return None
+        level = frozenset(v for v in remaining if solution[v] == Z_VALUE)
+        if use_minimal:
+            level = _shrink_free_set(quotient, level)
+        levels.append(tuple(v for v in remaining if v in level))
+        projected = []
+        for rel, scope in current:
+            positions = frozenset(i for i, v in enumerate(scope)
+                                  if v in level)
+            if not positions:
+                projected.append((rel, scope))
+                continue
+            keep = [t for t in rel.types
+                    if frozenset(t.blocks[0]) == positions]
+            rest = [i for i in range(len(scope)) if i not in positions]
+            if not rest:
+                if not keep:
+                    raise AssertionError(
+                        "level contradicts a fully covered constraint")
+                continue
+            types = frozenset(t.restrict(rest) for t in keep)
+            if not types:
+                raise AssertionError("level starves an intersecting constraint")
+            projected.append((TemporalRelation(len(rest), types),
+                              tuple(scope[i] for i in rest)))
+        current = projected
+        remaining = [v for v in remaining if v not in level]
+    return tuple(levels)

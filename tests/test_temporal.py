@@ -47,7 +47,7 @@ from orbitcsp.temporal import (
     temporal_relation,
 )
 
-from oracles import reference_apply, weak_order_counts
+from oracles import reference_apply, reference_run_master, weak_order_counts
 
 
 def wot(*ranks):
@@ -75,6 +75,16 @@ Q_SPLIT = TemporalTemplate({"LT": LT, "S": temporal_relation(3, [wot(0, 0, 1), w
 # vectors, closed under minority alone.
 Q_PARITY = TemporalTemplate({"LT": LT, "R": temporal_relation(
     3, [wot(0, 0, 1), wot(1, 0, 0), wot(0, 1, 0)])})
+# Templates preserved by one mode whose master quotient changes solver
+# between levels: a DUAL_HORN_OR level before HORN_AND ones (pp and
+# dual_pp), and TRIVIAL levels, searched, before HORN_AND ones (pp).
+Q_OR_THEN_AND = TemporalTemplate({"LT": LT, "R": temporal_relation(
+    3, [wot(0, 1, 1), wot(0, 2, 1), wot(0, 0, 0), wot(0, 1, 0), wot(1, 0, 0)])})
+Q_DUAL_OR_THEN_AND = TemporalTemplate({"LT": LT, "R": temporal_relation(
+    3, [wot(0, 2, 1), wot(0, 0, 0), wot(0, 1, 0), wot(1, 0, 1), wot(1, 2, 0),
+        wot(1, 1, 0)])})
+Q_SEARCH_THEN_AND = TemporalTemplate({"LT": LT, "R": temporal_relation(
+    3, [wot(0, 0, 1), wot(1, 0, 0), wot(1, 1, 0), wot(2, 1, 0)])})
 
 
 def realize(pattern: SignedWeakOrderType) -> list[Fraction]:
@@ -510,6 +520,29 @@ class TestFreeSets:
                 if got is not None:
                     assert x in got and free_by_definition(inst, template, got)
 
+    def test_affine_equations_are_derived_once_per_row_set(self, monkeypatch):
+        # Forty solves of one affine quotient derive the equations of each
+        # distinct row set once: R's rows and the two pin rows.
+        from orbitcsp import polyengine
+
+        rng = random.Random(1)
+        names = [f"v{i}" for i in range(40)]
+        inst = make_instance(names, [("R", rng.sample(names, 3)) for _ in range(40)])
+        calls = []
+        derive = polyengine._affine_rows
+
+        def counted(rows):
+            calls.append(rows)
+            return derive(rows)
+
+        monkeypatch.setattr(polyengine, "_affine_rows", counted)
+        found = temporal.free_sets(inst, Q_PARITY)
+        assert len(calls) == len(set(calls)) == 3
+        assert sum(s is not None for s in found) == 7
+        for x, got in zip(names, found):
+            if got is not None:
+                assert x in got and is_free_set(inst, Q_PARITY, got)
+
     def test_minimal_examples(self):
         assert minimal_free_set(self.chain(), Q_LT, {"x"}) == {"x"}
         free_pair = make_instance("xy", [])
@@ -554,6 +587,25 @@ class TestFreeSets:
         assert shrunk >= 1
 
 
+def preserving_modes(template):
+    return [m for m in (TemporalOp.PP, TemporalOp.LL,
+                        TemporalOp.DUAL_PP, TemporalOp.DUAL_LL)
+            if all(preserves_temporal(m, rel) is True
+                   for rel in template.relations.values())]
+
+
+def reference_solve_master(instance, template, mode):
+    """solve_master's answer through the recompile-per-level reference loop."""
+    constraints = temporal._constraint_list(instance, template)
+    if mode.is_dual:
+        constraints = [(rel.reverse(), scope) for rel, scope in constraints]
+    levels = reference_run_master(instance.variables, constraints,
+                                  mode.base is TemporalOp.LL)
+    if levels is not None and mode.is_dual:
+        levels = tuple(reversed(levels))
+    return levels
+
+
 def levels_satisfy(levels, instance, template):
     rank = {v: i for i, level in enumerate(levels) for v in level}
     if sorted(rank) != sorted(instance.variables):
@@ -566,14 +618,10 @@ def levels_satisfy(levels, instance, template):
 
 
 @st.composite
-def master_cases(draw):
+def master_cases(draw, templates=(Q_RMIN, Q_RMAX, Q_LE)):
     """A template, a mode preserving it, and an instance of 2 to 7 variables."""
-    template = draw(st.sampled_from([Q_RMIN, Q_RMAX, Q_LE]))
-    modes = [m for m in (TemporalOp.PP, TemporalOp.LL,
-                         TemporalOp.DUAL_PP, TemporalOp.DUAL_LL)
-             if all(preserves_temporal(m, rel) is True
-                    for rel in template.relations.values())]
-    mode = draw(st.sampled_from(modes))
+    template = draw(st.sampled_from(templates))
+    mode = draw(st.sampled_from(preserving_modes(template)))
     names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
     relation = st.sampled_from(sorted(template.relations))
     constraints = draw(st.lists(relation.flatmap(lambda name: st.tuples(
@@ -686,6 +734,63 @@ class TestSolveMaster:
             assert levels_satisfy(got, inst, template)
 
 
+SWITCH_TEMPLATES = (Q_OR_THEN_AND, Q_DUAL_OR_THEN_AND, Q_SEARCH_THEN_AND)
+
+
+class TestIncrementalMaster:
+    """solve_master narrows one quotient per call; the reference loop
+    compiles a fresh quotient at every level.  Levels must agree exactly."""
+
+    def test_modes_are_covered(self):
+        covered = {m for t in (Q_RMIN, Q_RMAX, Q_LE) + SWITCH_TEMPLATES
+                   for m in preserving_modes(t)}
+        assert covered == {TemporalOp.PP, TemporalOp.LL,
+                           TemporalOp.DUAL_PP, TemporalOp.DUAL_LL}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(master_cases((Q_RMIN, Q_RMAX, Q_LE) + SWITCH_TEMPLATES))
+    def test_matches_the_recompiling_reference(self, case):
+        template, mode, inst = case
+        assert solve_master(inst, template, mode) == \
+            reference_solve_master(inst, template, mode)
+
+    def test_a_changed_class_set_builds_a_fresh_solver(self, monkeypatch):
+        builds = []
+        build = temporal._boolean_solver
+
+        def counted(n, constraints, classes):
+            builds.append(temporal._solver_class(classes))
+            return build(n, constraints, classes)
+
+        monkeypatch.setattr(temporal, "_boolean_solver", counted)
+        rng = random.Random(53)
+        switched = {}
+        for template in SWITCH_TEMPLATES:
+            (mode,) = preserving_modes(template)
+            for _ in range(60):
+                inst = random_instance(rng, template, max_vars=7, max_constraints=8)
+                builds.clear()
+                got = solve_master(inst, template, mode)
+                assert got == reference_solve_master(inst, template, mode), inst
+                if len(builds) > 1:
+                    switched.setdefault(template, set()).add(tuple(builds))
+        # Each template reached the fresh-solver path, from the solver it
+        # was built to exercise on to a Horn engine.
+        for template, first in ((Q_OR_THEN_AND, BooleanClass.DUAL_HORN_OR),
+                                (Q_DUAL_OR_THEN_AND, BooleanClass.DUAL_HORN_OR),
+                                (Q_SEARCH_THEN_AND, BooleanClass.TRIVIAL)):
+            assert any(b[0] is first and BooleanClass.HORN_AND in b[1:]
+                       for b in switched[template])
+
+    def test_a_starved_constraint_still_raises(self, monkeypatch):
+        # A level that is not a free set must not be committed silently.
+        inst = make_instance("xyz", [("LT", "xy"), ("LT", "yz")])
+        quotient = temporal._compile_quotient(inst.variables,
+                                              temporal._constraint_list(inst, Q_LT))
+        with pytest.raises(AssertionError):
+            quotient.commit(("y",))
+
+
 class TestQuotientSolveCount:
     """The number of quotient solves (``temporal._solve_afin`` calls) a
     master solve makes, on fixed golden instances.  A faster quotient
@@ -721,6 +826,26 @@ class TestQuotientSolveCount:
     def test_dual_ll_on_le(self, monkeypatch):
         assert self.count(monkeypatch, "le.tmpl", "le80_sat.inst",
                           TemporalOp.DUAL_LL) == (573, 80)
+
+    @pytest.mark.parametrize("template_file,instance_file,mode,lookups", [
+        ("rmin.tmpl", "rmin40_sat.inst", TemporalOp.PP, 101),
+        ("le.tmpl", "le80_sat.inst", TemporalOp.LL, 160),
+        ("le.tmpl", "le80_sat.inst", TemporalOp.DUAL_LL, 160),
+    ])
+    def test_pattern_lookups(self, monkeypatch, template_file, instance_file,
+                             mode, lookups):
+        # One lookup per constraint, plus one per constraint a committed
+        # level narrows but does not drop.
+        calls = []
+        lookup = temporal._fin_patterns
+
+        def counted(*args):
+            calls.append(args)
+            return lookup(*args)
+
+        monkeypatch.setattr(temporal, "_fin_patterns", counted)
+        self.count(monkeypatch, template_file, instance_file, mode)
+        assert len(calls) == lookups
 
 
 class TestBruteOracle:
