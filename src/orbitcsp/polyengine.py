@@ -22,7 +22,8 @@ Gaussian elimination over GF(2), a constant class tries its constant, and
 no class means backtracking search.  Their answers are checked against
 every constraint.  ``schaefer_solve`` indexes a named instance and solves
 it once; ``temporal`` compiles one solver per master call, solves it under
-many pin sets, and narrows its Horn engine as levels are committed.
+many pin sets, and narrows it with ``_narrow_solver`` as levels are
+committed: a Horn engine in place, any other solver by building afresh.
 """
 
 from __future__ import annotations
@@ -370,15 +371,12 @@ class _HornEngine:
     constraint is watched by the variables in its scope and revisited only
     when one of them moves, so a fixpoint costs time linear in the instance
     size (Dowling and Gallier, 1984).  The pin-free fixpoint is computed
-    once, when the engine is built; :meth:`solve` (also the engine's call)
-    starts from it and queues only the constraints of the variables its
-    pins move.  A caller whose instance shrinks narrows constraints in
-    place with :meth:`replace` and :meth:`drop`, then recomputes the
-    fixpoint with :meth:`refresh`.
+    once, when the engine is built, and again by :meth:`narrow`, which
+    narrows or drops constraints in place; :meth:`solve` starts from it and
+    queues only the constraints of the variables its pins move.
     """
 
     def __init__(self, n: int, constraints: _Constraints, top_down: bool):
-        self.n = n
         self.start = 1 if top_down else 0
         self.constraints = list(constraints)
         # Per constraint: each row as a bit mask of the positions where it
@@ -393,7 +391,7 @@ class _HornEngine:
         # only these force a move from the start.
         self.live = set(range(len(self.constraints)))
         self.lacking = {c for c, masks in enumerate(self.masks) if 0 not in masks}
-        self.refresh()
+        self._fixpoint()
 
     def _row_masks(self, rows: frozenset) -> tuple[int, ...]:
         masks = self._masks_of.get(rows)
@@ -404,25 +402,30 @@ class _HornEngine:
                 for row in rows)
         return masks
 
-    def replace(self, c: int, rows: frozenset, scope: tuple[int, ...]) -> None:
-        """Narrow constraint c to ``rows`` on ``scope``, whose variables
-        must all be in its current scope, so that the watch lists stay
-        valid.  :meth:`refresh` must follow the last change."""
-        self.constraints[c] = (rows, scope)
-        self.masks[c] = masks = self._row_masks(rows)
-        if 0 in masks:
-            self.lacking.discard(c)
-        else:
-            self.lacking.add(c)
+    def narrow(self, changes: Mapping[int, Optional[tuple[frozenset, tuple[int, ...]]]],
+               ) -> None:
+        """Give each changed constraint its new ``(rows, scope)``, whose
+        variables must all lie in its current scope so that the watch lists
+        stay valid, or drop it (None); then recompute the pin-free
+        fixpoint."""
+        for c, constraint in changes.items():
+            if constraint is None:
+                # Solves no longer check it; its watch lists may still
+                # queue it, and an empty scope is always stable.
+                self.live.discard(c)
+                constraint = (frozenset({()}), ())
+            self.constraints[c] = constraint
+            self.masks[c] = masks = self._row_masks(constraint[0])
+            if 0 in masks:
+                self.lacking.discard(c)
+            else:
+                self.lacking.add(c)
+        self._fixpoint()
 
-    def drop(self, c: int) -> None:
-        """Remove constraint c.  :meth:`refresh` must follow the last change."""
-        self.live.discard(c)
-        self.lacking.discard(c)
-
-    def refresh(self) -> None:
-        """Recompute the pin-free fixpoint that every solve starts from."""
-        self.base: Optional[bytearray] = bytearray([self.start]) * self.n
+    def _fixpoint(self) -> None:
+        """The pin-free fixpoint every solve starts from; None when even
+        that fails."""
+        self.base: Optional[bytearray] = bytearray([self.start]) * len(self.watch)
         if not self._propagate(self.base, (), list(self.lacking)):
             self.base = None
 
@@ -483,8 +486,6 @@ class _HornEngine:
         if any(bound[v] != value for v, value in pins.items()):
             return None
         return list(bound)
-
-    __call__ = solve
 
 
 def _majority_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
@@ -619,17 +620,17 @@ def _boolean_solver(n: int, constraints: _Constraints,
     given.  The returned ``solve(pins)`` fixes each pinned variable to its
     value and returns a solution vector, or None.
 
-    This is the one place that maps a class to its algorithm.  Both Horn
-    classes answer from one :class:`_HornEngine`, which is returned itself,
-    so that a caller can narrow it.  Every other solver gets the pins as
-    unary constraints, and its answer is checked against every constraint:
-    a constant answer that fails means no constant solution, any other that
-    fails is a solver fault.  The affine solver derives the equations of
-    each distinct row set once, here.
+    This and :func:`_narrow_solver` are the only code that maps a class to
+    its algorithm.  Both Horn classes answer from one :class:`_HornEngine`.
+    Every other solver gets the pins as unary constraints, and its answer
+    is checked against every constraint: a constant answer that fails means
+    no constant solution, any other that fails is a solver fault.  The
+    affine solver derives the equations of each distinct row set once,
+    here.
     """
     cls = _solver_class(classes)
     if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
-        return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR)
+        return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR).solve
     if cls is BooleanClass.MINORITY_AFFINE:
         equations_of = {rows: _affine_rows(rows) for rows in dict.fromkeys(
             [*(rows for rows, _ in constraints), *_PIN_ROWS])}
@@ -655,6 +656,25 @@ def _boolean_solver(n: int, constraints: _Constraints,
         raise AssertionError(f"{cls.value} solution violated a constraint")
 
     return solve
+
+
+def _narrow_solver(solve: Callable[[Mapping[int, int]], Optional[list[int]]],
+                   classes: Iterable[BooleanClass],
+                   changes: Mapping[int, Optional[tuple[frozenset, tuple[int, ...]]]],
+                   ) -> bool:
+    """Narrow a solver that :func:`_boolean_solver` returned in place, as
+    :meth:`_HornEngine.narrow` does, when it is a Horn engine and
+    ``classes`` pick its algorithm.  ``changes`` are keyed by constraint
+    position.  False, with the solver unchanged, when a fresh solver must
+    be built."""
+    engine = getattr(solve, "__self__", None)
+    cls = _solver_class(classes)
+    if (not isinstance(engine, _HornEngine)
+            or cls not in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR)
+            or engine.start != (cls is BooleanClass.DUAL_HORN_OR)):
+        return False
+    engine.narrow(changes)
+    return True
 
 
 def schaefer_solve(instance: Instance, template: FiniteStructure,

@@ -40,8 +40,7 @@ from .errors import (
 from .polyengine import (
     BooleanClass,
     _boolean_solver,
-    _HornEngine,
-    _solver_class,
+    _narrow_solver,
     boolean_classify,
 )
 from .relstruct import FiniteStructure, Instance, check_signature, relation
@@ -404,23 +403,25 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 #
 # The master loop asks one quotient instance many questions that differ
 # only in their pins (variables fixed to Z or P), then commits a level and
-# asks them of what is left.  So one quotient is compiled per solve_master
-# call (_compile_quotient): one pattern lookup per constraint, scopes as
-# variable indices, the class set from _classify_cache, and the solver that
+# asks them of what is left.  So one _Quotient is compiled per solve_master
+# call: one pattern lookup per constraint, scopes as variable indices, the
+# class set from _classify_cache, and the solver that
 # polyengine._boolean_solver picks for it.  Committing a level
 # (_Quotient.commit) visits only the constraints whose scope meets it,
 # found through a variable-to-constraint index; constraints keep their ids
 # in the instance.  Each is projected past the level through a memo that
 # lasts for the call and returns the same relation object for the same
 # (relation, positions), so that the pattern lookup hits by identity.  The
-# class set is kept as a count of (arity, patterns) pairs.  While it picks
-# the same Horn algorithm, the engine is narrowed in place (a scope only
-# shrinks to remaining variables, so its watch lists stay valid) and its
-# pin-free fixpoint is recomputed once per level; otherwise a fresh solver
-# is built on the remaining variables.  A pin is a solver index mapped to
-# Z or P; a Horn quotient answers it from the pin-free fixpoint.  Every
-# quotient solve is a call of _solve_afin, under that global name, so that
-# it can be counted.
+# class set is kept as a count of (arity, patterns) pairs.  Then
+# polyengine._narrow_solver narrows a Horn engine in place when the classes
+# still pick its algorithm (a scope only shrinks to remaining variables, so
+# its watch lists stay valid, and the pin-free fixpoint is recomputed once
+# per level); otherwise a fresh solver is built on the remaining variables.
+# The variable-to-constraint index, the memo and the counts are made by the
+# first commit, so the one-shot quotients of the free-set functions do
+# without them.  A pin is a solver index mapped to Z or P; a Horn quotient
+# answers it from the pin-free fixpoint.  Every quotient solve is a call of
+# _solve_afin, under that global name, so that it can be counted.
 # ---------------------------------------------------------------------------
 
 Z_VALUE = 1
@@ -497,18 +498,16 @@ class _Quotient:
         # the zero/positive patterns of the relation on that scope.
         self.constraints: list[Optional[_Constraint]] = list(constraints)
         self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
-        self.touching: dict[str, list[int]] = {v: [] for v in variables}
-        for c, (_, scope) in enumerate(constraints):
-            for v in dict.fromkeys(scope):
-                self.touching[v].append(c)
-        self.counts = Counter((len(scope), patterns) for (_, scope), patterns
-                              in zip(constraints, self.patterns))
-        self.projections: dict[tuple[TemporalRelation, tuple[int, ...]],
-                               tuple[Optional[TemporalRelation], tuple[int, ...]]] = {}
-        self._build(self._classes())
+        # What only commit needs, made by the first one.
+        self.touching: Optional[dict[str, list[int]]] = None
+        self._build(self._classes(frozenset(
+            (len(scope), patterns) for (_, scope), patterns
+            in zip(constraints, self.patterns))))
 
-    def _classes(self) -> frozenset[BooleanClass]:
-        key = frozenset(self.counts)
+    @staticmethod
+    def _classes(key: frozenset) -> frozenset[BooleanClass]:
+        """The classes of the quotient structure whose relations are the
+        (arity, patterns) pairs of ``key``."""
         classes = _classify_cache.get(key)
         if classes is None:
             rels = {f"R{i}": relation(arity, patterns)
@@ -519,7 +518,6 @@ class _Quotient:
 
     def _build(self, classes: frozenset[BooleanClass]) -> None:
         """A fresh solver on the remaining variables and live constraints."""
-        self.cls = _solver_class(classes)
         index = self.index = {v: i for i, v in enumerate(self.variables)}
         live = [c for c, constraint in enumerate(self.constraints) if constraint is not None]
         self.solve = _boolean_solver(
@@ -553,7 +551,17 @@ class _Quotient:
 
     def commit(self, level: tuple[str, ...]) -> None:
         """Remove a level of remaining variables: project every constraint
-        whose scope meets it past it, dropping those it covers."""
+        whose scope meets it past it, dropping those it covers, and narrow
+        the solver, or build a fresh one when the classes pick another."""
+        if self.touching is None:
+            self.touching = {v: [] for v in self.variables}
+            for c, (_, scope) in enumerate(self.constraints):
+                for v in dict.fromkeys(scope):
+                    self.touching[v].append(c)
+            self.counts = Counter((len(scope), patterns) for (_, scope), patterns
+                                  in zip(self.constraints, self.patterns))
+            self.projections: dict[tuple[TemporalRelation, tuple[int, ...]],
+                                   tuple[Optional[TemporalRelation], tuple[int, ...]]] = {}
         members = frozenset(level)
         touched = list(dict.fromkeys(c for v in level for c in self.touching[v]))
         counts = self.counts
@@ -573,26 +581,15 @@ class _Quotient:
             self.patterns[c] = patterns = _fin_patterns(rel, scope)
             counts[len(scope), patterns] += 1
         self.variables = [v for v in self.variables if v not in members]
-        classes = self._classes()
-        engine = self.solve
-        if not isinstance(engine, _HornEngine) or _solver_class(classes) is not self.cls:
-            self._build(classes)
-            return
         index = self.index
         for v in level:
             del index[v]
-        for c in touched:
-            constraint = self.constraints[c]
-            if constraint is None:
-                engine.drop(self.solver_id[c])
-            else:
-                engine.replace(self.solver_id[c], self.patterns[c],
-                               tuple(index[v] for v in constraint[1]))
-        engine.refresh()
-
-
-#: The one way to build a quotient.
-_compile_quotient = _Quotient
+        changes = {self.solver_id[c]: None if self.constraints[c] is None else
+                   (self.patterns[c], tuple(index[v] for v in self.constraints[c][1]))
+                   for c in touched}
+        classes = self._classes(frozenset(counts))
+        if not _narrow_solver(self.solve, classes, changes):
+            self._build(classes)
 
 
 def _solve_afin(quotient: _Quotient,
@@ -646,8 +643,7 @@ def free_sets(instance: Instance, template: TemporalTemplate,
 
 
 def _quotient_of(instance: Instance, template: TemporalTemplate) -> _Quotient:
-    return _compile_quotient(instance.variables,
-                             _constraint_list(instance, template))
+    return _Quotient(instance.variables, _constraint_list(instance, template))
 
 
 def _free_set(quotient: _Quotient, x: str) -> Optional[frozenset[str]]:
@@ -695,7 +691,7 @@ def minimal_free_set(instance: Instance, template: TemporalTemplate,
 def _run_master(variables: tuple[str, ...],
                 constraints: Sequence[_Constraint],
                 use_minimal: bool) -> Optional[Levels]:
-    quotient = _compile_quotient(variables, constraints)
+    quotient = _Quotient(variables, constraints)
     levels: list[tuple[str, ...]] = []
     while quotient.variables:
         remaining = quotient.variables

@@ -485,7 +485,7 @@ def reference_run_master(variables, constraints, use_minimal):
     from orbitcsp.temporal import (
         Z_VALUE,
         TemporalRelation,
-        _compile_quotient,
+        _Quotient,
         _shrink_free_set,
         _solve_afin,
     )
@@ -494,7 +494,7 @@ def reference_run_master(variables, constraints, use_minimal):
     current = list(constraints)
     levels: list[tuple[str, ...]] = []
     while remaining:
-        quotient = _compile_quotient(tuple(remaining), current)
+        quotient = _Quotient(tuple(remaining), current)
         solution = None
         for x in remaining:
             solution = _solve_afin(quotient, {x: Z_VALUE})

@@ -30,7 +30,7 @@ from orbitcsp.polyengine import (
     wnu,
 )
 from orbitcsp import polyengine
-from orbitcsp.polyengine import _boolean_solver, _HornEngine
+from orbitcsp.polyengine import _boolean_solver, _HornEngine, _narrow_solver
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
 
 from oracles import all_op_tables, exhaustive_hom, reference_horn_solve
@@ -304,10 +304,11 @@ class TestSchaeferSolve:
 
 
 @st.composite
-def closed_relation(draw, op=None):
+def closed_relation(draw, op=None, arity=None):
     """A random row set closed under the fixed table op (not closed when op
-    is None); may be empty."""
-    arity = draw(st.integers(1, 3))
+    is None), of the given arity or of 1 to 3; may be empty."""
+    if arity is None:
+        arity = draw(st.integers(1, 3))
     rows = set(draw(st.sets(st.tuples(*[st.integers(0, 1)] * arity), max_size=5)))
     changed = op is not None
     while changed:
@@ -403,6 +404,56 @@ class TestHornEngine:
         assert engine.solve({}) == [0, 0, 0]
         inst = make_instance("abc", [("IMP", "ab"), ("IMP", "bc")])
         assert reference_answer(inst, tpl, {"a": 1, "c": 0}, False) is None
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=horn_cases(), data=st.data())
+    def test_narrowing_matches_a_fresh_engine(self, case, data):
+        # Each constraint is kept, dropped, or replaced by closed rows on
+        # some of its variables; the narrowed engine must answer as one
+        # built on what is left.
+        top_down, template, instance, pin_sets = case
+        index = {v: i for i, v in enumerate(instance.variables)}
+        constraints = [(template.relations[name].tuples, tuple(index[v] for v in scope))
+                       for name, scope in instance.constraints]
+        solve = _boolean_solver(len(index), constraints, {horn_class(top_down)})
+        changes = {}
+        for c, (rows, scope) in enumerate(constraints):
+            choice = data.draw(st.sampled_from(("keep", "drop", "replace")))
+            if choice == "drop":
+                changes[c] = None
+            elif choice == "replace":
+                keep = data.draw(st.lists(st.sampled_from(range(len(scope))),
+                                          min_size=1, unique=True))
+                narrowed = data.draw(closed_relation(OR2 if top_down else AND2, len(keep)))
+                changes[c] = (narrowed.tuples, tuple(scope[i] for i in keep))
+        assert _narrow_solver(solve, {horn_class(top_down)}, changes)
+        left = [changes.get(c, constraint) for c, constraint in enumerate(constraints)]
+        fresh = _HornEngine(len(index), [c for c in left if c is not None], top_down)
+        for pins in pin_sets + [{}]:
+            pins = {index[v]: value for v, value in pins.items()}
+            assert solve(pins) == fresh.solve(pins), pins
+
+    def test_narrowing_away_the_start_row_moves_the_fixpoint(self):
+        # IMP(a, b) holds the all-0 row; narrowed to U1 on a, it forces a
+        # from the start at the pin-free fixpoint, top-down U0 likewise.
+        for top_down, rows, moved in ((False, U1.tuples, [1, 0]), (True, U0.tuples, [0, 1])):
+            cls = horn_class(top_down)
+            solve = _boolean_solver(2, [(IMPLIES.tuples, (0, 1))], {cls})
+            assert _narrow_solver(solve, {cls}, {0: (rows, (0,))})
+            assert solve({}) == moved
+
+    def test_only_the_same_horn_algorithm_narrows(self):
+        constraints = [(IMPLIES.tuples, (0, 1))]
+        for built, asked, narrows in (
+                (BooleanClass.HORN_AND, BooleanClass.HORN_AND, True),
+                (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR, False),
+                (BooleanClass.DUAL_HORN_OR, BooleanClass.HORN_AND, False),
+                (BooleanClass.MAJORITY_2SAT, BooleanClass.MAJORITY_2SAT, False),
+                (BooleanClass.HORN_AND, BooleanClass.MAJORITY_2SAT, False)):
+            solve = _boolean_solver(2, constraints, {built})
+            assert _narrow_solver(solve, {asked}, {0: None}) is narrows
+            # A refused narrowing leaves the solver as it was.
+            assert solve({0: 1}) == ([1, 1] if not narrows else [1, 0])
 
 
 # --- the one boolean solver entry point under pins ----------------------------

@@ -23,7 +23,7 @@ from orbitcsp.errors import (
     SignatureMismatch,
     UnknownVariable,
 )
-from orbitcsp.polyengine import AND2, BooleanClass, boolean_classify, preserves_op
+from orbitcsp.polyengine import AND2, BooleanClass, _solver_class, boolean_classify, preserves_op
 from orbitcsp.relstruct import make_instance
 from orbitcsp.temporal import (
     LT,
@@ -759,7 +759,7 @@ class TestIncrementalMaster:
         build = temporal._boolean_solver
 
         def counted(n, constraints, classes):
-            builds.append(temporal._solver_class(classes))
+            builds.append(_solver_class(classes))
             return build(n, constraints, classes)
 
         monkeypatch.setattr(temporal, "_boolean_solver", counted)
@@ -785,8 +785,8 @@ class TestIncrementalMaster:
     def test_a_starved_constraint_still_raises(self, monkeypatch):
         # A level that is not a free set must not be committed silently.
         inst = make_instance("xyz", [("LT", "xy"), ("LT", "yz")])
-        quotient = temporal._compile_quotient(inst.variables,
-                                              temporal._constraint_list(inst, Q_LT))
+        quotient = temporal._Quotient(inst.variables,
+                                      temporal._constraint_list(inst, Q_LT))
         with pytest.raises(AssertionError):
             quotient.commit(("y",))
 
