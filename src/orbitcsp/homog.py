@@ -940,10 +940,7 @@ def classify_reduct(template: TemplateLike) -> Verdict:
     if all(LabeledType.all_equal(r.arity) in r.types for r in relations):
         return Verdict(VerdictKind.P_CONSTANT)
     if all(_partition_determined(r) for r in relations):
-        one_block = all(
-            LabeledType.all_equal(r.arity) in r.types for r in relations
-        )
-        if one_block or all(_meet_closed(r) for r in relations):
+        if all(_meet_closed(r) for r in relations):
             return Verdict(VerdictKind.EQUALITY_P)
         return Verdict(VerdictKind.EQUALITY_NPC)
     compiled: dict[int, _Checks] = {}

@@ -207,14 +207,6 @@ def encode_tuple(values: tuple[int, ...], domain_size: int) -> int:
     return code
 
 
-def decode_tuple(code: int, domain_size: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(code % domain_size)
-        code //= domain_size
-    return tuple(reversed(out))
-
-
 def power_structure(template: FiniteStructure, n: int,
                     limit: int = POWER_DOMAIN_LIMIT) -> FiniteStructure:
     """The n-th direct power.  Domain elements are codes of n-tuples under

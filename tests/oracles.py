@@ -31,6 +31,16 @@ def exhaustive_hom(instance: Instance, template: FiniteStructure) -> Optional[di
     return None
 
 
+def decode_tuple(code: int, domain_size: int, length: int) -> tuple[int, ...]:
+    """The inverse of :func:`orbitcsp.relstruct.encode_tuple`: the digits of
+    ``code`` in base ``domain_size``, most significant first."""
+    out = []
+    for _ in range(length):
+        out.append(code % domain_size)
+        code //= domain_size
+    return tuple(reversed(out))
+
+
 def all_op_tables(domain_size: int, arity: int):
     """Every operation table of the given shape (generator)."""
     from orbitcsp.polyengine import OpTable

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcsp.consistency import (
+    _MEMO,
     EMPTY_DERIVED,
     ConsistencyState,
     FinitePatterns,
+    _KLState,
     establish_kl,
 )
 from orbitcsp.errors import BudgetExceeded, ParameterError, SignatureMismatch
@@ -324,3 +326,132 @@ def test_wide_relation_on_repeated_variables(scope, expect_empty):
     result = establish_kl(instance, space, 2, 3)
     assert (result is EMPTY_DERIVED) == expect_empty
     assert result == reference_establish_kl(instance, space, 2, 3)
+
+
+# --- the bitset kernel and its state -------------------------------------------
+
+def seeded_instance(rng, relations, n, m):
+    """``m`` random constraints on ``n`` variables; scopes may repeat variables."""
+    names = [f"x{i}" for i in range(n)]
+    return make_instance(names, [
+        (name, tuple(rng.choice(names) for _ in range(relations[name].arity)))
+        for name in rng.choices(sorted(relations), k=m)])
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
+def test_kernel_matches_the_reference_on_six_and_seven_variables(kind):
+    space = REFERENCE_SPACES[kind]
+    rng = random.Random(f"kernel-{kind}")
+    consistent = 0
+    for n, (k, l) in [(6, (2, 3)), (6, (3, 4)), (7, (2, 4)), (7, (2, 5))]:
+        instance = seeded_instance(rng, space.template.relations, n, n // 2)
+        result = establish_kl(instance, space, k, l)
+        assert result == reference_establish_kl(instance, space, k, l)
+        consistent += result is not EMPTY_DERIVED
+    assert consistent
+
+
+def with_relation(space, name, arity, patterns):
+    """The same kind of space, on its template plus relation ``name``."""
+    template = space.template
+    if isinstance(space, FinitePatterns):
+        return FinitePatterns(FiniteStructure(template.domain_size, {
+            **template.relations, name: relation(arity, patterns)}))
+    if isinstance(space, TemporalPatterns):
+        return TemporalPatterns(TemporalTemplate({
+            **template.relations, name: temporal_relation(arity, patterns)}))
+    return HomogPatterns(homog_template(template.base, {
+        **template.relations, name: type_set_relation(arity, template.base, patterns)}))
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_narrow_and_propagate_matches_a_pinned_fixpoint(kind, data):
+    space = REFERENCE_SPACES[kind]
+    instance = data.draw(instances(space.template.relations))
+    k, l = data.draw(st.sampled_from([(2, 3), (2, 4)]))
+    state = _KLState(instance, space, k, l)
+    if not state.propagate():
+        return
+    wide = [S for S, patterns in state.result().allowed.items() if len(patterns) > 1]
+    if not wide:
+        return
+    S = data.draw(st.sampled_from(wide))
+    patterns = space.patterns(len(S))
+    numbers = sorted(patterns.index(p) for p in state.result().allowed[S])
+    keep = sorted(data.draw(st.sets(st.sampled_from(numbers), min_size=1,
+                                    max_size=len(numbers) - 1)))
+    state.narrow(S, keep)
+    state.propagate([S])
+    pinned = with_relation(space, "PIN", len(S), [patterns[i] for i in keep])
+    fresh = establish_kl(make_instance(instance.variables, [*instance.constraints, ("PIN", S)]),
+                         pinned, k, l)
+    assert state.result() == fresh
+
+
+def test_propagate_rejects_an_unknown_subset():
+    state = _KLState(make_instance("xyz", [("LT", ("x", "y"))]), SPACES["temporal"][0], 2, 3)
+    assert state.propagate()
+    with pytest.raises(ParameterError):
+        state.propagate([("x", "y", "z")])
+
+
+@pytest.mark.parametrize("first,second", [
+    (TOURNAMENT_TEMPLATE, homog_template(TOURNAMENT, {
+        # The same names as TOURNAMENT_TEMPLATE, other contents.
+        "ARC": homog_relation(TOURNAMENT, 2, {(FWD,), (EQ,)}),
+        "AEQ": homog_relation(TOURNAMENT, 2, {(FWD,)}),
+        "TR": homog_relation(TOURNAMENT, 3, {
+            t.fingerprint for t in enumerate_types(3, TOURNAMENT) if t.label(0, 2) is not FWD}),
+    })),
+    (TEMPORAL, TemporalTemplate({
+        "LT": LT,
+        "RMIN": temporal_relation(3, [t for t in enumerate_weak_orders(3)
+                                      if t.ranks[0] < max(t.ranks[1:])]),
+    })),
+])
+def test_alternating_templates_on_one_base(first, second):
+    relations = first.relations
+    names = [f"v{i}" for i in range(6)]
+    instance = make_instance(names, [
+        (name, tuple(names[(i + j) % 6] for j in range(relations[name].arity)))
+        for i, name in enumerate(sorted(relations) * 2)])
+    spaces = [HomogPatterns(t) if hasattr(t, "base") else TemporalPatterns(t)
+              for t in (first, second)]
+    expected = [reference_establish_kl(instance, space, 2, 3) for space in spaces]
+    assert expected[0] != expected[1]
+    for _ in range(3):
+        for space, result in zip(spaces, expected):
+            assert establish_kl(instance, space, 2, 3) == result
+
+
+def memo_size():
+    return len(_MEMO), sum(len(entry.tables) for entry in _MEMO.values())
+
+
+def test_finite_templates_do_not_grow_the_memo():
+    instance = cycle_instance(5)
+    establish_kl(instance, TWO_COLORING, 2, 3)
+    before = memo_size()
+    rng = random.Random(7)
+    for _ in range(100):
+        template = FiniteStructure(2, {"E": relation(2, rng.sample(list(product(range(2), repeat=2)), 2))})
+        assert establish_kl(instance, template, 2, 3) == reference_establish_kl(instance, template, 2, 3)
+    assert memo_size() == before
+
+
+class FreshLists(FinitePatterns):
+    """A space that builds a new pattern list on every call."""
+
+    def patterns(self, arity):
+        return list(super().patterns(arity))
+
+
+def test_fresh_pattern_lists_stay_out_of_the_memo():
+    before = memo_size()
+    space = FreshLists(FINITE)
+    for n in (3, 4, 5):
+        instance = cycle_instance(n)
+        assert establish_kl(instance, space, 2, 3) == reference_establish_kl(instance, space, 2, 3)
+    assert memo_size() == before

@@ -10,7 +10,6 @@ from orbitcsp.relstruct import (
     FiniteStructure,
     Instance,
     Relation,
-    decode_tuple,
     encode_tuple,
     hom_search,
     make_instance,
@@ -18,7 +17,7 @@ from orbitcsp.relstruct import (
     relation,
 )
 
-from oracles import exhaustive_hom
+from oracles import decode_tuple, exhaustive_hom
 
 
 def clique(n: int) -> FiniteStructure:
