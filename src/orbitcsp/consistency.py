@@ -100,6 +100,8 @@ class FinitePatterns:
 
 @lru_cache(maxsize=None)
 def _value_tuples(domain_size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """One shared tuple per (domain size, arity), so that the engine keys
+    one set of tables on it however many templates use it."""
     return tuple(product(range(domain_size), repeat=arity))
 
 
