@@ -34,7 +34,6 @@ from .errors import (
     UnsupportedBase,
 )
 from .homog import (
-    G2_BEHAVIOR,
     GRAPH,
     TOURNAMENT,
     Base,
@@ -47,12 +46,10 @@ from .homog import (
     TypeSetRelation,
     Verdict,
     VerdictKind,
-    behavior_image,
     behavior_preserves,
     classify_reduct,
     confirm_no_behavior,
     enumerate_types,
-    homog_template,
     kfree,
     search_behavior,
     solve_instance_brute,
@@ -87,7 +84,6 @@ from .relstruct import (
     Relation,
     hom_search,
     make_instance,
-    power_structure,
 )
 from .temporal import (
     LT,

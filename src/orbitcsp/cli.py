@@ -12,6 +12,7 @@ and 2 an input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from typing import Callable, Optional, Sequence, Union
@@ -136,21 +137,25 @@ class _PairReader:
         self.pair_labels[key] = oriented
 
     def build(self, default: Optional[Label]) -> LabeledType:
-        def label_of(i: int, j: int) -> Label:
-            ri, rj = self.find(i), self.find(j)
-            if ri == rj:
-                return Label.EQ
-            key = (min(ri, rj), max(ri, rj))
-            stored = self.pair_labels.get(key, default)
-            if stored is None:
+        """The type with one block per root, ordered by root (a root is its
+        block's least position), and the stored or default label on each
+        root pair."""
+        blocks: dict[int, list[int]] = {}
+        for p in range(self.arity):
+            blocks.setdefault(self.find(p), []).append(p)
+        labels = []
+        for r1, r2 in itertools.combinations(blocks, 2):
+            label = self.pair_labels.get((r1, r2), default)
+            if label is None:
                 raise ParseError(
-                    f"missing arc between {i + 1} and {j + 1}",
+                    f"missing arc between {r1 + 1} and {r2 + 1}",
                     self.line,
                     self.column,
                 )
-            return stored if ri == key[0] else stored.flipped
-
-        return LabeledType.from_pair_labels(self.arity, label_of)
+            labels.append(label)
+        return LabeledType(
+            self.arity, tuple(map(tuple, blocks.values())), tuple(labels)
+        )
 
 
 def _split_items(literal: str) -> list[str]:
@@ -457,12 +462,18 @@ def _cmd_afin(template: Template, args: argparse.Namespace) -> tuple[list[str], 
     return lines, 0
 
 
-_IDENTITY_SYSTEMS: dict[str, tuple[polyengine.IdentitySystem, Optional[int]]] = {
-    "idempotent": (polyengine.IDEMPOTENT, None),
-    "siggers": (polyengine.SIGGERS, 6),
-    "majority": (polyengine.MAJORITY, 3),
-    "minority": (polyengine.MINORITY, 3),
-    "semilattice": (polyengine.SEMILATTICE, 2),
+_IDENTITY_SYSTEMS: dict[str, polyengine.IdentitySystem] = {
+    "idempotent": polyengine.IDEMPOTENT,
+    "siggers": polyengine.SIGGERS,
+    "majority": polyengine.MAJORITY,
+    "minority": polyengine.MINORITY,
+    "semilattice": polyengine.SEMILATTICE,
+}
+
+# The parametrised systems: --arity is their parameter.
+_IDENTITY_FAMILIES: dict[str, Callable[[int], polyengine.IdentitySystem]] = {
+    "cyclic": polyengine.cyclic,
+    "wnu": polyengine.wnu,
 }
 
 _SHAPES = {shape.value: shape for shape in Shape}
@@ -476,19 +487,13 @@ def _cmd_polysearch(
             raise ParseError("--shape applies to tournament and graph templates")
         if not args.identity:
             raise ParseError("polysearch needs --identity for temporal templates")
-        if args.identity in _IDENTITY_SYSTEMS:
-            system, default_arity = _IDENTITY_SYSTEMS[args.identity]
-        elif args.identity == "cyclic":
+        if args.identity in _IDENTITY_FAMILIES:
             if not args.arity:
-                raise ParseError("cyclic needs --arity")
-            system, default_arity = polyengine.cyclic(args.arity), args.arity
-        elif args.identity == "wnu":
-            if not args.arity:
-                raise ParseError("wnu needs --arity")
-            system, default_arity = polyengine.wnu(args.arity), args.arity
+                raise ParseError(f"{args.identity} needs --arity")
+            system = _IDENTITY_FAMILIES[args.identity](args.arity)
         else:
-            raise ParseError(f"unknown identity {args.identity!r}")
-        arity = args.arity or default_arity
+            system = _IDENTITY_SYSTEMS[args.identity]
+        arity = args.arity or system.required_arity()
         if arity is None:
             raise ParseError(f"{args.identity} needs --arity")
         structure = temporal.build_afin(template)
@@ -568,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--shape", choices=sorted(_SHAPES))
     poly.add_argument(
         "--identity",
-        choices=sorted(_IDENTITY_SYSTEMS) + ["cyclic", "wnu"],
+        choices=sorted(_IDENTITY_SYSTEMS) + list(_IDENTITY_FAMILIES),
     )
     poly.add_argument("--arity", type=int)
     consistency = add("consistency", instance=True)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, compress, count, product
 from typing import Any, Collection, Iterable, Optional, Protocol, Sequence, Union
 
@@ -291,16 +291,6 @@ class ConsistencyState:
     l: int
     variables: tuple[str, ...]
     allowed: dict[tuple[str, ...], set]
-
-    @cached_property
-    def _order(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
-    def key(self, subset) -> tuple[str, ...]:
-        return tuple(sorted(set(subset), key=self._order.__getitem__))
-
-    def count(self, subset) -> int:
-        return len(self.allowed[self.key(subset)])
 
 
 class _KLState:

@@ -172,55 +172,6 @@ class LabeledType:
     def all_equal(cls, arity: int) -> "LabeledType":
         return cls(arity, (tuple(range(arity)),), ())
 
-    @classmethod
-    def from_pair_labels(
-        cls, arity: int, label_of: Callable[[int, int], Label]
-    ) -> "LabeledType":
-        """Build a type from a pairwise labeling; EQ entries merge positions.
-
-        Raises MalformedPattern when the EQ pattern is not an equivalence or
-        the labels disagree across merged positions.
-        """
-        if arity < 1:
-            raise MalformedPattern("types need arity >= 1")
-        parent = list(range(arity))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        given = {}
-        for i, j in itertools.combinations(range(arity), 2):
-            given[(i, j)] = label_of(i, j)
-            if given[(i, j)] is Label.EQ:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        blocks: dict[int, list[int]] = {}
-        for p in range(arity):
-            blocks.setdefault(find(p), []).append(p)
-        partition = tuple(tuple(blocks[r]) for r in sorted(blocks))
-        reps = [block[0] for block in partition]
-        block_of = {p: b for b, block in enumerate(partition) for p in block}
-        labels = []
-        for b1, b2 in itertools.combinations(range(len(partition)), 2):
-            labels.append(given[(reps[b1], reps[b2])])
-        for (i, j), lbl in given.items():
-            bi, bj = block_of[i], block_of[j]
-            if bi == bj:
-                if lbl is not Label.EQ:
-                    raise MalformedPattern("equalities are not transitive")
-                continue
-            if lbl is Label.EQ:
-                raise MalformedPattern("equalities are not transitive")
-            stored = labels[_pair_index(len(partition), min(bi, bj), max(bi, bj))]
-            expected = stored if bi < bj else stored.flipped
-            if lbl is not expected:
-                raise MalformedPattern("labels disagree across merged positions")
-        return cls(arity, partition, tuple(labels))
-
     @cached_property
     def _block_index(self) -> tuple[int, ...]:
         out = [0] * self.arity
@@ -284,11 +235,6 @@ class LabeledType:
                 for b1, b2 in itertools.combinations(renumber, 2)))
         return projected
 
-    def permute(self, perm: Sequence[int]) -> "LabeledType":
-        if sorted(perm) != list(range(self.arity)):
-            raise ParameterError("not a permutation of the positions")
-        return self.project(perm)
-
     def has_clique(self, size: int) -> bool:
         """Whether ``size`` blocks are pairwise labeled E."""
         m = len(self.partition)
@@ -347,12 +293,6 @@ class HomogTemplate:
         for name, rel in self.relations.items():
             if rel.base != self.base:
                 raise DomainMismatch(f"relation {name} uses a different base")
-
-
-def homog_template(
-    base: Base, relations: Mapping[str, TypeSetRelation]
-) -> HomogTemplate:
-    return HomogTemplate(base, relations)
 
 
 def _placements(
@@ -506,16 +446,6 @@ class PairBehavior:
         return cls(arity, symbols, values)
 
 
-def _g2(a: Label, b: Label) -> Label:
-    return b if a is Label.EQ else a
-
-
-# First projection on arcs; an equality in either argument defers to the
-# other argument.  This is the binary operation every tournament reduct with
-# a majority or minority behavior must also admit.
-G2_BEHAVIOR = PairBehavior.from_function(2, (Label.EQ, Label.FWD, Label.BWD), _g2)
-
-
 class Shape(Enum):
     """The injective actions worth searching for on a two-label alphabet."""
 
@@ -542,40 +472,6 @@ def _shape_value(shape: Shape, cell: Sequence[Label]) -> Label:
     if a == c:
         return b
     return a
-
-
-def behavior_image(
-    behavior: PairBehavior, types: Sequence[LabeledType]
-) -> LabeledType:
-    """Apply a behavior to a tuple of types of equal arity.
-
-    Positions merge in the image iff they are merged in every input; every
-    surviving pair is labeled by the behavior applied to the input labels,
-    reading EQ from inputs that merge the pair.
-    """
-    types = tuple(types)
-    if len(types) != behavior.arity:
-        raise ArityMismatch("behavior arity does not match the tuple length")
-    if len({t.arity for t in types}) != 1:
-        raise ArityMismatch("input types must share the arity")
-    for t in types:
-        if any(l not in behavior._symbol_index for l in t.labels):
-            raise DomainMismatch("type labels outside the behavior alphabet")
-    k = types[0].arity
-    if all(t.is_injective for t in types):
-        labels = tuple(
-            behavior.values[behavior.index([t.label(i, j) for t in types])]
-            for i, j in itertools.combinations(range(k), 2)
-        )
-        return LabeledType(k, tuple((p,) for p in range(k)), labels)
-
-    def label_of(i: int, j: int) -> Label:
-        vec = [t.label(i, j) for t in types]
-        if all(l is Label.EQ for l in vec):
-            return Label.EQ
-        return behavior.values[behavior.index(vec)]
-
-    return LabeledType.from_pair_labels(k, label_of)
 
 
 def behavior_preserves(behavior: PairBehavior, rel: TypeSetRelation) -> bool:

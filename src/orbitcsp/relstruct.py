@@ -11,19 +11,15 @@ Search lives here, in one private generator over integer variables and
 ``(tuple set, scope)`` constraints.  :func:`hom_search` takes its first
 answer; ``polyengine.find_polymorphism`` runs it on the identity-glued cells
 of a power of the template, since a polymorphism is a homomorphism from a
-power into the template.  :func:`power_structure` builds that power as a
-structure of its own.
+power into the template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import BudgetExceeded, SignatureMismatch
-
-POWER_DOMAIN_LIMIT = 4096
+from .errors import SignatureMismatch
 
 
 @dataclass(frozen=True)
@@ -205,28 +201,4 @@ def encode_tuple(values: tuple[int, ...], domain_size: int) -> int:
     for v in values:
         code = code * domain_size + v
     return code
-
-
-def power_structure(template: FiniteStructure, n: int,
-                    limit: int = POWER_DOMAIN_LIMIT) -> FiniteStructure:
-    """The n-th direct power.  Domain elements are codes of n-tuples under
-    :func:`encode_tuple`; a tuple of codes is in a power relation iff every
-    coordinate-wise section is in the base relation."""
-    if n < 1:
-        raise ValueError("power exponent must be positive")
-    size = template.domain_size ** n
-    if size > limit:
-        raise BudgetExceeded(f"power domain {size} exceeds limit {limit}")
-    relations = {}
-    for name, rel in template.relations.items():
-        rows = rel.sorted_tuples()
-        # sections[j] supplies coordinate j of every power element, so the
-        # elements are the columns of the chosen rows.
-        tuples = frozenset(
-            tuple(encode_tuple(column, template.domain_size)
-                  for column in zip(*sections))
-            for sections in product(rows, repeat=n)
-        )
-        relations[name] = Relation(rel.arity, tuples)
-    return FiniteStructure(size, relations)
 

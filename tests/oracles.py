@@ -8,11 +8,13 @@ route to every answer the library computes cleverly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence
 
-from orbitcsp.relstruct import FiniteStructure, Instance
+from orbitcsp.errors import ArityMismatch, BudgetExceeded, DomainMismatch, MalformedPattern
+from orbitcsp.homog import Label, LabeledType, PairBehavior, _pair_index
+from orbitcsp.relstruct import FiniteStructure, Instance, Relation, encode_tuple
 
 
 def exhaustive_hom(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
@@ -151,8 +153,6 @@ def reference_establish_kl(instance, template, k=2, l=3):
     reference for :func:`orbitcsp.consistency.establish_kl`: every superset's
     patterns are pattern objects, and every projection calls the space's
     ``project``."""
-    from itertools import combinations
-
     from orbitcsp.consistency import (
         EMPTY_DERIVED,
         ConsistencyState,
@@ -273,8 +273,6 @@ def reference_search_behavior(template, shape):
     of relation types, built from ``LabeledType.label``, and a recursive
     search over the free cells that tests each check once its last free
     cell is assigned."""
-    from itertools import product
-
     from orbitcsp.errors import DomainMismatch, ParameterError, ShapeUnsupported
     from orbitcsp.homog import HomogTemplate, Label, PairBehavior, Shape, _shape_value
 
@@ -541,3 +539,122 @@ def reference_run_master(variables, constraints, use_minimal):
         current = projected
         remaining = [v for v in remaining if v not in level]
     return tuple(levels)
+
+
+# --- definitions the tests compare the package against -----------------------
+
+
+def from_pair_labels(arity, label_of):
+    """The complete type of a pairwise labeling; EQ entries merge positions.
+
+    ``label_of(i, j)`` is read for every position pair i < j.  Raises
+    MalformedPattern when the EQ pattern is not an equivalence or the labels
+    disagree across merged positions.  This is the pairwise definition that
+    ``LabeledType.project`` and the template parser are tested against.
+    """
+    if arity < 1:
+        raise MalformedPattern("types need arity >= 1")
+    parent = list(range(arity))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    given = {}
+    for i, j in combinations(range(arity), 2):
+        given[(i, j)] = label_of(i, j)
+        if given[(i, j)] is Label.EQ:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    blocks = {}
+    for p in range(arity):
+        blocks.setdefault(find(p), []).append(p)
+    partition = tuple(tuple(blocks[r]) for r in sorted(blocks))
+    reps = [block[0] for block in partition]
+    block_of = {p: b for b, block in enumerate(partition) for p in block}
+    labels = [given[(reps[b1], reps[b2])]
+              for b1, b2 in combinations(range(len(partition)), 2)]
+    for (i, j), lbl in given.items():
+        bi, bj = block_of[i], block_of[j]
+        if bi == bj:
+            if lbl is not Label.EQ:
+                raise MalformedPattern("equalities are not transitive")
+            continue
+        if lbl is Label.EQ:
+            raise MalformedPattern("equalities are not transitive")
+        stored = labels[_pair_index(len(partition), min(bi, bj), max(bi, bj))]
+        expected = stored if bi < bj else stored.flipped
+        if lbl is not expected:
+            raise MalformedPattern("labels disagree across merged positions")
+    return LabeledType(arity, partition, tuple(labels))
+
+
+def behavior_image(behavior, types):
+    """Apply a behavior to a tuple of types of equal arity: the definition
+    ``orbitcsp.homog.behavior_preserves`` is tested against.
+
+    Positions merge in the image iff they are merged in every input; every
+    surviving pair is labeled by the behavior applied to the input labels,
+    reading EQ from inputs that merge the pair.
+    """
+    types = tuple(types)
+    if len(types) != behavior.arity:
+        raise ArityMismatch("behavior arity does not match the tuple length")
+    if len({t.arity for t in types}) != 1:
+        raise ArityMismatch("input types must share the arity")
+    for t in types:
+        if any(l not in behavior.symbols for l in t.labels):
+            raise DomainMismatch("type labels outside the behavior alphabet")
+    k = types[0].arity
+    if all(t.is_injective for t in types):
+        labels = tuple(
+            behavior.values[behavior.index([t.label(i, j) for t in types])]
+            for i, j in combinations(range(k), 2)
+        )
+        return LabeledType(k, tuple((p,) for p in range(k)), labels)
+
+    def label_of(i, j):
+        vec = [t.label(i, j) for t in types]
+        if all(l is Label.EQ for l in vec):
+            return Label.EQ
+        return behavior.values[behavior.index(vec)]
+
+    return from_pair_labels(k, label_of)
+
+
+def _g2(a, b):
+    return b if a is Label.EQ else a
+
+
+# First projection on arcs; an equality in either argument defers to the
+# other argument.  This is the binary operation every tournament reduct with
+# a majority or minority behavior must also admit.
+G2_BEHAVIOR = PairBehavior.from_function(2, (Label.EQ, Label.FWD, Label.BWD), _g2)
+
+POWER_DOMAIN_LIMIT = 4096
+
+
+def power_structure(template, n, limit=POWER_DOMAIN_LIMIT):
+    """The n-th direct power.  Domain elements are codes of n-tuples under
+    ``orbitcsp.relstruct.encode_tuple``; a tuple of codes is in a power
+    relation iff every coordinate-wise section is in the base relation."""
+    if n < 1:
+        raise ValueError("power exponent must be positive")
+    size = template.domain_size ** n
+    if size > limit:
+        raise BudgetExceeded(f"power domain {size} exceeds limit {limit}")
+    relations = {}
+    for name, rel in template.relations.items():
+        rows = rel.sorted_tuples()
+        # sections[j] supplies coordinate j of every power element, so the
+        # elements are the columns of the chosen rows.
+        tuples = frozenset(
+            tuple(encode_tuple(column, template.domain_size)
+                  for column in zip(*sections))
+            for sections in product(rows, repeat=n)
+        )
+        relations[name] = Relation(rel.arity, tuples)
+    return FiniteStructure(size, relations)

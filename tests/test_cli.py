@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcsp.cli import (
     ARITY_LIMIT,
+    _PairReader,
     format_instance,
     format_template,
     parse_instance,
@@ -14,7 +16,10 @@ from orbitcsp.cli import (
 )
 from orbitcsp.errors import ArityMismatch, ParseError
 from orbitcsp.homog import GRAPH, TOURNAMENT, HomogTemplate, Label
-from orbitcsp.temporal import TemporalTemplate, WeakOrderType
+from orbitcsp.polyengine import OpTable, preserves_op, satisfies_identities, wnu
+from orbitcsp.temporal import TemporalTemplate, WeakOrderType, build_afin
+
+from oracles import from_pair_labels
 
 TEMPORAL_TEXT = "base: temporal\nrel Betw/3: 1<2<3; 3<2<1\nrel LT/2: 1<2\n"
 LT_TEXT = "base: temporal\nrel LT/2: 1<2\n"
@@ -182,6 +187,50 @@ class TestRoundTrip:
         assert again.base == template.base
         for name, rel in template.relations.items():
             assert again.relations[name].types == rel.types
+
+
+def pairwise_build(reader, default):
+    """The reader's type through the pairwise definition: every position
+    pair reads its roots' label, EQ within a block."""
+    def label_of(i, j):
+        ri, rj = reader.find(i), reader.find(j)
+        if ri == rj:
+            return Label.EQ
+        key = (min(ri, rj), max(ri, rj))
+        stored = reader.pair_labels.get(key, default)
+        if stored is None:
+            raise ParseError(f"missing arc between {i + 1} and {j + 1}",
+                             reader.line, reader.column)
+        return stored if ri == key[0] else stored.flipped
+
+    return from_pair_labels(reader.arity, label_of)
+
+
+@pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_reader_builds_the_pairwise_definition(base, data):
+    # The reader builds each type from its own union-find, one label per
+    # root pair; the result, or the missing-arc error, must be the same.
+    arity = data.draw(st.integers(1, 5))
+    position = st.integers(0, arity - 1)
+    reader = _PairReader(arity, 1, 1)
+    for a, b in data.draw(st.lists(st.tuples(position, position), max_size=3)):
+        reader.merge(f"{a + 1}={b + 1}")
+    for a, b in data.draw(st.lists(st.tuples(position, position), max_size=10)):
+        try:
+            reader.put(a, b, data.draw(st.sampled_from(base.labels)))
+        except ParseError:
+            pass  # a label within a block or against an earlier one
+    default = None if base.oriented else Label.N
+    try:
+        expected = pairwise_build(reader, default)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            reader.build(default)
+        assert str(info.value) == str(exc)
+    else:
+        assert reader.build(default) == expected
 
 
 class CliFiles:
@@ -361,6 +410,28 @@ class TestPolysearchCommand:
         assert report.splitlines()[0] == "op: FOUND"
         assert code == 0
 
+    def test_temporal_wnu(self, files):
+        report, code = run(
+            ["polysearch", files.path(LT_TEXT), "--identity", "wnu", "--arity", "3"]
+        )
+        assert report == "op: FOUND\narity: 3\ntable: 0,0,0,0,0,0,0,1\n"
+        assert code == 0
+        # The ternary minimum: a weak near-unanimity operation of Afin(LT).
+        table = OpTable(3, 2, (0, 0, 0, 0, 0, 0, 0, 1))
+        assert satisfies_identities(table, wnu(3))
+        assert preserves_op(table, build_afin(parse_template(LT_TEXT)))
+
+    @pytest.mark.parametrize("text,flags,error", [
+        (LT_TEXT, [], "polysearch needs --identity for temporal templates"),
+        (ARC_TEXT, [], "polysearch needs --shape for tournament and graph templates"),
+        (LT_TEXT, ["--identity", "wnu"], "wnu needs --arity"),
+        (LT_TEXT, ["--identity", "idempotent"], "idempotent needs --arity"),
+    ])
+    def test_missing_flag_is_a_one_line_error(self, files, text, flags, error):
+        report, code = run(["polysearch", files.path(text)] + flags)
+        assert report == f"error: {error}\n"
+        assert code == 2
+
     def test_shape_search_on_tournament(self, files):
         report, code = run(
             ["polysearch", files.path(ARC_TEXT), "--shape", "majority"]
@@ -461,6 +532,23 @@ class TestRunHarness:
         template = files.path("base: temporal\nrel LT/2: 1<9\n")
         report, code = run(["classify", template])
         assert report.startswith("error: line 2")
+        assert code == 2
+
+    @pytest.mark.parametrize("command,template,instance,error", [
+        ("classify", "base: temporal\nrel LT/2: 1<x\n", None,
+         "line 2, column 10: expected a position number, got 'x'"),
+        ("classify", "base: graph\nrel R/0: -\n", None,
+         "line 2, column 5: relations need arity >= 1"),
+        ("oracle", LT_TEXT, "vars x 1y\nLT(x,x)\n",
+         "line 1, column 5: bad variable name '1y'"),
+    ])
+    def test_malformed_input_is_a_one_line_error(self, files, command, template,
+                                                 instance, error):
+        argv = [command, files.path(template)]
+        if instance is not None:
+            argv.append(files.path(instance))
+        report, code = run(argv)
+        assert report == f"error: {error}\n"
         assert code == 2
 
     def test_unknown_command(self):

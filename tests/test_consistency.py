@@ -19,9 +19,9 @@ from orbitcsp.homog import (
     GRAPH,
     TOURNAMENT,
     HomogPatterns,
+    HomogTemplate,
     Label,
     enumerate_types,
-    homog_template,
     kfree,
     type_set_relation,
 )
@@ -78,8 +78,8 @@ def test_unconstrained_instance_keeps_everything():
     inst = make_instance("ab", [])
     state = establish_kl(inst, TWO_COLORING, 2, 3)
     assert isinstance(state, ConsistencyState)
-    assert state.count(("a",)) == 2
-    assert state.count(("a", "b")) == 4
+    assert len(state.allowed[("a",)]) == 2
+    assert len(state.allowed[("a", "b")]) == 4
 
 
 def test_odd_cycle_two_coloring_rejected_at_2_3():
@@ -168,12 +168,12 @@ TEMPORAL = TemporalTemplate({
     "RMIN": temporal_relation(3, [t for t in enumerate_weak_orders(3)
                                   if t.ranks[0] > min(t.ranks[1:])]),
 })
-TOURNAMENT_TEMPLATE = homog_template(TOURNAMENT, {
+TOURNAMENT_TEMPLATE = HomogTemplate(TOURNAMENT, {
     "ARC": homog_relation(TOURNAMENT, 2, {(FWD,)}),
     "AEQ": homog_relation(TOURNAMENT, 2, {(FWD,), (EQ,)}),
     "TR": homog_relation(TOURNAMENT, 3, {(FWD, FWD, FWD)}),
 })
-GRAPH_TEMPLATE = homog_template(GRAPH, {
+GRAPH_TEMPLATE = HomogTemplate(GRAPH, {
     "E": homog_relation(GRAPH, 2, {(E,)}),
     "N": homog_relation(GRAPH, 2, {(N,)}),
     "SAME": homog_relation(GRAPH, 2, {(EQ,)}),
@@ -272,7 +272,7 @@ def test_over_budget_kl_fails_before_any_work(kind, instance, k, l, arity):
 
 # --- the numbered engine against the object-based reference -----------------
 
-KFREE3_TEMPLATE = homog_template(kfree(3), {
+KFREE3_TEMPLATE = HomogTemplate(kfree(3), {
     "E": homog_relation(kfree(3), 2, {(E,)}),
     "N": homog_relation(kfree(3), 2, {(N,)}),
     "PATH": homog_relation(kfree(3), 3, {(E, N, E), (E, E, N), (N, E, E)}),
@@ -288,13 +288,13 @@ REFERENCE_SPACES = {
         "R4": temporal_relation(4, [t for t in enumerate_weak_orders(4)
                                     if t.ranks[0] < t.ranks[3] or t.ranks[1] == t.ranks[2]]),
     })),
-    "tournament": HomogPatterns(homog_template(TOURNAMENT, {
+    "tournament": HomogPatterns(HomogTemplate(TOURNAMENT, {
         **TOURNAMENT_TEMPLATE.relations,
         "CHAIN4": homog_relation(TOURNAMENT, 4, {
             t.fingerprint for t in enumerate_types(4, TOURNAMENT)
             if t.label(0, 1) is t.label(2, 3)}),
     })),
-    "graph": HomogPatterns(homog_template(GRAPH, {
+    "graph": HomogPatterns(HomogTemplate(GRAPH, {
         **GRAPH_TEMPLATE.relations,
         "MATCH4": homog_relation(GRAPH, 4, {
             t.fingerprint for t in enumerate_types(4, GRAPH)
@@ -360,7 +360,7 @@ def with_relation(space, name, arity, patterns):
     if isinstance(space, TemporalPatterns):
         return TemporalPatterns(TemporalTemplate({
             **template.relations, name: temporal_relation(arity, patterns)}))
-    return HomogPatterns(homog_template(template.base, {
+    return HomogPatterns(HomogTemplate(template.base, {
         **template.relations, name: type_set_relation(arity, template.base, patterns)}))
 
 
@@ -397,8 +397,20 @@ def test_propagate_rejects_an_unknown_subset():
         state.propagate([("x", "y", "z")])
 
 
+def test_narrow_that_removes_nothing_leaves_the_fixpoint():
+    # Every superset that contains the subset is revisited, finds its viable
+    # mask unchanged, and is skipped.
+    space = SPACES["temporal"][0]
+    state = _KLState(make_instance("xyz", [("LT", ("x", "y"))]), space, 2, 3)
+    assert state.propagate()
+    allowed, viable = list(state.allowed), list(state.viable)
+    state.narrow(("x", "z"), range(len(space.patterns(2))))
+    assert state.propagate([("x", "z")])
+    assert (state.allowed, state.viable) == (allowed, viable)
+
+
 @pytest.mark.parametrize("first,second", [
-    (TOURNAMENT_TEMPLATE, homog_template(TOURNAMENT, {
+    (TOURNAMENT_TEMPLATE, HomogTemplate(TOURNAMENT, {
         # The same names as TOURNAMENT_TEMPLATE, other contents.
         "ARC": homog_relation(TOURNAMENT, 2, {(FWD,), (EQ,)}),
         "AEQ": homog_relation(TOURNAMENT, 2, {(FWD,)}),

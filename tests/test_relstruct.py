@@ -13,11 +13,10 @@ from orbitcsp.relstruct import (
     encode_tuple,
     hom_search,
     make_instance,
-    power_structure,
     relation,
 )
 
-from oracles import decode_tuple, exhaustive_hom
+from oracles import decode_tuple, exhaustive_hom, power_structure
 
 
 def clique(n: int) -> FiniteStructure:

@@ -941,7 +941,7 @@ class TestConsistencyAdapter:
         inst = make_instance("xyz", [("LT", "xy"), ("LT", "yz")])
         state = establish_kl(inst, TemporalPatterns(Q_LT), 2, 3)
         assert state is not EMPTY_DERIVED
-        assert state.count(("x", "y")) == 1  # only x<y survives
+        assert len(state.allowed[("x", "y")]) == 1  # only x<y survives
 
     def test_betweenness_gap(self):
         # (2,3)-consistency alone cannot see that the 4-cycle of
