@@ -488,12 +488,12 @@ def _cmd_polysearch(
         if not args.identity:
             raise ParseError("polysearch needs --identity for temporal templates")
         if args.identity in _IDENTITY_FAMILIES:
-            if not args.arity:
+            if args.arity is None:
                 raise ParseError(f"{args.identity} needs --arity")
             system = _IDENTITY_FAMILIES[args.identity](args.arity)
         else:
             system = _IDENTITY_SYSTEMS[args.identity]
-        arity = args.arity or system.required_arity()
+        arity = system.required_arity() if args.arity is None else args.arity
         if arity is None:
             raise ParseError(f"{args.identity} needs --arity")
         structure = temporal.build_afin(template)

@@ -352,9 +352,7 @@ def _placements(
     return go(0, [])
 
 
-def enumerate_types(
-    k: int, base: Base, injective_only: bool = False
-) -> tuple[LabeledType, ...]:
+def enumerate_types(k: int, base: Base) -> tuple[LabeledType, ...]:
     """All complete types of arity ``k`` over the base, in a fixed order:
     partitions as restricted growth strings, then labels in product order.
 
@@ -363,18 +361,14 @@ def enumerate_types(
         raise ParameterError("arity must be at least 1")
     if k > TYPE_ARITY_LIMIT:
         raise BudgetExceeded(f"type enumeration capped at arity {TYPE_ARITY_LIMIT}")
-    return _enumerate_types_cached(k, base, injective_only)
+    return _enumerate_types_cached(k, base)
 
 
 @lru_cache(maxsize=None)
-def _enumerate_types_cached(
-    k: int, base: Base, injective_only: bool
-) -> tuple[LabeledType, ...]:
-    def prefix_ok(block_of: list[int], table: list[tuple[Label, ...]], i: int) -> bool:
-        return not injective_only or block_of[i] == i
-
+def _enumerate_types_cached(k: int, base: Base) -> tuple[LabeledType, ...]:
     return tuple(sorted(
-        _placements(k, base, prefix_ok), key=lambda t: (t._block_index, t.labels)
+        _placements(k, base, lambda block_of, table, i: True),
+        key=lambda t: (t._block_index, t.labels),
     ))
 
 

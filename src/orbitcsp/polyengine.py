@@ -16,14 +16,16 @@ Boolean solving has one entry point, ``_boolean_solver``.  It takes
 class in table order, and returns ``solve(pins)``.  Both Horn classes
 share ``_HornEngine``, a watch-list fixpoint that computes the pin-free
 fixpoint once and answers each pin set from it, in time linear in the
-instance size.  The other classes take the pins as unary constraints:
-majority runs (2,3)-consistency on binary projections, affine runs
-Gaussian elimination over GF(2), a constant class tries its constant, and
-no class means backtracking search.  Their answers are checked against
-every constraint.  ``schaefer_solve`` indexes a named instance and solves
-it once; ``temporal`` compiles one solver per master call, solves it under
-many pin sets, and narrows it with ``_narrow_solver`` as levels are
-committed: a Horn engine in place, any other solver by building afresh.
+instance size.  Affine builds one reduced GF(2) system with the solver,
+and a solve reduces only its pins into a copy of it.  The other classes
+take the pins as unary constraints: majority runs (2,3)-consistency on
+binary projections, a constant class tries its constant, and no class
+means backtracking search.  Every answer but a Horn one is checked
+against every constraint.  ``schaefer_solve`` indexes a named instance and
+solves it once; ``temporal`` compiles one solver per master call, solves
+it under many pin sets, and narrows it with ``_narrow_solver`` as levels
+are committed: a Horn engine in place, any other solver by building
+afresh.
 """
 
 from __future__ import annotations
@@ -306,6 +308,8 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
     the identities.  Deterministic: cell classes are filled in ascending order
     of their smallest cell, values ascending, and the first complete table
     found is returned.  Returns None when no table exists."""
+    if arity < 1:
+        raise ParameterError(f"arity must be at least 1, got {arity}")
     required = identities.required_arity()
     if required is not None and arity != required:
         raise ParameterError(
@@ -517,89 +521,79 @@ def _majority_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
     return values
 
 
-def _affine_rows(tuples: frozenset) -> Optional[list[tuple[tuple[int, ...], int]]]:
-    """Defining linear equations (coeffs, rhs) over GF(2) of a xor-closed
-    row set; None for the empty set."""
-    rows = sorted(tuples)
+def _gf2_reduce(system: dict[int, tuple[int, int]], mask: int, rhs: int) -> bool:
+    """Reduce the GF(2) equation ``mask . x = rhs``, bit v of ``mask``
+    standing for variable v, into ``system`` in place.  ``system`` maps each
+    pivot, the lowest set bit of its equation, to ``(mask, rhs)``, and no
+    other equation has that bit: reduced row-echelon form in ascending
+    variable order, which is unique.  False when the equation contradicts
+    the system."""
+    for pivot, (row, value) in system.items():
+        if mask >> pivot & 1:
+            mask ^= row
+            rhs ^= value
+    if not mask:
+        return not rhs
+    pivot = (mask & -mask).bit_length() - 1
+    for p, (row, value) in system.items():
+        if row >> pivot & 1:
+            system[p] = (row ^ mask, rhs ^ value)
+    system[pivot] = (mask, rhs)
+    return True
+
+
+def _affine_equations(rows: frozenset) -> Optional[list[tuple[int, int]]]:
+    """Equations ``(mask, rhs)`` on positions that define the affine hull
+    of a row set: the row differences reduced, then one equation per
+    position that is not a pivot.  None for the empty set."""
     if not rows:
         return None
-    t0 = rows[0]
-    k = len(t0)
-    diffs = [tuple(a ^ b for a, b in zip(t, t0)) for t in rows[1:]]
-    # Row-reduce the difference vectors to find pivot columns.
-    basis: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for vec in diffs:
-        v = list(vec)
-        for b, p in zip(basis, pivots):
-            if v[p]:
-                v = [x ^ y for x, y in zip(v, b)]
-        for p in range(k):
-            if v[p]:
-                basis.append(tuple(v))
-                pivots.append(p)
-                break
-    free_cols = [c for c in range(k) if c not in pivots]
-    # Null space basis: one equation per free column.
+    masks = [sum(x << i for i, x in enumerate(row)) for row in rows]
+    span: dict[int, tuple[int, int]] = {}
+    for mask in masks:
+        _gf2_reduce(span, mask ^ masks[0], 0)
     equations = []
-    for c in free_cols:
-        coeff = [0] * k
-        coeff[c] = 1
-        # Back-substitute pivots so that coeff is orthogonal to every basis vector.
-        for b, p in zip(reversed(basis), reversed(pivots)):
-            if sum(coeff[j] & b[j] for j in range(k)) % 2:
-                coeff[p] ^= 1
-        rhs = sum(coeff[j] & t0[j] for j in range(k)) % 2
-        equations.append((tuple(coeff), rhs))
+    for c in range(len(next(iter(rows)))):
+        if c not in span:
+            mask = 1 << c | sum(1 << p for p, (row, _) in span.items() if row >> c & 1)
+            equations.append((mask, bin(mask & masks[0]).count("1") & 1))
     return equations
 
 
-def _gf2_solve(n_vars: int, rows: list[tuple[list[int], int]]) -> Optional[list[int]]:
-    """Gaussian elimination over GF(2); free variables default to 0."""
-    matrix = [(list(coeffs), rhs) for coeffs, rhs in rows]
-    pivot_of_col: dict[int, int] = {}
-    row_at = 0
-    for col in range(n_vars):
-        pivot = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][0][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        prow, prhs = matrix[row_at]
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][0][col]:
-                coeffs, rhs = matrix[r]
-                matrix[r] = ([a ^ b for a, b in zip(coeffs, prow)], rhs ^ prhs)
-        pivot_of_col[col] = row_at
-        row_at += 1
-    for coeffs, rhs in matrix:
-        if rhs and not any(coeffs):
+def _affine_system(constraints: _Constraints) -> Optional[dict[int, tuple[int, int]]]:
+    """The pin-free reduced system of xor-closed constraints: the equations
+    of each distinct row set derived once, folded onto each scope, where a
+    repeated variable cancels, and reduced together.  None when the system
+    is inconsistent."""
+    equations_of = {rows: _affine_equations(rows)
+                    for rows in dict.fromkeys(rows for rows, _ in constraints)}
+    system: dict[int, tuple[int, int]] = {}
+    for rows, scope in constraints:
+        if equations_of[rows] is None:
             return None
-    solution = [0] * n_vars
-    for col, r in pivot_of_col.items():
-        coeffs, rhs = matrix[r]
-        # All other columns of a reduced pivot row are free (set to 0).
-        solution[col] = rhs
-    return solution
+        for mask, rhs in equations_of[rows]:
+            folded = 0
+            for i, v in enumerate(scope):
+                folded ^= (mask >> i & 1) << v
+            if not _gf2_reduce(system, folded, rhs):
+                return None
+    return system
 
 
-def _affine_solve(n: int, systems: Sequence[tuple[Optional[list], tuple[int, ...]]],
-                  ) -> Optional[list[int]]:
-    """Solve constraints given as the equations :func:`_affine_rows` derived
-    from their row sets, each on its scope."""
-    rows: list[tuple[list[int], int]] = []
-    for equations, scope in systems:
-        if equations is None:
+def _affine_pinned(n: int, system: Optional[dict[int, tuple[int, int]]],
+                   pins: Mapping[int, int]) -> Optional[list[int]]:
+    """Reduce one equation per pin into a copy of the pin-free system and
+    read the solution: the rhs at each pivot, 0 everywhere else."""
+    if system is None:
+        return None
+    system = dict(system)
+    for v, value in pins.items():
+        if not _gf2_reduce(system, 1 << v, value):
             return None
-        for coeffs, rhs in equations:
-            folded = [0] * n
-            for pos, v in enumerate(scope):
-                folded[v] ^= coeffs[pos]
-            rows.append((folded, rhs))
-    return _gf2_solve(n, rows)
+    values = [0] * n
+    for pivot, (_, rhs) in system.items():
+        values[pivot] = rhs
+    return values
 
 
 #: The row set of a pin to 0 and to 1, as a unary constraint.
@@ -622,27 +616,25 @@ def _boolean_solver(n: int, constraints: _Constraints,
 
     This and :func:`_narrow_solver` are the only code that maps a class to
     its algorithm.  Both Horn classes answer from one :class:`_HornEngine`.
-    Every other solver gets the pins as unary constraints, and its answer
-    is checked against every constraint: a constant answer that fails means
-    no constant solution, any other that fails is a solver fault.  The
-    affine solver derives the equations of each distinct row set once,
-    here.
+    The affine solver builds one reduced GF(2) system here
+    (:func:`_affine_system`), and a solve reduces only its pins
+    (:func:`_affine_pinned`).  Majority and search get the pins as unary
+    constraints.  Every answer but a Horn one is checked against every
+    constraint and pin: a constant answer that fails means no constant
+    solution, any other that fails is a solver fault.
     """
     cls = _solver_class(classes)
     if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
         return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR).solve
     if cls is BooleanClass.MINORITY_AFFINE:
-        equations_of = {rows: _affine_rows(rows) for rows in dict.fromkeys(
-            [*(rows for rows, _ in constraints), *_PIN_ROWS])}
-        systems = [(equations_of[rows], scope) for rows, scope in constraints]
+        system = _affine_system(constraints)
 
     def solve(pins: Mapping[int, int]) -> Optional[list[int]]:
         pinned = [*constraints, *((_PIN_ROWS[value], (v,)) for v, value in pins.items())]
         if cls is BooleanClass.MAJORITY_2SAT:
             values = _majority_solve(n, pinned)
         elif cls is BooleanClass.MINORITY_AFFINE:
-            values = _affine_solve(n, [*systems, *((equations_of[_PIN_ROWS[value]], (v,))
-                                                   for v, value in pins.items())])
+            values = _affine_pinned(n, system, pins)
         elif cls is BooleanClass.TRIVIAL:
             values = next(_assignments(n, 2, pinned), None)
         else:

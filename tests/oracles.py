@@ -267,6 +267,96 @@ def reference_horn_solve(instance: Instance, template: FiniteStructure,
     return dict(bound)
 
 
+def affine_rows(tuples: frozenset) -> Optional[list[tuple[tuple[int, ...], int]]]:
+    """Defining linear equations (coeffs, rhs) over GF(2) of a xor-closed
+    row set; None for the empty set."""
+    rows = sorted(tuples)
+    if not rows:
+        return None
+    t0 = rows[0]
+    k = len(t0)
+    diffs = [tuple(a ^ b for a, b in zip(t, t0)) for t in rows[1:]]
+    # Row-reduce the difference vectors to find pivot columns.
+    basis: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for vec in diffs:
+        v = list(vec)
+        for b, p in zip(basis, pivots):
+            if v[p]:
+                v = [x ^ y for x, y in zip(v, b)]
+        for p in range(k):
+            if v[p]:
+                basis.append(tuple(v))
+                pivots.append(p)
+                break
+    free_cols = [c for c in range(k) if c not in pivots]
+    # Null space basis: one equation per free column.
+    equations = []
+    for c in free_cols:
+        coeff = [0] * k
+        coeff[c] = 1
+        # Back-substitute pivots so that coeff is orthogonal to every basis vector.
+        for b, p in zip(reversed(basis), reversed(pivots)):
+            if sum(coeff[j] & b[j] for j in range(k)) % 2:
+                coeff[p] ^= 1
+        rhs = sum(coeff[j] & t0[j] for j in range(k)) % 2
+        equations.append((tuple(coeff), rhs))
+    return equations
+
+
+def gf2_solve(n_vars: int, rows: list[tuple[list[int], int]]) -> Optional[list[int]]:
+    """Gaussian elimination over GF(2); free variables default to 0."""
+    matrix = [(list(coeffs), rhs) for coeffs, rhs in rows]
+    pivot_of_col: dict[int, int] = {}
+    row_at = 0
+    for col in range(n_vars):
+        pivot = None
+        for r in range(row_at, len(matrix)):
+            if matrix[r][0][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
+        prow, prhs = matrix[row_at]
+        for r in range(len(matrix)):
+            if r != row_at and matrix[r][0][col]:
+                coeffs, rhs = matrix[r]
+                matrix[r] = ([a ^ b for a, b in zip(coeffs, prow)], rhs ^ prhs)
+        pivot_of_col[col] = row_at
+        row_at += 1
+    for coeffs, rhs in matrix:
+        if rhs and not any(coeffs):
+            return None
+    solution = [0] * n_vars
+    for col, r in pivot_of_col.items():
+        coeffs, rhs = matrix[r]
+        # All other columns of a reduced pivot row are free (set to 0).
+        solution[col] = rhs
+    return solution
+
+
+def reference_affine_solve(n, constraints, pins):
+    """Dense Gaussian elimination of the whole pinned system, kept as a
+    differential reference for the affine solver of
+    ``orbitcsp.polyengine._boolean_solver``: each ``(rows, scope)``
+    constraint and each pin, as a unary constraint, gives the equations
+    :func:`affine_rows` derives, folded onto its scope, and
+    :func:`gf2_solve` solves them all, free variables 0."""
+    pinned = [*constraints, *((frozenset({(value,)}), (v,)) for v, value in pins.items())]
+    rows: list[tuple[list[int], int]] = []
+    for tuples, scope in pinned:
+        equations = affine_rows(tuples)
+        if equations is None:
+            return None
+        for coeffs, rhs in equations:
+            folded = [0] * n
+            for pos, v in enumerate(scope):
+                folded[v] ^= coeffs[pos]
+            rows.append((folded, rhs))
+    return gf2_solve(n, rows)
+
+
 def reference_search_behavior(template, shape):
     """The check-object behaviour search, kept as a differential reference
     for :func:`orbitcsp.homog.search_behavior`: one closure check per tuple

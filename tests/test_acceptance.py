@@ -236,7 +236,7 @@ def test_criterion_04_ll_templates_inherit_semilattice():
 
 def injective_relation(base, arity, keep):
     return type_set_relation(
-        arity, base, [t for t in enumerate_types(arity, base, injective_only=True) if keep(t)]
+        arity, base, [t for t in enumerate_types(arity, base) if t.is_injective and keep(t)]
     )
 
 

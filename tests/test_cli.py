@@ -432,6 +432,20 @@ class TestPolysearchCommand:
         assert report == f"error: {error}\n"
         assert code == 2
 
+    @pytest.mark.parametrize("arity", ["0", "-1"])
+    @pytest.mark.parametrize("identity,error", [
+        ("idempotent", "arity must be at least 1, got {}"),
+        ("siggers", "arity must be at least 1, got {}"),
+        ("majority", "arity must be at least 1, got {}"),
+        ("cyclic", "cyclic needs a parameter >= 2"),
+    ])
+    def test_arity_below_one_is_a_one_line_error(self, files, identity, error, arity):
+        # --arity 0 is an arity, not a missing flag.
+        report, code = run(["polysearch", files.path(LT_TEXT), "--identity", identity,
+                            "--arity", arity])
+        assert report == f"error: {error.format(arity)}\n"
+        assert code == 2
+
     def test_shape_search_on_tournament(self, files):
         report, code = run(
             ["polysearch", files.path(ARC_TEXT), "--shape", "majority"]

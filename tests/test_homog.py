@@ -73,8 +73,8 @@ def parity_relation(base=TOURNAMENT):
     first = base.labels[0]
     types = [
         t
-        for t in enumerate_types(4, base, injective_only=True)
-        if sum(1 for l in t.labels if l is first) % 2 == 0
+        for t in enumerate_types(4, base)
+        if t.is_injective and sum(1 for l in t.labels if l is first) % 2 == 0
     ]
     return type_set_relation(4, base, types)
 
@@ -84,8 +84,8 @@ def one_of_three_relation(base):
     first = base.labels[0]
     types = [
         t
-        for t in enumerate_types(3, base, injective_only=True)
-        if sum(1 for l in t.labels if l is first) == 1
+        for t in enumerate_types(3, base)
+        if t.is_injective and sum(1 for l in t.labels if l is first) == 1
     ]
     return type_set_relation(3, base, types)
 
@@ -242,9 +242,12 @@ class TestEnumerateTypes:
         assert types == {LabeledType.all_equal(2), inj((F,)), inj((B,))}
 
     def test_injective_counts(self):
-        assert len(enumerate_types(3, GRAPH, injective_only=True)) == 8
-        assert len(enumerate_types(3, kfree(3), injective_only=True)) == 7
-        assert len(enumerate_types(4, TOURNAMENT, injective_only=True)) == 64
+        def injective(k, base):
+            return [t for t in enumerate_types(k, base) if t.is_injective]
+
+        assert len(injective(3, GRAPH)) == 8
+        assert len(injective(3, kfree(3))) == 7
+        assert len(injective(4, TOURNAMENT)) == 64
 
     def test_counts_match_partition_formula(self):
         for k in range(1, 6):
@@ -262,10 +265,11 @@ class TestEnumerateTypes:
     @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3), kfree(4)], ids=str)
     @pytest.mark.parametrize("injective_only", [False, True])
     def test_order_is_partition_major(self, base, injective_only):
+        # Filtering to injective types keeps the partition-major order.
         for k in range(1, 6):
-            assert enumerate_types(k, base, injective_only) == reference_enumerate_types(
-                k, base, injective_only
-            )
+            types = tuple(t for t in enumerate_types(k, base)
+                          if t.is_injective or not injective_only)
+            assert types == reference_enumerate_types(k, base, injective_only)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -714,8 +718,9 @@ class TestSolveInstanceBrute:
         # so witnesses need several blocks.
         relations = {}
         for r in range(data.draw(st.integers(1, 3))):
-            pool = enumerate_types(data.draw(st.integers(1, 3)), base,
-                                   injective_only=data.draw(st.booleans()))
+            of_arity = enumerate_types(data.draw(st.integers(1, 3)), base)
+            injective_only = data.draw(st.booleans())
+            pool = [t for t in of_arity if t.is_injective or not injective_only]
             types = data.draw(st.lists(st.sampled_from(pool[1:] or pool),
                                        min_size=1, unique=True))
             relations[f"R{r}"] = type_set_relation(pool[0].arity, base, types)

@@ -33,7 +33,7 @@ from orbitcsp import polyengine
 from orbitcsp.polyengine import _boolean_solver, _HornEngine, _narrow_solver
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
 
-from oracles import all_op_tables, exhaustive_hom, reference_horn_solve
+from oracles import all_op_tables, exhaustive_hom, reference_affine_solve, reference_horn_solve
 
 U0 = relation(1, [(0,)])
 U1 = relation(1, [(1,)])
@@ -169,6 +169,9 @@ class TestFindPolymorphism:
     def test_arity_validation(self):
         with pytest.raises(ParameterError):
             find_polymorphism(structure(X=XOR_REL), MAJORITY, 4)
+        for arity in (0, -1):
+            with pytest.raises(ParameterError):
+                find_polymorphism(structure(X=XOR_REL), IDEMPOTENT, arity)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -487,7 +490,42 @@ def pinned_cases(draw):
     return cls, rels, n, constraints, pin_sets
 
 
+@st.composite
+def xor_closed_rows(draw):
+    """An arity of 0-4 and a row set of that arity: a random point plus
+    the span of random differences, which is closed under xor of three
+    rows, or now and then the empty set."""
+    k = draw(st.integers(0, 4))
+    if draw(st.integers(0, 5)) == 0:
+        return k, frozenset()
+    vector = st.tuples(*[st.integers(0, 1)] * k)
+    rows = {draw(vector)}
+    for step in draw(st.lists(vector, max_size=3)):
+        rows |= {tuple(a ^ b for a, b in zip(row, step)) for row in rows}
+    return k, frozenset(rows)
+
+
 class TestBooleanSolver:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_affine_matches_dense_elimination(self, data):
+        # Scopes may repeat variables, and with no variables only arity-0
+        # row sets can be used.
+        n = data.draw(st.integers(0, 7))
+        row_sets = [r for r in data.draw(st.lists(xor_closed_rows(), min_size=1, max_size=3))
+                    if n or r[0] == 0]
+        constraints = []
+        for _ in range(data.draw(st.integers(0, 8)) if row_sets else 0):
+            k, rows = data.draw(st.sampled_from(row_sets))
+            scope = data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=k, max_size=k))
+            constraints.append((rows, tuple(scope)))
+        solve = _boolean_solver(n, constraints, {BooleanClass.MINORITY_AFFINE})
+        pin_sets = data.draw(st.lists(
+            st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)) if n else st.just({}),
+            min_size=1, max_size=4))
+        for pins in pin_sets + [{}]:
+            assert solve(pins) == reference_affine_solve(n, constraints, pins), pins
+
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(case=pinned_cases())
     def test_pinned_solves_match_exhaustive_search(self, case):
@@ -528,7 +566,7 @@ class TestBooleanSolver:
 
     def test_a_wrong_affine_answer_is_caught(self, monkeypatch):
         # The check is an explicit raise, so it also runs under python -O.
-        monkeypatch.setattr(polyengine, "_affine_solve", lambda n, constraints: [1] * n)
+        monkeypatch.setattr(polyengine, "_affine_pinned", lambda n, system, pins: [1] * n)
         solve = _boolean_solver(2, [(XOR_REL.tuples, (0, 1))], {BooleanClass.MINORITY_AFFINE})
         with pytest.raises(AssertionError):
             solve({})

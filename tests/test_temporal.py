@@ -522,22 +522,24 @@ class TestFreeSets:
 
     def test_affine_equations_are_derived_once_per_row_set(self, monkeypatch):
         # Forty solves of one affine quotient derive the equations of each
-        # distinct row set once: R's rows and the two pin rows.
+        # distinct constraint row set once: R's rows.  Pins are reduced
+        # into the pin-free system directly, so no row set is derived for
+        # them.
         from orbitcsp import polyengine
 
         rng = random.Random(1)
         names = [f"v{i}" for i in range(40)]
         inst = make_instance(names, [("R", rng.sample(names, 3)) for _ in range(40)])
         calls = []
-        derive = polyengine._affine_rows
+        derive = polyengine._affine_equations
 
         def counted(rows):
             calls.append(rows)
             return derive(rows)
 
-        monkeypatch.setattr(polyengine, "_affine_rows", counted)
+        monkeypatch.setattr(polyengine, "_affine_equations", counted)
         found = temporal.free_sets(inst, Q_PARITY)
-        assert len(calls) == len(set(calls)) == 3
+        assert len(calls) == len(set(calls)) == 1
         assert sum(s is not None for s in found) == 7
         for x, got in zip(names, found):
             if got is not None:
