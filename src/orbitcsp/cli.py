@@ -49,10 +49,10 @@ _REL_LINE = re.compile(r"rel\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:\s*(.*)")
 _CONSTRAINT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^)]*)\)\s*")
 _EDGE_ITEM = re.compile(r"E\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
-#: Largest declared relation arity.  Parsing sizes per-position tables by
-#: the arity, and a homogeneous type holds a label for each of its k(k-1)/2
-#: position pairs, so a larger arity is refused before anything is sized
-#: by it.
+#: Largest declared relation arity, and largest k or l of ``--kl``.
+#: Parsing sizes per-position tables by the arity, and a homogeneous type
+#: holds a label for each of its k(k-1)/2 position pairs, so a larger arity
+#: is refused before anything is sized by it.
 ARITY_LIMIT = 4096
 
 
@@ -212,6 +212,15 @@ def _parse_base(value: str, line: int) -> Union[str, homog.Base]:
     raise ParseError(f"unknown base {value!r}", line, 7)
 
 
+def _bounded_int(digits: str) -> Optional[int]:
+    """The value of a digit string, or None above ARITY_LIMIT.  Lengths are
+    compared first: int() refuses very long digit strings."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(ARITY_LIMIT)) or int(digits) > ARITY_LIMIT:
+        return None
+    return int(digits)
+
+
 def parse_template(text: str) -> Template:
     """Parse a template file into its temporal or homogeneous form."""
     lines = _content_lines(text)
@@ -228,11 +237,9 @@ def parse_template(text: str) -> Template:
         name, digits, body = match.groups()
         if name in temporal_rels or name in homog_rels:
             raise ParseError(f"relation {name} declared twice", line_no, 5)
-        # Compare lengths first: int() refuses very long digit strings.
-        digits = digits.lstrip("0") or "0"
-        if len(digits) > len(str(ARITY_LIMIT)) or int(digits) > ARITY_LIMIT:
+        arity = _bounded_int(digits)
+        if arity is None:
             raise ParseError(f"relations need arity <= {ARITY_LIMIT}", line_no, 5)
-        arity = int(digits)
         if arity < 1:
             raise ParseError("relations need arity >= 1", line_no, 5)
         literals = [lit.strip() for lit in body.split(";")]
@@ -343,8 +350,18 @@ def format_instance(instance: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def _format_levels(levels: Sequence[Sequence[str]]) -> str:
-    return "".join("[" + ",".join(level) + "]" for level in levels)
+def _levels_result(levels: Optional[Sequence[Sequence[str]]]) -> list[str]:
+    """The report lines of a temporal answer: UNSAT, or SAT and its levels."""
+    if levels is None:
+        return ["result: UNSAT"]
+    return ["result: SAT", "levels: " + "".join("[" + ",".join(level) + "]" for level in levels)]
+
+
+def _labeling_result(solution: Optional[LabeledType], instance: Instance) -> list[str]:
+    """The report lines of a homogeneous answer: UNSAT, or SAT and its labeling."""
+    if solution is None:
+        return ["result: UNSAT"]
+    return ["result: SAT", f"labeling: {_format_homog_type(solution, instance.variables)}"]
 
 
 def _format_afin_tuple(values: Sequence[int]) -> str:
@@ -405,12 +422,7 @@ def _cmd_solve(
 ) -> tuple[list[str], int]:
     if isinstance(template, TemporalTemplate):
         mode_name, levels = _temporal_solution(template, instance, args.mode)
-        lines = [f"mode: {mode_name}"]
-        if levels is None:
-            lines.append("result: UNSAT")
-        else:
-            lines.append("result: SAT")
-            lines.append(f"levels: {_format_levels(levels)}")
+        lines = [f"mode: {mode_name}", *_levels_result(levels)]
         if args.oracle:
             reference = temporal.brute_oracle(instance, template)
             agree = (reference is None) == (levels is None)
@@ -421,18 +433,10 @@ def _cmd_solve(
     if args.mode:
         raise ParseError("--mode applies to temporal templates")
     solution = homog.solve_instance_brute(instance, template)
-    if solution is None:
-        lines = ["result: UNSAT"]
-        if args.oracle:
-            lines.append("oracle: AGREE")
-        return lines, 1
-    lines = [
-        "result: SAT",
-        f"labeling: {_format_homog_type(solution, instance.variables)}",
-    ]
+    lines = _labeling_result(solution, instance)
     if args.oracle:
         lines.append("oracle: AGREE")
-    return lines, 0
+    return lines, 0 if solution is not None else 1
 
 
 def _cmd_freesets(
@@ -518,7 +522,9 @@ def _cmd_consistency(
     match = re.fullmatch(r"(\d+),(\d+)", args.kl)
     if not match:
         raise ParseError("--kl expects K,L")
-    k, l = int(match.group(1)), int(match.group(2))
+    k, l = map(_bounded_int, match.groups())
+    if k is None or l is None:
+        raise ParseError(f"--kl needs K,L <= {ARITY_LIMIT}")
     if isinstance(template, TemporalTemplate):
         space = TemporalPatterns(template)
     else:
@@ -538,16 +544,9 @@ def _cmd_oracle(
 ) -> tuple[list[str], int]:
     if isinstance(template, TemporalTemplate):
         levels = temporal.brute_oracle(instance, template)
-        if levels is None:
-            return ["result: UNSAT"], 1
-        return ["result: SAT", f"levels: {_format_levels(levels)}"], 0
+        return _levels_result(levels), 0 if levels is not None else 1
     solution = homog.solve_instance_brute(instance, template)
-    if solution is None:
-        return ["result: UNSAT"], 1
-    return [
-        "result: SAT",
-        f"labeling: {_format_homog_type(solution, instance.variables)}",
-    ], 0
+    return _labeling_result(solution, instance), 0 if solution is not None else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

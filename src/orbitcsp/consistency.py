@@ -14,13 +14,23 @@ before the fixpoint runs.
 The fixpoint runs on pattern numbers: a pattern's number is its index in
 ``space.patterns(arity)``, and a set of patterns is an ``int`` mask whose
 bit ``i`` stands for pattern ``i``.  A projection table maps each pattern
-number of one arity to the number of its reading at fixed positions, in an
-int32 image (a ``memoryview`` cast to ``"i"``, 4 bytes a pattern) filled
-lazily; a reading of fewer than k positions goes through the k-position
-reading that covers it, so each pattern is projected once per k-subset.
-Beside the image, a table keeps one preimage mask per reading and caches,
-per allowed mask, the union of its preimages, so that a pass over a
-superset costs a few integer operations per subset.
+number of one arity to the number of its reading at fixed ascending,
+distinct positions, in an int32 image (a ``memoryview`` cast to ``"i"``, 4
+bytes a pattern) filled lazily.  Beside the image, a table keeps one
+preimage mask per reading and caches, per allowed mask, the union of its
+preimages, so that a pass over a superset costs a few integer operations
+per subset.
+
+The engine relies on projections composing:
+``project(project(p, P), Q) == project(p, [P[q] for q in Q])``.  So a
+superset L of more than k variables reads only its k-subsets, and takes in
+only the constraints on at least k variables: a smaller subset or
+constraint support S lies in some k-subset T of L, T reads S and itself,
+and the chain L -> T -> S enforces every condition L -> S would, with the
+same greatest fixpoint.  For the same reason a constraint on a permuted or
+repeated scope is read through the table of its ascending distinct
+positions D, and its relation is translated instead: once per call, to the
+arity-|D| patterns whose reading at ``map(D.index, scope)`` is a member.
 
 The tables depend only on the pattern sequence, not on the template or the
 instance, so they live as long as the process.  They are keyed on the
@@ -67,7 +77,11 @@ class PatternSpace(Protocol):
     return patterns equal to listed ones.  A space whose ``patterns`` returns
     the same sequence object on every call shares the engine's projection
     tables with every other call on that sequence, so ``project`` must then
-    depend on the pattern and the positions only.
+    depend on the pattern and the positions only.  Projections must compose:
+    ``project(project(p, P), Q) == project(p, [P[q] for q in Q])`` for
+    every position list ``P`` (repeats allowed) and ``Q`` into ``P``; the
+    engine reads narrow subsets and permuted or repeated scopes through
+    that law.
     """
 
     template: Any
@@ -150,40 +164,26 @@ class _Preimages:
 
 class _Projection:
     """Pattern number of one arity -> number of its reading at fixed
-    positions, filled lazily; ``filled`` masks the numbers filled so far.
+    positions, filled lazily; ``filled`` masks the numbers filled so far."""
 
-    A direct table projects each pattern; a composed one reads through a
-    wider reading of the same arity (``outer``) and a table on that
-    reading's arity (``inner``).
-    """
+    __slots__ = ("image", "filled", "full", "targets", "_source", "_index", "_positions",
+                 "_complete")
 
-    __slots__ = ("image", "filled", "full", "targets", "_direct", "_composed", "_complete")
-
-    def __init__(self, size: int, targets: int, direct=None, composed=None):
-        self.image = memoryview(bytearray(4 * size)).cast("i")
+    def __init__(self, source: _Arity, target: _Arity, positions: tuple[int, ...]):
+        self.image = memoryview(bytearray(4 * source.size)).cast("i")
         self.filled = 0
-        self.full = (1 << size) - 1
-        self.targets = targets
-        self._direct = direct  # (source patterns, reading index, positions)
-        self._composed = composed  # (outer, inner)
+        self.full = source.full
+        self.targets = target.size
+        self._source, self._index, self._positions = source.patterns, target.index, positions
         self._complete: Optional[_Preimages] = None
 
     def fill(self, mask: int, project) -> None:
         missing = mask & ~self.filled
         if not missing:
             return
-        image = self.image
-        if self._direct is not None:
-            source, index, positions = self._direct
-            for number in _numbers(missing):
-                image[number] = index[project(source[number], positions)]
-        else:
-            outer, inner = self._composed
-            outer.fill(missing, project)
-            inner.fill(inner.full, project)
-            wide, narrow = outer.image, inner.image
-            for number in _numbers(missing):
-                image[number] = narrow[wide[number]]
+        image, source, index, positions = self.image, self._source, self._index, self._positions
+        for number in _numbers(missing):
+            image[number] = index[project(source[number], positions)]
         self.filled |= missing
 
     def preimages(self, cover: int, project) -> _Preimages:
@@ -237,33 +237,14 @@ def _numbered(space: PatternSpace, patterns: dict[int, Sequence[object]]) -> dic
     return numbered
 
 
-def _projection(arities: dict[int, _Arity], widest: int, arity: int,
+def _projection(arities: dict[int, _Arity], arity: int,
                 positions: tuple[int, ...]) -> _Projection:
-    """The table from patterns of ``arity`` to their ``positions`` reading.
-
-    A reading is looked up through the ascending reading of its distinct
-    positions, padded to ``widest`` positions when that is fewer than
-    ``arity``.  The fixpoint fills those ``widest``-position readings
-    anyway, so one ``project`` call per pattern and k-subset serves the
-    narrower, permuted and repeated readings inside it.
-    """
+    """The table from patterns of ``arity`` to their reading at the
+    ascending, distinct ``positions``."""
     source = arities[arity]
     table = source.tables.get(positions)
     if table is None:
-        wider = sorted(set(positions))
-        if len(wider) <= widest < arity:
-            # Pad with the first positions not read.
-            wider += [i for i in range(arity) if i not in wider][:widest - len(wider)]
-        wider = tuple(sorted(wider))
-        targets = arities[len(positions)]
-        if wider != positions and len(wider) < arity:
-            table = _Projection(source.size, targets.size, composed=(
-                _projection(arities, widest, arity, wider),
-                _projection(arities, widest, len(wider), tuple(map(wider.index, positions)))))
-        else:
-            table = _Projection(source.size, targets.size,
-                                direct=(source.patterns, targets.index, positions))
-        source.tables[positions] = table
+        table = source.tables[positions] = _Projection(source, arities[len(positions)], positions)
     return table
 
 
@@ -300,9 +281,17 @@ class _KLState:
     order; the first ones, of at most k variables, are also the subsets, and
     ``allowed[s]`` is subset ``s``'s mask.  ``viable[i]`` is the mask of
     superset ``i``'s patterns that still project into every allowed set of
-    its subsets, ``subsets[i]`` lists those subsets in the order of
-    ``readings[size]``, and ``containing[s]`` the supersets that contain
+    the subsets it reads, ``subsets[i]`` lists those subsets in the order of
+    ``readings[size]``, and ``containing[s]`` the supersets that read
     subset ``s``.  ``empty`` is set once some mask is found empty.
+
+    A superset of at most k variables reads all its nonempty subsets,
+    itself included, so at the fixpoint its allowed and viable masks agree;
+    a wider one reads only its k-subsets, and its candidates skip the
+    constraints on fewer than k variables.  Since
+    ``project(project(p, P), Q) == project(p, [P[q] for q in Q])``, the
+    k-subsets carry every narrower reading and constraint, and the fixpoint
+    is the one that reading every subset gives.
     """
 
     def __init__(self, instance: Instance, space: PatternSpace, k: int, l: int):
@@ -320,7 +309,7 @@ class _KLState:
             ) from exc
         arities = self._arities = _numbered(space, dict(sorted(patterns.items())))
         self._widest = widest
-        self._members: dict[tuple[str, int], set[int]] = {}
+        self._members: dict[tuple[str, tuple[int, ...]], set[int]] = {}
         self._admitted: dict[tuple[int, tuple[int, ...], str], int] = {}
         self.empty = False
 
@@ -338,8 +327,9 @@ class _KLState:
         self.sizes: list[int] = []
         self.subsets: list[tuple[int, ...]] = []
         cover: dict[int, int] = {}
+        # Per superset size, the sizes of the subsets it reads.
+        widths = {size: (widest,) if size > widest else range(1, size + 1) for size in arities}
         for size in arities:
-            reach = min(size, widest)
             covered = 0
             for L in combinations(range(n), size):
                 candidates = arities[size].full
@@ -347,6 +337,9 @@ class _KLState:
                 for m in support_sizes:
                     if m > size:
                         break
+                    if m < widest < size:
+                        # The k-subsets that L reads take these in.
+                        continue
                     for support in combinations(L, m):
                         for name, scope in by_support.get(support, ()):
                             if at is None:
@@ -363,52 +356,60 @@ class _KLState:
                 self.viable.append(candidates)
                 self.sizes.append(size)
                 self.subsets.append(tuple(map(self._index.__getitem__, chain.from_iterable(
-                    combinations(L, m) for m in range(1, reach + 1)))))
+                    combinations(L, m) for m in widths[size]))))
                 covered |= candidates
             cover[size] = covered
         self.containing: list[list[int]] = [[] for _ in self.keys]
         for i, subsets in enumerate(self.subsets):
             for s in subsets:
                 self.containing[s].append(i)
-        # Per superset size, the preimages of each at-most-k reading, in the
-        # order combinations() lists them.
+        # Per superset size, the preimages of each reading, in the order
+        # combinations() lists them.
         self.readings = {size: [
-            _projection(arities, widest, size, positions).preimages(cover[size], space.project)
-            for m in range(1, min(size, widest) + 1)
-            for positions in combinations(range(size), m)] for size in cover}
+            _projection(arities, size, positions).preimages(cover[size], space.project)
+            for m in widths[size] for positions in combinations(range(size), m)]
+            for size in cover}
         # Supersets whose subsets have not been projected from them yet.
         self._unvisited = bytearray(b"\x01") * len(self.viable)
 
-    def _numbers_of(self, name: str, arity: int) -> set[int]:
-        numbers = self._members.get((name, arity))
+    def _translated(self, name: str, positions: tuple[int, ...]) -> set[int]:
+        """The numbers of the patterns of arity ``max(positions) + 1`` whose
+        ``positions`` reading lies in relation ``name``; ``positions`` uses
+        every position below its maximum."""
+        key = (name, positions)
+        numbers = self._members.get(key)
         if numbers is None:
-            numbers = self._members[name, arity] = set(
-                map(self._arities[arity].index.get, self.space.members(name)))
-            numbers.discard(None)
+            source, members = self._arities[max(positions) + 1], self.space.members(name)
+            if positions == tuple(range(len(positions))):
+                numbers = set(map(source.index.get, members))
+                numbers.discard(None)
+            else:
+                project = self.space.project
+                numbers = {q for q, p in enumerate(source.patterns)
+                           if project(p, positions) in members}
+            self._members[key] = numbers
         return numbers
 
     def _admit(self, candidates: int, size: int, positions: tuple[int, ...], name: str) -> int:
         """The candidates whose ``positions`` reading lies in relation ``name``.
 
-        Once the reading's table is complete, the answer is one mask per
-        call, kept for the other supersets of this size."""
+        The reading goes through the table of the ascending distinct
+        positions D, so every permutation and repeat of D shares it, and the
+        relation is translated to arity |D| instead.  Once the table is
+        complete, the answer is one mask per call, kept for the other
+        supersets of this size."""
         key = (size, positions, name)
         admitted = self._admitted.get(key)
         if admitted is not None:
             return candidates & admitted
-        arities, project = self._arities, self.space.project
-        source = arities[size]
-        if len(positions) not in arities:
-            # A relation wider than l, on repeated variables: its readings
-            # are not numbered.
-            numbers, members = _numbers(candidates), self.space.members(name)
-            return _mask(compress(numbers, (project(source.patterns[p], positions) in members
-                                            for p in numbers)), source.size)
-        members = self._numbers_of(name, len(positions))
-        if positions == tuple(range(size)):
+        distinct = tuple(sorted(set(positions)))
+        members = self._translated(name, tuple(map(distinct.index, positions)))
+        source = self._arities[size]
+        if distinct == tuple(range(size)):
             admitted = _mask(members, source.size)
         else:
-            table = _projection(arities, self._widest, size, positions)
+            project = self.space.project
+            table = _projection(self._arities, size, distinct)
             table.fill(candidates, project)
             if table.filled != table.full:
                 numbers = _numbers(candidates)
@@ -439,7 +440,7 @@ class _KLState:
         """Run the fixpoint; False once some mask is empty.
 
         With ``changed`` unset, every superset is visited, in
-        size-then-lexicographic order; else only the supersets that contain
+        size-then-lexicographic order; else only the supersets that read
         one of the ``changed`` subsets (variable tuples), and then those
         whose subsets shrink in turn.
         """

@@ -500,6 +500,15 @@ class TestConsistencyCommand:
         report, code = run(["consistency", template, instance, "--kl", "wide"])
         assert code == 2
 
+    @pytest.mark.parametrize("kl", ["1," + "9" * 5000, "9" * 5000 + ",3", f"2,{ARITY_LIMIT + 1}"],
+                             ids=["huge-l", "huge-k", "above-limit"])
+    def test_oversized_kl_is_a_one_line_error(self, files, kl):
+        # 5000 digits is more than int() accepts.
+        template = files.path(LT_TEXT)
+        instance = files.path("vars x y\nLT(x,y)\n")
+        report, code = run(["consistency", template, instance, "--kl", kl])
+        assert (report, code) == (f"error: --kl needs K,L <= {ARITY_LIMIT}\n", 2)
+
     @pytest.mark.parametrize("text,relation,n,kl", [
         (ARC_TEXT, "ARC", 7, "2,7"),
         (LT_TEXT, "LT", 9, "2,9"),

@@ -304,6 +304,29 @@ REFERENCE_SPACES = {
 }
 REFERENCE_KL = [(1, 2), (2, 3), (2, 4), (3, 4)]
 
+COMPOSITION_SPACES = {
+    "finite2": FinitePatterns(FINITE),
+    "finite3": FinitePatterns(FiniteStructure(3, {})),
+    "temporal": SPACES["temporal"][0],
+    "tournament": SPACES["tournament"][0],
+    "graph": SPACES["graph"][0],
+    "kfree3": REFERENCE_SPACES["kfree3"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPOSITION_SPACES))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_projections_compose(kind, data):
+    # The engine reads narrow subsets through k-subsets, and permuted or
+    # repeated scopes through their distinct positions, by this law.
+    space = COMPOSITION_SPACES[kind]
+    arity = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from(space.patterns(arity)))
+    P = tuple(data.draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=5)))
+    Q = tuple(data.draw(st.lists(st.integers(0, len(P) - 1), min_size=1, max_size=5)))
+    assert space.project(space.project(p, P), Q) == space.project(p, tuple(P[q] for q in Q))
+
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -388,6 +411,64 @@ def test_narrow_and_propagate_matches_a_pinned_fixpoint(kind, data):
     fresh = establish_kl(make_instance(instance.variables, [*instance.constraints, ("PIN", S)]),
                          pinned, k, l)
     assert state.result() == fresh
+
+
+@pytest.mark.parametrize("k,l", [(2, 3), (3, 4)])
+def test_wide_supersets_read_only_their_k_subsets(k, l):
+    state = _KLState(make_instance("abcde", [("LT", ("a", "b"))]), SPACES["temporal"][0], k, l)
+    # Supersets are numbered in size-then-lexicographic order.
+    supersets = [L for size in range(1, l + 1) for L in combinations(range(5), size)]
+    assert len(state.subsets) == len(supersets)
+    for L, subsets in zip(supersets, state.subsets):
+        sizes = [k] if len(L) > k else range(1, len(L) + 1)
+        assert [state.keys[s] for s in subsets] == [
+            S for size in sizes for S in combinations(L, size)]
+
+
+class CountedFreshWeakOrders(TemporalPatterns):
+    """A temporal space that builds a new pattern list on every call, so
+    that each call starts with empty tables, and counts ``project`` calls."""
+
+    calls = 0
+
+    def patterns(self, arity):
+        return list(super().patterns(arity))
+
+    def project(self, pattern, positions):
+        self.calls += 1
+        return super().project(pattern, positions)
+
+
+def planted_temporal_instance(rng, n, m):
+    """``m`` constraints of TEMPORAL that a planted ranking satisfies;
+    scopes may be permuted and may repeat variables."""
+    names = [f"x{i}" for i in range(n)]
+    rank = {v: rng.randrange(n) for v in names}
+    holds = {"LT": lambda x, y: rank[x] < rank[y],
+             "RMIN": lambda x, y, z: rank[x] > min(rank[y], rank[z])}
+    constraints = []
+    while len(constraints) < m:
+        name = rng.choice(sorted(holds))
+        scope = tuple(rng.choice(names) for _ in range(TEMPORAL.relations[name].arity))
+        if holds[name](*scope):
+            constraints.append((name, scope))
+    return make_instance(names, constraints)
+
+
+@pytest.mark.parametrize("n,k,l,calls", [(10, 2, 5, 11017), (8, 3, 5, 5833)])
+def test_project_calls_of_a_cold_call(n, k, l, calls):
+    # Each pattern is projected once per table it fills.  A permuted or
+    # repeated scope shares the table of its distinct positions, and a
+    # superset wider than k leaves a constraint on fewer than k variables
+    # to its k-subsets, so it fills no table for it.
+    instance = planted_temporal_instance(random.Random(2), n, n)
+    scopes = [scope for name, scope in instance.constraints if name == "RMIN"]
+    assert any(len(set(scope)) < 3 for scope in scopes)
+    assert any(len(set(scope)) == 3 and list(scope) != sorted(scope) for scope in scopes)
+    space = CountedFreshWeakOrders(TEMPORAL)
+    result = establish_kl(instance, space, k, l)
+    assert result == establish_kl(instance, TemporalPatterns(TEMPORAL), k, l) != EMPTY_DERIVED
+    assert space.calls == calls
 
 
 def test_propagate_rejects_an_unknown_subset():
