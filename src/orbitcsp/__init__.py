@@ -103,8 +103,6 @@ from .temporal import (
     enumerate_weak_orders,
     free_set_containing,
     free_sets,
-    is_free_set,
-    minimal_free_set,
     preserves_temporal,
     solve_master,
     temporal_relation,

@@ -13,13 +13,13 @@ before the fixpoint runs.
 
 The fixpoint runs on pattern numbers: a pattern's number is its index in
 ``space.patterns(arity)``, and a set of patterns is an ``int`` mask whose
-bit ``i`` stands for pattern ``i``.  A projection table maps each pattern
-number of one arity to the number of its reading at fixed ascending,
-distinct positions, in an int32 image (a ``memoryview`` cast to ``"i"``, 4
-bytes a pattern) filled lazily.  Beside the image, a table keeps one
-preimage mask per reading and caches, per allowed mask, the union of its
-preimages, so that a pass over a superset costs a few integer operations
-per subset.
+bit ``i`` stands for pattern ``i``.  A projection table reads the patterns
+of one arity at fixed ascending, distinct positions, and holds one
+preimage mask per reading: the patterns filled so far that read to it.
+Filling projects each pattern once, lazily, so the masks are exact on the
+filled patterns and serve every pattern set inside them.  A table also
+caches, per allowed mask, the union of its readings' masks, so that a pass
+over a superset costs a few integer operations per subset.
 
 The engine relies on projections composing:
 ``project(project(p, P), Q) == project(p, [P[q] for q in Q])``.  So a
@@ -37,10 +37,9 @@ instance, so they live as long as the process.  They are keyed on the
 identity of the sequence ``space.patterns`` returns (the memoised tuples of
 ``homog.enumerate_types``, ``temporal.enumerate_weak_orders`` and
 :class:`FinitePatterns`) and hold a reference to it; a space that builds a
-fresh sequence on every call gets tables for that call only.  Preimage masks
-are kept only once a table's image is complete; until then each call builds
-them over its own candidates.  Relation memberships depend on the template
-and belong to one call.
+fresh sequence on every call gets tables for that call only.  A call fills
+a table over its own viable patterns, and a later call fills it further.
+Relation memberships depend on the template and belong to one call.
 
 A call builds a :class:`_KLState`: per superset of at most l variables the
 mask of its patterns that satisfy every constraint inside it, found through
@@ -137,18 +136,36 @@ def _mask(numbers: Iterable[int], size: int) -> int:
     return int(digits, 2) if size else 0
 
 
-class _Preimages:
-    """Per reading number, the mask of the patterns that read to it; and
-    per allowed mask, the union of its readings' preimages."""
+class _Projection:
+    """The patterns of one arity read at fixed positions: ``masks[q]`` is
+    the mask of the filled patterns that read to number ``q``, ``filled``
+    masks the numbers filled so far, and ``unions`` caches, per allowed
+    mask, the union of its readings' masks."""
 
-    __slots__ = ("masks", "unions")
+    __slots__ = ("masks", "unions", "filled", "full", "_source", "_index", "_positions")
 
-    def __init__(self, image: memoryview, numbers: Iterable[int], targets: int):
-        groups: list[list[int]] = [[] for _ in range(targets)]
-        for number in numbers:
-            groups[image[number]].append(number)
-        self.masks = [_mask(group, len(image)) for group in groups]
+    def __init__(self, source: _Arity, target: _Arity, positions: tuple[int, ...]):
+        self.masks = [0] * target.size
         self.unions: dict[int, int] = {}
+        self.filled = 0
+        self.full = source.full
+        self._source, self._index, self._positions = source, target.index, positions
+
+    def fill(self, mask: int, project) -> None:
+        """Project the patterns of ``mask`` not filled yet, each once."""
+        missing = mask & ~self.filled
+        if not missing:
+            return
+        source, index, positions = self._source.patterns, self._index, self._positions
+        groups: dict[int, list[int]] = {}
+        for number in _numbers(missing):
+            groups.setdefault(index[project(source[number], positions)], []).append(number)
+        masks, size = self.masks, self._source.size
+        for q, group in groups.items():
+            masks[q] |= _mask(group, size)
+        self.filled |= missing
+        # A union cached before this fill lacks the new numbers.
+        self.unions.clear()
 
     def union(self, allowed: int) -> int:
         union = self.unions.get(allowed)
@@ -160,41 +177,6 @@ class _Preimages:
                 rest ^= low
             self.unions[allowed] = union
         return union
-
-
-class _Projection:
-    """Pattern number of one arity -> number of its reading at fixed
-    positions, filled lazily; ``filled`` masks the numbers filled so far."""
-
-    __slots__ = ("image", "filled", "full", "targets", "_source", "_index", "_positions",
-                 "_complete")
-
-    def __init__(self, source: _Arity, target: _Arity, positions: tuple[int, ...]):
-        self.image = memoryview(bytearray(4 * source.size)).cast("i")
-        self.filled = 0
-        self.full = source.full
-        self.targets = target.size
-        self._source, self._index, self._positions = source.patterns, target.index, positions
-        self._complete: Optional[_Preimages] = None
-
-    def fill(self, mask: int, project) -> None:
-        missing = mask & ~self.filled
-        if not missing:
-            return
-        image, source, index, positions = self.image, self._source, self._index, self._positions
-        for number in _numbers(missing):
-            image[number] = index[project(source[number], positions)]
-        self.filled |= missing
-
-    def preimages(self, cover: int, project) -> _Preimages:
-        """Preimage masks valid for every pattern in ``cover``.  Once the
-        image is complete they are built over every pattern and kept."""
-        self.fill(cover, project)
-        if self.filled != self.full:
-            return _Preimages(self.image, _numbers(cover), self.targets)
-        if self._complete is None:
-            self._complete = _Preimages(self.image, range(len(self.image)), self.targets)
-        return self._complete
 
 
 class _Arity:
@@ -237,14 +219,15 @@ def _numbered(space: PatternSpace, patterns: dict[int, Sequence[object]]) -> dic
     return numbered
 
 
-def _projection(arities: dict[int, _Arity], arity: int,
-                positions: tuple[int, ...]) -> _Projection:
-    """The table from patterns of ``arity`` to their reading at the
-    ascending, distinct ``positions``."""
+def _projection(arities: dict[int, _Arity], arity: int, positions: tuple[int, ...],
+                mask: int, project) -> _Projection:
+    """The table that reads patterns of ``arity`` at the ascending, distinct
+    ``positions``, filled over ``mask``."""
     source = arities[arity]
     table = source.tables.get(positions)
     if table is None:
         table = source.tables[positions] = _Projection(source, arities[len(positions)], positions)
+    table.fill(mask, project)
     return table
 
 
@@ -363,10 +346,10 @@ class _KLState:
         for i, subsets in enumerate(self.subsets):
             for s in subsets:
                 self.containing[s].append(i)
-        # Per superset size, the preimages of each reading, in the order
-        # combinations() lists them.
+        # Per superset size, the table of each reading, in the order
+        # combinations() lists them, filled over every viable pattern.
         self.readings = {size: [
-            _projection(arities, size, positions).preimages(cover[size], space.project)
+            _projection(arities, size, positions, cover[size], space.project)
             for m in widths[size] for positions in combinations(range(size), m)]
             for size in cover}
         # Supersets whose subsets have not been projected from them yet.
@@ -395,7 +378,8 @@ class _KLState:
 
         The reading goes through the table of the ascending distinct
         positions D, so every permutation and repeat of D shares it, and the
-        relation is translated to arity |D| instead.  Once the table is
+        relation is translated to arity |D| instead.  The table is filled
+        over the candidates, so its masks are exact on them; once it is
         complete, the answer is one mask per call, kept for the other
         supersets of this size."""
         key = (size, positions, name)
@@ -404,22 +388,15 @@ class _KLState:
             return candidates & admitted
         distinct = tuple(sorted(set(positions)))
         members = self._translated(name, tuple(map(distinct.index, positions)))
-        source = self._arities[size]
         if distinct == tuple(range(size)):
-            admitted = _mask(members, source.size)
+            admitted = _mask(members, self._arities[size].size)
         else:
-            project = self.space.project
-            table = _projection(self._arities, size, distinct)
-            table.fill(candidates, project)
-            if table.filled != table.full:
-                numbers = _numbers(candidates)
-                return _mask(compress(numbers, map(members.__contains__,
-                                                   map(table.image.__getitem__, numbers))),
-                             source.size)
-            masks = table.preimages(table.full, project).masks
-            admitted = 0
+            table = _projection(self._arities, size, distinct, candidates, self.space.project)
+            masks, admitted = table.masks, 0
             for q in members:
                 admitted |= masks[q]
+            if table.filled != table.full:
+                return candidates & admitted
         self._admitted[key] = admitted
         return candidates & admitted
 
@@ -461,8 +438,8 @@ class _KLState:
         while queue:
             i = queue.popleft()
             mine = viable[i]
-            for s, preimages in zip(subsets[i], readings[sizes[i]]):
-                mine &= preimages.union(allowed[s])
+            for s, table in zip(subsets[i], readings[sizes[i]]):
+                mine &= table.union(allowed[s])
             if mine == viable[i] and not unvisited[i]:
                 # Each subset's allowed set is already this superset's image.
                 queued[i] = 0
@@ -472,8 +449,8 @@ class _KLState:
                 return False
             viable[i] = mine
             unvisited[i] = 0
-            for s, preimages in zip(subsets[i], readings[sizes[i]]):
-                masks = preimages.masks
+            for s, table in zip(subsets[i], readings[sizes[i]]):
+                masks = table.masks
                 kept = rest = allowed[s]
                 while rest:
                     low = rest & -rest

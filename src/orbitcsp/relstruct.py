@@ -61,10 +61,6 @@ class FiniteStructure:
                         f"relation {name}: tuple {t} leaves the domain"
                     )
 
-    @property
-    def domain(self) -> range:
-        return range(self.domain_size)
-
 
 @dataclass(frozen=True)
 class Instance:

@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import (
     BudgetExceeded,
     MalformedPattern,
-    NotFree,
     ParameterError,
     PreconditionFailed,
     SignatureMismatch,
@@ -601,26 +600,6 @@ def _solve_afin(quotient: _Quotient,
     return None if values is None else dict(zip(index, map(values.__getitem__, index.values())))
 
 
-def is_free_set(instance: Instance, template: TemporalTemplate,
-                subset: Iterable[str]) -> bool:
-    """Definition check: every intersecting constraint admits a valuation
-    whose minimum is attained exactly on the subset's variables."""
-    sub = frozenset(subset)
-    for v in sub:
-        if v not in instance.variables:
-            raise UnknownVariable(v)
-    if not sub:
-        return False
-    for rel, scope in _constraint_list(instance, template):
-        positions = frozenset(i for i, v in enumerate(scope) if v in sub)
-        if not positions:
-            continue
-        if not any(t.respects(scope) and frozenset(t.blocks[0]) == positions
-                   for t in rel.types):
-            return False
-    return True
-
-
 def free_set_containing(instance: Instance, template: TemporalTemplate,
                         x: str) -> Optional[frozenset[str]]:
     """A free set containing x, or None.
@@ -677,15 +656,6 @@ def _shrink_free_set(quotient: _Quotient,
             if improved:
                 break
     return frozenset(current)
-
-
-def minimal_free_set(instance: Instance, template: TemporalTemplate,
-                     subset: Iterable[str]) -> frozenset[str]:
-    """Shrink a free set until no proper free subset remains."""
-    sub = frozenset(subset)
-    if not is_free_set(instance, template, sub):
-        raise NotFree(f"{sorted(sub)} is not a free set")
-    return _shrink_free_set(_quotient_of(instance, template), sub)
 
 
 def _run_master(variables: tuple[str, ...],

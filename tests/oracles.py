@@ -12,9 +12,17 @@ from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence
 
-from orbitcsp.errors import ArityMismatch, BudgetExceeded, DomainMismatch, MalformedPattern
+from orbitcsp.errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    DomainMismatch,
+    MalformedPattern,
+    NotFree,
+    UnknownVariable,
+)
 from orbitcsp.homog import Label, LabeledType, PairBehavior, _pair_index
 from orbitcsp.relstruct import FiniteStructure, Instance, Relation, encode_tuple
+from orbitcsp.temporal import _constraint_list, _quotient_of, _shrink_free_set
 
 
 def exhaustive_hom(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
@@ -629,6 +637,34 @@ def reference_run_master(variables, constraints, use_minimal):
         current = projected
         remaining = [v for v in remaining if v not in level]
     return tuple(levels)
+
+
+def is_free_set(instance, template, subset):
+    """Definition check: every intersecting constraint admits a valuation
+    whose minimum is attained exactly on the subset's variables."""
+    sub = frozenset(subset)
+    for v in sub:
+        if v not in instance.variables:
+            raise UnknownVariable(v)
+    if not sub:
+        return False
+    for rel, scope in _constraint_list(instance, template):
+        positions = frozenset(i for i, v in enumerate(scope) if v in sub)
+        if not positions:
+            continue
+        if not any(t.respects(scope) and frozenset(t.blocks[0]) == positions
+                   for t in rel.types):
+            return False
+    return True
+
+
+def minimal_free_set(instance, template, subset):
+    """Shrink a free set until no proper free subset remains, as the
+    master's ll modes do."""
+    sub = frozenset(subset)
+    if not is_free_set(instance, template, sub):
+        raise NotFree(f"{sorted(sub)} is not a free set")
+    return _shrink_free_set(_quotient_of(instance, template), sub)
 
 
 # --- definitions the tests compare the package against -----------------------

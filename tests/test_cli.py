@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import math
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcsp.cli import (
     ARITY_LIMIT,
+    SUPERSET_LIMIT,
     _PairReader,
     format_instance,
     format_template,
+    main,
     parse_instance,
     parse_template,
     run,
@@ -25,6 +32,7 @@ TEMPORAL_TEXT = "base: temporal\nrel Betw/3: 1<2<3; 3<2<1\nrel LT/2: 1<2\n"
 LT_TEXT = "base: temporal\nrel LT/2: 1<2\n"
 ARC_TEXT = "base: tournament\nrel ARC/2: 1->2\n"
 GRAPH_TEXT = "base: graph\nrel E/2: E(1,2)\nrel N/2: -\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, text):
@@ -522,6 +530,32 @@ class TestConsistencyCommand:
         assert report.startswith(f"error: (k,l) = ({kl}) needs patterns of arity {n}: ")
         assert report.count("\n") == 1
 
+    @staticmethod
+    def arc_chain(files, n):
+        names = [f"v{i}" for i in range(n)]
+        chain = "".join(f"ARC({a},{b})\n" for a, b in zip(names, names[1:]))
+        return files.path(f"vars {' '.join(names)}\n{chain}")
+
+    @staticmethod
+    def supersets(n, l):
+        return sum(math.comb(n, m) for m in range(1, min(l, n) + 1))
+
+    @pytest.mark.parametrize("n,l", [(85, 3), (40, 6)])
+    def test_too_many_supersets_is_a_one_line_error(self, files, n, l):
+        # 40 variables at (2,6) make 4 598 478 supersets; refused at once.
+        assert self.supersets(n, l) > SUPERSET_LIMIT
+        instance = self.arc_chain(files, n)
+        report, code = run(["consistency", files.path(ARC_TEXT), instance, "--kl", f"2,{l}"])
+        assert (report, code) == (
+            f"error: (k,l) = (2,{l}) on {n} variables needs more than {SUPERSET_LIMIT} "
+            "supersets\n", 2)
+
+    def test_superset_count_at_the_limit_is_accepted(self, files):
+        assert self.supersets(84, 3) <= SUPERSET_LIMIT < self.supersets(85, 3)
+        instance = self.arc_chain(files, 84)
+        report, code = run(["consistency", files.path(ARC_TEXT), instance])
+        assert (report, code) == ("kl: 2,3\nstate: CONSISTENT\nsubsets: 3570\n", 0)
+
 
 class TestOracleCommand:
     def test_temporal(self, files):
@@ -617,3 +651,21 @@ class TestRunHarness:
         report, code = run(["solve", template, instance])
         assert report.startswith("error:")
         assert code == 2
+
+
+@pytest.mark.parametrize("command,template,instance,flags,code", [
+    ("classify", "rmin.tmpl", None, [], 0),
+    ("consistency", "arc.tmpl", "arc_sat.inst", ["--kl", "two"], 2),
+])
+def test_main_writes_the_golden_report_and_exits_with_its_code(
+        monkeypatch, capsys, command, template, instance, flags, code):
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    (case,) = [case for case in cases if (case["command"], case["template"], case["instance"],
+                                          case["flags"]) == (command, template, instance, flags)]
+    assert case["exit"] == code
+    files = [template] + ([instance] if instance else [])
+    monkeypatch.setattr(sys, "argv", ["orbitcsp", command, *(str(GOLDEN / f) for f in files),
+                                      *flags])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert (capsys.readouterr().out, exit_info.value.code) == (case["report"], code)

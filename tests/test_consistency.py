@@ -471,6 +471,30 @@ def test_project_calls_of_a_cold_call(n, k, l, calls):
     assert space.calls == calls
 
 
+class OwnWeakOrders(TemporalPatterns):
+    """A temporal space with pattern sequences of its own, the same on every
+    call, so that its tables start empty and persist across calls."""
+
+    def __init__(self, template):
+        super().__init__(template)
+        self.listed = {}
+
+    def patterns(self, arity):
+        if arity not in self.listed:
+            self.listed[arity] = tuple(list(super().patterns(arity)))
+        return self.listed[arity]
+
+
+def test_a_table_filled_further_by_a_later_call():
+    # The first call fills the tables over its own viable patterns and
+    # caches unions; the second fills them further, and a union cached
+    # before that fill would lack the new patterns.
+    space = OwnWeakOrders(TEMPORAL)
+    for constraints in ([("LT", ("x", "y")), ("LT", ("y", "z"))], [("LT", ("y", "x"))]):
+        instance = make_instance("xyz", constraints)
+        assert establish_kl(instance, space, 2, 3) == reference_establish_kl(instance, space, 2, 3)
+
+
 def test_propagate_rejects_an_unknown_subset():
     state = _KLState(make_instance("xyz", [("LT", ("x", "y"))]), SPACES["temporal"][0], 2, 3)
     assert state.propagate()

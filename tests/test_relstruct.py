@@ -143,7 +143,7 @@ class TestPower:
             # constraint per tuple.
             square = power_structure(tpl, 2)
             inst = make_instance(
-                [f"t{i}" for i in square.domain],
+                [f"t{i}" for i in range(square.domain_size)],
                 [("R", [f"t{v}" for v in t]) for t in square.relations["R"].sorted_tuples()],
             )
             hom = hom_search(inst, tpl)

@@ -39,15 +39,19 @@ from orbitcsp.temporal import (
     classify_temporal,
     enumerate_weak_orders,
     free_set_containing,
-    is_free_set,
-    minimal_free_set,
     preserves_temporal,
     solve_master,
     TemporalPatterns,
     temporal_relation,
 )
 
-from oracles import reference_apply, reference_run_master, weak_order_counts
+from oracles import (
+    is_free_set,
+    minimal_free_set,
+    reference_apply,
+    reference_run_master,
+    weak_order_counts,
+)
 
 
 def wot(*ranks):
