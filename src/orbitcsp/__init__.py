@@ -23,7 +23,6 @@ from .errors import (
     ClassMismatch,
     DomainMismatch,
     MalformedPattern,
-    NotFree,
     OrbitCspError,
     ParameterError,
     ParseError,

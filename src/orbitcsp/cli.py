@@ -624,7 +624,7 @@ def run(argv: Sequence[str]) -> tuple[str, int]:
             lines, code = _cmd_oracle(template, instance, args)
     except OrbitCspError as exc:
         return f"error: {exc}\n", 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return f"error: {exc}\n", 2
     return "\n".join(lines) + "\n", code
 

@@ -41,10 +41,6 @@ class UnknownVariable(OrbitCspError):
     """A query names a variable the instance does not declare."""
 
 
-class NotFree(OrbitCspError):
-    """A set claimed to be free fails the free-set definition."""
-
-
 class PreconditionFailed(OrbitCspError):
     """A solver was invoked on a template that fails its preservation
     precondition."""

@@ -400,26 +400,27 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # the empty set and its bottom block.  Z is encoded as 1 and P as 0, which
 # makes the induced action of ll the boolean AND.
 #
-# The master loop asks one quotient instance many questions that differ
-# only in their pins (variables fixed to Z or P), then commits a level and
-# asks them of what is left.  So one _Quotient is compiled per solve_master
-# call: one pattern lookup per constraint, scopes as variable indices, the
-# class set from _classify_cache, and the solver that
+# The master picks each level in one pass of pinned solves (_next_level):
+# the first free set found in declaration order, which in the ll modes each
+# later member's least free set replaces when smaller.  Then it commits the
+# level and asks again of what is left.  So one _Quotient is compiled per
+# solve_master call: one pattern lookup per constraint, scopes as variable
+# indices, the class set from _classify_cache, and the solver that
 # polyengine._boolean_solver picks for it.  Committing a level
-# (_Quotient.commit) visits only the constraints whose scope meets it,
-# found through a variable-to-constraint index; constraints keep their ids
-# in the instance.  Each is projected past the level through a memo that
-# lasts for the call and returns the same relation object for the same
-# (relation, positions), so that the pattern lookup hits by identity.  The
-# class set is kept as a count of (arity, patterns) pairs.  Then
+# (_Quotient.commit) visits only the constraints whose scope meets it, found
+# through a variable-to-constraint index; constraints keep their ids in the
+# instance.  Each is projected past the level through a memo that lasts for
+# the call and returns the same relation object for the same (relation,
+# positions), so that the pattern lookup hits by identity.  The class set is
+# kept as a count of (arity, patterns) pairs.  Then
 # polyengine._narrow_solver narrows a Horn engine in place when the classes
 # still pick its algorithm (a scope only shrinks to remaining variables, so
 # its watch lists stay valid, and the pin-free fixpoint is recomputed once
 # per level); otherwise a fresh solver is built on the remaining variables.
-# The variable-to-constraint index, the memo and the counts are made by the
-# first commit, so the one-shot quotients of the free-set functions do
-# without them.  A pin is a solver index mapped to Z or P; a Horn quotient
-# answers it from the pin-free fixpoint.  Every quotient solve is a call of
+# The variable-to-constraint index and the memo are made by the first
+# commit, so the one-shot quotients of the free-set functions do without
+# them.  A pin is a solver index mapped to Z or P; a Horn quotient answers
+# it from the pin-free fixpoint.  Every quotient solve is a call of
 # _solve_afin, under that global name, so that it can be counted.
 # ---------------------------------------------------------------------------
 
@@ -497,11 +498,12 @@ class _Quotient:
         # the zero/positive patterns of the relation on that scope.
         self.constraints: list[Optional[_Constraint]] = list(constraints)
         self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
+        # The class key: a count of live constraints per (arity, patterns).
+        self.counts = Counter((len(scope), patterns) for (_, scope), patterns
+                              in zip(constraints, self.patterns))
         # What only commit needs, made by the first one.
         self.touching: Optional[dict[str, list[int]]] = None
-        self._build(self._classes(frozenset(
-            (len(scope), patterns) for (_, scope), patterns
-            in zip(constraints, self.patterns))))
+        self._build(self._classes(frozenset(self.counts)))
 
     @staticmethod
     def _classes(key: frozenset) -> frozenset[BooleanClass]:
@@ -557,8 +559,6 @@ class _Quotient:
             for c, (_, scope) in enumerate(self.constraints):
                 for v in dict.fromkeys(scope):
                     self.touching[v].append(c)
-            self.counts = Counter((len(scope), patterns) for (_, scope), patterns
-                                  in zip(self.constraints, self.patterns))
             self.projections: dict[tuple[TemporalRelation, tuple[int, ...]],
                                    tuple[Optional[TemporalRelation], tuple[int, ...]]] = {}
         members = frozenset(level)
@@ -632,30 +632,34 @@ def _free_set(quotient: _Quotient, x: str) -> Optional[frozenset[str]]:
     return frozenset(v for v in quotient.variables if solution[v] == Z_VALUE)
 
 
-def _shrink_free_set(quotient: _Quotient,
-                     start: frozenset[str]) -> frozenset[str]:
-    variables = quotient.variables
-    current = [v for v in variables if v in start]
-    improved = True
-    while improved:
-        improved = False
-        # Keep x at the bottom, push y and everything outside the
-        # candidate strictly above: solutions are proper subsets.
-        outside = {w: P_VALUE for w in variables if w not in current}
-        for x in current:
-            for y in current:
-                if y == x:
-                    continue
-                pins = {x: Z_VALUE, y: P_VALUE, **outside}
-                solution = _solve_afin(quotient, pins)
-                if solution is not None:
-                    current = [v for v in variables
-                               if solution[v] == Z_VALUE]
-                    improved = True
-                    break
-            if improved:
+def _next_level(quotient: _Quotient,
+                minimal: bool) -> Optional[tuple[str, ...]]:
+    """The next level, in declaration order, or None when no remaining
+    variable lies in a free set.
+
+    One pass: the first variable whose free set exists gives the level.
+    With ``minimal`` (the ll modes) the quotient is AND-closed, and its
+    Horn engine's least solution with x pinned to Z is the least free set
+    containing x.  So each later member whose set is smaller replaces the
+    level, which ends minimal.  A member passed over lies in no later
+    replacement, since its least free set was the whole level then; so
+    the pass needs no restart.
+    """
+    level: Optional[frozenset[str]] = None
+    for x in quotient.variables:
+        if level is None:
+            level = _free_set(quotient, x)
+            if level is not None and not minimal:
                 break
-    return frozenset(current)
+        elif x in level:
+            found = _free_set(quotient, x)
+            if found is None or not found <= level:
+                raise AssertionError(
+                    "least free set of a level member is not inside the level")
+            level = found
+    if level is None:
+        return None
+    return tuple(v for v in quotient.variables if v in level)
 
 
 def _run_master(variables: tuple[str, ...],
@@ -664,21 +668,13 @@ def _run_master(variables: tuple[str, ...],
     quotient = _Quotient(variables, constraints)
     levels: list[tuple[str, ...]] = []
     while quotient.variables:
-        remaining = quotient.variables
-        solution = None
-        for x in remaining:
-            solution = _solve_afin(quotient, {x: Z_VALUE})
-            if solution is not None:
-                break
-        if solution is None:
+        level = _next_level(quotient, use_minimal)
+        if level is None:
             # A satisfying weak order would make its bottom level a free
             # set, so the search failing for every variable refutes it.
             return None
-        level = frozenset(v for v in remaining if solution[v] == Z_VALUE)
-        if use_minimal:
-            level = _shrink_free_set(quotient, level)
-        levels.append(tuple(v for v in remaining if v in level))
-        quotient.commit(levels[-1])
+        levels.append(level)
+        quotient.commit(level)
     return tuple(levels)
 
 
@@ -686,8 +682,9 @@ def solve_master(instance: Instance, template: TemporalTemplate,
                  mode: TemporalOp) -> Optional[Levels]:
     """Level-by-level solver for templates preserved by the chosen mode.
 
-    Repeatedly commits a free set (a minimal one in the ll modes) as the
-    next level and projects all constraints past it; dual modes run the
+    Repeatedly commits a free set as the next level and projects all
+    constraints past it: the first found in declaration order, shrunk in
+    the same pass to a minimal one in the ll modes.  Dual modes run the
     base mode on the reversed relations and flip the resulting order.
     Returns the levels bottom-up, or None when unsatisfiable.
     """

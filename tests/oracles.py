@@ -17,12 +17,24 @@ from orbitcsp.errors import (
     BudgetExceeded,
     DomainMismatch,
     MalformedPattern,
-    NotFree,
+    OrbitCspError,
     UnknownVariable,
 )
 from orbitcsp.homog import Label, LabeledType, PairBehavior, _pair_index
 from orbitcsp.relstruct import FiniteStructure, Instance, Relation, encode_tuple
-from orbitcsp.temporal import _constraint_list, _quotient_of, _shrink_free_set
+from orbitcsp.temporal import (
+    P_VALUE,
+    Z_VALUE,
+    TemporalRelation,
+    _constraint_list,
+    _Quotient,
+    _quotient_of,
+    _solve_afin,
+)
+
+
+class NotFree(OrbitCspError):
+    """A set claimed to be free fails the free-set definition."""
 
 
 def exhaustive_hom(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:
@@ -584,18 +596,39 @@ def reference_solve_instance_brute(instance, template):
     return place(0)
 
 
-def reference_run_master(variables, constraints, use_minimal):
-    """The master loop that compiles a fresh quotient at every level, kept
-    as a differential reference for ``orbitcsp.temporal._run_master``,
-    which compiles one quotient per call and narrows it level by level."""
-    from orbitcsp.temporal import (
-        Z_VALUE,
-        TemporalRelation,
-        _Quotient,
-        _shrink_free_set,
-        _solve_afin,
-    )
+def shrink_free_set(quotient, start):
+    """Shrink a free set by pairwise pinning until no proper free subset
+    remains: keep some x at Z and push some other member y and everything
+    outside the set to P, take any solution's Z-set, and start over.  No
+    least-solution property is used, so it checks the master's one-pass
+    level rule."""
+    variables = quotient.variables
+    current = [v for v in variables if v in start]
+    improved = True
+    while improved:
+        improved = False
+        outside = {w: P_VALUE for w in variables if w not in current}
+        for x in current:
+            for y in current:
+                if y == x:
+                    continue
+                pins = {x: Z_VALUE, y: P_VALUE, **outside}
+                solution = _solve_afin(quotient, pins)
+                if solution is not None:
+                    current = [v for v in variables
+                               if solution[v] == Z_VALUE]
+                    improved = True
+                    break
+            if improved:
+                break
+    return frozenset(current)
 
+
+def reference_run_master(variables, constraints, use_minimal):
+    """The master loop that compiles a fresh quotient at every level and
+    shrinks its first free set pairwise, kept as a differential reference
+    for ``orbitcsp.temporal._run_master``, which compiles one quotient per
+    call, narrows it level by level, and picks each level in one pass."""
     remaining = list(variables)
     current = list(constraints)
     levels: list[tuple[str, ...]] = []
@@ -612,7 +645,7 @@ def reference_run_master(variables, constraints, use_minimal):
             return None
         level = frozenset(v for v in remaining if solution[v] == Z_VALUE)
         if use_minimal:
-            level = _shrink_free_set(quotient, level)
+            level = shrink_free_set(quotient, level)
         levels.append(tuple(v for v in remaining if v in level))
         projected = []
         for rel, scope in current:
@@ -664,7 +697,7 @@ def minimal_free_set(instance, template, subset):
     sub = frozenset(subset)
     if not is_free_set(instance, template, sub):
         raise NotFree(f"{sorted(sub)} is not a free set")
-    return _shrink_free_set(_quotient_of(instance, template), sub)
+    return shrink_free_set(_quotient_of(instance, template), sub)
 
 
 # --- definitions the tests compare the package against -----------------------

@@ -608,6 +608,22 @@ class TestRunHarness:
         assert report == f"error: {error}\n"
         assert code == 2
 
+    @pytest.mark.parametrize("command,template,instance", [
+        ("classify", b"base: temporal\nrel LT/2: 1<2\xff", None),
+        ("solve", LT_TEXT.encode(), b"vars x y\nLT(x,y)\xff\n"),
+    ])
+    def test_non_utf8_input_is_a_one_line_error(self, tmp_path, command,
+                                                template, instance):
+        argv = [command]
+        for name, data in (("template", template), ("instance", instance)):
+            if data is not None:
+                (tmp_path / name).write_bytes(data)
+                argv.append(str(tmp_path / name))
+        report, code = run(argv)
+        assert report.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert report.count("\n") == 1
+        assert code == 2
+
     def test_unknown_command(self):
         report, code = run(["improvise"])
         assert code == 2

@@ -17,7 +17,6 @@ from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.errors import (
     BudgetExceeded,
     MalformedPattern,
-    NotFree,
     ParameterError,
     PreconditionFailed,
     SignatureMismatch,
@@ -46,6 +45,7 @@ from orbitcsp.temporal import (
 )
 
 from oracles import (
+    NotFree,
     is_free_set,
     minimal_free_set,
     reference_apply,
@@ -796,6 +796,17 @@ class TestIncrementalMaster:
         with pytest.raises(AssertionError):
             quotient.commit(("y",))
 
+    def test_a_member_set_outside_the_level_raises(self, monkeypatch):
+        # In the ll modes a member's least free set lies inside the level;
+        # one that does not is a solver fault, never a set to skip.
+        inst = make_instance("xyz", [("LE", "xy"), ("LE", "yx"), ("LT", "yz")])
+        assert solve_master(inst, Q_LE, TemporalOp.LL) == (("x", "y"), ("z",))
+        free_set = temporal._free_set
+        monkeypatch.setattr(temporal, "_free_set", lambda quotient, x: (
+            frozenset("yz") if x == "y" else free_set(quotient, x)))
+        with pytest.raises(AssertionError):
+            solve_master(inst, Q_LE, TemporalOp.LL)
+
 
 class TestQuotientSolveCount:
     """The number of quotient solves (``temporal._solve_afin`` calls) a
@@ -810,6 +821,9 @@ class TestQuotientSolveCount:
         template = parse_template((self.GOLDEN / template_file).read_text(encoding="utf-8"))
         instance = parse_instance((self.GOLDEN / instance_file).read_text(encoding="utf-8"),
                                   template)
+        return self.count_solves(monkeypatch, instance, template, mode)
+
+    def count_solves(self, monkeypatch, instance, template, mode):
         calls = []
         solve = temporal._solve_afin
 
@@ -827,11 +841,28 @@ class TestQuotientSolveCount:
 
     def test_ll_on_le(self, monkeypatch):
         assert self.count(monkeypatch, "le.tmpl", "le80_sat.inst",
-                          TemporalOp.LL) == (212, 80)
+                          TemporalOp.LL) == (202, 80)
 
     def test_dual_ll_on_le(self, monkeypatch):
         assert self.count(monkeypatch, "le.tmpl", "le80_sat.inst",
-                          TemporalOp.DUAL_LL) == (573, 80)
+                          TemporalOp.DUAL_LL) == (542, 80)
+
+    @pytest.mark.parametrize("mode,solves", [(TemporalOp.LL, 40),
+                                             (TemporalOp.DUAL_LL, 100)])
+    def test_large_levels(self, monkeypatch, mode, solves):
+        # Four blocks of ten variables, each glued into one level by an LE
+        # cycle and chained to the next by LT.  A level costs one solve per
+        # member, plus, in dual ll, one per lower block's variable that the
+        # scan finds in no free set before it reaches the level.
+        names = [f"v{i}" for i in range(40)]
+        constraints = []
+        for b in range(0, 40, 10):
+            block = names[b:b + 10]
+            constraints += [("LE", (v, block[(i + 1) % 10])) for i, v in enumerate(block)]
+            if b:
+                constraints.append(("LT", (names[b - 1], block[0])))
+        instance = make_instance(names, constraints)
+        assert self.count_solves(monkeypatch, instance, Q_LE, mode) == (solves, 4)
 
     @pytest.mark.parametrize("template_file,instance_file,mode,lookups", [
         ("rmin.tmpl", "rmin40_sat.inst", TemporalOp.PP, 101),
