@@ -595,6 +595,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """The text of the file ``path``; bytes that are not UTF-8 are an
+    input error that names the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+
+
 def run(argv: Sequence[str]) -> tuple[str, int]:
     """Execute one command; returns the report text and the exit code."""
     try:
@@ -602,12 +612,10 @@ def run(argv: Sequence[str]) -> tuple[str, int]:
     except SystemExit as exc:
         return "", int(exc.code or 0)
     try:
-        with open(args.template, encoding="utf-8") as handle:
-            template = parse_template(handle.read())
+        template = parse_template(_read(args.template))
         instance = None
         if hasattr(args, "instance"):
-            with open(args.instance, encoding="utf-8") as handle:
-                instance = parse_instance(handle.read(), template)
+            instance = parse_instance(_read(args.instance), template)
         if args.command == "classify":
             lines, code = _cmd_classify(template, args)
         elif args.command == "solve":
@@ -624,7 +632,7 @@ def run(argv: Sequence[str]) -> tuple[str, int]:
             lines, code = _cmd_oracle(template, instance, args)
     except OrbitCspError as exc:
         return f"error: {exc}\n", 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         return f"error: {exc}\n", 2
     return "\n".join(lines) + "\n", code
 

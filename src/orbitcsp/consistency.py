@@ -37,8 +37,8 @@ instance, so they live as long as the process.  They are keyed on the
 identity of the sequence ``space.patterns`` returns (the memoised tuples of
 ``homog.enumerate_types``, ``temporal.enumerate_weak_orders`` and
 :class:`FinitePatterns`) and hold a reference to it; a space that builds a
-fresh sequence on every call gets tables for that call only.  A call fills
-a table over its own viable patterns, and a later call fills it further.
+fresh sequence on every call gets tables for that call only.  A table is
+filled where it is read, over the mask it is read with; a later call fills more.
 Relation memberships depend on the template and belong to one call.
 
 A call builds a :class:`_KLState`: per superset of at most l variables the
@@ -219,15 +219,13 @@ def _numbered(space: PatternSpace, patterns: dict[int, Sequence[object]]) -> dic
     return numbered
 
 
-def _projection(arities: dict[int, _Arity], arity: int, positions: tuple[int, ...],
-                mask: int, project) -> _Projection:
+def _projection(arities: dict[int, _Arity], arity: int, positions: tuple[int, ...]) -> _Projection:
     """The table that reads patterns of ``arity`` at the ascending, distinct
-    ``positions``, filled over ``mask``."""
+    ``positions``; its readers fill it."""
     source = arities[arity]
     table = source.tables.get(positions)
     if table is None:
         table = source.tables[positions] = _Projection(source, arities[len(positions)], positions)
-    table.fill(mask, project)
     return table
 
 
@@ -275,6 +273,10 @@ class _KLState:
     ``project(project(p, P), Q) == project(p, [P[q] for q in Q])``, the
     k-subsets carry every narrower reading and constraint, and the fixpoint
     is the one that reading every subset gives.
+
+    A table is filled where it is read, over the mask it is read with: a
+    constraint's over the candidates (:meth:`_admit`), a reading's over the
+    visiting superset's mask, which shrinks with each reading before it.
     """
 
     def __init__(self, instance: Instance, space: PatternSpace, k: int, l: int):
@@ -309,11 +311,9 @@ class _KLState:
         self.viable: list[int] = []
         self.sizes: list[int] = []
         self.subsets: list[tuple[int, ...]] = []
-        cover: dict[int, int] = {}
         # Per superset size, the sizes of the subsets it reads.
         widths = {size: (widest,) if size > widest else range(1, size + 1) for size in arities}
         for size in arities:
-            covered = 0
             for L in combinations(range(n), size):
                 candidates = arities[size].full
                 at = None
@@ -340,18 +340,13 @@ class _KLState:
                 self.sizes.append(size)
                 self.subsets.append(tuple(map(self._index.__getitem__, chain.from_iterable(
                     combinations(L, m) for m in widths[size]))))
-                covered |= candidates
-            cover[size] = covered
         self.containing: list[list[int]] = [[] for _ in self.keys]
         for i, subsets in enumerate(self.subsets):
             for s in subsets:
                 self.containing[s].append(i)
-        # Per superset size, the table of each reading, in the order
-        # combinations() lists them, filled over every viable pattern.
-        self.readings = {size: [
-            _projection(arities, size, positions, cover[size], space.project)
-            for m in widths[size] for positions in combinations(range(size), m)]
-            for size in cover}
+        # Per superset size, the table of each reading, in combinations() order.
+        self.readings = {size: [_projection(arities, size, positions) for m in widths[size]
+                                for positions in combinations(range(size), m)] for size in arities}
         # Supersets whose subsets have not been projected from them yet.
         self._unvisited = bytearray(b"\x01") * len(self.viable)
 
@@ -391,7 +386,8 @@ class _KLState:
         if distinct == tuple(range(size)):
             admitted = _mask(members, self._arities[size].size)
         else:
-            table = _projection(self._arities, size, distinct, candidates, self.space.project)
+            table = _projection(self._arities, size, distinct)
+            table.fill(candidates, self.space.project)
             masks, admitted = table.masks, 0
             for q in members:
                 admitted |= masks[q]
@@ -425,6 +421,7 @@ class _KLState:
             return False
         allowed, viable, sizes, subsets = self.allowed, self.viable, self.sizes, self.subsets
         containing, readings, unvisited = self.containing, self.readings, self._unvisited
+        project = self.space.project
         if changed is None:
             queue = deque(range(len(viable)))
             queued = bytearray(b"\x01") * len(viable)
@@ -439,6 +436,8 @@ class _KLState:
             i = queue.popleft()
             mine = viable[i]
             for s, table in zip(subsets[i], readings[sizes[i]]):
+                if table.filled != table.full:
+                    table.fill(mine, project)
                 mine &= table.union(allowed[s])
             if mine == viable[i] and not unvisited[i]:
                 # Each subset's allowed set is already this superset's image.

@@ -619,8 +619,9 @@ class TestRunHarness:
             if data is not None:
                 (tmp_path / name).write_bytes(data)
                 argv.append(str(tmp_path / name))
+        # The undecodable file is the last one given.
         report, code = run(argv)
-        assert report.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert report.startswith(f"error: {argv[-1]}: 'utf-8' codec can't decode byte 0xff")
         assert report.count("\n") == 1
         assert code == 2
 

@@ -366,7 +366,7 @@ def test_kernel_matches_the_reference_on_six_and_seven_variables(kind):
     space = REFERENCE_SPACES[kind]
     rng = random.Random(f"kernel-{kind}")
     consistent = 0
-    for n, (k, l) in [(6, (2, 3)), (6, (3, 4)), (7, (2, 4)), (7, (2, 5))]:
+    for n, (k, l) in [(6, (2, 3)), (6, (3, 4)), (7, (2, 4)), (7, (2, 5)), (6, (3, 5))]:
         instance = seeded_instance(rng, space.template.relations, n, n // 2)
         result = establish_kl(instance, space, k, l)
         assert result == reference_establish_kl(instance, space, k, l)

@@ -770,6 +770,27 @@ class TestSolveInstanceBrute:
                         ) in rel.types
 
 
+def arc_cycle(n):
+    """ARC constraints around a cycle of ``n`` variables."""
+    variables = [f"v{i}" for i in range(n)]
+    return make_instance(variables, [("ARC", (variables[i], variables[(i + 1) % n]))
+                                     for i in range(n)])
+
+
+class CountedFreshTypes(HomogPatterns):
+    """A homogeneous space that builds a new pattern list on every call, so
+    that each call starts with empty tables, and counts ``project`` calls."""
+
+    calls = 0
+
+    def patterns(self, arity):
+        return list(super().patterns(arity))
+
+    def project(self, pattern, positions):
+        self.calls += 1
+        return super().project(pattern, positions)
+
+
 class TestHomogPatterns:
     def setup_method(self):
         self.template = HomogTemplate(TOURNAMENT, {"ARC": arc_relation()})
@@ -797,12 +818,18 @@ class TestHomogPatterns:
         assert rejected > 5
 
     def test_six_variable_escalation(self):
-        variables = tuple("abcdef")
-        arcs = [("ARC", variables[i] + variables[(i + 1) % 6]) for i in range(6)]
-        inst = make_instance(variables, arcs)
+        inst = arc_cycle(6)
         state = establish_kl(inst, self.space, 3, 9)
         assert state is not EMPTY_DERIVED
         assert solve_instance_brute(inst, self.template) is not None
+
+    def test_project_calls_of_the_six_variable_escalation(self):
+        # The 6-variable superset leaves the binary ARC constraints to its
+        # 3-subsets, so it starts with all 53 071 types; each table it reads
+        # is filled over the types that passed the tables read before it.
+        space = CountedFreshTypes(self.template)
+        assert establish_kl(arc_cycle(6), space, 3, 9) is not EMPTY_DERIVED
+        assert space.calls == 115786
 
     def test_width_coherence_sample(self):
         rng = random.Random(53)
