@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import re
 import sys
 from typing import Callable, Optional, Sequence, Union
 
 from . import homog, polyengine, temporal
-from .consistency import EMPTY_DERIVED, establish_kl
+from .consistency import EMPTY_DERIVED, SUPERSET_LIMIT, establish_kl, superset_count
 from .errors import ArityMismatch, BudgetExceeded, OrbitCspError, ParseError
 from .homog import (
     GRAPH,
@@ -55,13 +54,6 @@ _EDGE_ITEM = re.compile(r"E\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 #: holds a label for each of its k(k-1)/2 position pairs, so a larger arity
 #: is refused before anything is sized by it.
 ARITY_LIMIT = 4096
-
-#: Largest number of supersets ``consistency`` builds: the nonempty sets of
-#: at most l of the instance's n variables.  An 80-variable chain at (2,3)
-#: makes 85 400 supersets and takes about 0.9 s and 33 MB on a 2-core Xeon;
-#: time and memory grow with the count, so a larger one is refused before
-#: any pattern work.
-SUPERSET_LIMIT = 100_000
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -533,12 +525,11 @@ def _cmd_consistency(
     k, l = map(_bounded_int, match.groups())
     if k is None or l is None:
         raise ParseError(f"--kl needs K,L <= {ARITY_LIMIT}")
-    n, supersets = len(instance.variables), 0
-    for m in range(1, min(l, n) + 1):
-        supersets += math.comb(n, m)
-        if supersets > SUPERSET_LIMIT:
-            raise BudgetExceeded(
-                f"(k,l) = ({k},{l}) on {n} variables needs more than {SUPERSET_LIMIT} supersets")
+    # More than SUPERSET_LIMIT supersets are refused before any pattern work.
+    n = len(instance.variables)
+    if superset_count(n, l) > SUPERSET_LIMIT:
+        raise BudgetExceeded(
+            f"(k,l) = ({k},{l}) on {n} variables needs more than {SUPERSET_LIMIT} supersets")
     if isinstance(template, TemporalTemplate):
         space = TemporalPatterns(template)
     else:

@@ -29,22 +29,30 @@ constraint support S lies in some k-subset T of L, T reads S and itself,
 and the chain L -> T -> S enforces every condition L -> S would, with the
 same greatest fixpoint.  For the same reason a constraint on a permuted or
 repeated scope is read through the table of its ascending distinct
-positions D, and its relation is translated instead: once per call, to the
-arity-|D| patterns whose reading at ``map(D.index, scope)`` is a member.
+positions D, and its relation is translated instead, to the arity-|D|
+patterns whose reading at ``P = map(D.index, scope)`` is a member: a
+reading table for P maps each reading to the mask of the patterns that read
+to it, and the translation ORs the members' masks.
 
-The tables depend only on the pattern sequence, not on the template or the
-instance, so they live as long as the process.  They are keyed on the
-identity of the sequence ``space.patterns`` returns (the memoised tuples of
-``homog.enumerate_types``, ``temporal.enumerate_weak_orders`` and
-:class:`FinitePatterns`) and hold a reference to it; a space that builds a
-fresh sequence on every call gets tables for that call only.  A table is
-filled where it is read, over the mask it is read with; a later call fills more.
-Relation memberships depend on the template and belong to one call.
+The projection and reading tables depend only on the pattern sequence, not
+on the template or the instance, so they live as long as the process.  They
+are keyed on the identity of the sequence ``space.patterns`` returns (the
+memoised tuples of ``homog.enumerate_types``,
+``temporal.enumerate_weak_orders`` and :class:`FinitePatterns`) and hold a
+reference to it; a space that builds a fresh sequence on every call gets
+tables for that call only.  A projection table is filled where it is read,
+over the mask it is read with, and a later call fills more; a reading table
+is made whole on first use.  Relation memberships, keyed by relation name,
+depend on the template and belong to one call.
 
-A call builds a :class:`_KLState`: per superset of at most l variables the
-mask of its patterns that satisfy every constraint inside it, found through
-an index of constraints by variable set, and per subset of at most k
-variables its allowed mask.  :meth:`_KLState.propagate` runs a FIFO worklist
+The superset index depends only on n, min(k, n) and min(l, n): a
+:class:`_Shape` numbers the supersets and lists, for each, the subsets it
+reads and, for each subset, the supersets that read it.  Shapes are shared
+by every call with the same three numbers, up to :data:`SUPERSET_LIMIT`
+supersets in all.  A call builds a :class:`_KLState` on its shape: per
+superset the mask of its patterns that satisfy every constraint inside it,
+found through an index of constraints by variable set, and per subset its
+allowed mask.  :meth:`_KLState.propagate` runs a FIFO worklist
 of supersets (AC-3, Mackworth 1977) that revisits a superset only when the
 allowed set of one of its subsets shrank.  The greatest fixpoint does not
 depend on the order of visits.  The state is mapped back to pattern objects
@@ -57,6 +65,7 @@ solution.  The converse holds only for templates of bounded width.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,6 +74,25 @@ from typing import Any, Collection, Iterable, Optional, Protocol, Sequence, Unio
 
 from .errors import BudgetExceeded, ParameterError
 from .relstruct import FiniteStructure, Instance, check_signature
+
+#: Largest number of supersets the ``consistency`` command lets a (k,l) call
+#: build, and the most that the superset shapes kept between calls hold
+#: together.  An 80-variable chain at (2,3) makes 85 400 supersets and takes
+#: about 0.9 s and 33 MB on a 2-core Xeon; time and memory grow with the
+#: count.  A shape near the limit keeps 13-16 MB ((2,3) on 84 variables and
+#: (2,4) on 39, measured with tracemalloc).
+SUPERSET_LIMIT = 100_000
+
+
+def superset_count(n: int, l: int) -> int:
+    """The number of nonempty sets of at most ``l`` of ``n`` variables,
+    counted only until it passes :data:`SUPERSET_LIMIT`."""
+    count = 0
+    for m in range(1, min(l, n) + 1):
+        count += math.comb(n, m)
+        if count > SUPERSET_LIMIT:
+            break
+    return count
 
 
 class PatternSpace(Protocol):
@@ -183,14 +211,27 @@ class _Arity:
     """The numbered patterns of one arity and the projection tables read
     out of them, keyed by positions."""
 
-    __slots__ = ("patterns", "size", "full", "tables", "_index")
+    __slots__ = ("patterns", "size", "full", "tables", "readings", "_index")
 
     def __init__(self, patterns: Sequence[object]):
         self.patterns = patterns
         self.size = len(patterns)
         self.full = (1 << self.size) - 1
         self.tables: dict[tuple[int, ...], _Projection] = {}
+        self.readings: dict[tuple[int, ...], dict[object, int]] = {}
         self._index: Optional[dict[object, int]] = None
+
+    def by_reading(self, positions: tuple[int, ...], project) -> dict[object, int]:
+        """Each reading at ``positions`` (repeats allowed) -> the mask of the
+        patterns that read to it, over all patterns, made once."""
+        readings = self.readings.get(positions)
+        if readings is None:
+            groups: dict[object, list[int]] = {}
+            for number, pattern in enumerate(self.patterns):
+                groups.setdefault(project(pattern, positions), []).append(number)
+            readings = self.readings[positions] = {
+                reading: _mask(group, self.size) for reading, group in groups.items()}
+        return readings
 
     @property
     def index(self) -> dict[object, int]:
@@ -229,6 +270,59 @@ def _projection(arities: dict[int, _Arity], arity: int, positions: tuple[int, ..
     return table
 
 
+class _Shape:
+    """The supersets of at most ``top`` of ``n`` variables, numbered in
+    size-then-lexicographic order; the first ones, of at most ``widest``
+    variables, are the subsets.  ``keys[s]`` is subset ``s``, ``index`` maps
+    a subset to its number, ``sizes[i]`` is superset ``i``'s size,
+    ``subsets[i]`` the subsets it reads in the order of ``widths[size]``
+    and :func:`~itertools.combinations`, and ``containing[s]`` the
+    supersets that read subset ``s``.  Nothing here is changed after it
+    is built, so every call with the same shape shares it."""
+
+    __slots__ = ("keys", "index", "sizes", "widths", "subsets", "containing")
+
+    def __init__(self, n: int, widest: int, top: int):
+        # Per superset size, the sizes of the subsets it reads.
+        self.widths = {size: (widest,) if size > widest else range(1, size + 1)
+                       for size in range(1, top + 1)}
+        self.keys = tuple(chain.from_iterable(
+            combinations(range(n), size) for size in range(1, widest + 1)))
+        self.index = {S: s for s, S in enumerate(self.keys)}
+        index, sizes, subsets = self.index, [], []
+        containing: list[list[int]] = [[] for _ in self.keys]
+        for size, widths in self.widths.items():
+            for L in combinations(range(n), size):
+                read = tuple(map(index.__getitem__, chain.from_iterable(
+                    combinations(L, m) for m in widths)))
+                for s in read:
+                    containing[s].append(len(sizes))
+                sizes.append(size)
+                subsets.append(read)
+        self.sizes, self.subsets = tuple(sizes), tuple(subsets)
+        self.containing = tuple(map(tuple, containing))
+
+
+# (n, widest, top) -> its shape; at most SUPERSET_LIMIT supersets in all.
+_SHAPES: dict[tuple[int, int, int], _Shape] = {}
+
+
+def _shape(n: int, widest: int, top: int) -> _Shape:
+    """The shared shape, built on first use.  A shape that would take the
+    kept ones past :data:`SUPERSET_LIMIT` clears them first, and one larger
+    than the limit serves its call only."""
+    key = (n, widest, top)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _Shape(n, widest, top)
+        count = len(shape.sizes)
+        if count <= SUPERSET_LIMIT:
+            if count + sum(len(kept.sizes) for kept in _SHAPES.values()) > SUPERSET_LIMIT:
+                _SHAPES.clear()
+            _SHAPES[key] = shape
+    return shape
+
+
 class _EmptyDerived:
     """Singleton result: some derived constraint became empty."""
 
@@ -264,7 +358,10 @@ class _KLState:
     superset ``i``'s patterns that still project into every allowed set of
     the subsets it reads, ``subsets[i]`` lists those subsets in the order of
     ``readings[size]``, and ``containing[s]`` the supersets that read
-    subset ``s``.  ``empty`` is set once some mask is found empty.
+    subset ``s``.  ``keys``, ``sizes``, ``subsets`` and ``containing`` are
+    the shared :class:`_Shape`'s tuples and are never changed; only the
+    masks belong to the state.  ``empty`` is set once some mask is found
+    empty.
 
     A superset of at most k variables reads all its nonempty subsets,
     itself included, so at the fixpoint its allowed and viable masks agree;
@@ -293,8 +390,11 @@ class _KLState:
                 f"(k,l) = ({k},{l}) needs patterns of arity {min(l, n)}: {exc}"
             ) from exc
         arities = self._arities = _numbered(space, dict(sorted(patterns.items())))
+        shape = _shape(n, widest, min(l, n))
+        self.keys, self._index, self.sizes = shape.keys, shape.index, shape.sizes
+        self.subsets, self.containing = shape.subsets, shape.containing
         self._widest = widest
-        self._members: dict[tuple[str, tuple[int, ...]], set[int]] = {}
+        self._members: dict[tuple[str, tuple[int, ...]], int] = {}
         self._admitted: dict[tuple[int, tuple[int, ...], str], int] = {}
         self.empty = False
 
@@ -305,14 +405,8 @@ class _KLState:
             by_support.setdefault(tuple(sorted(set(scope))), []).append((name, scope))
         support_sizes = sorted({len(support) for support in by_support})
 
-        self.keys: list[tuple[int, ...]] = []
-        self._index: dict[tuple[int, ...], int] = {}
         self.allowed: list[int] = []
         self.viable: list[int] = []
-        self.sizes: list[int] = []
-        self.subsets: list[tuple[int, ...]] = []
-        # Per superset size, the sizes of the subsets it reads.
-        widths = {size: (widest,) if size > widest else range(1, size + 1) for size in arities}
         for size in arities:
             for L in combinations(range(n), size):
                 candidates = arities[size].full
@@ -333,40 +427,31 @@ class _KLState:
                     if not candidates:
                         self.empty = True
                         return
-                    self._index[L] = len(self.keys)
-                    self.keys.append(L)
                     self.allowed.append(candidates)
                 self.viable.append(candidates)
-                self.sizes.append(size)
-                self.subsets.append(tuple(map(self._index.__getitem__, chain.from_iterable(
-                    combinations(L, m) for m in widths[size]))))
-        self.containing: list[list[int]] = [[] for _ in self.keys]
-        for i, subsets in enumerate(self.subsets):
-            for s in subsets:
-                self.containing[s].append(i)
         # Per superset size, the table of each reading, in combinations() order.
-        self.readings = {size: [_projection(arities, size, positions) for m in widths[size]
+        self.readings = {size: [_projection(arities, size, positions) for m in shape.widths[size]
                                 for positions in combinations(range(size), m)] for size in arities}
         # Supersets whose subsets have not been projected from them yet.
         self._unvisited = bytearray(b"\x01") * len(self.viable)
 
-    def _translated(self, name: str, positions: tuple[int, ...]) -> set[int]:
-        """The numbers of the patterns of arity ``max(positions) + 1`` whose
+    def _translated(self, name: str, positions: tuple[int, ...]) -> int:
+        """The mask of the patterns of arity ``max(positions) + 1`` whose
         ``positions`` reading lies in relation ``name``; ``positions`` uses
         every position below its maximum."""
         key = (name, positions)
-        numbers = self._members.get(key)
-        if numbers is None:
+        mask = self._members.get(key)
+        if mask is None:
             source, members = self._arities[max(positions) + 1], self.space.members(name)
             if positions == tuple(range(len(positions))):
-                numbers = set(map(source.index.get, members))
-                numbers.discard(None)
+                index = source.index
+                mask = _mask((index[p] for p in members if p in index), source.size)
             else:
-                project = self.space.project
-                numbers = {q for q, p in enumerate(source.patterns)
-                           if project(p, positions) in members}
-            self._members[key] = numbers
-        return numbers
+                by_reading, mask = source.by_reading(positions, self.space.project), 0
+                for p in members:
+                    mask |= by_reading.get(p, 0)
+            self._members[key] = mask
+        return mask
 
     def _admit(self, candidates: int, size: int, positions: tuple[int, ...], name: str) -> int:
         """The candidates whose ``positions`` reading lies in relation ``name``.
@@ -384,13 +469,11 @@ class _KLState:
         distinct = tuple(sorted(set(positions)))
         members = self._translated(name, tuple(map(distinct.index, positions)))
         if distinct == tuple(range(size)):
-            admitted = _mask(members, self._arities[size].size)
+            admitted = members
         else:
             table = _projection(self._arities, size, distinct)
             table.fill(candidates, self.space.project)
-            masks, admitted = table.masks, 0
-            for q in members:
-                admitted |= masks[q]
+            admitted = table.union(members)
             if table.filled != table.full:
                 return candidates & admitted
         self._admitted[key] = admitted

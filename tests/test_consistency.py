@@ -1,11 +1,13 @@
 """Tests for the (k,l)-consistency fixpoint over every pattern space."""
 
+import hashlib
 import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitcsp import consistency
 from orbitcsp.consistency import (
     _MEMO,
     EMPTY_DERIVED,
@@ -374,6 +376,40 @@ def test_kernel_matches_the_reference_on_six_and_seven_variables(kind):
     assert consistent
 
 
+# (variables, k, l), interleaved so that a later call meets a shape seen
+# before, right after one it has not seen.
+DIGEST_CASES = [(6, 2, 3), (10, 2, 3), (8, 2, 4), (14, 2, 3), (6, 3, 5), (8, 2, 3),
+                (12, 2, 3), (6, 2, 4), (8, 3, 5), (6, 2, 3), (10, 2, 3), (14, 2, 3),
+                (8, 2, 4), (12, 2, 3), (6, 3, 5), (8, 2, 3)]
+DIGEST_SPACES = {"temporal": SPACES["temporal"][0], "tournament": SPACES["tournament"][0],
+                 "graph": SPACES["graph"][0], "kfree3": REFERENCE_SPACES["kfree3"]}
+
+
+def test_full_states_match_a_pinned_digest():
+    # The kl-consistency reports show only the subset count, so a wrong
+    # fixpoint that keeps the verdict shows here: one SHA-256 over every
+    # subset's allowed pattern numbers, pinned when the kernel rebuilt its
+    # superset index and translated relations on every call.
+    rng = random.Random("digest")
+    digest, consistent = hashlib.sha256(), 0
+    for n, k, l in DIGEST_CASES:
+        for kind, space in DIGEST_SPACES.items():
+            relations = space.template.relations
+            for m in (n // 2, n):
+                instance = seeded_instance(rng, relations, n, m)
+                result = establish_kl(instance, space, k, l)
+                digest.update(f"{kind} {n} {k},{l} {m}\n".encode())
+                if result is EMPTY_DERIVED:
+                    digest.update(b"EMPTY_DERIVED\n")
+                    continue
+                consistent += 1
+                for S, patterns in result.allowed.items():
+                    number = {p: i for i, p in enumerate(space.patterns(len(S)))}
+                    digest.update(f"{S} {sorted(map(number.__getitem__, patterns))}\n".encode())
+    assert consistent > 20
+    assert digest.hexdigest() == "d63e655f0168cb9bddeb58866956ed0cf75ca2cb28cd207bf89ca6f25eec8dc9"
+
+
 def with_relation(space, name, arity, patterns):
     """The same kind of space, on its template plus relation ``name``."""
     template = space.template
@@ -495,6 +531,62 @@ def test_a_table_filled_further_by_a_later_call():
         assert establish_kl(instance, space, 2, 3) == reference_establish_kl(instance, space, 2, 3)
 
 
+class CountedOwnWeakOrders(OwnWeakOrders):
+    """:class:`OwnWeakOrders` that counts ``project`` calls."""
+
+    calls = 0
+
+    def project(self, pattern, positions):
+        self.calls += 1
+        return super().project(pattern, positions)
+
+
+def test_a_second_call_projects_nothing():
+    # The tables were filled over what the first call read, and the
+    # translated relations read through per-positions tables on the shared
+    # patterns, so the same call again projects no pattern.
+    instance = planted_temporal_instance(random.Random(2), 8, 8)
+    scopes = [scope for name, scope in instance.constraints if name == "RMIN"]
+    assert any(len(set(scope)) < 3 for scope in scopes)
+    assert any(len(set(scope)) == 3 and list(scope) != sorted(scope) for scope in scopes)
+    space = CountedOwnWeakOrders(TEMPORAL)
+    first = establish_kl(instance, space, 2, 4)
+    assert first != EMPTY_DERIVED and space.calls
+    space.calls = 0
+    assert establish_kl(instance, space, 2, 4) == first
+    assert space.calls == 0
+
+
+def test_calls_with_one_shape_share_it():
+    space = SPACES["temporal"][0]
+    instance = make_instance("wxyz", [("LT", ("x", "w")), ("RMIN", ("y", "z", "y"))])
+    first, second = _KLState(instance, space, 2, 3), _KLState(instance, space, 2, 3)
+    assert first.subsets is second.subsets and first.containing is second.containing
+    assert first.propagate()
+    s = first.subset(("w", "y"))
+    first.narrow(("w", "y"), [(first.allowed[s] & -first.allowed[s]).bit_length() - 1])
+    first.propagate([("w", "y")])
+    # Narrowing one state leaves the shared shape as it was.
+    expected = reference_establish_kl(instance, space, 2, 3)
+    assert first.result() != expected
+    assert second.propagate() and second.result() == expected
+    assert establish_kl(instance, space, 2, 3) == expected
+
+
+def test_kept_shapes_stay_within_the_limit(monkeypatch):
+    monkeypatch.setattr(consistency, "SUPERSET_LIMIT", 100)
+    monkeypatch.setattr(consistency, "_SHAPES", {})
+    space = SPACES["temporal"][0]
+    rng = random.Random("limit")
+    # 41, 63, 41 (again), 129 (more than the limit) and 56 supersets.
+    for n, k, l in [(6, 2, 3), (7, 2, 3), (6, 2, 3), (9, 2, 3), (6, 1, 2), (7, 2, 3)]:
+        instance = seeded_instance(rng, space.template.relations, n, n // 2)
+        assert establish_kl(instance, space, k, l) == reference_establish_kl(instance, space, k, l)
+        assert sum(len(shape.sizes) for shape in consistency._SHAPES.values()) <= 100
+        assert (9, 2, 3) not in consistency._SHAPES
+    assert set(consistency._SHAPES) == {(7, 2, 3)}
+
+
 def test_propagate_rejects_an_unknown_subset():
     state = _KLState(make_instance("xyz", [("LT", ("x", "y"))]), SPACES["temporal"][0], 2, 3)
     assert state.propagate()
@@ -544,16 +636,25 @@ def test_alternating_templates_on_one_base(first, second):
 
 
 def memo_size():
-    return len(_MEMO), sum(len(entry.tables) for entry in _MEMO.values())
+    """Memo entries, their projection tables and their per-positions
+    reading tables."""
+    return (len(_MEMO), sum(len(entry.tables) for entry in _MEMO.values()),
+            sum(len(entry.readings) for entry in _MEMO.values()))
 
 
 def test_finite_templates_do_not_grow_the_memo():
-    instance = cycle_instance(5)
-    establish_kl(instance, TWO_COLORING, 2, 3)
+    # The cycle's closing edge reads its relation against variable order,
+    # so every call translates it; no table may be kept per relation name
+    # or contents.
+    establish_kl(cycle_instance(5), TWO_COLORING, 2, 3)
     before = memo_size()
+    assert before[2]
     rng = random.Random(7)
-    for _ in range(100):
-        template = FiniteStructure(2, {"E": relation(2, rng.sample(list(product(range(2), repeat=2)), 2))})
+    for i in range(100):
+        name = f"E{i}"
+        names = [f"v{j}" for j in range(5)]
+        instance = make_instance(names, [(name, (names[j], names[(j + 1) % 5])) for j in range(5)])
+        template = FiniteStructure(2, {name: relation(2, rng.sample(list(product(range(2), repeat=2)), 2))})
         assert establish_kl(instance, template, 2, 3) == reference_establish_kl(instance, template, 2, 3)
     assert memo_size() == before
 
