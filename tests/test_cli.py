@@ -629,6 +629,27 @@ class TestRunHarness:
         report, code = run(["improvise"])
         assert code == 2
 
+    @pytest.mark.parametrize("command,template,instance,flags,error", [
+        ("freesets", ARC_TEXT, "vars a b\nARC(a,b)\n", [],
+         "freesets applies to temporal templates"),
+        ("afin", ARC_TEXT, None, [], "afin applies to temporal templates"),
+        ("solve", ARC_TEXT, "vars a b\nARC(a,b)\n", ["--mode", "ll"],
+         "--mode applies to temporal templates"),
+        ("polysearch", LT_TEXT, None, ["--shape", "majority"],
+         "--shape applies to tournament and graph templates"),
+        ("polysearch", ARC_TEXT, None, ["--identity", "majority"],
+         "--identity applies to temporal templates"),
+        # The instance is read before the command checks the base.
+        ("freesets", ARC_TEXT, "vars a b\nNOPE(a,b)\n", [],
+         "line 2, column 1: unknown relation NOPE"),
+    ])
+    def test_command_base_mismatch_is_a_one_line_error(self, files, command, template,
+                                                       instance, flags, error):
+        argv = [command, files.path(template)]
+        if instance is not None:
+            argv.append(files.path(instance))
+        assert run(argv + flags) == (f"error: {error}\n", 2)
+
     @pytest.mark.parametrize("text", [
         "base: temporal\nrel BIG/2000000000: 1<2\nrel LT/2: 1<2\n",
         "base: tournament\nrel BIG/2000000000: 1->2\n",
