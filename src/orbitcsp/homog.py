@@ -31,6 +31,7 @@ its first placement that passes every constraint.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
@@ -52,6 +53,15 @@ TYPE_ARITY_LIMIT = 6
 BRUTE_VARIABLE_LIMIT = 6
 RECHECK_CELL_LIMIT = 20
 CHECK_LIMIT = 2 ** 20  # closure checks one relation may ask of one arity
+#: Most table cells the closure checks of one arity may read, one per check
+#: and position pair, over all relations.  20 graph types of arity 32, each
+#: with one merged pair, read 3 968 000 cells at arity 3: classify takes
+#: 0.9 s and peaks at 82 MB on a 2-core Xeon.
+CELL_LIMIT = 2 ** 22
+#: Most block sets the clique tests of one clique-free relation may read.
+#: A 150-block K(75,75) type over kfree(3) reads 208 125 and is checked in
+#: 0.3 s on a 2-core Xeon.
+CLIQUE_LIMIT = 2 ** 18
 
 
 class Label(IntEnum):
@@ -235,16 +245,40 @@ class LabeledType:
                 for b1, b2 in itertools.combinations(renumber, 2)))
         return projected
 
-    def has_clique(self, size: int) -> bool:
-        """Whether ``size`` blocks are pairwise labeled E."""
-        m = len(self.partition)
-        return any(
-            all(
-                self.labels[_pair_index(m, a, b)] is Label.E
-                for a, b in itertools.combinations(combo, 2)
-            )
-            for combo in itertools.combinations(range(m), size)
+    @cached_property
+    def _joined_earlier(self) -> tuple[list[int], ...]:
+        """Per block, the earlier blocks it is labeled E with."""
+        m, labels = len(self.partition), self.labels
+        return tuple(
+            [a for a in range(b) if labels[_pair_index(m, a, b)] is Label.E]
+            for b in range(m)
         )
+
+    def _clique_sets(self, size: int) -> int:
+        """How many block sets ``has_clique(size)`` tests at most."""
+        return sum(math.comb(len(earlier), size - 1) for earlier in self._joined_earlier)
+
+    def has_clique(self, size: int) -> bool:
+        """Whether ``size`` >= 1 blocks are pairwise labeled E: whether some
+        block closes such a clique with the earlier blocks it is joined to,
+        the test ``_placements`` runs on each new block."""
+        m, labels = len(self.partition), self.labels
+
+        def joined(a: int, b: int) -> bool:
+            return labels[_pair_index(m, a, b)] is Label.E
+
+        return any(_closes_clique(joined, earlier, size) for earlier in self._joined_earlier)
+
+
+def _closes_clique(
+    joined: Callable[[int, int], bool], neighbours: Sequence[int], size: int
+) -> bool:
+    """Whether a block joined to each of ``neighbours`` closes a ``size``
+    clique with them: whether ``size - 1`` of them are pairwise joined."""
+    return any(
+        all(joined(a, b) for a, b in itertools.combinations(combo, 2))
+        for combo in itertools.combinations(neighbours, size - 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +291,14 @@ class TypeSetRelation:
 
     def __post_init__(self) -> None:
         allowed = set(self.base.labels)
+        if self.base.kind == "kfree":
+            size = self.base.forbidden
+            sets = sum(t._clique_sets(size) for t in self.types)
+            if sets > CLIQUE_LIMIT:
+                raise BudgetExceeded(
+                    f"the {size}-clique tests of the types read {sets} block sets; "
+                    f"the cap is {CLIQUE_LIMIT}"
+                )
         for t in self.types:
             if t.arity != self.arity:
                 raise ArityMismatch("relation types must share the arity")
@@ -314,10 +356,10 @@ def _placements(
     block_of = [0] * n
 
     def closes_clique(table: list[tuple[Label, ...]], choice: Sequence[Label]) -> bool:
-        neighbours = [b for b, lbl in enumerate(choice) if lbl is Label.E]
-        return any(
-            all(table[x][y] is Label.E for x, y in itertools.combinations(combo, 2))
-            for combo in itertools.combinations(neighbours, base.forbidden - 1)
+        return _closes_clique(
+            lambda a, b: table[a][b] is Label.E,
+            [b for b, lbl in enumerate(choice) if lbl is Label.E],
+            base.forbidden,
         )
 
     def go(i: int, table: list[tuple[Label, ...]]) -> Iterator[LabeledType]:
@@ -551,8 +593,10 @@ def _compile_checks(
     Each type's fingerprint is read once; the cell column of a position
     pair is extended one tuple position at a time.  Raises BudgetExceeded
     before building anything when a relation asks for more than
-    CHECK_LIMIT checks.
+    CHECK_LIMIT checks, or the columns would hold more than CELL_LIMIT
+    cells in all (one per check and position pair).
     """
+    cells = 0
     for name, rel in named:
         count = len(rel.types) ** n
         if count > CHECK_LIMIT:
@@ -560,6 +604,12 @@ def _compile_checks(
                 f"relation {name} needs {count} closure checks at arity {n}; "
                 f"the cap is {CHECK_LIMIT}"
             )
+        cells += count * (rel.arity * (rel.arity - 1) // 2)
+    if cells > CELL_LIMIT:
+        raise BudgetExceeded(
+            f"the closure checks at arity {n} read {cells} table cells; "
+            f"the cap is {CELL_LIMIT}"
+        )
     symbols = (Label.EQ,) + base.labels
     q = len(symbols)
     sym_pos = {s: i for i, s in enumerate(symbols)}

@@ -20,8 +20,8 @@ instance size.  Affine builds one reduced GF(2) system with the solver,
 and a solve reduces only its pins into a copy of it.  The other classes
 take the pins as unary constraints: majority runs (2,3)-consistency on
 binary projections, a constant class tries its constant, and no class
-means backtracking search.  Every answer but a Horn one is checked
-against every constraint.  ``schaefer_solve`` indexes a named instance and
+means backtracking search.  Every answer is checked against every
+constraint.  ``schaefer_solve`` indexes a named instance and
 solves it once; ``temporal`` compiles one solver per master call, solves
 it under many pin sets, and narrows it with ``_narrow_solver`` as levels
 are committed: a Horn engine in place, any other solver by building
@@ -61,9 +61,9 @@ class OpTable:
 
     def __post_init__(self):
         if len(self.values) != self.domain_size ** self.arity:
-            raise ValueError("value vector length does not match arity/domain")
+            raise ParameterError("value vector length does not match arity/domain")
         if any(not (0 <= v < self.domain_size) for v in self.values):
-            raise ValueError("operation value leaves the domain")
+            raise DomainMismatch("operation value leaves the domain")
 
     def index(self, args: tuple[int, ...]) -> int:
         return encode_tuple(args, self.domain_size)
@@ -150,8 +150,12 @@ class IdentitySystem:
     MAJORITY_KIND = "majority"
     MINORITY_KIND = "minority"
     SEMILATTICE_KIND = "semilattice"
+    _KINDS = (IDEMPOTENT_KIND, SIGGERS_KIND, CYCLIC_KIND, WNU_KIND, MAJORITY_KIND,
+              MINORITY_KIND, SEMILATTICE_KIND)
 
     def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ParameterError(f"unknown identity system {self.kind!r}")
         if self.kind in (self.CYCLIC_KIND, self.WNU_KIND):
             if self.param is None or self.param < 2:
                 raise ParameterError(f"{self.kind} needs a parameter >= 2")
@@ -252,8 +256,6 @@ def _compile_identities(identities: IdentitySystem, arity: int, d: int) -> _Cell
             cells.force(code((x, x)), x)
             for y in range(d):
                 cells.union(code((x, y)), code((y, x)))
-    else:
-        raise ParameterError(f"unknown identity system {kind!r}")
     return cells
 
 
@@ -481,14 +483,15 @@ class _HornEngine:
         if not self._propagate(bound, frozen, queue):
             return None
         # At the fixpoint the meet (join) of each constraint's feasible rows
-        # equals the bound on its scope, and closure puts it inside the rows.
+        # equals the bound on its scope, and closure puts it inside the rows;
+        # a row set that is not closed can fail here, a solver fault.
         constraints = self.constraints
         for c in self.live:
             rows, scope = constraints[c]
             if tuple(map(bound.__getitem__, scope)) not in rows:
-                return None
+                raise AssertionError("horn solution violated a constraint")
         if any(bound[v] != value for v, value in pins.items()):
-            return None
+            raise AssertionError("horn solution violated a pin")
         return list(bound)
 
 
@@ -619,9 +622,9 @@ def _boolean_solver(n: int, constraints: _Constraints,
     The affine solver builds one reduced GF(2) system here
     (:func:`_affine_system`), and a solve reduces only its pins
     (:func:`_affine_pinned`).  Majority and search get the pins as unary
-    constraints.  Every answer but a Horn one is checked against every
-    constraint and pin: a constant answer that fails means no constant
-    solution, any other that fails is a solver fault.
+    constraints.  Every answer is checked against every constraint and
+    pin: a constant answer that fails means no constant solution, any other
+    that fails is a solver fault.
     """
     cls = _solver_class(classes)
     if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):

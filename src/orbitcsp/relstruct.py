@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import SignatureMismatch
+from .errors import (
+    ArityMismatch,
+    DomainMismatch,
+    ParameterError,
+    SignatureMismatch,
+    UnknownVariable,
+)
 
 
 @dataclass(frozen=True)
@@ -31,10 +37,10 @@ class Relation:
 
     def __post_init__(self):
         if self.arity < 1:
-            raise ValueError("relation arity must be at least 1")
+            raise ParameterError("relation arity must be at least 1")
         for t in self.tuples:
             if len(t) != self.arity:
-                raise ValueError(f"tuple {t} does not match arity {self.arity}")
+                raise ArityMismatch(f"tuple {t} does not match arity {self.arity}")
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
@@ -53,11 +59,11 @@ class FiniteStructure:
 
     def __post_init__(self):
         if self.domain_size < 1:
-            raise ValueError("domain_size must be positive")
+            raise ParameterError("domain_size must be positive")
         for name, rel in self.relations.items():
             for t in rel.tuples:
                 if any(not (0 <= v < self.domain_size) for v in t):
-                    raise ValueError(
+                    raise DomainMismatch(
                         f"relation {name}: tuple {t} leaves the domain"
                     )
 
@@ -75,12 +81,12 @@ class Instance:
         seen = set()
         for v in self.variables:
             if v in seen:
-                raise ValueError(f"duplicate variable {v!r}")
+                raise ParameterError(f"duplicate variable {v!r}")
             seen.add(v)
         for name, scope in self.constraints:
             for v in scope:
                 if v not in seen:
-                    raise ValueError(f"constraint {name}{scope} names unknown variable {v!r}")
+                    raise UnknownVariable(f"constraint {name}{scope} names unknown variable {v!r}")
 
 
 def make_instance(variables: Iterable[str],

@@ -12,6 +12,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence
 
+from orbitcsp.cli import _format_homog_type
 from orbitcsp.errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -26,6 +27,7 @@ from orbitcsp.temporal import (
     P_VALUE,
     Z_VALUE,
     TemporalRelation,
+    TemporalTemplate,
     _constraint_list,
     _Quotient,
     _quotient_of,
@@ -472,6 +474,16 @@ def reference_search_behavior(template, shape):
     return PairBehavior(n, symbols, tuple(table))
 
 
+def has_clique(t, size):
+    """Whether ``size`` blocks of ``t`` are pairwise labeled E, over every
+    block set: the definition ``LabeledType.has_clique`` is tested against."""
+    m = t.num_blocks
+    return any(
+        all(t.labels[_pair_index(m, a, b)] is Label.E for a, b in combinations(combo, 2))
+        for combo in combinations(range(m), size)
+    )
+
+
 def reference_enumerate_types(k, base, injective_only=False):
     """Complete types of arity k in partition-major order: set partitions
     as restricted growth strings in lexicographic order, then the block-pair
@@ -489,7 +501,7 @@ def reference_enumerate_types(k, base, injective_only=False):
         partition = tuple(tuple(p for p in range(k) if growth[p] == b) for b in range(m))
         for labels in product(base.labels, repeat=m * (m - 1) // 2):
             t = LabeledType(k, partition, labels)
-            if base.kind != "kfree" or not t.has_clique(base.forbidden):
+            if base.kind != "kfree" or not has_clique(t, base.forbidden):
                 out.append(t)
     return tuple(out)
 
@@ -749,6 +761,29 @@ def from_pair_labels(arity, label_of):
         if lbl is not expected:
             raise MalformedPattern("labels disagree across merged positions")
     return LabeledType(arity, partition, tuple(labels))
+
+
+def format_template(template):
+    """Render a template canonically: sorted names, sorted type literals.
+    ``orbitcsp.cli.parse_template`` must read it back to the same template."""
+    if isinstance(template, TemporalTemplate):
+        out, format_type = ["base: temporal"], str
+    else:
+        out, format_type = [f"base: {template.base}"], _format_homog_type
+    for name in sorted(template.relations):
+        rel = template.relations[name]
+        body = "; ".join(format_type(t) for t in rel.sorted_types())
+        out.append(f"rel {name}/{rel.arity}: {body}")
+    return "\n".join(out) + "\n"
+
+
+def format_instance(instance):
+    """Render an instance in the file format ``orbitcsp.cli.parse_instance``
+    reads."""
+    out = ["vars " + " ".join(instance.variables)]
+    for name, scope in instance.constraints:
+        out.append(f"{name}({','.join(scope)})")
+    return "\n".join(out) + "\n"
 
 
 def behavior_image(behavior, types):

@@ -14,8 +14,6 @@ from orbitcsp.cli import (
     ARITY_LIMIT,
     SUPERSET_LIMIT,
     _PairReader,
-    format_instance,
-    format_template,
     main,
     parse_instance,
     parse_template,
@@ -26,7 +24,7 @@ from orbitcsp.homog import GRAPH, TOURNAMENT, HomogTemplate, Label
 from orbitcsp.polyengine import OpTable, preserves_op, satisfies_identities, wnu
 from orbitcsp.temporal import TemporalTemplate, WeakOrderType, build_afin
 
-from oracles import from_pair_labels
+from oracles import format_instance, format_template, from_pair_labels
 
 TEMPORAL_TEXT = "base: temporal\nrel Betw/3: 1<2<3; 3<2<1\nrel LT/2: 1<2\n"
 LT_TEXT = "base: temporal\nrel LT/2: 1<2\n"
@@ -682,6 +680,46 @@ class TestRunHarness:
         assert report == ("error: relation WIDE needs 2097152 closure checks at arity 3; "
                           "the cap is 1048576\n")
         assert code == 2
+
+    @pytest.mark.parametrize("text,error", [
+        ("base: graph\nrel R/4096: -\n",
+         "line 2, column 12: relation R holds 8386560 pair labels; the cap is 65536"),
+        ("base: graph\nrel R/1024: -\n",
+         "line 2, column 12: relation R holds 523776 pair labels; the cap is 65536"),
+        ("base: graph\nrel R/363: -\n",
+         "line 2, column 11: relation R holds 65703 pair labels; the cap is 65536"),
+        ("base: tournament\nrel R/2000: " + "=".join(map(str, range(1, 2001))) + "\n",
+         "line 2, column 12: relation R holds 1999000 pair labels; the cap is 65536"),
+        ("base: kfree(3)\nrel R/400: -\n",
+         "line 2, column 11: relation R holds 79800 pair labels; the cap is 65536"),
+        ("base: kfree(3)\nrel R/4096: -\n",
+         "line 2, column 12: relation R holds 8386560 pair labels; the cap is 65536"),
+        # 101 types of arity 80.
+        ("base: graph\nrel R/80: " + "; ".join(f"E(1,{j})" for j in range(2, 81))
+         + "; " + "; ".join(f"E(2,{j})" for j in range(3, 25)) + "\n",
+         "line 2, column 10: relation R holds 319160 pair labels; the cap is 65536"),
+        # 20 types of arity 80: 20^3 checks of 3160 position pairs each.
+        ("base: graph\nrel R/80: " + "; ".join(f"E(1,{j})" for j in range(2, 22)) + "\n",
+         "the closure checks at arity 3 read 25280000 table cells; the cap is 4194304"),
+        # K(91,90) has no triangle, but its test reads 91 * C(90, 2) pairs.
+        ("base: kfree(3)\nrel R/181: " + ", ".join(
+            f"E({i},{j})" for i in range(1, 91) for j in range(91, 182)) + "\n",
+         "line 2, column 11: the 3-clique tests of the types read 364455 block sets; "
+         "the cap is 262144"),
+        ("base: kfree(4097)\nrel R/2: E(1,2)\n", "line 1, column 7: kfree(n) needs n <= 4096"),
+        ("base: kfree(" + "9" * 5000 + ")\nrel R/2: E(1,2)\n",
+         "line 1, column 7: kfree(n) needs n <= 4096"),
+    ], ids=["graph-4096", "graph-1024", "graph-363", "tournament-2000", "kfree-400",
+            "kfree-4096", "graph-101x80", "graph-20x80", "kfree-bipartite-181",
+            "kfree-bound-4097", "kfree-bound-5000-digits"])
+    def test_oversized_homogeneous_template_is_a_one_line_error(self, files, text, error):
+        assert run(["classify", files.path(text)]) == (f"error: {error}\n", 2)
+
+    def test_pair_label_limit_is_inclusive(self):
+        # 362 * 361 / 2 = 65341 pair labels, the most an identity literal
+        # may hold under the cap.
+        template = parse_template("base: graph\nrel R/362: -\n")
+        assert template.relations["R"].arity == 362
 
     def test_arity_error_reported(self, files):
         template = files.path(LT_TEXT)

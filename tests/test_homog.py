@@ -47,6 +47,7 @@ from oracles import (
     G2_BEHAVIOR,
     behavior_image,
     from_pair_labels,
+    has_clique,
     labeled_type_count,
     reference_enumerate_types,
     reference_search_behavior,
@@ -234,6 +235,27 @@ class TestLabeledType:
         assert not inj((E, E, N)).has_clique(3)
         with pytest.raises(MalformedPattern):
             type_set_relation(3, kfree(3), [triangle])
+
+    def test_clique_detection_matches_the_definition(self):
+        for t in enumerate_types(5, GRAPH):
+            for size in range(1, 6):
+                assert t.has_clique(size) == has_clique(t, size), (t, size)
+
+    def test_too_many_clique_sets_are_refused_before_the_scan(self, monkeypatch):
+        # Each block's pairs of earlier neighbours are counted: sides
+        # {1..4}, {5..8} give 4 * C(4, 2) = 24, sides {1,2,3,8}, {4..7} give
+        # 4 * C(3, 2) + C(4, 2) = 18, and the budget holds their sum.
+        def bipartite(shift):
+            return from_pair_labels(
+                8, lambda i, j: E if ((i + shift) % 8 < 4) != ((j + shift) % 8 < 4) else N)
+        types = [bipartite(0), bipartite(1)]
+        assert [t._clique_sets(3) for t in types] == [24, 18]
+        monkeypatch.setattr(homog, "CLIQUE_LIMIT", 42)
+        type_set_relation(8, kfree(3), types)
+        monkeypatch.setattr(homog, "CLIQUE_LIMIT", 41)
+        monkeypatch.setattr(LabeledType, "has_clique", None)  # no scan may run
+        with pytest.raises(BudgetExceeded, match="read 42 block sets; the cap is 41"):
+            type_set_relation(8, kfree(3), types)
 
 
 class TestEnumerateTypes:

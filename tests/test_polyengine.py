@@ -173,6 +173,15 @@ class TestFindPolymorphism:
             with pytest.raises(ParameterError):
                 find_polymorphism(structure(X=XOR_REL), IDEMPOTENT, arity)
 
+    @pytest.mark.parametrize("make,error", [
+        (lambda: IdentitySystem("bogus"), ParameterError),
+        (lambda: OpTable(2, 2, (0, 1)), ParameterError),
+        (lambda: OpTable(1, 2, (0, 2)), DomainMismatch),
+    ])
+    def test_malformed_systems_and_tables_raise_package_errors(self, make, error):
+        with pytest.raises(error):
+            make()
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             find_polymorphism(FiniteStructure(3, {}), SIGGERS, 6)
@@ -570,6 +579,13 @@ class TestBooleanSolver:
         solve = _boolean_solver(2, [(XOR_REL.tuples, (0, 1))], {BooleanClass.MINORITY_AFFINE})
         with pytest.raises(AssertionError):
             solve({})
+
+    def test_a_failed_horn_check_is_a_solver_fault(self):
+        # XOR rows are not meet-closed, so the least fixpoint (0, 0) falls
+        # outside them: a fault to raise, not an UNSAT answer.
+        engine = _HornEngine(2, [(frozenset({(0, 1), (1, 0)}), (0, 1))], top_down=False)
+        with pytest.raises(AssertionError, match="horn solution violated a constraint"):
+            engine.solve({})
 
     def test_no_variables(self):
         for cls in CLOSURES:

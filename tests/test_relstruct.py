@@ -5,7 +5,14 @@ from itertools import product
 
 import pytest
 
-from orbitcsp.errors import BudgetExceeded, SignatureMismatch
+from orbitcsp.errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    DomainMismatch,
+    ParameterError,
+    SignatureMismatch,
+    UnknownVariable,
+)
 from orbitcsp.relstruct import (
     FiniteStructure,
     Instance,
@@ -85,6 +92,18 @@ class TestHomSearch:
         inst = make_instance("xyz", [("E", "xyz")])
         with pytest.raises(SignatureMismatch):
             hom_search(inst, clique(2))
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: Relation(0, frozenset()), ParameterError),
+        (lambda: relation(2, [(0,)]), ArityMismatch),
+        (lambda: FiniteStructure(0, {}), ParameterError),
+        (lambda: FiniteStructure(2, {"U": relation(1, [(2,)])}), DomainMismatch),
+        (lambda: make_instance("xx", []), ParameterError),
+        (lambda: make_instance("x", [("U", "y")]), UnknownVariable),
+    ])
+    def test_malformed_structures_raise_package_errors(self, make, error):
+        with pytest.raises(error):
+            make()
 
     def test_agrees_with_exhaustive_on_random_instances(self):
         rng = random.Random(20210)
