@@ -466,11 +466,6 @@ _IDENTITIES: dict[
     "wnu": polyengine.wnu,
 }
 
-# The parser is built on every call, so its choice lists are built once here.
-_MODE_CHOICES = ["pp", "ll", "dual_pp", "dual_ll"]
-_SHAPE_CHOICES = sorted(shape.value for shape in Shape)
-_IDENTITY_CHOICES = list(_IDENTITIES)
-
 
 def _cmd_polysearch(
     template: Template, instance: None, args: argparse.Namespace
@@ -564,13 +559,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("template")
         if reads_instance:
             sub.add_argument("instance")
-    subparsers["solve"].add_argument("--mode", choices=_MODE_CHOICES)
+    subparsers["solve"].add_argument("--mode", choices=["pp", "ll", "dual_pp", "dual_ll"])
     subparsers["solve"].add_argument("--oracle", action="store_true")
-    subparsers["polysearch"].add_argument("--shape", choices=_SHAPE_CHOICES)
-    subparsers["polysearch"].add_argument("--identity", choices=_IDENTITY_CHOICES)
+    subparsers["polysearch"].add_argument("--shape", choices=sorted(s.value for s in Shape))
+    subparsers["polysearch"].add_argument("--identity", choices=list(_IDENTITIES))
     subparsers["polysearch"].add_argument("--arity", type=int)
     subparsers["consistency"].add_argument("--kl", default="2,3")
     return parser
+
+
+# One parser per process: parse_args makes a fresh Namespace on every call.
+_PARSER = _build_parser()
 
 
 def _read(path: str) -> str:
@@ -586,7 +585,7 @@ def _read(path: str) -> str:
 def run(argv: Sequence[str]) -> tuple[str, int]:
     """Execute one command; returns the report text and the exit code."""
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return "", int(exc.code or 0)
     handler, reads_instance, temporal_only = _COMMANDS[args.command]

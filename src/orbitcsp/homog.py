@@ -62,6 +62,9 @@ CELL_LIMIT = 2 ** 22
 #: A 150-block K(75,75) type over kfree(3) reads 208 125 and is checked in
 #: 0.3 s on a 2-core Xeon.
 CLIQUE_LIMIT = 2 ** 18
+#: Largest n of ``kfree(n)``, as the template parser enforces.  The clique
+#: tests pass n - 1 to itertools.combinations, which needs a C ssize_t.
+KFREE_LIMIT = 4096
 
 
 class Label(IntEnum):
@@ -104,6 +107,8 @@ class Base:
         if self.kind == "kfree":
             if self.forbidden is None or self.forbidden < 3:
                 raise ParameterError("kfree base needs a clique bound >= 3")
+            if self.forbidden > KFREE_LIMIT:
+                raise ParameterError(f"kfree base needs a clique bound <= {KFREE_LIMIT}")
         elif self.forbidden is not None:
             raise ParameterError(f"{self.kind} base takes no clique bound")
 

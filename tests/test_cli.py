@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from orbitcsp.cli import (
     ARITY_LIMIT,
     SUPERSET_LIMIT,
+    _COMMANDS,
     _PairReader,
+    _build_parser,
     main,
     parse_instance,
     parse_template,
@@ -626,6 +629,45 @@ class TestRunHarness:
     def test_unknown_command(self):
         report, code = run(["improvise"])
         assert code == 2
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], *([command, "--help"] for command in _COMMANDS),
+        ["improvise"], ["classify"], ["solve", "t"], ["consistency"],
+        ["solve", "t", "i", "--mode", "lex"], ["polysearch", "t", "--shape", "round"],
+        ["polysearch", "t", "--identity", "wnu", "--arity", "z"],
+        ["classify", "t", "--kl", "2,3"],
+    ], ids=" ".join)
+    def test_help_and_usage_match_a_fresh_parser(self, files, capsys, monkeypatch,
+                                                 columns, argv):
+        # The shared parser prints what a parser built for this call would,
+        # at this call's width, before and after a successful command.
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exit_info:
+            _build_parser().parse_args(argv)
+        expected = ("", exit_info.value.code or 0, *capsys.readouterr())
+        template, instance = files.path(LT_TEXT), files.path("vars x y\nLT(x,y)\n")
+        for _ in range(2):
+            assert (*run(argv), *capsys.readouterr()) == expected
+            assert run(["solve", template, instance])[1] == 0
+            capsys.readouterr()
+
+    def test_run_leaves_no_cyclic_garbage(self, files):
+        lt = files.path(LT_TEXT)
+        instance = files.path("vars x y z\nLT(x,y)\nLT(y,z)\n")
+        calls = [["classify", files.path(ARC_TEXT)], ["consistency", lt, instance],
+                 ["solve", lt, instance]]
+        for argv in calls:  # fills the process-wide caches
+            run(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in calls:
+                for _ in range(20):
+                    assert run(argv)[1] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("command,template,instance,flags,error", [
         ("freesets", ARC_TEXT, "vars a b\nARC(a,b)\n", [],

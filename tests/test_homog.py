@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcsp import homog
+from orbitcsp.cli import ARITY_LIMIT
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.errors import (
     ArityMismatch,
@@ -147,6 +148,15 @@ class TestBase:
             kfree(2)
         with pytest.raises(ParameterError):
             Base("graph", 3)
+
+    def test_clique_bound_is_capped_at_the_parser_limit(self):
+        # Above the cap, the clique test overflowed in itertools.combinations.
+        assert homog.KFREE_LIMIT == ARITY_LIMIT
+        edge = inj((E, N, N))
+        assert type_set_relation(3, kfree(homog.KFREE_LIMIT), [edge]).arity == 3
+        for bound in (homog.KFREE_LIMIT + 1, 10 ** 20):
+            with pytest.raises(ParameterError, match="needs a clique bound <= 4096"):
+                type_set_relation(3, kfree(bound), [edge])
 
 
 class TestLabeledType:
