@@ -45,7 +45,6 @@ from .homog import (
     TypeSetRelation,
     Verdict,
     VerdictKind,
-    behavior_preserves,
     classify_reduct,
     confirm_no_behavior,
     enumerate_types,

@@ -13,12 +13,18 @@ consistency engine.
 
 A behavior search compiles the closure checks of a template once per
 behavior arity (``_compile_checks``): each type's fingerprint becomes a
-vector of symbol indices, and every tuple of types becomes the vector of
-table cells it reads.  The checks depend on the arity, not on the shape, so
-``classify_reduct`` shares one compile between the shapes of an arity.  A
-check that reads only cells fixed by the shape is evaluated directly; every
-other check becomes a finite constraint over the free cells, solved by
-``relstruct._assignments``, the package's one backtracker.
+vector of symbol indices, and a tuple of types reads, at each position
+pair, the table cell of its symbols there.  The checks depend on the arity,
+not on the shape, so ``classify_reduct`` shares one compile between the
+shapes of an arity.  A tuple of types of one partition reads only cells
+the shape pins: the all-EQ cell and injective cells.  Every shape acts
+symmetrically there (majority, minority, a semilattice), so all orderings
+of such a tuple have one image, and the check is read once per multiset of
+types, in blocks by largest type that are built only when a pass reaches
+them; the first failure ends the pass.  A tuple that mixes partitions reads
+a free cell, which mixes EQ with base labels and need not be symmetric, so
+it stays one check per ordered tuple: a finite constraint over the free
+cells, solved by ``relstruct._assignments``, the package's one backtracker.
 
 Complete types are built by one generator, ``_placements``: it places one
 position at a time, joining each existing block and then opening a new
@@ -30,8 +36,10 @@ its first placement that passes every constraint.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
@@ -56,7 +64,7 @@ CHECK_LIMIT = 2 ** 20  # closure checks one relation may ask of one arity
 #: Most table cells the closure checks of one arity may read, one per check
 #: and position pair, over all relations.  20 graph types of arity 32, each
 #: with one merged pair, read 3 968 000 cells at arity 3: classify takes
-#: 0.9 s and peaks at 82 MB on a 2-core Xeon.
+#: 0.3 s and peaks at 80 MB on a 2-core Xeon.
 CELL_LIMIT = 2 ** 22
 #: Most block sets the clique tests of one clique-free relation may read.
 #: A 150-block K(75,75) type over kfree(3) reads 208 125 and is checked in
@@ -358,45 +366,50 @@ def _placements(
     is placed, ``prefix_ok(block_of, table, i)`` is called; a false answer
     skips every completion of ``block_of[:i + 1]``.
     """
-    block_of = [0] * n
+    return _place(0, [], [0] * n, base, prefix_ok)
 
-    def closes_clique(table: list[tuple[Label, ...]], choice: Sequence[Label]) -> bool:
-        return _closes_clique(
+
+def _place(
+    i: int,
+    table: list[tuple[Label, ...]],
+    block_of: list[int],
+    base: Base,
+    prefix_ok: Callable[[list[int], list[tuple[Label, ...]], int], bool],
+) -> Iterator[LabeledType]:
+    """The completions of ``block_of[:i]`` for ``_placements``.  A module
+    function, not a closure that names itself, so a finished search leaves
+    no reference cycle behind."""
+    n, m = len(block_of), len(table)
+    if i == n:
+        blocks: list[list[int]] = [[] for _ in range(m)]
+        for p, b in enumerate(block_of):
+            blocks[b].append(p)
+        placed = object.__new__(LabeledType)
+        # Valid by construction, so __post_init__'s checks are skipped,
+        # as in LabeledType.project; block_of is the cached block index.
+        placed.__dict__.update(
+            arity=n,
+            partition=tuple(map(tuple, blocks)),
+            labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
+            _block_index=tuple(block_of))
+        yield placed
+        return
+    for b in range(m):
+        block_of[i] = b
+        if prefix_ok(block_of, table, i):
+            yield from _place(i + 1, table, block_of, base, prefix_ok)
+    for choice in itertools.product(base.labels, repeat=m):
+        if base.kind == "kfree" and _closes_clique(
             lambda a, b: table[a][b] is Label.E,
             [b for b, lbl in enumerate(choice) if lbl is Label.E],
             base.forbidden,
-        )
-
-    def go(i: int, table: list[tuple[Label, ...]]) -> Iterator[LabeledType]:
-        m = len(table)
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(m)]
-            for p, b in enumerate(block_of):
-                blocks[b].append(p)
-            placed = object.__new__(LabeledType)
-            # Valid by construction, so __post_init__'s checks are skipped,
-            # as in LabeledType.project; block_of is the cached block index.
-            placed.__dict__.update(
-                arity=n,
-                partition=tuple(map(tuple, blocks)),
-                labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
-                _block_index=tuple(block_of))
-            yield placed
-            return
-        for b in range(m):
-            block_of[i] = b
-            if prefix_ok(block_of, table, i):
-                yield from go(i + 1, table)
-        for choice in itertools.product(base.labels, repeat=m):
-            if base.kind == "kfree" and closes_clique(table, choice):
-                continue
-            block_of[i] = m
-            grown = [row + (lbl,) for row, lbl in zip(table, choice)]
-            grown.append(tuple(lbl.flipped for lbl in choice) + (Label.EQ,))
-            if prefix_ok(block_of, grown, i):
-                yield from go(i + 1, grown)
-
-    return go(0, [])
+        ):
+            continue
+        block_of[i] = m
+        grown = [row + (lbl,) for row, lbl in zip(table, choice)]
+        grown.append(tuple(lbl.flipped for lbl in choice) + (Label.EQ,))
+        if prefix_ok(block_of, grown, i):
+            yield from _place(i + 1, grown, block_of, base, prefix_ok)
 
 
 def enumerate_types(k: int, base: Base) -> tuple[LabeledType, ...]:
@@ -515,23 +528,6 @@ def _shape_value(shape: Shape, cell: Sequence[Label]) -> Label:
     return a
 
 
-def behavior_preserves(behavior: PairBehavior, rel: TypeSetRelation) -> bool:
-    """Whether every tuple of relation types has its image in the relation.
-
-    The image of a tuple reads, at each position pair, the table cell of the
-    inputs' labels there; the table maps only the all-EQ cell to EQ, so a
-    pair stays merged exactly where every input merges it.
-    """
-    if any(l not in behavior._symbol_index for l in rel.base.labels):
-        raise DomainMismatch("relation base outside the behavior alphabet")
-    value_of = dict(behavior.cells()).__getitem__
-    fingerprints = [t.fingerprint for t in rel.sorted_types()]
-    for inputs in itertools.product(fingerprints, repeat=behavior.arity):
-        if tuple(map(value_of, zip(*inputs))) not in rel.fingerprints:
-            return False
-    return True
-
-
 TemplateLike = Union[HomogTemplate, Sequence[TypeSetRelation]]
 
 
@@ -559,6 +555,91 @@ def _require_shape(base: Base, shape: Shape) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _alphabet(
+    labels: tuple[Label, ...], n: int
+) -> tuple[tuple[Label, ...], tuple[int, ...], Optional[tuple[int, ...]], tuple[int, ...]]:
+    """The table cells of arity ``n`` over the base labels: the symbols (EQ,
+    then the labels), the symbol of each reversed symbol, the cell of the
+    reversed arcs of each cell (None over unoriented labels) and the free
+    cells, ascending, keeping the lower cell of each flip pair."""
+    symbols = (Label.EQ,) + labels
+    q = len(symbols)
+    flip_symbol = tuple(symbols.index(s.flipped) for s in symbols)
+    digits = list(itertools.product(range(q), repeat=n))
+    flip_index = None
+    if Label.FWD in labels:
+        flip_index = tuple(
+            encode_tuple(tuple(flip_symbol[s] for s in d), q) for d in digits
+        )
+    free = tuple(
+        c for c, d in enumerate(digits)
+        if 0 in d and any(d) and (flip_index is None or c <= flip_index[c])
+    )
+    return symbols, flip_symbol, flip_index, free
+
+
+@lru_cache(maxsize=None)
+def _pinned_table(
+    symbols: tuple[Label, ...], n: int, shape: Shape
+) -> tuple[Optional[int], ...]:
+    """The shape's table of arity ``n`` as symbol indices: EQ on the all-EQ
+    cell, the shape's value on each injective cell, None on the free cells
+    that mix EQ with base labels."""
+    table = []
+    for cell in itertools.product(symbols, repeat=n):
+        if Label.EQ not in cell:
+            table.append(symbols.index(_shape_value(shape, cell)))
+        else:
+            table.append(0 if all(s is Label.EQ for s in cell) else None)
+    return tuple(table)
+
+
+class _Multisets:
+    """The pinned checks of one partition class of one relation: every
+    multiset of ``n`` of the class's types, in blocks by largest type.
+
+    The types of one partition merge the same position pairs, so at each
+    pair a multiset of them reads the all-EQ cell or an injective cell,
+    both pinned.  A multiset's cell at a pair is the product-order number
+    of its types' symbols there, in ascending type order.  Block m holds
+    the multisets whose largest type is type m: the multisets of n - 1
+    types up to type m, each extended by type m's symbols.  Those grow the
+    same way, one level down, so adding type m builds one block per level.
+    Blocks are built when a pass first reaches them and kept for the next.
+    A block is one flat list, multiset by multiset, of ``pairs`` cells each.
+    """
+
+    def __init__(
+        self, fingerprints: frozenset, vectors: list[tuple[int, ...]], n: int, q: int
+    ) -> None:
+        self.fingerprints = fingerprints
+        self.pairs = len(vectors[0])
+        self._vectors = vectors
+        self._scale = q.__mul__
+        # _lower[k]: q times the cells of each multiset of k + 1 of the types
+        # placed so far.
+        self._lower: list[list[int]] = [[] for _ in range(n - 1)]
+        self.blocks: list[list[int]] = []
+
+    def __iter__(self) -> Iterator[list[int]]:
+        for m, vector in enumerate(self._vectors):
+            if m == len(self.blocks):
+                self._add(vector)
+            yield self.blocks[m]
+
+    def _add(self, vector: tuple[int, ...]) -> None:
+        new = list(vector)
+        for lower in self._lower:
+            lower.extend(map(self._scale, new))
+            new = list(map(operator.add, lower, itertools.cycle(vector)))
+        self.blocks.append(new)
+
+    def cells(self, block: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """The cells of each multiset of a block."""
+        return zip(*[iter(block)] * self.pairs)
+
+
 @dataclass(frozen=True, eq=False)
 class _Checks:
     """The closure checks of one template for behaviors of one arity.
@@ -569,37 +650,67 @@ class _Checks:
     position pair it reads the cell of the pair's labels across the tuple,
     and it passes when the table's values there form a fingerprint of the
     relation.  Cells mixing EQ with base labels are free; the others are
-    fixed by the shape.  None of this depends on the shape.
+    pinned by the shape.  None of this depends on the shape.
+
+    A check whose types share one partition reads only pinned cells, and
+    every shape's pinned cells hold a symmetric action (majority, minority,
+    a semilattice, EQ on all-EQ), so all orderings of its types give one
+    image: it is read once per multiset of types (``_Multisets``).  A check
+    whose types differ in partition reads a free cell, where the table need
+    not be symmetric, so it stays one check per ordered tuple, in product
+    order (``free_checks``).
     """
 
     arity: int
     symbols: tuple[Label, ...]
     flip_symbol: tuple[int, ...]
-    mixed: tuple[bool, ...]
     # Per cell, the cell of the reversed arcs; None over a graph base.
     flip_index: Optional[tuple[int, ...]]
     # The free cells, ascending, keeping the lower cell of each flip pair.
     free: tuple[int, ...]
-    # Per relation: its fingerprints, one column per position pair (the cell
-    # each check reads there, checks in product order), and a mask of the
-    # checks that read no free cell, None when that is all of them.
-    relations: tuple[
-        tuple[frozenset, tuple[list[int], ...], Optional[list[bool]]], ...
-    ]
-    # (cells, fingerprints) of every check that reads a free cell.
-    free_checks: tuple[tuple[tuple[int, ...], frozenset], ...]
+    # The pinned checks, one _Multisets per partition class of each relation.
+    pinned: tuple[_Multisets, ...]
+    # Per relation with types of more than one partition: its fingerprints,
+    # its type vectors and the partition class of each type.
+    split: tuple[tuple[frozenset, list[tuple[int, ...]], list[int]], ...]
+
+    @cached_property
+    def free_checks(self) -> list[tuple[tuple[int, ...], frozenset]]:
+        """(cells, fingerprints) of every check that reads a free cell: each
+        tuple of types from more than one partition class, relation by
+        relation, in product order.  Built on first use, since a pass that
+        fails a pinned check never reads them."""
+        q, n = len(self.symbols), self.arity
+        out = []
+        for fingerprints, vectors, classes in self.split:
+            columns = []
+            for p in range(len(vectors[0])):
+                column = [0]
+                for _ in range(n):
+                    column = [c * q + v[p] for c in column for v in vectors]
+                columns.append(column)
+            mixing = [len(set(t)) > 1 for t in itertools.product(classes, repeat=n)]
+            out.extend(
+                (cells, fingerprints)
+                for cells in itertools.compress(zip(*columns), mixing)
+            )
+        return out
 
 
 def _compile_checks(
     base: Base, named: Sequence[tuple[str, TypeSetRelation]], n: int
 ) -> _Checks:
-    """Build every closure check for behaviors of arity ``n``.
+    """Set up every closure check for behaviors of arity ``n``.
 
-    Each type's fingerprint is read once; the cell column of a position
-    pair is extended one tuple position at a time.  Raises BudgetExceeded
-    before building anything when a relation asks for more than
-    CHECK_LIMIT checks, or the columns would hold more than CELL_LIMIT
-    cells in all (one per check and position pair).
+    Each type's fingerprint is read once, and the types of each relation
+    are split by partition; no cell is built here.  Tuples of one
+    partition read only pinned cells, where every shape acts symmetrically,
+    so they are checked once per multiset (a ``_Multisets`` per partition);
+    tuples that mix partitions read a free cell and stay ordered.  Raises
+    BudgetExceeded before any work when a relation asks for more than
+    CHECK_LIMIT checks, or the checks would read more than CELL_LIMIT
+    cells in all (one per check and position pair).  Both count ordered
+    tuples of types, not multisets.
     """
     cells = 0
     for name, rel in named:
@@ -615,62 +726,29 @@ def _compile_checks(
             f"the closure checks at arity {n} read {cells} table cells; "
             f"the cap is {CELL_LIMIT}"
         )
-    symbols = (Label.EQ,) + base.labels
-    q = len(symbols)
-    sym_pos = {s: i for i, s in enumerate(symbols)}
-    flip_symbol = tuple(sym_pos[s.flipped] for s in symbols)
-    digits = list(itertools.product(range(q), repeat=n))
-    mixed = tuple(0 in d and any(d) for d in digits)
-    flip_index = None
-    if base.oriented:
-        flip_index = tuple(
-            encode_tuple(tuple(flip_symbol[s] for s in d), q) for d in digits
-        )
-    free = tuple(
-        c for c, m in enumerate(mixed)
-        if m and (flip_index is None or c <= flip_index[c])
-    )
-    relations = []
-    free_checks: list[tuple[tuple[int, ...], frozenset]] = []
+    symbols, flip_symbol, flip_index, free = _alphabet(base.labels, n)
+    symbol_of = {s: i for i, s in enumerate(symbols)}.__getitem__
+    pinned: list[_Multisets] = []
+    split = []
     for _, rel in named:
-        vectors = [
-            tuple(sym_pos[l] for l in t.fingerprint) for t in rel.sorted_types()
-        ]
+        types = rel.sorted_types()
+        vectors = [tuple(map(symbol_of, t.fingerprint)) for t in types]
         fingerprints = frozenset(vectors)
-        columns = []
-        for p in range(rel.arity * (rel.arity - 1) // 2):
-            at_p = [v[p] for v in vectors]
-            column = [0]
-            for _ in range(n):
-                column = [c * q + s for c in column for s in at_p]
-            columns.append(column)
-        pinned = None
-        if any(0 in v for v in vectors):
-            reads_free = [
-                any(row)
-                for row in zip(*(map(mixed.__getitem__, col) for col in columns))
-            ]
-            pinned = [not r for r in reads_free]
-            free_checks.extend(
-                (cells, fingerprints)
-                for cells, r in zip(zip(*columns), reads_free) if r
+        classes: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
+        for t, v in zip(types, vectors):
+            classes.setdefault(t.partition, []).append(v)
+        pinned.extend(
+            _Multisets(fingerprints, members, n, len(symbols))
+            for members in classes.values()
+        )
+        if len(classes) > 1:
+            class_of = {partition: c for c, partition in enumerate(classes)}
+            split.append(
+                (fingerprints, vectors, [class_of[t.partition] for t in types])
             )
-        relations.append((fingerprints, tuple(columns), pinned))
     return _Checks(
-        n, symbols, flip_symbol, mixed, flip_index, free,
-        tuple(relations), tuple(free_checks),
+        n, symbols, flip_symbol, flip_index, free, tuple(pinned), tuple(split)
     )
-
-
-def _pinned_table(checks: _Checks, shape: Shape) -> list[Optional[int]]:
-    """The shape's table as symbol indices, None on the free cells."""
-    cells = itertools.product(checks.symbols, repeat=checks.arity)
-    table = [
-        None if mixed else checks.symbols.index(_shape_value(shape, cell))
-        for mixed, cell in zip(checks.mixed, cells)
-    ]
-    table[0] = 0  # all-EQ
-    return table
 
 
 def _free_constraint(
@@ -707,15 +785,18 @@ def _free_constraint(
 
 
 def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
-    """The first behavior acting as ``shape`` that passes every check."""
-    table = _pinned_table(checks, shape)
+    """The first behavior acting as ``shape`` that passes every check.
+
+    The pinned checks are read block by block, once per multiset of types;
+    the first failure ends the search before any further block is built.
+    """
+    table = list(_pinned_table(checks.symbols, checks.arity, shape))
     read = table.__getitem__
-    for fingerprints, columns, pinned in checks.relations:
-        images = zip(*[map(read, column) for column in columns])
-        if pinned is not None:
-            images = itertools.compress(images, pinned)
-        if not all(map(fingerprints.__contains__, images)):
-            return None
+    for multisets in checks.pinned:
+        member = multisets.fingerprints.__contains__
+        for block in multisets:
+            if not all(map(member, multisets.cells(map(read, block)))):
+                return None
     readings: list = list(table)
     for x, c in enumerate(checks.free):
         readings[c] = -1 - 2 * x
@@ -754,11 +835,13 @@ def search_behavior(
     The injective cells are pinned by the shape and the all-EQ cell maps to
     EQ; the EQ-mixed cells are search variables (paired up by arc reversal
     over the tournament).  Every tuple of relation types is one closure
-    check.  A check that reads only pinned cells is evaluated at once, and
-    the first failure ends the search.  Each other check becomes a finite
-    constraint over the variables it reads, and the first solution of
-    ``relstruct._assignments`` (variables in cell order, values in
-    ``base.labels`` order) fills the table, so an exhausted search is a
+    check.  A check whose types share one partition reads only pinned
+    cells, where every shape acts symmetrically, so it is evaluated once
+    per multiset of types, and the first failure ends the search.  Each
+    other check reads a free cell and stays one per ordered tuple: it
+    becomes a finite constraint over the variables it reads, and the first
+    solution of ``relstruct._assignments`` (variables in cell order, values
+    in ``base.labels`` order) fills the table, so an exhausted search is a
     proof that no such behavior exists.
     """
     base, named = _template_relations(template)
@@ -767,45 +850,70 @@ def search_behavior(
 
 
 def confirm_no_behavior(template: TemplateLike, shape: Shape) -> bool:
-    """Re-check a failed search by enumerating every free-cell assignment.
+    """Re-check a failed search by enumerating the free-cell assignments.
 
     Returns True when no assignment passes all closure checks.  This is the
     hardness certificate, so it shares only the compiled cells with
-    ``search_behavior``: every assignment is tested against every check,
-    pinned or not.  Candidates are screened against the most recently
-    violated check first, so the enumeration stays cheap even at the 2^20
-    cap.
+    ``search_behavior``, not its constraint solver.  It reads each pinned
+    check once per multiset of types, as the symmetric pinned cells allow,
+    and each check that reads a free cell once per ordered tuple.  The
+    checks are read in the order of the last free cell they read, pinned
+    checks first, and the assignments run in product order.  When a check
+    fails, every later assignment that agrees with the current one up to
+    that last free cell fails it too, so the enumeration moves past all of
+    them; a failed pinned check fails every assignment.  The checks before
+    the failed one still pass, so each step reads on from the first check
+    whose last free cell changed.
     """
     base, named = _template_relations(template)
     _require_shape(base, shape)
     checks = _compile_checks(base, named, shape.arity)
-    if len(checks.free) > RECHECK_CELL_LIMIT:
+    free, flip_index, flip_symbol = checks.free, checks.flip_index, checks.flip_symbol
+    if len(free) > RECHECK_CELL_LIMIT:
         raise BudgetExceeded(
             f"full enumeration capped at {RECHECK_CELL_LIMIT} free cells"
         )
-    table = _pinned_table(checks, shape)
+    table = list(_pinned_table(checks.symbols, checks.arity, shape))
     read = table.__getitem__
+    # The free cell each table cell is, -1 on the pinned cells.
+    variable = [-1] * len(table)
+    for x, c in enumerate(free):
+        variable[c] = x
+        if flip_index is not None:
+            variable[flip_index[c]] = x
     every = [
-        (cells, fingerprints)
-        for fingerprints, columns, _ in checks.relations
-        for cells in zip(*columns)
-    ]
-    symbols = range(1, len(checks.symbols))
-    for assignment in itertools.product(symbols, repeat=len(checks.free)):
-        for c, s in zip(checks.free, assignment):
+        (-1, cells, multisets.fingerprints)
+        for multisets in checks.pinned
+        for block in multisets
+        for cells in multisets.cells(block)
+    ] + sorted(
+        ((max(map(variable.__getitem__, cells)), cells, fingerprints)
+         for cells, fingerprints in checks.free_checks),
+        key=operator.itemgetter(0),
+    )
+    lasts = [last for last, _, _ in every]
+    top = len(checks.symbols) - 1
+    values = [1] * len(free)
+    changed = start = 0  # the first free cell and the first check to redo
+    while True:
+        for c, s in zip(free[changed:], values[changed:]):
             table[c] = s
-            if checks.flip_index is not None:
-                table[checks.flip_index[c]] = checks.flip_symbol[s]
-        failed = -1
-        for i, (cells, fingerprints) in enumerate(every):
+            if flip_index is not None:
+                table[flip_index[c]] = flip_symbol[s]
+        for i in range(start, len(every)):
+            last, cells, fingerprints = every[i]
             if tuple(map(read, cells)) not in fingerprints:
-                failed = i
                 break
-        if failed < 0:
+        else:
             return False
-        if failed > 0:
-            every.insert(0, every.pop(failed))
-    return True
+        changed = last
+        while changed >= 0 and values[changed] == top:
+            changed -= 1
+        if changed < 0:
+            return True
+        values[changed] += 1
+        values[changed + 1:] = [1] * (len(values) - changed - 1)
+        start = bisect.bisect_left(lasts, changed)
 
 
 class VerdictKind(Enum):

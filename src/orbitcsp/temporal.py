@@ -190,34 +190,41 @@ def _dense_rank_vectors(
     ``prefix_ok(ranks, i)`` is called once after position i is placed; a
     false answer skips every completion of ``ranks[:i + 1]``.
     """
-    ranks = [0] * k
-    counts = [0] * k
+    return _rank_completions(0, -1, 0, [0] * k, [0] * k, prefix_ok)
 
-    def go(i: int, top: int, missing: int) -> Iterator[tuple[int, ...]]:
-        # top: highest rank used so far (-1 initially); missing: unused
-        # levels below it.  Dense completions need missing <= slots left,
-        # so none is missing once every position is placed.
-        if i == k:
-            yield tuple(ranks)
-            return
-        slots = k - i - 1
-        for r in range(k):
-            if r > top:
-                gap = missing + (r - top - 1)
-                new_top = r
-            else:
-                gap = missing - (1 if counts[r] == 0 else 0)
-                new_top = top
-            if gap > slots:
-                continue
-            ranks[i] = r
-            if not prefix_ok(ranks, i):
-                continue
-            counts[r] += 1
-            yield from go(i + 1, new_top, gap)
-            counts[r] -= 1
 
-    return go(0, -1, 0)
+def _rank_completions(
+        i: int, top: int, missing: int, ranks: list[int], counts: list[int],
+        prefix_ok: Callable[[list[int], int], bool],
+) -> Iterator[tuple[int, ...]]:
+    """The dense completions of ``ranks[:i]`` for ``_dense_rank_vectors``.
+
+    top: highest rank used so far (-1 initially); missing: unused levels
+    below it; counts: how many placed positions hold each rank.  Dense
+    completions need missing <= slots left, so none is missing once every
+    position is placed.  A module function, not a closure that names
+    itself, so a finished search leaves no reference cycle behind.
+    """
+    k = len(ranks)
+    if i == k:
+        yield tuple(ranks)
+        return
+    slots = k - i - 1
+    for r in range(k):
+        if r > top:
+            gap = missing + (r - top - 1)
+            new_top = r
+        else:
+            gap = missing - (1 if counts[r] == 0 else 0)
+            new_top = top
+        if gap > slots:
+            continue
+        ranks[i] = r
+        if not prefix_ok(ranks, i):
+            continue
+        counts[r] += 1
+        yield from _rank_completions(i + 1, new_top, gap, ranks, counts, prefix_ok)
+        counts[r] -= 1
 
 
 @lru_cache(maxsize=None)

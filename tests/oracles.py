@@ -786,9 +786,24 @@ def format_instance(instance):
     return "\n".join(out) + "\n"
 
 
+def behavior_preserves(behavior, rel):
+    """Whether every tuple of relation types has its image in the relation:
+    one ordered tuple at a time, reading the behavior's cell of the inputs'
+    labels at each position pair.  The table maps only the all-EQ cell to
+    EQ, so a pair stays merged exactly where every input merges it."""
+    if any(l not in behavior.symbols for l in rel.base.labels):
+        raise DomainMismatch("relation base outside the behavior alphabet")
+    value_of = dict(behavior.cells()).__getitem__
+    fingerprints = [t.fingerprint for t in rel.sorted_types()]
+    for inputs in product(fingerprints, repeat=behavior.arity):
+        if tuple(map(value_of, zip(*inputs))) not in rel.fingerprints:
+            return False
+    return True
+
+
 def behavior_image(behavior, types):
     """Apply a behavior to a tuple of types of equal arity: the definition
-    ``orbitcsp.homog.behavior_preserves`` is tested against.
+    :func:`behavior_preserves` is tested against.
 
     Positions merge in the image iff they are merged in every input; every
     surviving pair is labeled by the behavior applied to the input labels,

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from oracles import reference_apply
+from oracles import behavior_preserves, reference_apply
 
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.homog import (
@@ -25,7 +25,6 @@ from orbitcsp.homog import (
     LabeledType,
     Shape,
     VerdictKind,
-    behavior_preserves,
     classify_reduct,
     confirm_no_behavior,
     enumerate_types,

@@ -657,6 +657,16 @@ class TestRunHarness:
         instance = files.path("vars x y z\nLT(x,y)\nLT(y,z)\n")
         calls = [["classify", files.path(ARC_TEXT)], ["consistency", lt, instance],
                  ["solve", lt, instance]]
+        # The brute searches: solve and oracle over each homogeneous base,
+        # and the weak-order scan of the temporal oracle.
+        for text, constraints in ((ARC_TEXT, "ARC(x,y)\nARC(y,z)\n"),
+                                  (GRAPH_TEXT, "E(x,y)\nN(y,z)\n"),
+                                  ("base: kfree(3)\nrel E/2: E(1,2)\n", "E(x,y)\nE(y,z)\n")):
+            template = files.path(text)
+            homog_instance = files.path("vars x y z\n" + constraints)
+            calls += [["solve", template, homog_instance], ["oracle", template, homog_instance]]
+        calls.append(["oracle", files.path(TEMPORAL_TEXT),
+                      files.path("vars a b c\nBetw(a,b,c)\nLT(a,b)\n")])
         for argv in calls:  # fills the process-wide caches
             run(argv)
         gc.collect()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -33,7 +34,6 @@ from orbitcsp.homog import (
     Shape,
     Verdict,
     VerdictKind,
-    behavior_preserves,
     classify_reduct,
     confirm_no_behavior,
     enumerate_types,
@@ -47,6 +47,7 @@ from orbitcsp.relstruct import make_instance
 from oracles import (
     G2_BEHAVIOR,
     behavior_image,
+    behavior_preserves,
     from_pair_labels,
     has_clique,
     labeled_type_count,
@@ -534,13 +535,22 @@ class TestSearchBehavior:
     @given(data=st.data())
     def test_matches_the_check_object_reference(self, base, data):
         # Types of every partition, so checks read free cells and, over the
-        # tournament, cells paired with their arc reversal.
+        # tournament, cells paired with their arc reversal.  The last
+        # relation mixes injective and merged types, so its checks read
+        # both pinned multisets and free cells in product order.
         template = []
-        for _ in range(data.draw(st.integers(1, 2))):
+        for _ in range(data.draw(st.integers(0, 1))):
             k = data.draw(st.integers(1, 4))
             types = data.draw(st.lists(st.sampled_from(enumerate_types(k, base)),
                                        min_size=1, max_size=6, unique=True))
             template.append(type_set_relation(k, base, types))
+        pool = enumerate_types(data.draw(st.integers(2, 4)), base)
+        types = []
+        for injective in (True, False):
+            types += data.draw(st.lists(
+                st.sampled_from([t for t in pool if t.is_injective is injective]),
+                min_size=1, max_size=3, unique=True))
+        template.append(type_set_relation(pool[0].arity, base, types))
         shapes = [Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY]
         if not base.oriented:
             shapes += [Shape.BINARY_SL_E, Shape.BINARY_SL_N]
@@ -549,6 +559,8 @@ class TestSearchBehavior:
             assert found == reference_search_behavior(template, shape)
             if found is not None:
                 assert all(behavior_preserves(found, rel) for rel in template)
+            # At most 18 free cells (graph, ternary): within RECHECK_CELL_LIMIT.
+            assert confirm_no_behavior(template, shape) == (found is None)
 
 
 class TestCompileCount:
@@ -573,6 +585,66 @@ class TestCompileCount:
     def test_graph_parity_compiles_each_arity_once(self, monkeypatch):
         assert self.compiled(monkeypatch, [parity_relation(GRAPH)]) == (
             VerdictKind.P_NOT_BOUNDED_WIDTH, [2, 3])
+
+
+class TestPinnedMultisets:
+    """A check that reads only pinned cells is read once per multiset of
+    types, block by block, and a failing pass stops at its first block."""
+
+    @pytest.mark.parametrize("base,shape", [
+        (base, shape) for base in (TOURNAMENT, GRAPH, kfree(3)) for shape in Shape
+        if not (base.oriented and shape.arity == 2)
+    ], ids=str)
+    def test_pinned_table_ignores_the_order_of_a_cells_arguments(self, base, shape):
+        symbols = (EQ,) + base.labels
+        table = homog._pinned_table(symbols, shape.arity, shape)
+        cells = list(itertools.product(symbols, repeat=shape.arity))
+        index = {cell: i for i, cell in enumerate(cells)}
+        pinned = [cell for cell in cells if table[index[cell]] is not None]
+        assert len(pinned) == 1 + 2 ** shape.arity  # all-EQ and the injective cells
+        for cell in pinned:
+            for permuted in itertools.permutations(cell):
+                assert table[index[permuted]] == table[index[cell]]
+
+    @staticmethod
+    def read(checks):
+        """Pinned checks built so far, per partition class."""
+        return [sum(len(block) for block in multisets.blocks) // multisets.pairs
+                for multisets in checks.pinned]
+
+    def test_a_full_pass_reads_each_multiset_once(self):
+        for base in (TOURNAMENT, GRAPH):
+            checks = homog._compile_checks(base, [("R4", parity_relation(base))], 3)
+            assert homog._search(checks, Shape.TERNARY_MINORITY) is not None
+            assert self.read(checks) == [math.comb(32 + 2, 3)] == [5984]
+
+    def test_a_failing_pass_reads_only_its_first_blocks(self):
+        checks = homog._compile_checks(TOURNAMENT, [("R4", parity_relation())], 3)
+        assert homog._search(checks, Shape.TERNARY_MAJORITY) is None
+        (multisets,) = checks.pinned
+        # Block 2 holds the first multiset of three distinct types.
+        assert len(multisets.blocks) == 3 and self.read(checks) == [1 + 3 + 6]
+        # The next shape of the arity reuses the built blocks.
+        assert homog._search(checks, Shape.TERNARY_MINORITY) is not None
+        assert self.read(checks) == [5984]
+
+    def test_merged_types_split_into_partition_classes(self):
+        # Both arcs and the merged pair: each partition reads its own
+        # multisets, and the 27 - 8 - 1 ordered tuples that mix the two
+        # partitions read a free cell, one check each, in product order.
+        rel = type_set_relation(2, TOURNAMENT, [inj((F,)), inj((B,)),
+                                                LabeledType.all_equal(2)])
+        checks = homog._compile_checks(TOURNAMENT, [("R", rel)], 3)
+        assert homog._search(checks, Shape.TERNARY_MAJORITY) is not None
+        assert self.read(checks) == [math.comb(2 + 2, 3), 1]
+        symbol = {F: 1, B: 2, EQ: 0}
+        mixing = [
+            (symbol[a] * 9 + symbol[b] * 3 + symbol[c],)
+            for a, b, c in itertools.product((F, B, EQ), repeat=3)
+            if len({a is EQ, b is EQ, c is EQ}) == 2
+        ]
+        assert [cells for cells, _ in checks.free_checks] == mixing
+        assert len(mixing) == 18
 
 
 class TestConfirmNoBehavior:
