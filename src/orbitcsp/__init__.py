@@ -57,6 +57,7 @@ from .polyengine import (
     AND2,
     CONST0,
     CONST1,
+    CYCLIC,
     IDEMPOTENT,
     MAJ3,
     MAJORITY,
@@ -64,17 +65,16 @@ from .polyengine import (
     OR2,
     SEMILATTICE,
     SIGGERS,
+    WNU,
     XOR3,
     BooleanClass,
     IdentitySystem,
     OpTable,
     boolean_classify,
-    cyclic,
     find_polymorphism,
     preserves_op,
     satisfies_identities,
     schaefer_solve,
-    wnu,
 )
 from .relstruct import (
     FiniteStructure,
@@ -99,7 +99,6 @@ from .temporal import (
     build_afin,
     classify_temporal,
     enumerate_weak_orders,
-    free_set_containing,
     free_sets,
     preserves_temporal,
     solve_master,

@@ -48,6 +48,7 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REL_LINE = re.compile(r"rel\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:\s*(.*)")
 _CONSTRAINT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^)]*)\)\s*")
 _EDGE_ITEM = re.compile(r"E\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_VARS_HEADER = re.compile(r"vars(\s|$)")
 
 #: Largest declared relation arity, largest n of ``kfree(n)``, and largest
 #: k or l of ``--kl``.
@@ -289,7 +290,7 @@ def parse_template(text: str) -> Template:
 def parse_instance(text: str, template: Template) -> Instance:
     """Parse an instance file, checking names and arities against the template."""
     lines = _content_lines(text)
-    if not lines or not lines[0][1].startswith("vars"):
+    if not lines or not _VARS_HEADER.match(lines[0][1]):
         raise ParseError("expected a 'vars' header", lines[0][0] if lines else 1, 1)
     header_line, header = lines[0]
     variables = tuple(header[4:].split())
@@ -452,21 +453,6 @@ def _cmd_afin(
     return lines, 0
 
 
-# Each --identity name: a system, or a family whose parameter is --arity.
-# Declared in the order the parser lists them.
-_IDENTITIES: dict[
-    str, Union[polyengine.IdentitySystem, Callable[[int], polyengine.IdentitySystem]]
-] = {
-    "idempotent": polyengine.IDEMPOTENT,
-    "majority": polyengine.MAJORITY,
-    "minority": polyengine.MINORITY,
-    "semilattice": polyengine.SEMILATTICE,
-    "siggers": polyengine.SIGGERS,
-    "cyclic": polyengine.cyclic,
-    "wnu": polyengine.wnu,
-}
-
-
 def _cmd_polysearch(
     template: Template, instance: None, args: argparse.Namespace
 ) -> tuple[list[str], int]:
@@ -475,13 +461,10 @@ def _cmd_polysearch(
             raise ParseError("--shape applies to tournament and graph templates")
         if not args.identity:
             raise ParseError("polysearch needs --identity for temporal templates")
-        entry = _IDENTITIES[args.identity]
-        arity = args.arity
-        if arity is None and not callable(entry):
-            arity = entry.required_arity()
+        system = next(s for s in polyengine.IDENTITIES if s.kind == args.identity)
+        arity = system.required_arity() if args.arity is None else args.arity
         if arity is None:
             raise ParseError(f"{args.identity} needs --arity")
-        system = entry(arity) if callable(entry) else entry
         structure = temporal.build_afin(template)
         table = polyengine.find_polymorphism(structure, system, arity)
         if table is None:
@@ -490,6 +473,8 @@ def _cmd_polysearch(
         return ["op: FOUND", f"arity: {table.arity}", f"table: {values}"], 0
     if args.identity:
         raise ParseError("--identity applies to temporal templates")
+    if args.arity is not None:
+        raise ParseError("--arity applies to temporal templates")
     if not args.shape:
         raise ParseError("polysearch needs --shape for tournament and graph templates")
     behavior = homog.search_behavior(template, Shape(args.shape))
@@ -562,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers["solve"].add_argument("--mode", choices=["pp", "ll", "dual_pp", "dual_ll"])
     subparsers["solve"].add_argument("--oracle", action="store_true")
     subparsers["polysearch"].add_argument("--shape", choices=sorted(s.value for s in Shape))
-    subparsers["polysearch"].add_argument("--identity", choices=list(_IDENTITIES))
+    subparsers["polysearch"].add_argument(
+        "--identity", choices=[s.kind for s in polyengine.IDENTITIES])
     subparsers["polysearch"].add_argument("--arity", type=int)
     subparsers["consistency"].add_argument("--kl", default="2,3")
     return parser

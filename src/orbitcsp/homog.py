@@ -183,14 +183,6 @@ class LabeledType:
         if any(lbl is Label.EQ for lbl in self.labels):
             raise MalformedPattern("distinct blocks cannot be labeled EQ")
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.partition)
-
-    @property
-    def is_injective(self) -> bool:
-        return len(self.partition) == self.arity
-
     @classmethod
     def all_equal(cls, arity: int) -> "LabeledType":
         return cls(arity, (tuple(range(arity)),), ())
@@ -217,16 +209,6 @@ class LabeledType:
                 stored = self.labels[_pair_index(m, min(bi, bj), max(bi, bj))]
                 out.append(stored if bi < bj else stored.flipped)
         return tuple(out)
-
-    def label(self, i: int, j: int) -> Label:
-        """The label of the ordered position pair (i, j); EQ when merged."""
-        if not (0 <= i < self.arity and 0 <= j < self.arity):
-            raise ParameterError("position out of range")
-        if i == j:
-            return Label.EQ
-        if i < j:
-            return self.fingerprint[_pair_index(self.arity, i, j)]
-        return self.fingerprint[_pair_index(self.arity, j, i)].flipped
 
     def project(self, positions: Sequence[int]) -> "LabeledType":
         """The type of the reordered tuple; repeated positions merge."""
@@ -485,19 +467,6 @@ class PairBehavior:
     def cells(self) -> Iterable[tuple[tuple[Label, ...], Label]]:
         for i, cell in enumerate(itertools.product(self.symbols, repeat=self.arity)):
             yield cell, self.values[i]
-
-    @classmethod
-    def from_function(
-        cls,
-        arity: int,
-        symbols: Sequence[Label],
-        fn: Callable[..., Label],
-    ) -> "PairBehavior":
-        symbols = tuple(symbols)
-        values = tuple(
-            fn(*cell) for cell in itertools.product(symbols, repeat=arity)
-        )
-        return cls(arity, symbols, values)
 
 
 class Shape(Enum):

@@ -138,10 +138,10 @@ def boolean_classify(template: FiniteStructure) -> frozenset[BooleanClass]:
 @dataclass(frozen=True)
 class IdentitySystem:
     """A named system of height-one identities constraining an operation
-    table.  ``param`` is the arity parameter for the parametrized families."""
+    table.  The arity of the table is :func:`find_polymorphism`'s argument;
+    a system of fixed arity states it in :meth:`required_arity`."""
 
     kind: str
-    param: Optional[int] = None
 
     IDEMPOTENT_KIND = "idempotent"
     SIGGERS_KIND = "siggers"
@@ -150,41 +150,22 @@ class IdentitySystem:
     MAJORITY_KIND = "majority"
     MINORITY_KIND = "minority"
     SEMILATTICE_KIND = "semilattice"
-    _KINDS = (IDEMPOTENT_KIND, SIGGERS_KIND, CYCLIC_KIND, WNU_KIND, MAJORITY_KIND,
-              MINORITY_KIND, SEMILATTICE_KIND)
+    # Each kind and its fixed arity, None for any arity (at least 2 for
+    # cyclic and wnu), in the order the command line lists the kinds.
+    _ARITIES = {IDEMPOTENT_KIND: None, MAJORITY_KIND: 3, MINORITY_KIND: 3,
+                SEMILATTICE_KIND: 2, SIGGERS_KIND: 6, CYCLIC_KIND: None, WNU_KIND: None}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._ARITIES:
             raise ParameterError(f"unknown identity system {self.kind!r}")
-        if self.kind in (self.CYCLIC_KIND, self.WNU_KIND):
-            if self.param is None or self.param < 2:
-                raise ParameterError(f"{self.kind} needs a parameter >= 2")
 
     def required_arity(self) -> Optional[int]:
-        return {
-            self.SIGGERS_KIND: 6,
-            self.MAJORITY_KIND: 3,
-            self.MINORITY_KIND: 3,
-            self.SEMILATTICE_KIND: 2,
-            self.CYCLIC_KIND: self.param,
-            self.WNU_KIND: self.param,
-            self.IDEMPOTENT_KIND: None,
-        }[self.kind]
+        return self._ARITIES[self.kind]
 
 
-IDEMPOTENT = IdentitySystem(IdentitySystem.IDEMPOTENT_KIND)
-SIGGERS = IdentitySystem(IdentitySystem.SIGGERS_KIND)
-MAJORITY = IdentitySystem(IdentitySystem.MAJORITY_KIND)
-MINORITY = IdentitySystem(IdentitySystem.MINORITY_KIND)
-SEMILATTICE = IdentitySystem(IdentitySystem.SEMILATTICE_KIND)
-
-
-def cyclic(n: int) -> IdentitySystem:
-    return IdentitySystem(IdentitySystem.CYCLIC_KIND, n)
-
-
-def wnu(m: int) -> IdentitySystem:
-    return IdentitySystem(IdentitySystem.WNU_KIND, m)
+#: Every identity system, in the order the command line lists them.
+IDENTITIES = tuple(map(IdentitySystem, IdentitySystem._ARITIES))
+IDEMPOTENT, MAJORITY, MINORITY, SEMILATTICE, SIGGERS, CYCLIC, WNU = IDENTITIES
 
 
 class _Cells:
@@ -310,6 +291,8 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
     the identities.  Deterministic: cell classes are filled in ascending order
     of their smallest cell, values ascending, and the first complete table
     found is returned.  Returns None when no table exists."""
+    if identities.kind in (IdentitySystem.CYCLIC_KIND, IdentitySystem.WNU_KIND) and arity < 2:
+        raise ParameterError(f"{identities.kind} needs a parameter >= 2")
     if arity < 1:
         raise ParameterError(f"arity must be at least 1, got {arity}")
     required = identities.required_arity()

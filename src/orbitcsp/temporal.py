@@ -10,9 +10,9 @@ Tractability hinges on four binary operations given by order and sign
 conditions only:
 
     pp(x, y)  = x for x <= 0, and eps(y) > 0 for x > 0
-    lex(x, y) < lex(x', y')  iff  x < x', or x = x' and y < y'
     ll(0, 0)  = 0;  ll groups x <= 0 below x > 0, ordering the lower
-                group by lex(x, y) and the upper group by lex(y, x)
+                group lexicographically by (x, y) and the upper group
+                by (y, x)
 
 plus the duals (x, y) -> -f(-x, -y).  Since only order and sign matter,
 the module never materialises rational values: operations are evaluated on
@@ -34,7 +34,6 @@ from .errors import (
     ParameterError,
     PreconditionFailed,
     SignatureMismatch,
-    UnknownVariable,
 )
 from .polyengine import (
     BooleanClass,
@@ -283,10 +282,8 @@ class TemporalTemplate:
 class TemporalOp(enum.Enum):
     PP = "pp"
     LL = "ll"
-    LEX = "lex"
     DUAL_PP = "dual_pp"
     DUAL_LL = "dual_ll"
-    DUAL_LEX = "dual_lex"
 
     @property
     def is_dual(self) -> bool:
@@ -330,21 +327,15 @@ def apply_temporal_op(op: TemporalOp,
             else:
                 keys.append((1, rb[i], 0))
                 signs.append(1)
-        elif op is TemporalOp.LL:
-            # x <= 0 sorts below x > 0; lex(x, y) below, lex(y, x) above.
+        else:
+            # ll: x <= 0 sorts below x > 0; ordered by (x, y) below and by
+            # (y, x) above.
             if sa[i] <= 0:
                 keys.append((0, ra[i], rb[i]))
                 signs.append(sa[i] if sa[i] < 0 else sb[i])
             else:
                 keys.append((1, rb[i], ra[i]))
                 signs.append(1)
-        elif op is TemporalOp.LEX:
-            # Order determined by (x, y) lexicographically; a realisation
-            # with positive values exists, which fixes the sign convention.
-            keys.append((0, ra[i], rb[i]))
-            signs.append(1)
-        else:  # pragma: no cover - exhaustive enum
-            raise ParameterError(f"unknown operation {op}")
     return SignedWeakOrderType.from_signs(WeakOrderType.from_values(keys),
                                           signs)
 
@@ -425,10 +416,10 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # its watch lists stay valid, and the pin-free fixpoint is recomputed once
 # per level); otherwise a fresh solver is built on the remaining variables.
 # The variable-to-constraint index and the memo are made by the first
-# commit, so the one-shot quotients of the free-set functions do without
-# them.  A pin is a solver index mapped to Z or P; a Horn quotient answers
-# it from the pin-free fixpoint.  Every quotient solve is a call of
-# _solve_afin, under that global name, so that it can be counted.
+# commit, so the one-shot quotient of free_sets does without them.  A pin
+# is a solver index mapped to Z or P; a Horn quotient answers it from the
+# pin-free fixpoint.  Every quotient solve is a call of _solve_afin, under
+# that global name, so that it can be counted.
 # ---------------------------------------------------------------------------
 
 Z_VALUE = 1
@@ -607,29 +598,17 @@ def _solve_afin(quotient: _Quotient,
     return None if values is None else dict(zip(index, map(values.__getitem__, index.values())))
 
 
-def free_set_containing(instance: Instance, template: TemporalTemplate,
-                        x: str) -> Optional[frozenset[str]]:
-    """A free set containing x, or None.
-
-    Free sets containing x correspond exactly to solutions of the quotient
-    instance with x pinned to Z; the returned set is the Z-preimage of the
-    canonical solution.
-    """
-    if x not in instance.variables:
-        raise UnknownVariable(x)
-    return _free_set(_quotient_of(instance, template), x)
-
-
 def free_sets(instance: Instance, template: TemporalTemplate,
               ) -> tuple[Optional[frozenset[str]], ...]:
-    """:func:`free_set_containing` for every variable, in declaration
-    order, on one compiled quotient."""
-    quotient = _quotient_of(instance, template)
+    """A free set containing each variable, or None, in declaration order,
+    on one compiled quotient.
+
+    Free sets containing x correspond exactly to solutions of the quotient
+    instance with x pinned to Z; each returned set is the Z-preimage of the
+    canonical solution.
+    """
+    quotient = _Quotient(instance.variables, _constraint_list(instance, template))
     return tuple(_free_set(quotient, x) for x in instance.variables)
-
-
-def _quotient_of(instance: Instance, template: TemporalTemplate) -> _Quotient:
-    return _Quotient(instance.variables, _constraint_list(instance, template))
 
 
 def _free_set(quotient: _Quotient, x: str) -> Optional[frozenset[str]]:
@@ -695,8 +674,6 @@ def solve_master(instance: Instance, template: TemporalTemplate,
     base mode on the reversed relations and flip the resulting order.
     Returns the levels bottom-up, or None when unsatisfiable.
     """
-    if mode in (TemporalOp.LEX, TemporalOp.DUAL_LEX):
-        raise ParameterError("lex does not drive a level solver")
     for name in sorted(template.relations):
         if preserves_temporal(mode, template.relations[name]) is not True:
             raise PreconditionFailed(

@@ -30,7 +30,6 @@ from orbitcsp.temporal import (
     TemporalTemplate,
     _constraint_list,
     _Quotient,
-    _quotient_of,
     _solve_afin,
 )
 
@@ -111,11 +110,7 @@ def ll_sign(x: Fraction, y: Fraction) -> int:
     return 1
 
 
-def lex_key(x: Fraction, y: Fraction):
-    return (0, x, y)
-
-
-BASE_KEYS = {"PP": (pp_key, pp_sign), "LL": (ll_key, ll_sign), "LEX": (lex_key, None)}
+BASE_KEYS = {"PP": (pp_key, pp_sign), "LL": (ll_key, ll_sign)}
 
 
 def reference_apply(op_name: str, a: Sequence[Fraction], b: Sequence[Fraction]):
@@ -382,7 +377,7 @@ def reference_affine_solve(n, constraints, pins):
 def reference_search_behavior(template, shape):
     """The check-object behaviour search, kept as a differential reference
     for :func:`orbitcsp.homog.search_behavior`: one closure check per tuple
-    of relation types, built from ``LabeledType.label``, and a recursive
+    of relation types, built from :func:`pair_label`, and a recursive
     search over the free cells that tests each check once its last free
     cell is assigned."""
     from orbitcsp.errors import DomainMismatch, ParameterError, ShapeUnsupported
@@ -425,7 +420,7 @@ def reference_search_behavior(template, shape):
         for ts in product(rel.sorted_types(), repeat=n):
             template_fp, pair_cells = [], []
             for pos, (i, j) in enumerate(pairs):
-                vec = tuple(t.label(i, j) for t in ts)
+                vec = tuple(pair_label(t, i, j) for t in ts)
                 if all(l is Label.EQ for l in vec):
                     template_fp.append(Label.EQ)
                 else:
@@ -477,7 +472,7 @@ def reference_search_behavior(template, shape):
 def has_clique(t, size):
     """Whether ``size`` blocks of ``t`` are pairwise labeled E, over every
     block set: the definition ``LabeledType.has_clique`` is tested against."""
-    m = t.num_blocks
+    m = len(t.partition)
     return any(
         all(t.labels[_pair_index(m, a, b)] is Label.E for a, b in combinations(combo, 2))
         for combo in combinations(range(m), size)
@@ -709,10 +704,34 @@ def minimal_free_set(instance, template, subset):
     sub = frozenset(subset)
     if not is_free_set(instance, template, sub):
         raise NotFree(f"{sorted(sub)} is not a free set")
-    return shrink_free_set(_quotient_of(instance, template), sub)
+    quotient = _Quotient(instance.variables, _constraint_list(instance, template))
+    return shrink_free_set(quotient, sub)
 
 
 # --- definitions the tests compare the package against -----------------------
+
+
+def is_injective(t):
+    """Whether the complete type ``t`` merges no positions."""
+    return len(t.partition) == t.arity
+
+
+def pair_label(t, i, j):
+    """The label of the ordered position pair (i, j) of the complete type
+    ``t``, read from its fingerprint; EQ when i and j are merged."""
+    if i == j:
+        return Label.EQ
+    if i < j:
+        return t.fingerprint[_pair_index(t.arity, i, j)]
+    return t.fingerprint[_pair_index(t.arity, j, i)].flipped
+
+
+def behavior_from_function(arity, symbols, fn):
+    """The behavior whose table holds ``fn(*cell)`` at every cell of the
+    symbols, in row-major order."""
+    symbols = tuple(symbols)
+    values = tuple(fn(*cell) for cell in product(symbols, repeat=arity))
+    return PairBehavior(arity, symbols, values)
 
 
 def from_pair_labels(arity, label_of):
@@ -818,15 +837,15 @@ def behavior_image(behavior, types):
         if any(l not in behavior.symbols for l in t.labels):
             raise DomainMismatch("type labels outside the behavior alphabet")
     k = types[0].arity
-    if all(t.is_injective for t in types):
+    if all(map(is_injective, types)):
         labels = tuple(
-            behavior.values[behavior.index([t.label(i, j) for t in types])]
+            behavior.values[behavior.index([pair_label(t, i, j) for t in types])]
             for i, j in combinations(range(k), 2)
         )
         return LabeledType(k, tuple((p,) for p in range(k)), labels)
 
     def label_of(i, j):
-        vec = [t.label(i, j) for t in types]
+        vec = [pair_label(t, i, j) for t in types]
         if all(l is Label.EQ for l in vec):
             return Label.EQ
         return behavior.values[behavior.index(vec)]
@@ -841,7 +860,7 @@ def _g2(a, b):
 # First projection on arcs; an equality in either argument defers to the
 # other argument.  This is the binary operation every tournament reduct with
 # a majority or minority behavior must also admit.
-G2_BEHAVIOR = PairBehavior.from_function(2, (Label.EQ, Label.FWD, Label.BWD), _g2)
+G2_BEHAVIOR = behavior_from_function(2, (Label.EQ, Label.FWD, Label.BWD), _g2)
 
 POWER_DOMAIN_LIMIT = 4096
 

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from oracles import behavior_preserves, reference_apply
+from oracles import behavior_preserves, is_injective, pair_label, reference_apply
 
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.homog import (
@@ -55,7 +55,7 @@ from orbitcsp.temporal import (
     build_afin,
     classify_temporal,
     enumerate_weak_orders,
-    free_set_containing,
+    free_sets,
     preserves_temporal,
     solve_master,
     temporal_relation,
@@ -207,8 +207,7 @@ def test_criterion_03_afin_and_free_sets():
     assert structure.relations["P"].tuples == {(0,)}
 
     instance = make_instance(("x", "y"), [("LT", ("x", "y"))])
-    assert free_set_containing(instance, Q_LT, "x") == frozenset({"x"})
-    assert free_set_containing(instance, Q_LT, "y") is None
+    assert free_sets(instance, Q_LT) == (frozenset({"x"}), None)
     assert free_by_direct_enumeration(instance, Q_LT, {"x"})
     assert not free_by_direct_enumeration(instance, Q_LT, {"y"})
     assert not free_by_direct_enumeration(instance, Q_LT, {"x", "y"})
@@ -235,7 +234,7 @@ def test_criterion_04_ll_templates_inherit_semilattice():
 
 def injective_relation(base, arity, keep):
     return type_set_relation(
-        arity, base, [t for t in enumerate_types(arity, base) if t.is_injective and keep(t)]
+        arity, base, [t for t in enumerate_types(arity, base) if is_injective(t) and keep(t)]
     )
 
 
@@ -244,14 +243,15 @@ def parity_relation(base):
     return injective_relation(
         GRAPH if base is GRAPH else TOURNAMENT,
         4,
-        lambda t: sum(t.label(i, j) is lead for i, j in combinations(range(4), 2)) % 2 == 0,
+        lambda t: sum(pair_label(t, i, j) is lead for i, j in combinations(range(4), 2)) % 2 == 0,
     )
 
 
 def one_of_three_relation(base):
     lead = base.labels[0]
     return injective_relation(
-        base, 3, lambda t: sum(t.label(i, j) is lead for i, j in combinations(range(3), 2)) == 1
+        base, 3,
+        lambda t: sum(pair_label(t, i, j) is lead for i, j in combinations(range(3), 2)) == 1,
     )
 
 

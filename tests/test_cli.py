@@ -24,10 +24,10 @@ from orbitcsp.cli import (
 )
 from orbitcsp.errors import ArityMismatch, ParseError
 from orbitcsp.homog import GRAPH, TOURNAMENT, HomogTemplate, Label
-from orbitcsp.polyengine import OpTable, preserves_op, satisfies_identities, wnu
+from orbitcsp.polyengine import WNU, OpTable, preserves_op, satisfies_identities
 from orbitcsp.temporal import TemporalTemplate, WeakOrderType, build_afin
 
-from oracles import format_instance, format_template, from_pair_labels
+from oracles import format_instance, format_template, from_pair_labels, is_injective, pair_label
 
 TEMPORAL_TEXT = "base: temporal\nrel Betw/3: 1<2<3; 3<2<1\nrel LT/2: 1<2\n"
 LT_TEXT = "base: temporal\nrel LT/2: 1<2\n"
@@ -58,29 +58,29 @@ class TestParseTemplate:
         template = parse_template(ARC_TEXT)
         assert isinstance(template, HomogTemplate)
         (t,) = template.relations["ARC"].sorted_types()
-        assert t.label(0, 1) is Label.FWD
-        assert t.label(1, 0) is Label.BWD
+        assert pair_label(t, 0, 1) is Label.FWD
+        assert pair_label(t, 1, 0) is Label.BWD
 
     def test_graph_edges_default_to_non_edges(self):
         template = parse_template(
             "base: graph\nrel R/3: E(1,2)\n"
         )
         (t,) = template.relations["R"].sorted_types()
-        assert t.label(0, 1) is Label.E
-        assert t.label(0, 2) is Label.N
-        assert t.label(1, 2) is Label.N
+        assert pair_label(t, 0, 1) is Label.E
+        assert pair_label(t, 0, 2) is Label.N
+        assert pair_label(t, 1, 2) is Label.N
 
     def test_merged_positions(self):
         template = parse_template("base: tournament\nrel R/3: 1=3, 1->2\n")
         (t,) = template.relations["R"].sorted_types()
         assert t.partition == ((0, 2), (1,))
-        assert t.label(0, 1) is Label.FWD
-        assert t.label(2, 1) is Label.FWD
+        assert pair_label(t, 0, 1) is Label.FWD
+        assert pair_label(t, 2, 1) is Label.FWD
 
     def test_dash_is_the_identity_literal(self):
         template = parse_template("base: graph\nrel N/2: -\n")
         (t,) = template.relations["N"].sorted_types()
-        assert t.is_injective and t.label(0, 1) is Label.N
+        assert is_injective(t) and pair_label(t, 0, 1) is Label.N
 
     def test_comments_and_blank_lines_skipped(self):
         decorated = "# order\n\nbase: temporal\n\n# the relation\nrel LT/2: 1<2\n"
@@ -141,6 +141,7 @@ class TestParseInstance:
         "text",
         [
             "LT(x,y)\n",                   # missing vars header
+            "varsity x y\nLT(x,y)\n",      # vars is a whole word
             "vars\nLT(x,y)\n",             # no variables
             "vars x x\n",                  # duplicate variable
             "vars x y\nGT(x,y)\n",         # unknown relation
@@ -427,7 +428,7 @@ class TestPolysearchCommand:
         assert code == 0
         # The ternary minimum: a weak near-unanimity operation of Afin(LT).
         table = OpTable(3, 2, (0, 0, 0, 0, 0, 0, 0, 1))
-        assert satisfies_identities(table, wnu(3))
+        assert satisfies_identities(table, WNU)
         assert preserves_op(table, build_afin(parse_template(LT_TEXT)))
 
     @pytest.mark.parametrize("text,flags,error", [
@@ -599,6 +600,9 @@ class TestRunHarness:
          "line 2, column 5: relations need arity >= 1"),
         ("oracle", LT_TEXT, "vars x 1y\nLT(x,x)\n",
          "line 1, column 5: bad variable name '1y'"),
+        # Not the variables ity, x and y.
+        ("oracle", ARC_TEXT, "varsity x y\nARC(x,y)\n",
+         "line 1, column 1: expected a 'vars' header"),
     ])
     def test_malformed_input_is_a_one_line_error(self, files, command, template,
                                                  instance, error):
@@ -692,6 +696,10 @@ class TestRunHarness:
         # The instance is read before the command checks the base.
         ("freesets", ARC_TEXT, "vars a b\nNOPE(a,b)\n", [],
          "line 2, column 1: unknown relation NOPE"),
+        ("polysearch", ARC_TEXT, None, ["--shape", "majority", "--arity", "3"],
+         "--arity applies to temporal templates"),
+        ("polysearch", GRAPH_TEXT, None, ["--shape", "sl_e", "--arity", "2"],
+         "--arity applies to temporal templates"),
     ])
     def test_command_base_mismatch_is_a_one_line_error(self, files, command, template,
                                                        instance, flags, error):

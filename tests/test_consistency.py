@@ -36,7 +36,7 @@ from orbitcsp.temporal import (
     temporal_relation,
 )
 
-from oracles import exhaustive_hom, reference_establish_kl
+from oracles import exhaustive_hom, pair_label, reference_establish_kl
 
 TWO_COLORING = FiniteStructure(2, {"E": relation(2, [(0, 1), (1, 0)])})
 ONE_IN_THREE = FiniteStructure(2, {"R": relation(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])})
@@ -294,13 +294,13 @@ REFERENCE_SPACES = {
         **TOURNAMENT_TEMPLATE.relations,
         "CHAIN4": homog_relation(TOURNAMENT, 4, {
             t.fingerprint for t in enumerate_types(4, TOURNAMENT)
-            if t.label(0, 1) is t.label(2, 3)}),
+            if pair_label(t, 0, 1) is pair_label(t, 2, 3)}),
     })),
     "graph": HomogPatterns(HomogTemplate(GRAPH, {
         **GRAPH_TEMPLATE.relations,
         "MATCH4": homog_relation(GRAPH, 4, {
             t.fingerprint for t in enumerate_types(4, GRAPH)
-            if t.label(0, 1) is not N and t.label(2, 3) is not E}),
+            if pair_label(t, 0, 1) is not N and pair_label(t, 2, 3) is not E}),
     })),
     "kfree3": HomogPatterns(KFREE3_TEMPLATE),
 }
@@ -612,7 +612,8 @@ def test_narrow_that_removes_nothing_leaves_the_fixpoint():
         "ARC": homog_relation(TOURNAMENT, 2, {(FWD,), (EQ,)}),
         "AEQ": homog_relation(TOURNAMENT, 2, {(FWD,)}),
         "TR": homog_relation(TOURNAMENT, 3, {
-            t.fingerprint for t in enumerate_types(3, TOURNAMENT) if t.label(0, 2) is not FWD}),
+            t.fingerprint for t in enumerate_types(3, TOURNAMENT)
+            if pair_label(t, 0, 2) is not FWD}),
     })),
     (TEMPORAL, TemporalTemplate({
         "LT": LT,

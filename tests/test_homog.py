@@ -46,11 +46,14 @@ from orbitcsp.relstruct import make_instance
 
 from oracles import (
     G2_BEHAVIOR,
+    behavior_from_function,
     behavior_image,
     behavior_preserves,
     from_pair_labels,
     has_clique,
+    is_injective,
     labeled_type_count,
+    pair_label,
     reference_enumerate_types,
     reference_search_behavior,
     reference_solve_instance_brute,
@@ -77,7 +80,7 @@ def parity_relation(base=TOURNAMENT):
     types = [
         t
         for t in enumerate_types(4, base)
-        if t.is_injective and sum(1 for l in t.labels if l is first) % 2 == 0
+        if is_injective(t) and sum(1 for l in t.labels if l is first) % 2 == 0
     ]
     return type_set_relation(4, base, types)
 
@@ -88,7 +91,7 @@ def one_of_three_relation(base):
     types = [
         t
         for t in enumerate_types(3, base)
-        if t.is_injective and sum(1 for l in t.labels if l is first) == 1
+        if is_injective(t) and sum(1 for l in t.labels if l is first) == 1
     ]
     return type_set_relation(3, base, types)
 
@@ -173,21 +176,21 @@ class TestLabeledType:
 
     def test_label_orientation(self):
         t = inj((F,))
-        assert t.label(0, 1) is F
-        assert t.label(1, 0) is B
-        assert t.label(0, 0) is EQ
+        assert pair_label(t, 0, 1) is F
+        assert pair_label(t, 1, 0) is B
+        assert pair_label(t, 0, 0) is EQ
 
     def test_fingerprint_block_order_flip(self):
         # blocks {0,3} and {1,2}: position pair (1,3) crosses the blocks in
         # the opposite order from the block indices, so the label flips
         t = LabeledType(4, ((0, 3), (1, 2)), (F,))
-        assert t.label(0, 1) is F
-        assert t.label(1, 3) is B
-        assert t.label(0, 3) is EQ
+        assert pair_label(t, 0, 1) is F
+        assert pair_label(t, 1, 3) is B
+        assert pair_label(t, 0, 3) is EQ
 
     def test_from_pair_labels_round_trip(self):
         for t in enumerate_types(4, TOURNAMENT):
-            rebuilt = from_pair_labels(4, t.label)
+            rebuilt = from_pair_labels(4, lambda i, j: pair_label(t, i, j))
             assert rebuilt == t
 
     def test_from_pair_labels_rejects_intransitive_equalities(self):
@@ -218,7 +221,7 @@ class TestLabeledType:
             positions = tuple(rng.randrange(4) for _ in range(3))
             p = t.project(positions)
             for a, b in itertools.combinations(range(3), 2):
-                assert p.label(a, b) is t.label(positions[a], positions[b])
+                assert pair_label(p, a, b) is pair_label(t, positions[a], positions[b])
 
     @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
     def test_project_equals_the_checked_construction(self, base):
@@ -229,7 +232,7 @@ class TestLabeledType:
                 for positions in itertools.product(range(4), repeat=m):
                     p = t.project(positions)
                     expected = from_pair_labels(
-                        m, lambda a, b: t.label(positions[a], positions[b]))
+                        m, lambda a, b: pair_label(t, positions[a], positions[b]))
                     assert p == expected
                     assert hash(p) == hash(expected)
                     assert LabeledType(p.arity, p.partition, p.labels) == p
@@ -276,7 +279,7 @@ class TestEnumerateTypes:
 
     def test_injective_counts(self):
         def injective(k, base):
-            return [t for t in enumerate_types(k, base) if t.is_injective]
+            return [t for t in enumerate_types(k, base) if is_injective(t)]
 
         assert len(injective(3, GRAPH)) == 8
         assert len(injective(3, kfree(3))) == 7
@@ -301,7 +304,7 @@ class TestEnumerateTypes:
         # Filtering to injective types keeps the partition-major order.
         for k in range(1, 6):
             types = tuple(t for t in enumerate_types(k, base)
-                          if t.is_injective or not injective_only)
+                          if is_injective(t) or not injective_only)
             assert types == reference_enumerate_types(k, base, injective_only)
 
     def test_budget(self):
@@ -324,21 +327,21 @@ class TestPairBehavior:
             return EQ if EQ in (a, b) else a
 
         with pytest.raises(MalformedPattern):
-            PairBehavior.from_function(2, (EQ, E, N), bad)
+            behavior_from_function(2, (EQ, E, N), bad)
 
     def test_rejects_non_eq_on_all_eq(self):
         with pytest.raises(MalformedPattern):
-            PairBehavior.from_function(2, (EQ, E, N), lambda a, b: E)
+            behavior_from_function(2, (EQ, E, N), lambda a, b: E)
 
     def test_rejects_flip_equivariance_violation(self):
         def biased(a, b):
             return F if EQ in (a, b) else (a if a is not EQ else b)
 
         with pytest.raises(MalformedPattern):
-            PairBehavior.from_function(2, (EQ, F, B), biased)
+            behavior_from_function(2, (EQ, F, B), biased)
 
     def test_graph_alphabet_has_no_flip_constraint(self):
-        sl = PairBehavior.from_function(
+        sl = behavior_from_function(
             2, (EQ, E, N), lambda a, b: EQ if a is b is EQ else (E if E in (a, b) else N)
         )
         assert sl(E, N) is E
@@ -360,7 +363,7 @@ def pointwise(base, fn, arity=3):
             return EQ
         return fn(present)
 
-    return PairBehavior.from_function(arity, (EQ,) + base.labels, cell)
+    return behavior_from_function(arity, (EQ,) + base.labels, cell)
 
 
 class TestBehaviorImage:
@@ -379,12 +382,12 @@ class TestBehaviorImage:
         maj = pointwise(TOURNAMENT, majority_of)
         merged = LabeledType(3, ((0, 1), (2,)), (F,))
         image = behavior_image(maj, (merged, merged, merged))
-        assert image.label(0, 1) is EQ
+        assert pair_label(image, 0, 1) is EQ
         # a pair merged in only some inputs is labeled, not merged
         other = LabeledType(3, ((0,), (1, 2)), (F,))
         mixed = behavior_image(maj, (merged, merged, other))
-        assert mixed.is_injective
-        assert mixed.label(0, 1) is F
+        assert is_injective(mixed)
+        assert pair_label(mixed, 0, 1) is F
 
     def test_mixed_eq_cells_consult_the_table(self):
         first = pointwise(TOURNAMENT, lambda ls: ls[0])
@@ -458,7 +461,7 @@ class TestBehaviorPreserves:
         for cell in data.draw(st.lists(st.sampled_from(cells), max_size=3)):
             table[cell] = data.draw(st.sampled_from(base.labels))
             table[tuple(l.flipped for l in cell)] = table[cell].flipped
-        behavior = PairBehavior.from_function(n, symbols, lambda *cell: table[cell])
+        behavior = behavior_from_function(n, symbols, lambda *cell: table[cell])
         pool = enumerate_types(data.draw(st.integers(2, 4)), base)
         types = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
                                    unique=True))
@@ -548,7 +551,7 @@ class TestSearchBehavior:
         types = []
         for injective in (True, False):
             types += data.draw(st.lists(
-                st.sampled_from([t for t in pool if t.is_injective is injective]),
+                st.sampled_from([t for t in pool if is_injective(t) is injective]),
                 min_size=1, max_size=3, unique=True))
         template.append(type_set_relation(pool[0].arity, base, types))
         shapes = [Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY]
@@ -772,9 +775,9 @@ class TestSolveInstanceBrute:
         inst = make_instance("xyz", [("ARC", "xy"), ("ARC", "yz"), ("ARC", "zx")])
         solution = solve_instance_brute(inst, self.tournament)
         assert solution is not None
-        assert solution.label(0, 1) is F
-        assert solution.label(1, 2) is F
-        assert solution.label(2, 0) is F
+        assert pair_label(solution, 0, 1) is F
+        assert pair_label(solution, 1, 2) is F
+        assert pair_label(solution, 2, 0) is F
 
     def test_kfree_triangle(self):
         inst = make_instance("xyz", [("ED", "xy"), ("ED", "yz"), ("ED", "xz")])
@@ -824,7 +827,7 @@ class TestSolveInstanceBrute:
         for r in range(data.draw(st.integers(1, 3))):
             of_arity = enumerate_types(data.draw(st.integers(1, 3)), base)
             injective_only = data.draw(st.booleans())
-            pool = [t for t in of_arity if t.is_injective or not injective_only]
+            pool = [t for t in of_arity if is_injective(t) or not injective_only]
             types = data.draw(st.lists(st.sampled_from(pool[1:] or pool),
                                        min_size=1, unique=True))
             relations[f"R{r}"] = type_set_relation(pool[0].arity, base, types)

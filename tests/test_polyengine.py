@@ -13,21 +13,21 @@ from orbitcsp.polyengine import (
     OR2,
     XOR3,
     BooleanClass,
+    CYCLIC,
     IDEMPOTENT,
     IdentitySystem,
     MAJORITY,
     MINORITY,
     SEMILATTICE,
     SIGGERS,
+    WNU,
     OpTable,
     boolean_classify,
-    cyclic,
     find_polymorphism,
     preserves_op,
     boolean_classify as classify,
     satisfies_identities,
     schaefer_solve,
-    wnu,
 )
 from orbitcsp import polyengine
 from orbitcsp.polyengine import _boolean_solver, _HornEngine, _narrow_solver
@@ -137,9 +137,9 @@ class TestFindPolymorphism:
 
     def test_wnu3_on_two_sat_template(self):
         tpl = structure(X=XOR_REL)
-        table = find_polymorphism(tpl, wnu(3), 3)
+        table = find_polymorphism(tpl, WNU, 3)
         assert table is not None
-        assert satisfies_identities(table, wnu(3))
+        assert satisfies_identities(table, WNU)
         assert preserves_op(table, tpl)
 
     def test_empty_signature_majority(self):
@@ -152,9 +152,9 @@ class TestFindPolymorphism:
         # The directed 3-cycle is preserved by rotation-invariant operations.
         rot = relation(2, [(0, 1), (1, 2), (2, 0)])
         tpl = FiniteStructure(3, {"C": rot})
-        table = find_polymorphism(tpl, cyclic(2), 2)
+        table = find_polymorphism(tpl, CYCLIC, 2)
         if table is not None:
-            assert satisfies_identities(table, cyclic(2))
+            assert satisfies_identities(table, CYCLIC)
             assert preserves_op(table, tpl)
 
     def test_semilattice_includes_associativity(self):
@@ -172,6 +172,17 @@ class TestFindPolymorphism:
         for arity in (0, -1):
             with pytest.raises(ParameterError):
                 find_polymorphism(structure(X=XOR_REL), IDEMPOTENT, arity)
+        for system in (CYCLIC, WNU):
+            for arity in (1, 0):
+                with pytest.raises(ParameterError, match=f"{system.kind} needs a parameter >= 2"):
+                    find_polymorphism(structure(X=XOR_REL), system, arity)
+
+    def test_each_system_states_its_arity_once(self):
+        assert [s.kind for s in polyengine.IDENTITIES] == [
+            "idempotent", "majority", "minority", "semilattice", "siggers", "cyclic", "wnu"]
+        assert [s.required_arity() for s in polyengine.IDENTITIES] == [
+            None, 3, 3, 2, 6, None, None]
+        assert IdentitySystem("cyclic") == CYCLIC
 
     @pytest.mark.parametrize("make,error", [
         (lambda: IdentitySystem("bogus"), ParameterError),
@@ -186,7 +197,7 @@ class TestFindPolymorphism:
         with pytest.raises(BudgetExceeded):
             find_polymorphism(FiniteStructure(3, {}), SIGGERS, 6)
         with pytest.raises(BudgetExceeded):
-            find_polymorphism(FiniteStructure(2, {}), IdentitySystem("wnu", 5), 5)
+            find_polymorphism(FiniteStructure(2, {}), WNU, 5)
 
     def test_siggers_boolean_delegation(self):
         sat = structure(X=XOR_REL)
@@ -202,10 +213,10 @@ class TestFindPolymorphism:
         # most significant) that satisfies the identities and preserves the
         # template, i.e. the first one full enumeration meets.
         shapes = [
-            (2, 2, [IDEMPOTENT, SEMILATTICE, cyclic(2), wnu(2)]),
-            (2, 3, [IDEMPOTENT, MAJORITY, MINORITY, cyclic(3), wnu(3)]),
-            # On binary tables wnu(2) and cyclic(2) are both commutativity.
-            (3, 2, [IDEMPOTENT, SEMILATTICE, cyclic(2)]),
+            (2, 2, [IDEMPOTENT, SEMILATTICE, CYCLIC, WNU]),
+            (2, 3, [IDEMPOTENT, MAJORITY, MINORITY, CYCLIC, WNU]),
+            # On binary tables WNU and CYCLIC are both commutativity.
+            (3, 2, [IDEMPOTENT, SEMILATTICE, CYCLIC]),
         ]
         rng = random.Random(31)
         for d, n, systems in shapes:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcsp import temporal
+from orbitcsp.cli import parse_instance, parse_template
 
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
 from orbitcsp.errors import (
@@ -20,7 +21,6 @@ from orbitcsp.errors import (
     ParameterError,
     PreconditionFailed,
     SignatureMismatch,
-    UnknownVariable,
 )
 from orbitcsp.polyengine import AND2, BooleanClass, _solver_class, boolean_classify, preserves_op
 from orbitcsp.relstruct import make_instance
@@ -37,7 +37,7 @@ from orbitcsp.temporal import (
     build_afin,
     classify_temporal,
     enumerate_weak_orders,
-    free_set_containing,
+    free_sets,
     preserves_temporal,
     solve_master,
     TemporalPatterns,
@@ -233,14 +233,6 @@ class TestApplyTemporalOp:
         out = apply_temporal_op(TemporalOp.LL, joint)
         assert out.signs == (0,)
 
-    def test_lex_follows_first_argument_when_strict(self):
-        for b_ranks in [(0, 1), (1, 0), (0, 0)]:
-            joint = SignedWeakOrderType(
-                WeakOrderType.from_values((0, 1) + tuple(r + 2 for r in b_ranks)),
-                0, False)
-            out = apply_temporal_op(TemporalOp.LEX, joint)
-            assert out.order == wot(0, 1)
-
     def test_pp_mixed_signs_worked_example(self):
         # a = (1, 0, 2), b = (2, 5, 1): the zero coordinate stays at the
         # bottom, the positive ones are reordered by b.
@@ -269,8 +261,7 @@ class TestApplyTemporalOp:
         for order in enumerate_weak_orders(4):
             for joint in all_signed(order):
                 for base, dual in [(TemporalOp.PP, TemporalOp.DUAL_PP),
-                                   (TemporalOp.LL, TemporalOp.DUAL_LL),
-                                   (TemporalOp.LEX, TemporalOp.DUAL_LEX)]:
+                                   (TemporalOp.LL, TemporalOp.DUAL_LL)]:
                     direct = apply_temporal_op(dual, joint)
                     conjugated = apply_temporal_op(base, joint.negated()).negated()
                     assert direct == conjugated
@@ -427,21 +418,21 @@ def random_instance(rng, template, max_vars=6, max_constraints=6):
     return make_instance(names, constraints)
 
 
+def free_set_of(instance, template, x):
+    """The free set that :func:`free_sets` finds for the variable x."""
+    return free_sets(instance, template)[instance.variables.index(x)]
+
+
 class TestFreeSets:
     def chain(self):
         return make_instance("xy", [("LT", "xy")])
 
     def test_chain_examples(self):
-        assert free_set_containing(self.chain(), Q_LT, "x") == {"x"}
-        assert free_set_containing(self.chain(), Q_LT, "y") is None
-
-    def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
-            free_set_containing(self.chain(), Q_LT, "q")
+        assert free_sets(self.chain(), Q_LT) == ({"x"}, None)
 
     def test_unconstrained(self):
         inst = make_instance("abc", [])
-        got = free_set_containing(inst, Q_LT, "b")
+        got = free_set_of(inst, Q_LT, "b")
         assert got is not None and "b" in got
         assert free_by_definition(inst, Q_LT, got)
 
@@ -450,7 +441,7 @@ class TestFreeSets:
         template = TemporalTemplate({"LT": LT, "C3": chain3})
         inst = make_instance("vw", [("C3", ("v", "v", "w"))])
         assert not is_free_set(inst, template, {"v"})
-        assert free_set_containing(inst, template, "v") is None
+        assert free_set_of(inst, template, "v") is None
         assert brute_oracle(inst, template) is None
 
     def test_is_free_set_matches_definition_randomly(self):
@@ -465,7 +456,7 @@ class TestFreeSets:
                 assert is_free_set(inst, template, subset) == \
                     free_by_definition(inst, template, subset)
 
-    def test_free_set_containing_sound_and_complete(self):
+    def test_free_sets_sound_and_complete(self):
         rng = random.Random(37)
         checked_some = 0
         checked_none = 0
@@ -473,7 +464,7 @@ class TestFreeSets:
             template = rng.choice([Q_LT, Q_LE, Q_RMIN, Q_RMAX, Q_EQ])
             inst = random_instance(rng, template)
             x = rng.choice(inst.variables)
-            got = free_set_containing(inst, template, x)
+            got = free_set_of(inst, template, x)
             names = [v for v in inst.variables if v != x]
             candidates = [frozenset(rest) | {x}
                           for r in range(len(names) + 1)
@@ -492,13 +483,20 @@ class TestFreeSets:
                 checked_some += 1
         assert checked_some > 30 and checked_none > 30
 
-    def test_free_sets_match_free_set_containing(self):
+    def test_free_sets_match_one_quotient_per_variable(self):
+        # One compiled quotient answers every variable as a fresh one would.
         rng = random.Random(41)
         for _ in range(60):
             template = rng.choice([Q_LT, Q_LE, Q_RMIN, Q_RMAX, Q_EQ, Q_SPLIT])
             inst = random_instance(rng, template)
-            assert temporal.free_sets(inst, template) == tuple(
-                free_set_containing(inst, template, x) for x in inst.variables)
+            fresh = []
+            for x in inst.variables:
+                quotient = temporal._Quotient(
+                    inst.variables, temporal._constraint_list(inst, template))
+                solution = temporal._solve_afin(quotient, {x: temporal.Z_VALUE})
+                fresh.append(None if solution is None else frozenset(
+                    v for v in inst.variables if solution[v] == temporal.Z_VALUE))
+            assert free_sets(inst, template) == tuple(fresh)
 
     def test_quotient_without_a_class_is_searched(self):
         # S's quotient rows 000, 110, 011 are closed under none of the
@@ -512,7 +510,7 @@ class TestFreeSets:
             for _ in range(80):
                 inst = random_instance(rng, template, max_vars=5)
                 x = rng.choice(inst.variables)
-                got = free_set_containing(inst, template, x)
+                got = free_set_of(inst, template, x)
                 names = [v for v in inst.variables if v != x]
                 usable = [frozenset(rest) | {x}
                           for r in range(len(names) + 1)
@@ -523,6 +521,24 @@ class TestFreeSets:
                 assert (got is None) == (not usable)
                 if got is not None:
                     assert x in got and free_by_definition(inst, template, got)
+
+    def test_golden_search_case_against_the_definition(self):
+        # The golden freesets case on trivial.tmpl, whose quotient no fixed
+        # table preserves: every listed set is free, and no set containing
+        # a variable reported NONE is.
+        golden = Path(__file__).parent / "golden"
+        template = parse_template((golden / "trivial.tmpl").read_text(encoding="utf-8"))
+        inst = parse_instance((golden / "trivial.inst").read_text(encoding="utf-8"), template)
+        assert boolean_classify(build_afin(template)) == {BooleanClass.TRIVIAL}
+        subsets = [frozenset(c) for r in range(1, len(inst.variables) + 1)
+                   for c in combinations(inst.variables, r)]
+        found = free_sets(inst, template)
+        assert None in found and len(set(found)) > 2
+        for x, got in zip(inst.variables, found):
+            if got is None:
+                assert not any(x in s and is_free_set(inst, template, s) for s in subsets)
+            else:
+                assert x in got and is_free_set(inst, template, got)
 
     def test_affine_equations_are_derived_once_per_row_set(self, monkeypatch):
         # Forty solves of one affine quotient derive the equations of each
@@ -564,7 +580,7 @@ class TestFreeSets:
         # The least quotient solution pins y under x here, so the minimal
         # free subset of {x, y} omits x entirely.
         inst = make_instance("xy", [("LE", "yx")])
-        start = free_set_containing(inst, Q_LE, "x")
+        start = free_set_of(inst, Q_LE, "x")
         assert start == {"x", "y"}
         assert minimal_free_set(inst, Q_LE, start) == {"y"}
 
@@ -575,7 +591,7 @@ class TestFreeSets:
             template = rng.choice([Q_LT, Q_LE, Q_EQ])
             inst = random_instance(rng, template, max_vars=5)
             x = rng.choice(inst.variables)
-            start = free_set_containing(inst, template, x)
+            start = free_set_of(inst, template, x)
             if start is None:
                 continue
             got = minimal_free_set(inst, template, start)
@@ -591,6 +607,50 @@ class TestFreeSets:
                                 and outside_constraints_realisable(
                                     inst, template, frozenset(sub)))
         assert shrunk >= 1
+
+
+@st.composite
+def quotient_cases(draw):
+    """Variables and constraints of random temporal relations of arity 1-4,
+    on scopes that may repeat a variable.  A quotient row depends only on
+    a type's bottom block, so a relation takes one random type for each of
+    a uniform random set of bottom blocks.  Relations and scopes come from
+    a drawn seed: hypothesis's own small draws give relations that are
+    nearly always AND-closed."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    names = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = rng.randint(1, 4)
+        by_bottom = {}
+        for t in enumerate_weak_orders(k):
+            by_bottom.setdefault(t.blocks[0], []).append(t)
+        types = [rng.choice(ts) for ts in by_bottom.values() if rng.random() < 0.5]
+        scope = tuple(rng.choice(names) for _ in range(k))
+        constraints.append((temporal_relation(k, types), scope))
+    return tuple(names), constraints
+
+
+class TestQuotientSolverClass:
+    """Every quotient relation is empty or holds the all-P row, and both
+    points are named.  So no constant class holds, and majority closure
+    implies AND closure (maj(a, b, all-P) = a AND b): a quotient is always
+    solved by a Horn engine, Gaussian elimination or backtracking search,
+    never by the majority or constant branches of ``_boolean_solver``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(quotient_cases())
+    def test_quotient_class_is_horn_affine_or_search(self, case):
+        variables, constraints = case
+        quotient = temporal._Quotient(variables, constraints)
+        for (_, scope), patterns in zip(constraints, quotient.patterns):
+            assert not patterns or (temporal.P_VALUE,) * len(scope) in patterns
+        classes = quotient._classes(frozenset(quotient.counts))
+        assert not classes & {BooleanClass.CONSTANT0, BooleanClass.CONSTANT1}
+        if BooleanClass.MAJORITY_2SAT in classes:
+            assert BooleanClass.HORN_AND in classes
+        assert _solver_class(classes) in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR,
+                                          BooleanClass.MINORITY_AFFINE, BooleanClass.TRIVIAL)
 
 
 def preserving_modes(template):
@@ -667,11 +727,6 @@ class TestSolveMaster:
         inst = make_instance("xyz", [("BETW", "xyz")])
         with pytest.raises(PreconditionFailed):
             solve_master(inst, Q_BETW, TemporalOp.PP)
-
-    def test_lex_is_not_a_mode(self):
-        with pytest.raises(ParameterError):
-            solve_master(self_chain := make_instance("xy", [("LT", "xy")]),
-                         Q_LT, TemporalOp.LEX)
 
     def test_wrong_levels_raise_under_optimize(self):
         # The final check must survive ``python -O``, which strips asserts.
