@@ -21,7 +21,10 @@ and a solve reduces only its pins into a copy of it.  The other classes
 take the pins as unary constraints: majority runs (2,3)-consistency on
 binary projections, a constant class tries its constant, and no class
 means backtracking search.  Every answer is checked against every
-constraint.  ``schaefer_solve`` indexes a named instance and
+constraint: the Horn engine keeps every constraint holding at its
+pin-free fixpoint and checks only what a narrowing or a solve moved,
+the other solvers check every constraint on every answer.
+``schaefer_solve`` indexes a named instance and
 solves it once; ``temporal`` compiles one solver per master call, solves
 it under many pin sets, and narrows it with ``_narrow_solver`` as levels
 are committed: a Horn engine in place, any other solver by building
@@ -292,7 +295,7 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
     of their smallest cell, values ascending, and the first complete table
     found is returned.  Returns None when no table exists."""
     if identities.kind in (IdentitySystem.CYCLIC_KIND, IdentitySystem.WNU_KIND) and arity < 2:
-        raise ParameterError(f"{identities.kind} needs a parameter >= 2")
+        raise ParameterError(f"{identities.kind} needs arity >= 2, got {arity}")
     if arity < 1:
         raise ParameterError(f"arity must be at least 1, got {arity}")
     required = identities.required_arity()
@@ -359,10 +362,18 @@ class _HornEngine:
     some constraint has the other value at one of its positions.  Each
     constraint is watched by the variables in its scope and revisited only
     when one of them moves, so a fixpoint costs time linear in the instance
-    size (Dowling and Gallier, 1984).  The pin-free fixpoint is computed
-    once, when the engine is built, and again by :meth:`narrow`, which
-    narrows or drops constraints in place; :meth:`solve` starts from it and
-    queues only the constraints of the variables its pins move.
+    size (Dowling and Gallier, 1984).  The pin-free fixpoint, ``base``, is
+    computed once, when the engine is built, and again by :meth:`narrow`,
+    which narrows or drops constraints in place; :meth:`solve` starts from
+    it and queues only the constraints of the variables its pins move.
+
+    The answers are checked through one invariant: every constraint holds
+    at ``base``.  Building the engine checks every constraint there, a
+    narrowing the changed constraints and those watching a variable whose
+    base value changed, and a solve its pins and the constraints watching
+    a variable it moved; every other constraint sees the values it held at
+    ``base``.  Rows that are not closed can fail a check, a solver fault:
+    the solve raises, and once ``base`` has failed, every later solve does.
     """
 
     def __init__(self, n: int, constraints: _Constraints, top_down: bool):
@@ -376,11 +387,13 @@ class _HornEngine:
         for c, (_, scope) in enumerate(self.constraints):
             for v in dict.fromkeys(scope):
                 self.watch[v].append(c)
-        # The constraints a solve checks, and those without the start row:
-        # only these force a move from the start.
-        self.live = set(range(len(self.constraints)))
+        # The constraints without the start row: only these force a move
+        # from the start.
         self.lacking = {c for c, masks in enumerate(self.masks) if 0 not in masks}
-        self._fixpoint()
+        self.base: Optional[bytearray] = None
+        self.moved: list[int] = []  # the variables off the start at base
+        self.faulty = False
+        self._fixpoint([])
 
     def _row_masks(self, rows: frozenset) -> tuple[int, ...]:
         masks = self._masks_of.get(rows)
@@ -397,31 +410,56 @@ class _HornEngine:
         variables must all lie in its current scope so that the watch lists
         stay valid, or drop it (None); then recompute the pin-free
         fixpoint."""
+        kept = []
         for c, constraint in changes.items():
             if constraint is None:
-                # Solves no longer check it; its watch lists may still
-                # queue it, and an empty scope is always stable.
-                self.live.discard(c)
+                # An empty scope always holds and is always stable, so the
+                # watch lists may still queue and check it.
                 constraint = (frozenset({()}), ())
+            else:
+                kept.append(c)
             self.constraints[c] = constraint
             self.masks[c] = masks = self._row_masks(constraint[0])
             if 0 in masks:
                 self.lacking.discard(c)
             else:
                 self.lacking.add(c)
-        self._fixpoint()
+        self._fixpoint(kept)
 
-    def _fixpoint(self) -> None:
-        """The pin-free fixpoint every solve starts from; None when even
-        that fails."""
-        self.base: Optional[bytearray] = bytearray([self.start]) * len(self.watch)
-        if not self._propagate(self.base, (), list(self.lacking)):
+    def _fixpoint(self, changed: list[int]) -> None:
+        """Recompute the pin-free fixpoint every solve starts from, None
+        when even that fails, and check the constraints it may break: the
+        changed ones and those watching a variable whose base value
+        changed, or all of them when there was no base before."""
+        had_base, moved_before = self.base is not None, self.moved
+        base = bytearray([self.start]) * len(self.watch)
+        self.moved = moved = []
+        if not self._propagate(base, (), list(self.lacking), moved):
             self.base = None
+            return
+        self.base = base
+        if not had_base:
+            changed = range(len(self.constraints))
+        elif moved_before or moved:
+            watch = self.watch
+            changed = changed + [c for v in set(moved_before).symmetric_difference(moved)
+                                 for c in watch[v]]
+        if not self._holds(base, changed):
+            self.faulty = True
 
-    def _propagate(self, bound: bytearray, frozen, queue: list[int]) -> bool:
-        """Move variables until every queued constraint is stable; False
-        when a constraint runs out of feasible rows or a frozen variable
-        would move."""
+    def _holds(self, bound: bytearray, check: Iterable[int]) -> bool:
+        constraints = self.constraints
+        for c in check:
+            rows, scope = constraints[c]
+            if tuple(map(bound.__getitem__, scope)) not in rows:
+                return False
+        return True
+
+    def _propagate(self, bound: bytearray, frozen, queue: list[int],
+                   moved: list[int]) -> bool:
+        """Move variables, appending each to ``moved``, until every queued
+        constraint is stable; False when a constraint runs out of feasible
+        rows or a frozen variable would move."""
         start, moved_to = self.start, 1 - self.start
         constraints, masks, watch = self.constraints, self.masks, self.watch
         while queue:
@@ -444,17 +482,21 @@ class _HornEngine:
                         if v in frozen:
                             return False
                         bound[v] = moved_to
+                        moved.append(v)
                         queue.extend(watch[v])
         return True
 
     def solve(self, pins: Mapping[int, int]) -> Optional[list[int]]:
         """The least (greatest) solution with the pinned variables fixed to
         their values, or None."""
+        if self.faulty:
+            raise AssertionError("horn solution violated a constraint")
         if self.base is None:
             return None
         bound = bytearray(self.base)
         frozen = set()
         queue: list[int] = []
+        moved: list[int] = []
         for v, value in pins.items():
             if value == self.start:
                 if bound[v] != value:
@@ -462,16 +504,14 @@ class _HornEngine:
                 frozen.add(v)
             elif bound[v] != value:
                 bound[v] = value
+                moved.append(v)
                 queue.extend(self.watch[v])
-        if not self._propagate(bound, frozen, queue):
+        if not self._propagate(bound, frozen, queue, moved):
             return None
         # At the fixpoint the meet (join) of each constraint's feasible rows
-        # equals the bound on its scope, and closure puts it inside the rows;
-        # a row set that is not closed can fail here, a solver fault.
-        constraints = self.constraints
-        for c in self.live:
-            rows, scope = constraints[c]
-            if tuple(map(bound.__getitem__, scope)) not in rows:
+        # equals the bound on its scope, and closure puts it inside the rows.
+        for v in moved:
+            if not self._holds(bound, self.watch[v]):
                 raise AssertionError("horn solution violated a constraint")
         if any(bound[v] != value for v, value in pins.items()):
             raise AssertionError("horn solution violated a pin")
@@ -606,8 +646,9 @@ def _boolean_solver(n: int, constraints: _Constraints,
     (:func:`_affine_system`), and a solve reduces only its pins
     (:func:`_affine_pinned`).  Majority and search get the pins as unary
     constraints.  Every answer is checked against every constraint and
-    pin: a constant answer that fails means no constant solution, any other
-    that fails is a solver fault.
+    pin, by the Horn engine through its pin-free fixpoint: a constant
+    answer that fails means no constant solution, any other that fails is
+    a solver fault.
     """
     cls = _solver_class(classes)
     if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):

@@ -23,10 +23,12 @@ variable set (tuples of levels, bottom first).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -400,14 +402,18 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 #
 # The master picks each level in one pass of pinned solves (_next_level):
 # the first free set found in declaration order, which in the ll modes each
-# later member's least free set replaces when smaller.  Then it commits the
-# level and asks again of what is left.  So one _Quotient is compiled per
+# later member's least free set replaces when smaller.  A variable that
+# some live constraint forbids at Z on its own, with no quotient row that
+# puts it at Z, lies in no free set, and the pass skips it unsolved; the
+# quotient keeps these blocked counts up to date as levels are committed,
+# and keeps the unblocked variables in declaration order.  Then it commits
+# the level and asks again of what is left.  So one _Quotient is compiled per
 # solve_master call: one pattern lookup per constraint, scopes as variable
 # indices, the class set from _classify_cache, and the solver that
 # polyengine._boolean_solver picks for it.  Committing a level
 # (_Quotient.commit) visits only the constraints whose scope meets it, found
-# through a variable-to-constraint index; constraints keep their ids in the
-# instance.  Each is projected past the level through a memo that lasts for
+# through a variable-to-constraint index, and recounts the blocked variables
+# of those alone; constraints keep their ids in the instance.  Each is projected past the level through a memo that lasts for
 # the call and returns the same relation object for the same (relation,
 # positions), so that the pattern lookup hits by identity.  The class set is
 # kept as a count of (arity, patterns) pairs.  Then
@@ -483,25 +489,63 @@ def _constraint_list(instance: Instance,
     return [(template.relations[name], scope) for name, scope in instance.constraints]
 
 
+@lru_cache(maxsize=None)
+def _never_zero(patterns: frozenset[tuple[int, ...]], arity: int) -> tuple[int, ...]:
+    """The positions that no row of ``patterns`` puts at Z."""
+    return tuple(i for i in range(arity) if all(row[i] != Z_VALUE for row in patterns))
+
+
+def _blocked(patterns: frozenset[tuple[int, ...]],
+             scope: tuple[str, ...]) -> tuple[str, ...]:
+    """The variables of the scope that no row of ``patterns`` puts at Z at
+    all of their positions: a constraint on this scope forbids each of
+    them at Z on its own.  A row on the scope gives a repeated variable
+    one value at all of its positions (:func:`_fin_patterns` skips the
+    types that do not), so the positions never at Z name them."""
+    return tuple(dict.fromkeys(scope[i] for i in _never_zero(patterns, len(scope))))
+
+
 class _Quotient:
     """A quotient instance compiled for repeated solves under pins and
     narrowed one committed level at a time.  ``variables`` are the
-    remaining variables, ``index`` maps each to its solver index, and
-    ``solve`` maps pins on solver indices to a solution vector, or None."""
+    remaining variables, ``index`` maps each to its solver index, ``names``
+    maps a solver index back to its variable, None once committed, and
+    ``solve`` maps pins on solver indices to a solution vector, or None.
+
+    ``blocked`` counts, per remaining variable, the live constraints that
+    forbid it at Z on their own (:func:`_blocked`); no free set contains a
+    variable with a count above 0.  ``ready`` holds the declaration
+    positions of the others, ascending, so that the master tries only
+    them, in declaration order, without a scan of every variable."""
 
     def __init__(self, variables: tuple[str, ...],
                  constraints: Sequence[_Constraint]):
-        self.variables = list(variables)
-        # Per constraint id: the relation and scope, None once dropped, and
-        # the zero/positive patterns of the relation on that scope.
+        self.declared = variables
+        self.position = {v: i for i, v in enumerate(variables)}
+        self.index = dict(self.position)
+        # Per constraint id: the relation and scope, None once dropped, the
+        # zero/positive patterns of the relation on that scope, and the
+        # variables it blocks.
         self.constraints: list[Optional[_Constraint]] = list(constraints)
         self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
+        self.blocking = [_blocked(patterns, scope) for (_, scope), patterns
+                         in zip(constraints, self.patterns)]
+        self.blocked = dict.fromkeys(variables, 0)
+        for vs in self.blocking:
+            for v in vs:
+                self.blocked[v] += 1
+        self.ready = [i for i, v in enumerate(variables) if not self.blocked[v]]
         # The class key: a count of live constraints per (arity, patterns).
         self.counts = Counter((len(scope), patterns) for (_, scope), patterns
                               in zip(constraints, self.patterns))
         # What only commit needs, made by the first one.
         self.touching: Optional[dict[str, list[int]]] = None
         self._build(self._classes(frozenset(self.counts)))
+
+    @property
+    def variables(self) -> KeysView[str]:
+        """The remaining variables, in declaration order."""
+        return self.index.keys()
 
     @staticmethod
     def _classes(key: frozenset) -> frozenset[BooleanClass]:
@@ -517,7 +561,8 @@ class _Quotient:
 
     def _build(self, classes: frozenset[BooleanClass]) -> None:
         """A fresh solver on the remaining variables and live constraints."""
-        index = self.index = {v: i for i, v in enumerate(self.variables)}
+        index = self.index = {v: i for i, v in enumerate(self.index)}
+        self.names: list[Optional[str]] = list(index)
         live = [c for c, constraint in enumerate(self.constraints) if constraint is not None]
         self.solve = _boolean_solver(
             len(index),
@@ -550,10 +595,11 @@ class _Quotient:
 
     def commit(self, level: tuple[str, ...]) -> None:
         """Remove a level of remaining variables: project every constraint
-        whose scope meets it past it, dropping those it covers, and narrow
-        the solver, or build a fresh one when the classes pick another."""
+        whose scope meets it past it, dropping those it covers, update the
+        blocked counts of their variables, and narrow the solver, or build
+        a fresh one when the classes pick another."""
         if self.touching is None:
-            self.touching = {v: [] for v in self.variables}
+            self.touching = {v: [] for v in self.declared}
             for c, (_, scope) in enumerate(self.constraints):
                 for v in dict.fromkeys(scope):
                     self.touching[v].append(c)
@@ -561,26 +607,40 @@ class _Quotient:
                                    tuple[Optional[TemporalRelation], tuple[int, ...]]] = {}
         members = frozenset(level)
         touched = list(dict.fromkeys(c for v in level for c in self.touching[v]))
-        counts = self.counts
+        counts, blocked = self.counts, self.blocked
+        crossed: set[str] = set()  # variables whose count left or reached 0
         for c in touched:
             rel, scope = self.constraints[c]
             old = (len(scope), self.patterns[c])
             counts[old] -= 1
             if not counts[old]:
                 del counts[old]
+            for v in self.blocking[c]:
+                blocked[v] -= 1
+                if not blocked[v]:
+                    crossed.add(v)
             rel, rest = self._project(
                 rel, tuple(i for i, v in enumerate(scope) if v in members))
             if rel is None:
                 self.constraints[c] = None
+                self.blocking[c] = ()
                 continue
             scope = tuple(scope[i] for i in rest)
             self.constraints[c] = (rel, scope)
             self.patterns[c] = patterns = _fin_patterns(rel, scope)
+            self.blocking[c] = vs = _blocked(patterns, scope)
+            for v in vs:
+                if not blocked[v]:
+                    crossed.add(v)
+                blocked[v] += 1
             counts[len(scope), patterns] += 1
-        self.variables = [v for v in self.variables if v not in members]
         index = self.index
         for v in level:
-            del index[v]
+            self.names[index.pop(v)] = None
+            del blocked[v]
+            self._set_ready(v, False)
+        for v in crossed - members:
+            self._set_ready(v, not blocked[v])
         changes = {self.solver_id[c]: None if self.constraints[c] is None else
                    (self.patterns[c], tuple(index[v] for v in self.constraints[c][1]))
                    for c in touched}
@@ -588,14 +648,43 @@ class _Quotient:
         if not _narrow_solver(self.solve, classes, changes):
             self._build(classes)
 
+    def _set_ready(self, v: str, ready: bool) -> None:
+        """Put the variable's declaration position into ``ready`` or take it
+        out."""
+        position = self.position[v]
+        i = bisect_left(self.ready, position)
+        present = i < len(self.ready) and self.ready[i] == position
+        if ready and not present:
+            self.ready.insert(i, position)
+        elif present and not ready:
+            del self.ready[i]
+
+
+class _Solution:
+    """A quotient solution: the solver's value vector, read by remaining
+    variable (``solution[v]``), with no dict of every variable built."""
+
+    def __init__(self, quotient: _Quotient, values: list[int]):
+        self.index, self.names, self.values = quotient.index, quotient.names, values
+
+    def __getitem__(self, v: str) -> int:
+        return self.values[self.index[v]]
+
+    def zeros(self) -> frozenset[str]:
+        """The variables at Z: Z is 1 and P is 0, so the values select
+        them; a committed variable, named None, may sit at either."""
+        zeros = set(compress(self.names, self.values))
+        zeros.discard(None)
+        return frozenset(zeros)
+
 
 def _solve_afin(quotient: _Quotient,
-                pins: Mapping[str, int]) -> Optional[dict[str, int]]:
+                pins: Mapping[str, int]) -> Optional[_Solution]:
     """Solve the compiled quotient instance with the pinned variables fixed
     to Z or P."""
     index = quotient.index
     values = quotient.solve({index[v]: value for v, value in pins.items()})
-    return None if values is None else dict(zip(index, map(values.__getitem__, index.values())))
+    return None if values is None else _Solution(quotient, values)
 
 
 def free_sets(instance: Instance, template: TemporalTemplate,
@@ -605,17 +694,16 @@ def free_sets(instance: Instance, template: TemporalTemplate,
 
     Free sets containing x correspond exactly to solutions of the quotient
     instance with x pinned to Z; each returned set is the Z-preimage of the
-    canonical solution.
+    canonical solution.  A blocked variable has none, and is not solved.
     """
     quotient = _Quotient(instance.variables, _constraint_list(instance, template))
-    return tuple(_free_set(quotient, x) for x in instance.variables)
+    return tuple(None if quotient.blocked[x] else _free_set(quotient, x)
+                 for x in instance.variables)
 
 
 def _free_set(quotient: _Quotient, x: str) -> Optional[frozenset[str]]:
     solution = _solve_afin(quotient, {x: Z_VALUE})
-    if solution is None:
-        return None
-    return frozenset(v for v in quotient.variables if solution[v] == Z_VALUE)
+    return None if solution is None else solution.zeros()
 
 
 def _next_level(quotient: _Quotient,
@@ -623,29 +711,33 @@ def _next_level(quotient: _Quotient,
     """The next level, in declaration order, or None when no remaining
     variable lies in a free set.
 
-    One pass: the first variable whose free set exists gives the level.
-    With ``minimal`` (the ll modes) the quotient is AND-closed, and its
-    Horn engine's least solution with x pinned to Z is the least free set
-    containing x.  So each later member whose set is smaller replaces the
-    level, which ends minimal.  A member passed over lies in no later
-    replacement, since its least free set was the whole level then; so
-    the pass needs no restart.
+    One pass over the variables no live constraint blocks, in declaration
+    order (``quotient.ready``): a blocked variable lies in no free set, so
+    skipping it changes no level.  The first variable whose free set
+    exists gives the level.  With ``minimal`` (the ll modes) the quotient
+    is AND-closed, and its Horn engine's least solution with x pinned to Z
+    is the least free set containing x.  So each later member whose set is
+    smaller replaces the level, which ends minimal.  A member passed over
+    lies in no later replacement, since its least free set was the whole
+    level then; so the pass needs no restart.
     """
-    level: Optional[frozenset[str]] = None
-    for x in quotient.variables:
-        if level is None:
-            level = _free_set(quotient, x)
-            if level is not None and not minimal:
-                break
-        elif x in level:
-            found = _free_set(quotient, x)
-            if found is None or not found <= level:
-                raise AssertionError(
-                    "least free set of a level member is not inside the level")
-            level = found
-    if level is None:
+    for position in quotient.ready:
+        level = _free_set(quotient, quotient.declared[position])
+        if level is not None:
+            break
+    else:
         return None
-    return tuple(v for v in quotient.variables if v in level)
+    # No member comes before the first variable: its free set would exist.
+    members = sorted(level, key=quotient.position.__getitem__)
+    if minimal:
+        for x in members[1:]:
+            if x in level:
+                found = _free_set(quotient, x)
+                if found is None or not found <= level:
+                    raise AssertionError(
+                        "least free set of a level member is not inside the level")
+                level = found
+    return tuple(v for v in members if v in level)
 
 
 def _run_master(variables: tuple[str, ...],

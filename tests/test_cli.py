@@ -447,7 +447,7 @@ class TestPolysearchCommand:
         ("idempotent", "arity must be at least 1, got {}"),
         ("siggers", "arity must be at least 1, got {}"),
         ("majority", "arity must be at least 1, got {}"),
-        ("cyclic", "cyclic needs a parameter >= 2"),
+        ("cyclic", "cyclic needs arity >= 2, got {}"),
     ])
     def test_arity_below_one_is_a_one_line_error(self, files, identity, error, arity):
         # --arity 0 is an arity, not a missing flag.

@@ -174,7 +174,8 @@ class TestFindPolymorphism:
                 find_polymorphism(structure(X=XOR_REL), IDEMPOTENT, arity)
         for system in (CYCLIC, WNU):
             for arity in (1, 0):
-                with pytest.raises(ParameterError, match=f"{system.kind} needs a parameter >= 2"):
+                with pytest.raises(ParameterError,
+                                   match=f"{system.kind} needs arity >= 2, got {arity}$"):
                     find_polymorphism(structure(X=XOR_REL), system, arity)
 
     def test_each_system_states_its_arity_once(self):
@@ -595,6 +596,41 @@ class TestBooleanSolver:
         # XOR rows are not meet-closed, so the least fixpoint (0, 0) falls
         # outside them: a fault to raise, not an UNSAT answer.
         engine = _HornEngine(2, [(frozenset({(0, 1), (1, 0)}), (0, 1))], top_down=False)
+        with pytest.raises(AssertionError, match="horn solution violated a constraint"):
+            engine.solve({})
+
+    def test_a_narrowing_to_rows_its_base_fails_is_a_solver_fault(self):
+        # Narrowed to XOR rows, IMP(a, b) leaves the base (0, 0) in place,
+        # outside the new rows.  Every later solve raises, also once the
+        # constraint is dropped again.
+        solve = _boolean_solver(2, [(IMPLIES.tuples, (0, 1))], {BooleanClass.HORN_AND})
+        assert solve({}) == [0, 0]
+        assert _narrow_solver(solve, {BooleanClass.HORN_AND},
+                              {0: (frozenset({(0, 1), (1, 0)}), (0, 1))})
+        for pins, changes in (({}, None), ({0: 1}, None), ({}, {0: None})):
+            if changes is not None:
+                assert _narrow_solver(solve, {BooleanClass.HORN_AND}, changes)
+            with pytest.raises(AssertionError, match="horn solution violated a constraint"):
+                solve(pins)
+
+    def test_a_pinned_solve_outside_unclosed_rows_is_a_solver_fault(self):
+        # 000, 110 and 101 are not meet-closed.  The base 000 lies in them,
+        # but with a pinned to 1 neither b nor c is forced, and the
+        # fixpoint 100 falls outside: the check of the constraints watching
+        # a must raise.
+        rows = frozenset({(0, 0, 0), (1, 1, 0), (1, 0, 1)})
+        engine = _HornEngine(3, [(rows, (0, 1, 2))], top_down=False)
+        assert engine.solve({}) == [0, 0, 0]
+        with pytest.raises(AssertionError, match="horn solution violated a constraint"):
+            engine.solve({0: 1})
+
+    def test_a_narrowing_that_moves_the_base_out_of_unclosed_rows_is_a_solver_fault(self):
+        # The unclosed rows of the test above hold at the base 000 until a
+        # narrowing of another constraint moves a to 1.
+        rows = frozenset({(0, 0, 0), (1, 1, 0), (1, 0, 1)})
+        engine = _HornEngine(3, [(rows, (0, 1, 2)), (IMPLIES.tuples, (1, 0))], top_down=False)
+        assert engine.solve({}) == [0, 0, 0]
+        engine.narrow({1: (U1.tuples, (0,))})
         with pytest.raises(AssertionError, match="horn solution violated a constraint"):
             engine.solve({})
 
