@@ -307,7 +307,9 @@ def parse_instance(text: str, template: Template) -> Instance:
         if not match:
             raise ParseError("expected 'NAME(x,y,...)'", line_no, 1)
         name = match.group(1)
-        scope = tuple(tok.strip() for tok in match.group(2).split(","))
+        args = match.group(2)
+        # "()" holds no argument, not one empty name.
+        scope = tuple(tok.strip() for tok in args.split(",")) if args else ()
         rel = template.relations.get(name)
         if rel is None:
             raise ParseError(f"unknown relation {name}", line_no, 1)

@@ -23,7 +23,6 @@ variable set (tuples of levels, bottom first).
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -405,25 +404,23 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # later member's least free set replaces when smaller.  A variable that
 # some live constraint forbids at Z on its own, with no quotient row that
 # puts it at Z, lies in no free set, and the pass skips it unsolved; the
-# quotient keeps these blocked counts up to date as levels are committed,
-# and keeps the unblocked variables in declaration order.  Then it commits
-# the level and asks again of what is left.  So one _Quotient is compiled per
-# solve_master call: one pattern lookup per constraint, scopes as variable
-# indices, the class set from _classify_cache, and the solver that
-# polyengine._boolean_solver picks for it.  Committing a level
-# (_Quotient.commit) visits only the constraints whose scope meets it, found
-# through a variable-to-constraint index, and recounts the blocked variables
-# of those alone; constraints keep their ids in the instance.  Each is projected past the level through a memo that lasts for
-# the call and returns the same relation object for the same (relation,
-# positions), so that the pattern lookup hits by identity.  The class set is
-# kept as a count of (arity, patterns) pairs.  Then
-# polyengine._narrow_solver narrows a Horn engine in place when the classes
-# still pick its algorithm (a scope only shrinks to remaining variables, so
-# its watch lists stay valid, and the pin-free fixpoint is recomputed once
-# per level); otherwise a fresh solver is built on the remaining variables.
-# The variable-to-constraint index and the memo are made by the first
-# commit, so the one-shot quotient of free_sets does without them.  A pin
-# is a solver index mapped to Z or P; a Horn quotient answers it from the
+# quotient keeps these blocked counts up to date as levels are committed.
+# Then it commits the level and asks again of what is left.  So one
+# _Quotient is compiled per solve_master call: one pattern lookup per
+# constraint, scopes as variable indices, a variable-to-constraint index,
+# the class set, and the solver that polyengine._boolean_solver picks for
+# it.  The class set is kept as a count of (arity, patterns) pairs and
+# memoised on them for the process.  Committing a level (_Quotient.commit)
+# visits only the constraints whose scope meets it and recounts the blocked
+# variables of those alone; constraints keep their ids in the instance.
+# Each is projected past the level by _project, memoised for the process,
+# so the same (relation, positions) gives the same relation object and the
+# pattern lookup hits by identity.  Then polyengine._narrow_solver narrows
+# a Horn engine in place when the classes still pick its algorithm (a
+# scope only shrinks to remaining variables, so its watch lists stay
+# valid, and the pin-free fixpoint is recomputed once per level);
+# otherwise a fresh solver is built on the remaining variables.  A pin is
+# a solver index mapped to Z or P; a Horn quotient answers it from the
 # pin-free fixpoint.  Every quotient solve is a call of _solve_afin, under
 # that global name, so that it can be counted.
 # ---------------------------------------------------------------------------
@@ -435,10 +432,6 @@ P_VALUE = 0
 _POINTS = {"Z": relation(1, [(Z_VALUE,)]), "P": relation(1, [(P_VALUE,)])}
 
 _Constraint = tuple[TemporalRelation, tuple[str, ...]]
-
-#: The solver class of a quotient structure depends only on its relation
-#: contents, which recur across master rounds; memoised accordingly.
-_classify_cache: dict[frozenset, frozenset[BooleanClass]] = {}
 
 
 def _fin_patterns(rel: TemporalRelation,
@@ -505,6 +498,23 @@ def _blocked(patterns: frozenset[tuple[int, ...]],
     return tuple(dict.fromkeys(scope[i] for i in _never_zero(patterns, len(scope))))
 
 
+@lru_cache(maxsize=None)
+def _project(rel: TemporalRelation, positions: tuple[int, ...],
+             ) -> tuple[Optional[TemporalRelation], tuple[int, ...]]:
+    """The relation left once the positions sit on the committed level,
+    and the positions it keeps; no relation when it keeps none."""
+    keep = [t for t in rel.types if t.blocks[0] == positions]
+    rest = tuple(i for i in range(rel.arity) if i not in positions)
+    if not rest:
+        if not keep:
+            raise AssertionError("level contradicts a fully covered constraint")
+        return None, rest
+    types = frozenset(t.restrict(rest) for t in keep)
+    if not types:
+        raise AssertionError("level starves an intersecting constraint")
+    return TemporalRelation(len(rest), types), rest
+
+
 class _Quotient:
     """A quotient instance compiled for repeated solves under pins and
     narrowed one committed level at a time.  ``variables`` are the
@@ -514,18 +524,16 @@ class _Quotient:
 
     ``blocked`` counts, per remaining variable, the live constraints that
     forbid it at Z on their own (:func:`_blocked`); no free set contains a
-    variable with a count above 0.  ``ready`` holds the declaration
-    positions of the others, ascending, so that the master tries only
-    them, in declaration order, without a scan of every variable."""
+    variable with a count above 0, so :func:`_next_level` skips those in
+    its scan of ``variables``."""
 
     def __init__(self, variables: tuple[str, ...],
                  constraints: Sequence[_Constraint]):
-        self.declared = variables
-        self.position = {v: i for i, v in enumerate(variables)}
-        self.index = dict(self.position)
+        self.index = {v: i for i, v in enumerate(variables)}
         # Per constraint id: the relation and scope, None once dropped, the
         # zero/positive patterns of the relation on that scope, and the
-        # variables it blocks.
+        # variables it blocks; per variable, the ids of the constraints
+        # whose scope holds it.
         self.constraints: list[Optional[_Constraint]] = list(constraints)
         self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
         self.blocking = [_blocked(patterns, scope) for (_, scope), patterns
@@ -534,12 +542,13 @@ class _Quotient:
         for vs in self.blocking:
             for v in vs:
                 self.blocked[v] += 1
-        self.ready = [i for i, v in enumerate(variables) if not self.blocked[v]]
+        self.touching: dict[str, list[int]] = {v: [] for v in variables}
+        for c, (_, scope) in enumerate(constraints):
+            for v in dict.fromkeys(scope):
+                self.touching[v].append(c)
         # The class key: a count of live constraints per (arity, patterns).
         self.counts = Counter((len(scope), patterns) for (_, scope), patterns
                               in zip(constraints, self.patterns))
-        # What only commit needs, made by the first one.
-        self.touching: Optional[dict[str, list[int]]] = None
         self._build(self._classes(frozenset(self.counts)))
 
     @property
@@ -548,16 +557,14 @@ class _Quotient:
         return self.index.keys()
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def _classes(key: frozenset) -> frozenset[BooleanClass]:
         """The classes of the quotient structure whose relations are the
-        (arity, patterns) pairs of ``key``."""
-        classes = _classify_cache.get(key)
-        if classes is None:
-            rels = {f"R{i}": relation(arity, patterns)
-                    for i, (arity, patterns) in enumerate(key)}
-            classes = boolean_classify(FiniteStructure(2, {**rels, **_POINTS}))
-            _classify_cache[key] = classes
-        return classes
+        (arity, patterns) pairs of ``key``; they recur across master
+        rounds, so they are memoised."""
+        rels = {f"R{i}": relation(arity, patterns)
+                for i, (arity, patterns) in enumerate(key)}
+        return boolean_classify(FiniteStructure(2, {**rels, **_POINTS}))
 
     def _build(self, classes: frozenset[BooleanClass]) -> None:
         """A fresh solver on the remaining variables and live constraints."""
@@ -571,44 +578,14 @@ class _Quotient:
             classes)
         self.solver_id = {c: k for k, c in enumerate(live)}
 
-    def _project(self, rel: TemporalRelation, positions: tuple[int, ...],
-                 ) -> tuple[Optional[TemporalRelation], tuple[int, ...]]:
-        """The relation left once the positions sit on the committed level,
-        and the positions it keeps; no relation when it keeps none."""
-        key = (rel, positions)
-        projected = self.projections.get(key)
-        if projected is None:
-            keep = [t for t in rel.types if t.blocks[0] == positions]
-            rest = tuple(i for i in range(rel.arity) if i not in positions)
-            if not rest:
-                if not keep:
-                    raise AssertionError(
-                        "level contradicts a fully covered constraint")
-                projected = (None, rest)
-            else:
-                types = frozenset(t.restrict(rest) for t in keep)
-                if not types:
-                    raise AssertionError("level starves an intersecting constraint")
-                projected = (TemporalRelation(len(rest), types), rest)
-            self.projections[key] = projected
-        return projected
-
     def commit(self, level: tuple[str, ...]) -> None:
         """Remove a level of remaining variables: project every constraint
         whose scope meets it past it, dropping those it covers, update the
         blocked counts of their variables, and narrow the solver, or build
         a fresh one when the classes pick another."""
-        if self.touching is None:
-            self.touching = {v: [] for v in self.declared}
-            for c, (_, scope) in enumerate(self.constraints):
-                for v in dict.fromkeys(scope):
-                    self.touching[v].append(c)
-            self.projections: dict[tuple[TemporalRelation, tuple[int, ...]],
-                                   tuple[Optional[TemporalRelation], tuple[int, ...]]] = {}
         members = frozenset(level)
         touched = list(dict.fromkeys(c for v in level for c in self.touching[v]))
         counts, blocked = self.counts, self.blocked
-        crossed: set[str] = set()  # variables whose count left or reached 0
         for c in touched:
             rel, scope = self.constraints[c]
             old = (len(scope), self.patterns[c])
@@ -617,9 +594,7 @@ class _Quotient:
                 del counts[old]
             for v in self.blocking[c]:
                 blocked[v] -= 1
-                if not blocked[v]:
-                    crossed.add(v)
-            rel, rest = self._project(
+            rel, rest = _project(
                 rel, tuple(i for i, v in enumerate(scope) if v in members))
             if rel is None:
                 self.constraints[c] = None
@@ -630,17 +605,12 @@ class _Quotient:
             self.patterns[c] = patterns = _fin_patterns(rel, scope)
             self.blocking[c] = vs = _blocked(patterns, scope)
             for v in vs:
-                if not blocked[v]:
-                    crossed.add(v)
                 blocked[v] += 1
             counts[len(scope), patterns] += 1
         index = self.index
         for v in level:
             self.names[index.pop(v)] = None
             del blocked[v]
-            self._set_ready(v, False)
-        for v in crossed - members:
-            self._set_ready(v, not blocked[v])
         changes = {self.solver_id[c]: None if self.constraints[c] is None else
                    (self.patterns[c], tuple(index[v] for v in self.constraints[c][1]))
                    for c in touched}
@@ -648,43 +618,20 @@ class _Quotient:
         if not _narrow_solver(self.solve, classes, changes):
             self._build(classes)
 
-    def _set_ready(self, v: str, ready: bool) -> None:
-        """Put the variable's declaration position into ``ready`` or take it
-        out."""
-        position = self.position[v]
-        i = bisect_left(self.ready, position)
-        present = i < len(self.ready) and self.ready[i] == position
-        if ready and not present:
-            self.ready.insert(i, position)
-        elif present and not ready:
-            del self.ready[i]
-
-
-class _Solution:
-    """A quotient solution: the solver's value vector, read by remaining
-    variable (``solution[v]``), with no dict of every variable built."""
-
-    def __init__(self, quotient: _Quotient, values: list[int]):
-        self.index, self.names, self.values = quotient.index, quotient.names, values
-
-    def __getitem__(self, v: str) -> int:
-        return self.values[self.index[v]]
-
-    def zeros(self) -> frozenset[str]:
-        """The variables at Z: Z is 1 and P is 0, so the values select
-        them; a committed variable, named None, may sit at either."""
-        zeros = set(compress(self.names, self.values))
-        zeros.discard(None)
-        return frozenset(zeros)
-
 
 def _solve_afin(quotient: _Quotient,
-                pins: Mapping[str, int]) -> Optional[_Solution]:
+                pins: Mapping[str, int]) -> Optional[frozenset[str]]:
     """Solve the compiled quotient instance with the pinned variables fixed
-    to Z or P."""
+    to Z or P: the remaining variables at Z, or None.  Z is 1 and P is 0,
+    so the solution vector selects them; a committed variable, named None,
+    may sit at either."""
     index = quotient.index
     values = quotient.solve({index[v]: value for v, value in pins.items()})
-    return None if values is None else _Solution(quotient, values)
+    if values is None:
+        return None
+    zeros = set(compress(quotient.names, values))
+    zeros.discard(None)
+    return frozenset(zeros)
 
 
 def free_sets(instance: Instance, template: TemporalTemplate,
@@ -702,8 +649,7 @@ def free_sets(instance: Instance, template: TemporalTemplate,
 
 
 def _free_set(quotient: _Quotient, x: str) -> Optional[frozenset[str]]:
-    solution = _solve_afin(quotient, {x: Z_VALUE})
-    return None if solution is None else solution.zeros()
+    return _solve_afin(quotient, {x: Z_VALUE})
 
 
 def _next_level(quotient: _Quotient,
@@ -711,24 +657,27 @@ def _next_level(quotient: _Quotient,
     """The next level, in declaration order, or None when no remaining
     variable lies in a free set.
 
-    One pass over the variables no live constraint blocks, in declaration
-    order (``quotient.ready``): a blocked variable lies in no free set, so
-    skipping it changes no level.  The first variable whose free set
-    exists gives the level.  With ``minimal`` (the ll modes) the quotient
-    is AND-closed, and its Horn engine's least solution with x pinned to Z
-    is the least free set containing x.  So each later member whose set is
-    smaller replaces the level, which ends minimal.  A member passed over
-    lies in no later replacement, since its least free set was the whole
-    level then; so the pass needs no restart.
+    One pass over the remaining variables in declaration order that skips
+    those with a blocked count above 0: a blocked variable lies in no free
+    set, so skipping it changes no level.  The first variable whose free
+    set exists gives the level.  With ``minimal`` (the ll modes) the
+    quotient is AND-closed, and its Horn engine's least solution with x
+    pinned to Z is the least free set containing x.  So each later member
+    whose set is smaller replaces the level, which ends minimal.  A member
+    passed over lies in no later replacement, since its least free set was
+    the whole level then; so the pass needs no restart.
     """
-    for position in quotient.ready:
-        level = _free_set(quotient, quotient.declared[position])
-        if level is not None:
-            break
+    blocked = quotient.blocked
+    for x in quotient.variables:
+        if not blocked[x]:
+            level = _free_set(quotient, x)
+            if level is not None:
+                break
     else:
         return None
     # No member comes before the first variable: its free set would exist.
-    members = sorted(level, key=quotient.position.__getitem__)
+    # Solver indices follow declaration order.
+    members = sorted(level, key=quotient.index.__getitem__)
     if minimal:
         for x in members[1:]:
             if x in level:

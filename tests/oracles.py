@@ -622,8 +622,7 @@ def shrink_free_set(quotient, start):
                 pins = {x: Z_VALUE, y: P_VALUE, **outside}
                 solution = _solve_afin(quotient, pins)
                 if solution is not None:
-                    current = [v for v in variables
-                               if solution[v] == Z_VALUE]
+                    current = [v for v in variables if v in solution]
                     improved = True
                     break
             if improved:
@@ -650,7 +649,7 @@ def reference_run_master(variables, constraints, use_minimal):
             # A satisfying weak order would make its bottom level a free
             # set, so the search failing for every variable refutes it.
             return None
-        level = frozenset(v for v in remaining if solution[v] == Z_VALUE)
+        level = solution
         if use_minimal:
             level = shrink_free_set(quotient, level)
         levels.append(tuple(v for v in remaining if v in level))

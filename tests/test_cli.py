@@ -603,6 +603,10 @@ class TestRunHarness:
         # Not the variables ity, x and y.
         ("oracle", ARC_TEXT, "varsity x y\nARC(x,y)\n",
          "line 1, column 1: expected a 'vars' header"),
+        # An empty argument list holds no argument, not one empty name.
+        ("solve", LT_TEXT, "vars x y\nLT()\n", "line 2: LT has arity 2, got 0"),
+        ("solve", LT_TEXT + "rel U/1: 1\n", "vars x y\nU( )\n",
+         "line 2: U has arity 1, got 0"),
     ])
     def test_malformed_input_is_a_one_line_error(self, files, command, template,
                                                  instance, error):

@@ -495,9 +495,7 @@ class TestFreeSets:
             for x in inst.variables:
                 quotient = temporal._Quotient(
                     inst.variables, temporal._constraint_list(inst, template))
-                solution = temporal._solve_afin(quotient, {x: temporal.Z_VALUE})
-                fresh.append(None if solution is None else frozenset(
-                    v for v in inst.variables if solution[v] == temporal.Z_VALUE))
+                fresh.append(temporal._solve_afin(quotient, {x: temporal.Z_VALUE}))
             assert free_sets(inst, template) == tuple(fresh)
 
     def test_quotient_without_a_class_is_searched(self):
@@ -886,6 +884,19 @@ class TestIncrementalMaster:
         assert got is not None and levels_satisfy(got, inst, template)
         assert got == reference_solve_master(inst, template, mode)
 
+    @pytest.mark.parametrize("mode", list(TemporalOp))
+    def test_projections_are_memoised_for_the_process(self, mode):
+        # A second identical call projects nothing afresh, also in the dual
+        # modes, whose reversed relations are new objects on every call.
+        # Deltas, not totals, so that earlier tests do not matter.
+        inst = planted_instance(random.Random(7), Q_LE, 40)
+        first = solve_master(inst, Q_LE, mode)
+        before = temporal._project.cache_info()
+        assert solve_master(inst, Q_LE, mode) == first
+        after = temporal._project.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
     def test_a_changed_class_set_builds_a_fresh_solver(self, monkeypatch):
         builds = []
         build = temporal._boolean_solver
@@ -952,12 +963,21 @@ class TestBlockedCandidates:
         while level is not None and quotient.variables:
             counts = blocked_recount(quotient)
             assert {v: quotient.blocked[v] for v in quotient.variables} == counts
-            assert [quotient.declared[p] for p in quotient.ready] == \
-                [v for v in quotient.variables if not counts[v]]
             for v in quotient.variables:
                 if counts[v]:
                     assert temporal._solve_afin(quotient, {v: temporal.Z_VALUE}) is None
-            level = temporal._next_level(quotient, mode.base is TemporalOp.LL)
+            pinned = []
+            solve = temporal._solve_afin
+
+            def recorded(quotient, pins):
+                pinned.extend(v for v, value in pins.items() if value == temporal.Z_VALUE)
+                return solve(quotient, pins)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(temporal, "_solve_afin", recorded)
+                level = temporal._next_level(quotient, mode.base is TemporalOp.LL)
+            # The pass pins to Z only variables that no live constraint blocks.
+            assert not [v for v in pinned if counts[v]]
             if level is not None:
                 quotient.commit(level)
 
