@@ -208,18 +208,19 @@ class _Projection:
 
 
 class _Arity:
-    """The numbered patterns of one arity and the projection tables read
-    out of them, keyed by positions."""
+    """The numbered patterns of one arity, the number of each pattern
+    (``index``), and the projection tables read out of them, keyed by
+    positions."""
 
-    __slots__ = ("patterns", "size", "full", "tables", "readings", "_index")
+    __slots__ = ("patterns", "size", "full", "index", "tables", "readings")
 
     def __init__(self, patterns: Sequence[object]):
         self.patterns = patterns
         self.size = len(patterns)
         self.full = (1 << self.size) - 1
+        self.index = {p: i for i, p in enumerate(patterns)}
         self.tables: dict[tuple[int, ...], _Projection] = {}
         self.readings: dict[tuple[int, ...], dict[object, int]] = {}
-        self._index: Optional[dict[object, int]] = None
 
     def by_reading(self, positions: tuple[int, ...], project) -> dict[object, int]:
         """Each reading at ``positions`` (repeats allowed) -> the mask of the
@@ -232,13 +233,6 @@ class _Arity:
             readings = self.readings[positions] = {
                 reading: _mask(group, self.size) for reading, group in groups.items()}
         return readings
-
-    @property
-    def index(self) -> dict[object, int]:
-        """Pattern -> its number."""
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.patterns)}
-        return self._index
 
 
 # (space class, id of a patterns sequence) -> its numbered patterns and

@@ -527,23 +527,21 @@ def _require_shape(base: Base, shape: Shape) -> None:
 @lru_cache(maxsize=None)
 def _alphabet(
     labels: tuple[Label, ...], n: int
-) -> tuple[tuple[Label, ...], tuple[int, ...], Optional[tuple[int, ...]], tuple[int, ...]]:
+) -> tuple[tuple[Label, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The table cells of arity ``n`` over the base labels: the symbols (EQ,
     then the labels), the symbol of each reversed symbol, the cell of the
-    reversed arcs of each cell (None over unoriented labels) and the free
-    cells, ascending, keeping the lower cell of each flip pair."""
+    reversed arcs of each cell and the free cells, ascending, keeping the
+    lower cell of each flip pair.  Graph labels are symmetric, so there
+    each cell is its own reversal and every free cell is kept."""
     symbols = (Label.EQ,) + labels
     q = len(symbols)
     flip_symbol = tuple(symbols.index(s.flipped) for s in symbols)
     digits = list(itertools.product(range(q), repeat=n))
-    flip_index = None
-    if Label.FWD in labels:
-        flip_index = tuple(
-            encode_tuple(tuple(flip_symbol[s] for s in d), q) for d in digits
-        )
+    flip_index = tuple(
+        encode_tuple(tuple(flip_symbol[s] for s in d), q) for d in digits
+    )
     free = tuple(
-        c for c, d in enumerate(digits)
-        if 0 in d and any(d) and (flip_index is None or c <= flip_index[c])
+        c for c, d in enumerate(digits) if 0 in d and any(d) and c <= flip_index[c]
     )
     return symbols, flip_symbol, flip_index, free
 
@@ -633,8 +631,8 @@ class _Checks:
     arity: int
     symbols: tuple[Label, ...]
     flip_symbol: tuple[int, ...]
-    # Per cell, the cell of the reversed arcs; None over a graph base.
-    flip_index: Optional[tuple[int, ...]]
+    # Per cell, the cell of the reversed arcs; the cell itself over a graph.
+    flip_index: tuple[int, ...]
     # The free cells, ascending, keeping the lower cell of each flip pair.
     free: tuple[int, ...]
     # The pinned checks, one _Multisets per partition class of each relation.
@@ -769,8 +767,7 @@ def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
     readings: list = list(table)
     for x, c in enumerate(checks.free):
         readings[c] = -1 - 2 * x
-        if checks.flip_index is not None:
-            readings[checks.flip_index[c]] = -2 - 2 * x
+        readings[checks.flip_index[c]] = -2 - 2 * x
     # Checks with the same readings of the same relation are one constraint.
     constraints: dict[tuple, tuple[frozenset, tuple[int, ...]]] = {}
     for cells, fingerprints in checks.free_checks:
@@ -789,8 +786,7 @@ def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
         return None
     for c, value in zip(checks.free, first):
         table[c] = value + 1
-        if checks.flip_index is not None:
-            table[checks.flip_index[c]] = checks.flip_symbol[value + 1]
+        table[checks.flip_index[c]] = checks.flip_symbol[value + 1]
     return PairBehavior(
         shape.arity, checks.symbols, tuple(checks.symbols[s] for s in table)
     )
@@ -848,8 +844,7 @@ def confirm_no_behavior(template: TemplateLike, shape: Shape) -> bool:
     variable = [-1] * len(table)
     for x, c in enumerate(free):
         variable[c] = x
-        if flip_index is not None:
-            variable[flip_index[c]] = x
+        variable[flip_index[c]] = x
     every = [
         (-1, cells, multisets.fingerprints)
         for multisets in checks.pinned
@@ -867,8 +862,7 @@ def confirm_no_behavior(template: TemplateLike, shape: Shape) -> bool:
     while True:
         for c, s in zip(free[changed:], values[changed:]):
             table[c] = s
-            if flip_index is not None:
-                table[flip_index[c]] = flip_symbol[s]
+            table[flip_index[c]] = flip_symbol[s]
         for i in range(start, len(every)):
             last, cells, fingerprints = every[i]
             if tuple(map(read, cells)) not in fingerprints:

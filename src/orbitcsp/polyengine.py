@@ -22,8 +22,9 @@ take the pins as unary constraints: majority runs (2,3)-consistency on
 binary projections, a constant class tries its constant, and no class
 means backtracking search.  Every answer is checked against every
 constraint: the Horn engine keeps every constraint holding at its
-pin-free fixpoint and checks only what a narrowing or a solve moved,
-the other solvers check every constraint on every answer.
+pin-free fixpoint and checks only the constraints without the start row
+and those watching a variable a fixpoint or a solve moved, the other
+solvers check every constraint on every answer.
 ``schaefer_solve`` indexes a named instance and
 solves it once; ``temporal`` compiles one solver per master call, solves
 it under many pin sets, and narrows it with ``_narrow_solver`` as levels
@@ -51,6 +52,12 @@ from .relstruct import (
 
 SEARCH_DOMAIN_LIMIT = 4
 SEARCH_ARITY_LIMIT = 4
+#: Most row choices, rows ** arity, that one relation may ask of a closure
+#: check (:func:`preserves_op`) or of a table search
+#: (:func:`find_polymorphism`).  The largest accepted search, an
+#: idempotent 4-ary table on all 16 rows of a 4-ary boolean relation,
+#: takes 0.5 s on a 2-core Xeon.
+ROW_CHOICE_LIMIT = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,18 @@ _CLASS_TABLES: list[tuple[BooleanClass, OpTable]] = [
 ]
 
 
+def _check_row_choices(template: FiniteStructure, arity: int) -> None:
+    """Raise BudgetExceeded, before any work, when a relation asks for more
+    than ROW_CHOICE_LIMIT choices of ``arity`` rows."""
+    for rel in template.relations.values():
+        count = len(rel.tuples) ** arity
+        if count > ROW_CHOICE_LIMIT:
+            raise BudgetExceeded(
+                f"a relation of {len(rel.tuples)} rows needs {count} row choices "
+                f"at arity {arity}; the cap is {ROW_CHOICE_LIMIT}"
+            )
+
+
 def preserves_op(op: OpTable, template: FiniteStructure) -> bool:
     """True iff applying op componentwise to any choice of relation rows
     always lands back in the relation."""
@@ -117,6 +136,7 @@ def preserves_op(op: OpTable, template: FiniteStructure) -> bool:
         raise DomainMismatch(
             f"operation domain {op.domain_size} != template domain {template.domain_size}"
         )
+    _check_row_choices(template, op.arity)
     for rel in template.relations.values():
         rows = rel.sorted_tuples()
         for choice in product(rows, repeat=op.arity):
@@ -131,6 +151,8 @@ def boolean_classify(template: FiniteStructure) -> frozenset[BooleanClass]:
     none does."""
     if template.domain_size != 2:
         raise DomainMismatch("boolean classification needs a 2-element domain")
+    # Refused before any table is checked, rather than at the first ternary one.
+    _check_row_choices(template, max(table.arity for _, table in _CLASS_TABLES))
     found = {cls for cls, table in _CLASS_TABLES if preserves_op(table, template)}
     return frozenset(found) if found else frozenset({BooleanClass.TRIVIAL})
 
@@ -303,6 +325,7 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
         raise ParameterError(
             f"{identities.kind} requires arity {required}, got {arity}"
         )
+    _check_row_choices(template, arity)
     d = template.domain_size
     if identities.kind == IdentitySystem.SIGGERS_KIND:
         # Six-ary tables are out of search budget; the boolean case reduces
@@ -368,12 +391,13 @@ class _HornEngine:
     it and queues only the constraints of the variables its pins move.
 
     The answers are checked through one invariant: every constraint holds
-    at ``base``.  Building the engine checks every constraint there, a
-    narrowing the changed constraints and those watching a variable whose
-    base value changed, and a solve its pins and the constraints watching
-    a variable it moved; every other constraint sees the values it held at
-    ``base``.  Rows that are not closed can fail a check, a solver fault:
-    the solve raises, and once ``base`` has failed, every later solve does.
+    at ``base``.  A constraint with the start row holds at the all-start
+    row, so each time ``base`` is computed only the ``lacking`` constraints
+    and those watching a variable ``base`` moved are checked; a solve checks
+    its pins and the constraints watching a variable it moved, and every
+    other constraint sees the values it held at ``base``.  Rows that are
+    not closed can fail a check, a solver fault: the solve raises, and once
+    a ``base`` has failed, every later solve does.
     """
 
     def __init__(self, n: int, constraints: _Constraints, top_down: bool):
@@ -391,9 +415,8 @@ class _HornEngine:
         # from the start.
         self.lacking = {c for c, masks in enumerate(self.masks) if 0 not in masks}
         self.base: Optional[bytearray] = None
-        self.moved: list[int] = []  # the variables off the start at base
         self.faulty = False
-        self._fixpoint([])
+        self._fixpoint()
 
     def _row_masks(self, rows: frozenset) -> tuple[int, ...]:
         masks = self._masks_of.get(rows)
@@ -410,41 +433,32 @@ class _HornEngine:
         variables must all lie in its current scope so that the watch lists
         stay valid, or drop it (None); then recompute the pin-free
         fixpoint."""
-        kept = []
         for c, constraint in changes.items():
             if constraint is None:
                 # An empty scope always holds and is always stable, so the
                 # watch lists may still queue and check it.
                 constraint = (frozenset({()}), ())
-            else:
-                kept.append(c)
             self.constraints[c] = constraint
             self.masks[c] = masks = self._row_masks(constraint[0])
             if 0 in masks:
                 self.lacking.discard(c)
             else:
                 self.lacking.add(c)
-        self._fixpoint(kept)
+        self._fixpoint()
 
-    def _fixpoint(self, changed: list[int]) -> None:
+    def _fixpoint(self) -> None:
         """Recompute the pin-free fixpoint every solve starts from, None
         when even that fails, and check the constraints it may break: the
-        changed ones and those watching a variable whose base value
-        changed, or all of them when there was no base before."""
-        had_base, moved_before = self.base is not None, self.moved
+        ``lacking`` ones and those watching a variable it moved.  Every
+        other constraint has the start row and reads it at ``base``."""
         base = bytearray([self.start]) * len(self.watch)
-        self.moved = moved = []
+        moved: list[int] = []
         if not self._propagate(base, (), list(self.lacking), moved):
             self.base = None
             return
         self.base = base
-        if not had_base:
-            changed = range(len(self.constraints))
-        elif moved_before or moved:
-            watch = self.watch
-            changed = changed + [c for v in set(moved_before).symmetric_difference(moved)
-                                 for c in watch[v]]
-        if not self._holds(base, changed):
+        watch = self.watch
+        if not self._holds(base, [*self.lacking, *(c for v in moved for c in watch[v])]):
             self.faulty = True
 
     def _holds(self, bound: bytearray, check: Iterable[int]) -> bool:

@@ -434,29 +434,26 @@ _POINTS = {"Z": relation(1, [(Z_VALUE,)]), "P": relation(1, [(P_VALUE,)])}
 _Constraint = tuple[TemporalRelation, tuple[str, ...]]
 
 
-def _fin_patterns(rel: TemporalRelation,
-                  scope: Optional[tuple[str, ...]] = None,
+def _fin_patterns(rel: TemporalRelation, scope: Sequence[object],
                   ) -> frozenset[tuple[int, ...]]:
-    """Zero/positive patterns realised by the relation's types.
+    """Zero/positive patterns realised by the relation's types on a scope.
 
-    With a scope given, types that assign distinct levels to repeated
-    variables cannot be realised by a valuation and are skipped.  Only
-    which positions repeat matters, so the scope is reduced to the index
-    of each variable's first occurrence, e.g. ``(0, 0, 2)`` for
-    ``(x, x, y)``, and the patterns are memoised on that.
+    Types that assign distinct levels to repeated scope entries cannot be
+    realised by a valuation and are skipped; a scope of distinct entries,
+    such as the relation's own positions, keeps every type.  Only which
+    positions repeat matters, so the scope is reduced to the index of each
+    entry's first occurrence, e.g. ``(0, 0, 2)`` for ``(x, x, y)``, and the
+    patterns are memoised on that.
     """
-    if scope is None:
-        return _fin_patterns_of(rel, None)
     return _fin_patterns_of(rel, tuple(scope.index(v) for v in scope))
 
 
 @lru_cache(maxsize=None)
-def _fin_patterns_of(rel: TemporalRelation,
-                     repeats: Optional[tuple[int, ...]],
+def _fin_patterns_of(rel: TemporalRelation, repeats: tuple[int, ...],
                      ) -> frozenset[tuple[int, ...]]:
     patterns: set[tuple[int, ...]] = set()
     for t in rel.types:
-        if repeats is not None and not t.respects(repeats):
+        if not t.respects(repeats):
             continue
         patterns.add(tuple(P_VALUE for _ in range(rel.arity)))
         bottom = set(t.blocks[0])
@@ -472,7 +469,7 @@ def build_afin(template: TemporalTemplate) -> FiniteStructure:
         if name in ("Z", "P"):
             raise SignatureMismatch(f"relation name {name} is reserved")
         rel = template.relations[name]
-        rels[name] = relation(rel.arity, _fin_patterns(rel))
+        rels[name] = relation(rel.arity, _fin_patterns(rel, range(rel.arity)))
     return FiniteStructure(2, {**rels, **_POINTS})
 
 
@@ -530,20 +527,16 @@ class _Quotient:
     def __init__(self, variables: tuple[str, ...],
                  constraints: Sequence[_Constraint]):
         self.index = {v: i for i, v in enumerate(variables)}
-        # Per constraint id: the relation and scope, None once dropped, the
-        # zero/positive patterns of the relation on that scope, and the
-        # variables it blocks; per variable, the ids of the constraints
-        # whose scope holds it.
+        # Per constraint id: the relation and scope, None once dropped, and
+        # the zero/positive patterns of the relation on that scope; per
+        # variable, the ids of the constraints whose scope holds it.
         self.constraints: list[Optional[_Constraint]] = list(constraints)
         self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
-        self.blocking = [_blocked(patterns, scope) for (_, scope), patterns
-                         in zip(constraints, self.patterns)]
         self.blocked = dict.fromkeys(variables, 0)
-        for vs in self.blocking:
-            for v in vs:
-                self.blocked[v] += 1
         self.touching: dict[str, list[int]] = {v: [] for v in variables}
         for c, (_, scope) in enumerate(constraints):
+            for v in _blocked(self.patterns[c], scope):
+                self.blocked[v] += 1
             for v in dict.fromkeys(scope):
                 self.touching[v].append(c)
         # The class key: a count of live constraints per (arity, patterns).
@@ -592,19 +585,17 @@ class _Quotient:
             counts[old] -= 1
             if not counts[old]:
                 del counts[old]
-            for v in self.blocking[c]:
+            for v in _blocked(self.patterns[c], scope):
                 blocked[v] -= 1
             rel, rest = _project(
                 rel, tuple(i for i, v in enumerate(scope) if v in members))
             if rel is None:
                 self.constraints[c] = None
-                self.blocking[c] = ()
                 continue
             scope = tuple(scope[i] for i in rest)
             self.constraints[c] = (rel, scope)
             self.patterns[c] = patterns = _fin_patterns(rel, scope)
-            self.blocking[c] = vs = _blocked(patterns, scope)
-            for v in vs:
+            for v in _blocked(patterns, scope):
                 blocked[v] += 1
             counts[len(scope), patterns] += 1
         index = self.index
@@ -715,10 +706,9 @@ def solve_master(instance: Instance, template: TemporalTemplate,
     base mode on the reversed relations and flip the resulting order.
     Returns the levels bottom-up, or None when unsatisfiable.
     """
-    for name in sorted(template.relations):
-        if preserves_temporal(mode, template.relations[name]) is not True:
-            raise PreconditionFailed(
-                f"{mode.value} does not preserve {name}")
+    failed = _first_unpreserved(mode, template)
+    if failed is not None:
+        raise PreconditionFailed(f"{mode.value} does not preserve {failed[0]}")
     constraints = _constraint_list(instance, template)
     if mode.is_dual:
         # One reversed object per relation, so that projections and pattern
@@ -782,20 +772,32 @@ class TemporalVerdict:
     counterexamples: tuple[tuple[TemporalOp, str, TemporalCounterexample], ...]
 
 
+def _first_unpreserved(mode: TemporalOp, template: TemporalTemplate,
+                       ) -> Optional[tuple[str, TemporalCounterexample]]:
+    """The first relation in name order that ``mode`` does not preserve,
+    with its counterexample; None when it preserves them all.  Raises
+    BudgetExceeded, naming the relation, on one above the arity that
+    :func:`preserves_temporal` takes."""
+    for name in sorted(template.relations):
+        rel = template.relations[name]
+        if rel.arity > PRESERVE_ARITY_LIMIT:
+            raise BudgetExceeded(f"relation {name} has arity {rel.arity}; preservation "
+                                 f"tests take arity <= {PRESERVE_ARITY_LIMIT}")
+        result = preserves_temporal(mode, rel)
+        if result is not True:
+            return name, result
+    return None
+
+
 def classify_temporal(template: TemporalTemplate) -> TemporalVerdict:
     """First preserved mode wins; otherwise NP-complete with witnesses."""
     found: list[tuple[TemporalOp, str, TemporalCounterexample]] = []
     for mode in (TemporalOp.PP, TemporalOp.DUAL_PP,
                  TemporalOp.LL, TemporalOp.DUAL_LL):
-        witness = None
-        for name in sorted(template.relations):
-            result = preserves_temporal(mode, template.relations[name])
-            if result is not True:
-                witness = (mode, name, result)
-                break
-        if witness is None:
+        failed = _first_unpreserved(mode, template)
+        if failed is None:
             return TemporalVerdict(True, mode, tuple(found))
-        found.append(witness)
+        found.append((mode, *failed))
     return TemporalVerdict(False, None, tuple(found))
 
 

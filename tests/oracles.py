@@ -284,6 +284,46 @@ def reference_horn_solve(instance: Instance, template: FiniteStructure,
     return dict(bound)
 
 
+#: The outcome of :func:`sweep_horn` when the fixpoint breaks a constraint.
+HORN_FAULT = "fault"
+
+
+def sweep_horn(n: int, constraints, top_down: bool, pins=None):
+    """The sweeping Horn fixpoint on ``(rows, scope)`` constraints over
+    variables ``0..n-1``, with each pin as a unary constraint, for any rows,
+    closed or not: a reference for ``orbitcsp.polyengine._HornEngine``.
+
+    Every variable starts at 0 (1 top-down), and each sweep raises (lowers)
+    every position of every constraint to the meet (join) of its feasible
+    rows, the rows on or above (below) the bound.  The operator is
+    monotone, so the fixpoint does not depend on the order.  Returns the
+    fixpoint values, None when a constraint runs out of feasible rows, or
+    HORN_FAULT when the fixpoint falls outside some constraint's rows,
+    which closed rows never allow."""
+    start = 1 if top_down else 0
+    pinned = [*constraints, *((frozenset({(value,)}), (v,)) for v, value in (pins or {}).items())]
+    bound = [start] * n
+    changed = True
+    while changed:
+        changed = False
+        for rows, scope in pinned:
+            feasible = [row for row in rows
+                        if all((x <= bound[v]) if top_down else (x >= bound[v])
+                               for x, v in zip(row, scope))]
+            if not feasible:
+                return None
+            for i, v in enumerate(scope):
+                # Monotone even when v sits at several positions of the scope.
+                column = [row[i] for row in feasible]
+                value = min(bound[v], max(column)) if top_down else max(bound[v], min(column))
+                if value != bound[v]:
+                    bound[v] = value
+                    changed = True
+    if any(tuple(bound[v] for v in scope) not in rows for rows, scope in pinned):
+        return HORN_FAULT
+    return bound
+
+
 def affine_rows(tuples: frozenset) -> Optional[list[tuple[tuple[int, ...], int]]]:
     """Defining linear equations (coeffs, rhs) over GF(2) of a xor-closed
     row set; None for the empty set."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import sys
@@ -744,6 +745,45 @@ class TestRunHarness:
         assert report == ("error: relation WIDE needs 2097152 closure checks at arity 3; "
                           "the cap is 1048576\n")
         assert code == 2
+
+    @staticmethod
+    def bottom_first(k):
+        # One type per nonempty position set B: B at the bottom, then the
+        # other positions in ascending order.  The quotient holds all 2^k rows.
+        literals = []
+        for size in range(1, k + 1):
+            for bottom in itertools.combinations(range(1, k + 1), size):
+                rest = [p for p in range(1, k + 1) if p not in bottom]
+                literals.append("=".join(map(str, bottom)) + "".join(f"<{p}" for p in rest))
+        return f"base: temporal\nrel LT/2: 1<2\nrel R/{k}: " + "; ".join(literals) + "\n"
+
+    @pytest.mark.parametrize("command,k,flags,error", [
+        # The siggers shortcut's own check would read 32^6 row choices.
+        ("polysearch", 5, ["--identity", "siggers"],
+         "a relation of 32 rows needs 1073741824 row choices at arity 6; the cap is 65536"),
+        # One 9-ary constraint: classifying its quotient reads 512^3.
+        ("freesets", 9, [],
+         "a relation of 512 rows needs 134217728 row choices at arity 3; the cap is 65536"),
+        ("polysearch", 9, ["--identity", "idempotent", "--arity", "3"],
+         "a relation of 512 rows needs 134217728 row choices at arity 3; the cap is 65536"),
+    ])
+    def test_over_budget_quotient_is_a_one_line_error(self, files, command, k, flags, error):
+        argv = [command, files.path(self.bottom_first(k))]
+        if command == "freesets":
+            names = [f"x{i}" for i in range(k)]
+            argv.append(files.path(f"vars {' '.join(names)}\nR({','.join(names)})\n"))
+        assert run(argv + flags) == (f"error: {error}\n", 2)
+
+    @pytest.mark.parametrize("command,flags", [
+        ("classify", []), ("solve", []), ("solve", ["--mode", "pp"]),
+    ])
+    def test_temporal_relation_over_the_preservation_budget_is_a_one_line_error(
+            self, files, command, flags):
+        argv = [command, files.path(LT_TEXT + "rel W/7: 1<2<3<4<5<6<7\n")]
+        if command == "solve":
+            argv.append(files.path("vars x y\nLT(x,y)\n"))
+        assert run(argv + flags) == (
+            "error: relation W has arity 7; preservation tests take arity <= 6\n", 2)
 
     @pytest.mark.parametrize("text,error", [
         ("base: graph\nrel R/4096: -\n",

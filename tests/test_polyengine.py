@@ -33,7 +33,14 @@ from orbitcsp import polyengine
 from orbitcsp.polyengine import _boolean_solver, _HornEngine, _narrow_solver
 from orbitcsp.relstruct import FiniteStructure, make_instance, relation
 
-from oracles import all_op_tables, exhaustive_hom, reference_affine_solve, reference_horn_solve
+from oracles import (
+    HORN_FAULT,
+    all_op_tables,
+    exhaustive_hom,
+    reference_affine_solve,
+    reference_horn_solve,
+    sweep_horn,
+)
 
 U0 = relation(1, [(0,)])
 U1 = relation(1, [(1,)])
@@ -52,6 +59,17 @@ class TestFixedTables:
         assert MAJ3(0, 1, 1) == 1 and MAJ3(0, 1, 0) == 0
         assert XOR3(0, 1, 1) == 0 and XOR3(1, 1, 1) == 1
         assert AND2(1, 0) == 0 and OR2(1, 0) == 1
+
+    def test_row_choice_cap_is_inclusive(self):
+        # 256 rows read 2^16 = ROW_CHOICE_LIMIT pairs; 257 rows read more.
+        for rows, refused in ((256, False), (257, True)):
+            template = structure(R=relation(9, list(product((0, 1), repeat=9))[:rows]))
+            if refused:
+                with pytest.raises(BudgetExceeded, match="257 rows needs 66049 row choices"):
+                    polyengine._check_row_choices(template, 2)
+            else:
+                polyengine._check_row_choices(template, 2)
+        assert polyengine.ROW_CHOICE_LIMIT == 256 ** 2
 
     def test_preserves_op_domain_check(self):
         with pytest.raises(DomainMismatch):
@@ -456,6 +474,47 @@ class TestHornEngine:
         for pins in pin_sets + [{}]:
             pins = {index[v]: value for v, value in pins.items()}
             assert solve(pins) == fresh.solve(pins), pins
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=horn_cases(), data=st.data())
+    def test_narrowing_to_any_rows_matches_the_sweep(self, case, data):
+        # As above, but the replacement rows need not be closed, and a
+        # second narrowing follows the first.  The sweep gives each
+        # outcome: a fixpoint outside some constraint's rows is a fault,
+        # raised by every solve once the pin-free fixpoint has had one.
+        top_down, template, instance, pin_sets = case
+        index = {v: i for i, v in enumerate(instance.variables)}
+        n = len(index)
+        left = [(template.relations[name].tuples, tuple(index[v] for v in scope))
+                for name, scope in instance.constraints]
+        solve = _boolean_solver(n, left, {horn_class(top_down)})
+        faulty = False
+        for _ in range(2):
+            changes = {}
+            for c, constraint in enumerate(left):
+                choice = data.draw(st.sampled_from(("keep", "drop", "replace")))
+                if constraint is None or choice == "keep":
+                    continue
+                if choice == "drop":
+                    changes[c] = None
+                else:
+                    scope = constraint[1]
+                    keep = data.draw(st.lists(st.sampled_from(range(len(scope))),
+                                              min_size=1, unique=True))
+                    rows = data.draw(closed_relation(None, len(keep)))
+                    changes[c] = (rows.tuples, tuple(scope[i] for i in keep))
+            assert _narrow_solver(solve, {horn_class(top_down)}, changes)
+            left = [changes.get(c, constraint) for c, constraint in enumerate(left)]
+            live = [c for c in left if c is not None]
+            faulty = faulty or sweep_horn(n, live, top_down) == HORN_FAULT
+            for pins in pin_sets + [{}]:
+                pins = {index[v]: value for v, value in pins.items()}
+                want = HORN_FAULT if faulty else sweep_horn(n, live, top_down, pins)
+                if want == HORN_FAULT:
+                    with pytest.raises(AssertionError, match="horn solution violated"):
+                        solve(pins)
+                else:
+                    assert solve(pins) == want, pins
 
     def test_narrowing_away_the_start_row_moves_the_fixpoint(self):
         # IMP(a, b) holds the all-0 row; narrowed to U1 on a, it forces a
