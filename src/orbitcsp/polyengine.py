@@ -54,10 +54,11 @@ SEARCH_DOMAIN_LIMIT = 4
 SEARCH_ARITY_LIMIT = 4
 #: Most row choices, rows ** arity, that one relation may ask of a closure
 #: check (:func:`preserves_op`) or of a table search
-#: (:func:`find_polymorphism`).  The largest accepted search, an
-#: idempotent 4-ary table on all 16 rows of a 4-ary boolean relation,
-#: takes 0.5 s on a 2-core Xeon.
-ROW_CHOICE_LIMIT = 2 ** 16
+#: (:func:`find_polymorphism`).  64^3 admits the ternary tables on all 64
+#: rows of a 6-ary boolean relation, the quotient of a temporal relation
+#: of the largest arity that preservation tests take.  Classifying it, the
+#: largest accepted case, takes 3.1 s on a 2-core Xeon.
+ROW_CHOICE_LIMIT = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -457,8 +458,8 @@ class _HornEngine:
             self.base = None
             return
         self.base = base
-        watch = self.watch
-        if not self._holds(base, [*self.lacking, *(c for v in moved for c in watch[v])]):
+        check = [*self.lacking, *(c for v in moved for c in self.watch[v])]
+        if not self._holds(base, check):
             self.faulty = True
 
     def _holds(self, bound: bytearray, check: Iterable[int]) -> bool:

@@ -760,12 +760,12 @@ class TestRunHarness:
     @pytest.mark.parametrize("command,k,flags,error", [
         # The siggers shortcut's own check would read 32^6 row choices.
         ("polysearch", 5, ["--identity", "siggers"],
-         "a relation of 32 rows needs 1073741824 row choices at arity 6; the cap is 65536"),
+         "a relation of 32 rows needs 1073741824 row choices at arity 6; the cap is 262144"),
         # One 9-ary constraint: classifying its quotient reads 512^3.
         ("freesets", 9, [],
-         "a relation of 512 rows needs 134217728 row choices at arity 3; the cap is 65536"),
+         "a relation of 512 rows needs 134217728 row choices at arity 3; the cap is 262144"),
         ("polysearch", 9, ["--identity", "idempotent", "--arity", "3"],
-         "a relation of 512 rows needs 134217728 row choices at arity 3; the cap is 65536"),
+         "a relation of 512 rows needs 134217728 row choices at arity 3; the cap is 262144"),
     ])
     def test_over_budget_quotient_is_a_one_line_error(self, files, command, k, flags, error):
         argv = [command, files.path(self.bottom_first(k))]

@@ -61,15 +61,15 @@ class TestFixedTables:
         assert AND2(1, 0) == 0 and OR2(1, 0) == 1
 
     def test_row_choice_cap_is_inclusive(self):
-        # 256 rows read 2^16 = ROW_CHOICE_LIMIT pairs; 257 rows read more.
-        for rows, refused in ((256, False), (257, True)):
-            template = structure(R=relation(9, list(product((0, 1), repeat=9))[:rows]))
+        # 512 rows read 2^18 = ROW_CHOICE_LIMIT pairs; 513 rows read more.
+        for rows, refused in ((512, False), (513, True)):
+            template = structure(R=relation(10, list(product((0, 1), repeat=10))[:rows]))
             if refused:
-                with pytest.raises(BudgetExceeded, match="257 rows needs 66049 row choices"):
+                with pytest.raises(BudgetExceeded, match="513 rows needs 263169 row choices"):
                     polyengine._check_row_choices(template, 2)
             else:
                 polyengine._check_row_choices(template, 2)
-        assert polyengine.ROW_CHOICE_LIMIT == 256 ** 2
+        assert polyengine.ROW_CHOICE_LIMIT == 512 ** 2
 
     def test_preserves_op_domain_check(self):
         with pytest.raises(DomainMismatch):
