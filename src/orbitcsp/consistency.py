@@ -426,8 +426,6 @@ class _KLState:
         # Per superset size, the table of each reading, in combinations() order.
         self.readings = {size: [_projection(arities, size, positions) for m in shape.widths[size]
                                 for positions in combinations(range(size), m)] for size in arities}
-        # Supersets whose subsets have not been projected from them yet.
-        self._unvisited = bytearray(b"\x01") * len(self.viable)
 
     def _translated(self, name: str, positions: tuple[int, ...]) -> int:
         """The mask of the patterns of arity ``max(positions) + 1`` whose
@@ -492,13 +490,15 @@ class _KLState:
         With ``changed`` unset, every superset is visited, in
         size-then-lexicographic order; else only the supersets that read
         one of the ``changed`` subsets (variable tuples), and then those
-        whose subsets shrink in turn.
+        whose subsets shrink in turn.  Every visit narrows the superset's
+        mask by its readings and then cuts each subset it reads down to the
+        image of that mask; after the first visit a superset is queued again
+        only when one of those images loses a pattern, so its mask shrinks.
         """
         if self.empty:
             return False
         allowed, viable, sizes, subsets = self.allowed, self.viable, self.sizes, self.subsets
-        containing, readings, unvisited = self.containing, self.readings, self._unvisited
-        project = self.space.project
+        containing, readings, project = self.containing, self.readings, self.space.project
         if changed is None:
             queue = deque(range(len(viable)))
             queued = bytearray(b"\x01") * len(viable)
@@ -516,15 +516,10 @@ class _KLState:
                 if table.filled != table.full:
                     table.fill(mine, project)
                 mine &= table.union(allowed[s])
-            if mine == viable[i] and not unvisited[i]:
-                # Each subset's allowed set is already this superset's image.
-                queued[i] = 0
-                continue
             if not mine:
                 self.empty = True
                 return False
             viable[i] = mine
-            unvisited[i] = 0
             for s, table in zip(subsets[i], readings[sizes[i]]):
                 masks = table.masks
                 kept = rest = allowed[s]

@@ -228,17 +228,13 @@ class LabeledType:
             else:
                 partition[c].append(a)
         m, labels = len(self.partition), self.labels
-        projected = object.__new__(LabeledType)
-        # The parts are valid by construction, so __post_init__'s checks
-        # are skipped; the instance is frozen, hence the __dict__ update.
-        projected.__dict__.update(
+        return _valid_type(
             arity=len(positions),
             partition=tuple(map(tuple, partition)),
             labels=tuple(
                 labels[_pair_index(m, b1, b2)] if b1 < b2
                 else labels[_pair_index(m, b2, b1)].flipped
                 for b1, b2 in itertools.combinations(renumber, 2)))
-        return projected
 
     @cached_property
     def _joined_earlier(self) -> tuple[list[int], ...]:
@@ -263,6 +259,15 @@ class LabeledType:
             return labels[_pair_index(m, a, b)] is Label.E
 
         return any(_closes_clique(joined, earlier, size) for earlier in self._joined_earlier)
+
+
+def _valid_type(**fields) -> LabeledType:
+    """A type from parts that are valid by construction, so __post_init__'s
+    checks are skipped; the instance is frozen, hence the ``__dict__``
+    update.  ``fields`` may also fill a cached property."""
+    made = object.__new__(LabeledType)
+    made.__dict__.update(fields)
+    return made
 
 
 def _closes_clique(
@@ -366,15 +371,11 @@ def _place(
         blocks: list[list[int]] = [[] for _ in range(m)]
         for p, b in enumerate(block_of):
             blocks[b].append(p)
-        placed = object.__new__(LabeledType)
-        # Valid by construction, so __post_init__'s checks are skipped,
-        # as in LabeledType.project; block_of is the cached block index.
-        placed.__dict__.update(
+        yield _valid_type(
             arity=n,
             partition=tuple(map(tuple, blocks)),
             labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
             _block_index=tuple(block_of))
-        yield placed
         return
     for b in range(m):
         block_of[i] = b
@@ -394,20 +395,16 @@ def _place(
             yield from _place(i + 1, grown, block_of, base, prefix_ok)
 
 
+@lru_cache(maxsize=None)
 def enumerate_types(k: int, base: Base) -> tuple[LabeledType, ...]:
     """All complete types of arity ``k`` over the base, in a fixed order:
     partitions as restricted growth strings, then labels in product order.
 
-    The tuple is shared between calls."""
+    The tuple is shared between calls; a refused arity is not cached."""
     if k < 1:
         raise ParameterError("arity must be at least 1")
     if k > TYPE_ARITY_LIMIT:
         raise BudgetExceeded(f"type enumeration capped at arity {TYPE_ARITY_LIMIT}")
-    return _enumerate_types_cached(k, base)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_types_cached(k: int, base: Base) -> tuple[LabeledType, ...]:
     return tuple(sorted(
         _placements(k, base, lambda block_of, table, i: True),
         key=lambda t: (t._block_index, t.labels),
@@ -943,9 +940,10 @@ def classify_reduct(template: TemplateLike) -> Verdict:
     relations that only constrain equalities), then searches behaviors: any
     majority or semilattice behavior gives bounded width, a minority
     behavior alone gives tractability without bounded width, and an
-    exhausted search certifies NP-completeness.  The closure checks of
-    each behavior arity are compiled at most once per call and shared by
-    the shapes of that arity.
+    exhausted search certifies NP-completeness.  The shapes are tried in
+    one loop, the semilattices (graph only) and the majority first, so the
+    first witness found decides the verdict; shapes of one arity are
+    adjacent in that order and share one compile of the closure checks.
     """
     base, named = _template_relations(template)
     relations = [rel for _, rel in named]
@@ -959,30 +957,16 @@ def classify_reduct(template: TemplateLike) -> Verdict:
         if all(_meet_closed(r) for r in relations):
             return Verdict(VerdictKind.EQUALITY_P)
         return Verdict(VerdictKind.EQUALITY_NPC)
-    compiled: dict[int, _Checks] = {}
-
-    def search(shape: Shape) -> Optional[PairBehavior]:
-        if shape.arity not in compiled:
-            compiled[shape.arity] = _compile_checks(base, named, shape.arity)
-        return _search(compiled[shape.arity], shape)
-
-    if base.oriented:
-        width_shapes = (Shape.TERNARY_MAJORITY,)
-    else:
-        width_shapes = (
-            Shape.BINARY_SL_E,
-            Shape.BINARY_SL_N,
-            Shape.TERNARY_MAJORITY,
-        )
-    for shape in width_shapes:
-        witness = search(shape)
+    width = () if base.oriented else (Shape.BINARY_SL_E, Shape.BINARY_SL_N)
+    checks: Optional[_Checks] = None
+    for shape in (*width, Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY):
+        if checks is None or checks.arity != shape.arity:
+            checks = _compile_checks(base, named, shape.arity)
+        witness = _search(checks, shape)
         if witness is not None:
-            return Verdict(VerdictKind.P_BOUNDED_WIDTH, witness, shape)
-    witness = search(Shape.TERNARY_MINORITY)
-    if witness is not None:
-        return Verdict(
-            VerdictKind.P_NOT_BOUNDED_WIDTH, witness, Shape.TERNARY_MINORITY
-        )
+            kind = (VerdictKind.P_NOT_BOUNDED_WIDTH if shape is Shape.TERNARY_MINORITY
+                    else VerdictKind.P_BOUNDED_WIDTH)
+            return Verdict(kind, witness, shape)
     return Verdict(VerdictKind.NP_COMPLETE)
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -76,13 +77,10 @@ class OpTable:
         if any(not (0 <= v < self.domain_size) for v in self.values):
             raise DomainMismatch("operation value leaves the domain")
 
-    def index(self, args: tuple[int, ...]) -> int:
-        return encode_tuple(args, self.domain_size)
-
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
             raise ParameterError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.values[self.index(args)]
+        return self.values[encode_tuple(args, self.domain_size)]
 
     @classmethod
     def from_function(cls, arity: int, domain_size: int, fn) -> "OpTable":
@@ -138,10 +136,10 @@ def preserves_op(op: OpTable, template: FiniteStructure) -> bool:
             f"operation domain {op.domain_size} != template domain {template.domain_size}"
         )
     _check_row_choices(template, op.arity)
+    values, d = op.values, op.domain_size
     for rel in template.relations.values():
-        rows = rel.sorted_tuples()
-        for choice in product(rows, repeat=op.arity):
-            image = tuple(op(*(row[j] for row in choice)) for j in range(rel.arity))
+        for choice in product(rel.sorted_tuples(), repeat=op.arity):
+            image = tuple(values[encode_tuple(column, d)] for column in zip(*choice))
             if image not in rel.tuples:
                 return False
     return True
@@ -326,9 +324,16 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
         raise ParameterError(
             f"{identities.kind} requires arity {required}, got {arity}"
         )
-    _check_row_choices(template, arity)
     d = template.domain_size
-    if identities.kind == IdentitySystem.SIGGERS_KIND:
+    siggers = identities.kind == IdentitySystem.SIGGERS_KIND
+    # Before rows ** arity is counted: at a huge arity it is a huge integer.
+    if not siggers and (d > SEARCH_DOMAIN_LIMIT or arity > SEARCH_ARITY_LIMIT):
+        raise BudgetExceeded(
+            f"table search budget is domain <= {SEARCH_DOMAIN_LIMIT}, "
+            f"arity <= {SEARCH_ARITY_LIMIT}"
+        )
+    _check_row_choices(template, arity)
+    if siggers:
         # Six-ary tables are out of search budget; the boolean case reduces
         # to the fixed tables.
         if d == 2:
@@ -337,11 +342,6 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
                 raise AssertionError("shortcut table must preserve the template")
             return table
         raise BudgetExceeded("six-ary search is only available on a 2-element domain")
-    if d > SEARCH_DOMAIN_LIMIT or arity > SEARCH_ARITY_LIMIT:
-        raise BudgetExceeded(
-            f"table search budget is domain <= {SEARCH_DOMAIN_LIMIT}, "
-            f"arity <= {SEARCH_ARITY_LIMIT}"
-        )
 
     cells = _compile_identities(identities, arity, d)
     if cells.conflict:
@@ -376,6 +376,12 @@ def find_polymorphism(template: FiniteStructure, identities: IdentitySystem,
 _Constraints = Sequence[tuple[frozenset, tuple[int, ...]]]
 
 
+@lru_cache(maxsize=None)
+def _row_masks(rows: frozenset, start: int) -> tuple[int, ...]:
+    """Each row as a bit mask of the positions where it leaves ``start``."""
+    return tuple(sum(1 << i for i, x in enumerate(row) if x != start) for row in rows)
+
+
 class _HornEngine:
     """Watch-list Horn fixpoint on boolean ``(rows, indices)`` constraints
     over variables ``0..n-1``, for meet-closed rows (bottom-up, least
@@ -389,7 +395,10 @@ class _HornEngine:
     size (Dowling and Gallier, 1984).  The pin-free fixpoint, ``base``, is
     computed once, when the engine is built, and again by :meth:`narrow`,
     which narrows or drops constraints in place; :meth:`solve` starts from
-    it and queues only the constraints of the variables its pins move.
+    it and queues only the constraints of the variables its pins move.  A
+    constraint reads its rows as bit masks of the positions off the start
+    value, memoised for the process per row set (:func:`_row_masks`), so an
+    engine rebuilt on the same rows computes none.
 
     The answers are checked through one invariant: every constraint holds
     at ``base``.  A constraint with the start row holds at the all-start
@@ -398,16 +407,16 @@ class _HornEngine:
     its pins and the constraints watching a variable it moved, and every
     other constraint sees the values it held at ``base``.  Rows that are
     not closed can fail a check, a solver fault: the solve raises, and once
-    a ``base`` has failed, every later solve does.
+    a ``base`` has failed, every later solve does.  Every nonempty relation
+    of the temporal quotient holds the all-P row, 0: there a bottom-up
+    engine has no ``lacking`` constraint and its ``base`` stays all 0, and
+    only a top-down ``base`` moves.
     """
 
     def __init__(self, n: int, constraints: _Constraints, top_down: bool):
         self.start = 1 if top_down else 0
         self.constraints = list(constraints)
-        # Per constraint: each row as a bit mask of the positions where it
-        # leaves the start value, computed once per distinct row set.
-        self._masks_of: dict[frozenset, tuple[int, ...]] = {}
-        self.masks = [self._row_masks(rows) for rows, _ in self.constraints]
+        self.masks = [_row_masks(rows, self.start) for rows, _ in self.constraints]
         self.watch: list[list[int]] = [[] for _ in range(n)]
         for c, (_, scope) in enumerate(self.constraints):
             for v in dict.fromkeys(scope):
@@ -418,15 +427,6 @@ class _HornEngine:
         self.base: Optional[bytearray] = None
         self.faulty = False
         self._fixpoint()
-
-    def _row_masks(self, rows: frozenset) -> tuple[int, ...]:
-        masks = self._masks_of.get(rows)
-        if masks is None:
-            start = self.start
-            masks = self._masks_of[rows] = tuple(
-                sum(1 << i for i, x in enumerate(row) if x != start)
-                for row in rows)
-        return masks
 
     def narrow(self, changes: Mapping[int, Optional[tuple[frozenset, tuple[int, ...]]]],
                ) -> None:
@@ -440,7 +440,7 @@ class _HornEngine:
                 # watch lists may still queue and check it.
                 constraint = (frozenset({()}), ())
             self.constraints[c] = constraint
-            self.masks[c] = masks = self._row_masks(constraint[0])
+            self.masks[c] = masks = _row_masks(constraint[0], self.start)
             if 0 in masks:
                 self.lacking.discard(c)
             else:

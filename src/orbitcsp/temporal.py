@@ -709,21 +709,17 @@ def solve_master(instance: Instance, template: TemporalTemplate,
     failed = _first_unpreserved(mode, template)
     if failed is not None:
         raise PreconditionFailed(f"{mode.value} does not preserve {failed[0]}")
-    constraints = _constraint_list(instance, template)
+    constraints = searched = _constraint_list(instance, template)
     if mode.is_dual:
         # One reversed object per relation, so that projections and pattern
         # lookups of its constraints hit by identity.
         reverse = {rel: rel.reverse() for rel in template.relations.values()}
-        flipped = [(reverse[rel], scope) for rel, scope in constraints]
-        levels = _run_master(instance.variables, flipped,
-                             mode.base is TemporalOp.LL)
-        if levels is not None:
-            levels = tuple(reversed(levels))
-    else:
-        levels = _run_master(instance.variables, constraints,
-                             mode is TemporalOp.LL)
+        searched = [(reverse[rel], scope) for rel, scope in constraints]
+    levels = _run_master(instance.variables, searched, mode.base is TemporalOp.LL)
     if levels is None:
         return None
+    if mode.is_dual:
+        levels = tuple(reversed(levels))
     rank = {v: i for i, lvl in enumerate(levels) for v in lvl}
     for rel, scope in constraints:
         induced = WeakOrderType.from_values([rank[v] for v in scope])

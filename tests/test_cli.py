@@ -457,6 +457,15 @@ class TestPolysearchCommand:
         assert report == f"error: {error.format(arity)}\n"
         assert code == 2
 
+    @pytest.mark.parametrize("arity", ["5", "4000", "100000", "1000000", "100000000"])
+    @pytest.mark.parametrize("identity", ["idempotent", "cyclic"])
+    def test_search_arity_over_budget_is_a_one_line_error(self, files, identity, arity):
+        # The quotient of R has 3 rows; 3 ** 100000 row choices would be a
+        # count of over 47 000 digits.
+        template = files.path(LT_TEXT + "rel R/3: 1<2<3; 1=2<3; 1<2=3\n")
+        assert run(["polysearch", template, "--identity", identity, "--arity", arity]) == (
+            "error: table search budget is domain <= 4, arity <= 4\n", 2)
+
     def test_shape_search_on_tournament(self, files):
         report, code = run(
             ["polysearch", files.path(ARC_TEXT), "--shape", "majority"]

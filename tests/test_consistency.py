@@ -595,8 +595,8 @@ def test_propagate_rejects_an_unknown_subset():
 
 
 def test_narrow_that_removes_nothing_leaves_the_fixpoint():
-    # Every superset that contains the subset is revisited, finds its viable
-    # mask unchanged, and is skipped.
+    # Every superset that contains the subset is revisited; its viable mask
+    # and the image it projects onto each of its subsets are unchanged.
     space = SPACES["temporal"][0]
     state = _KLState(make_instance("xyz", [("LT", ("x", "y"))]), space, 2, 3)
     assert state.propagate()

@@ -218,6 +218,13 @@ class TestFindPolymorphism:
         with pytest.raises(BudgetExceeded):
             find_polymorphism(FiniteStructure(2, {}), WNU, 5)
 
+    @pytest.mark.parametrize("system", [IDEMPOTENT, CYCLIC, WNU])
+    def test_search_budget_is_read_before_the_row_choices(self, system):
+        # 2 ** 10**6 row choices would be a count of over 300 000 digits.
+        with pytest.raises(BudgetExceeded,
+                           match="^table search budget is domain <= 4, arity <= 4$"):
+            find_polymorphism(structure(X=XOR_REL), system, 10 ** 6)
+
     def test_siggers_boolean_delegation(self):
         sat = structure(X=XOR_REL)
         table = find_polymorphism(sat, SIGGERS, 6)
@@ -446,6 +453,17 @@ class TestHornEngine:
         assert engine.solve({}) == [0, 0, 0]
         inst = make_instance("abc", [("IMP", "ab"), ("IMP", "bc")])
         assert reference_answer(inst, tpl, {"a": 1, "c": 0}, False) is None
+
+    @pytest.mark.parametrize("cls", [BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR])
+    def test_row_masks_are_memoised_for_the_process(self, cls):
+        # A second solver on the same constraints reads every row set's
+        # masks from the memo the first one filled.
+        constraints = [(IMPLIES.tuples, (0, 1)), (IMPLIES.tuples, (1, 2))]
+        _boolean_solver(3, constraints, {cls})
+        before = polyengine._row_masks.cache_info()
+        _boolean_solver(3, constraints, {cls})
+        after = polyengine._row_masks.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=horn_cases(), data=st.data())
