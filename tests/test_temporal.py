@@ -1,5 +1,6 @@
 """Tests for the dense-linear-order pipeline."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcsp import temporal
+from orbitcsp import cli, temporal
 from orbitcsp.cli import parse_instance, parse_template
 
 from orbitcsp.consistency import EMPTY_DERIVED, establish_kl
@@ -1144,6 +1145,22 @@ class TestClassify:
     def test_template_requires_order(self):
         with pytest.raises(ParameterError):
             TemporalTemplate({"LE": LE})
+
+    def test_ternary_census_reports(self):
+        # R ranges over the nonempty sets of ternary types, mask bit i
+        # standing for enumerate_weak_orders(3)[i].  A seeded sample of the
+        # 8 191 masks keeps the test short; the digest pins every sampled
+        # report and exit code of `classify` on {LT, R} byte for byte.  The
+        # same recipe over all masks 1..8191 gives 37cbe9438da72eb6...
+        types3 = enumerate_weak_orders(3)
+        masks = sorted(random.Random(13).sample(range(1, 1 << len(types3)), 400))
+        digest = hashlib.sha256()
+        for mask in masks:
+            rel = temporal_relation(3, [t for i, t in enumerate(types3) if mask >> i & 1])
+            lines, code = cli._cmd_classify(TemporalTemplate({"LT": LT, "R": rel}), None, None)
+            digest.update(("\n".join(lines) + f"\n{code}\n").encode())
+        assert digest.hexdigest() == \
+            "51c1bfb37ec0dc7de987062a4ba19f0c9fdc33ae19809a3811880c4bab5c6568"
 
 
 class TestDiscovery:
