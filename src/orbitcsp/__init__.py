@@ -86,7 +86,6 @@ from .relstruct import (
 from .temporal import (
     LT,
     LT_TYPE,
-    SignedWeakOrderType,
     TemporalCounterexample,
     TemporalOp,
     TemporalPatterns,

@@ -362,6 +362,14 @@ def _format_afin_tuple(values: Sequence[int]) -> str:
     return "(" + ",".join("Z" if v == Z_VALUE else "P" for v in values) + ")"
 
 
+def _format_signed(pattern: WeakOrderType) -> str:
+    """A weak order whose last position is the zero point, as the order of
+    the other positions and their signs: ``1<3<2 [0++]``."""
+    *ranks, zero = pattern.ranks
+    signs = "".join("-" if r < zero else "0" if r == zero else "+" for r in ranks)
+    return f"{pattern.restrict(range(len(ranks)))} [{signs}]"
+
+
 def _behavior_lines(behavior: homog.PairBehavior) -> list[str]:
     return [
         f"behavior {','.join(str(l) for l in cell)}: {value}"
@@ -380,7 +388,8 @@ def _cmd_classify(
         for mode, name, counter in verdict.counterexamples:
             lines.append(
                 f"counterexample {mode.name} {name}: "
-                f"joint={counter.joint} image={counter.image}"
+                f"joint={_format_signed(counter.joint)} "
+                f"image={_format_signed(counter.image)}"
             )
         return lines, 1
     verdict = homog.classify_reduct(template)

@@ -16,8 +16,10 @@ conditions only:
 
 plus the duals (x, y) -> -f(-x, -y).  Since only order and sign matter,
 the module never materialises rational values: operations are evaluated on
-signed weak-order patterns, and instance solutions are weak orders on the
-variable set (tuples of levels, bottom first).
+weak orders with the zero point as one more position, so a sign is a
+comparison with that position and negation is reversal, and instance
+solutions are weak orders on the variable set (tuples of levels, bottom
+first).
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class WeakOrderType:
         return WeakOrderType(_canon([self.ranks[p] for p in positions]))
 
     def reverse(self) -> "WeakOrderType":
-        """The type of the negated tuple: block order swapped."""
+        """The type of (-x_1, ..., -x_k): block order swapped."""
         top = self.num_blocks - 1
         return WeakOrderType(tuple(top - r for r in self.ranks))
 
@@ -117,69 +119,6 @@ class WeakOrderType:
     def __str__(self) -> str:
         return "<".join("=".join(str(p + 1) for p in block)
                         for block in self.blocks)
-
-
-@dataclass(frozen=True)
-class SignedWeakOrderType:
-    """A weak-order type with a sign annotation.
-
-    The first ``negative_blocks`` blocks hold negative values; if
-    ``has_zero`` is set, the next block is exactly zero; everything above
-    is positive.  Signs are therefore monotone in the order by
-    construction.
-    """
-
-    order: WeakOrderType
-    negative_blocks: int
-    has_zero: bool
-
-    def __post_init__(self):
-        nb = self.order.num_blocks
-        if not 0 <= self.negative_blocks <= nb:
-            raise MalformedPattern("negative block count out of range")
-        if self.has_zero and self.negative_blocks >= nb:
-            raise MalformedPattern("zero block does not exist")
-
-    @classmethod
-    def from_signs(cls, order: WeakOrderType,
-                   signs: Sequence[int]) -> "SignedWeakOrderType":
-        """Attach per-position signs, validating monotonicity."""
-        block_signs = []
-        for block in order.blocks:
-            got = {signs[p] for p in block}
-            if len(got) > 1:
-                raise MalformedPattern("equal values with distinct signs")
-            block_signs.append(got.pop())
-        if block_signs != sorted(block_signs) or block_signs.count(0) > 1:
-            raise MalformedPattern(f"signs {signs} disagree with the order")
-        return cls(order, block_signs.count(-1), 0 in block_signs)
-
-    @property
-    def arity(self) -> int:
-        return self.order.arity
-
-    def sign_of_position(self, pos: int) -> int:
-        r = self.order.ranks[pos]
-        if r < self.negative_blocks:
-            return -1
-        if self.has_zero and r == self.negative_blocks:
-            return 0
-        return 1
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(self.sign_of_position(p) for p in range(self.arity))
-
-    def negated(self) -> "SignedWeakOrderType":
-        """The pattern of the negated tuple."""
-        positive = (self.order.num_blocks - self.negative_blocks
-                    - (1 if self.has_zero else 0))
-        return SignedWeakOrderType(self.order.reverse(), positive,
-                                   self.has_zero)
-
-    def __str__(self) -> str:
-        marks = {-1: "-", 0: "0", 1: "+"}
-        return f"{self.order} [{''.join(marks[s] for s in self.signs)}]"
 
 
 def _dense_rank_vectors(
@@ -295,71 +234,50 @@ class TemporalOp(enum.Enum):
         return TemporalOp(self.value[5:]) if self.is_dual else self
 
 
-def apply_temporal_op(op: TemporalOp,
-                      joint: SignedWeakOrderType) -> SignedWeakOrderType:
+def apply_temporal_op(op: TemporalOp, joint: WeakOrderType) -> WeakOrderType:
     """Evaluate a binary operation componentwise on a joint pattern.
 
-    The joint pattern has arity 2k: positions 1..k are the first argument
-    a, positions k+1..2k the second argument b.  The result is the pattern
-    of (op(a_1,b_1), ..., op(a_k,b_k)).  Duals are evaluated by
-    conjugation: negate the input pattern, apply the base operation,
-    negate the output.
+    The joint pattern is a weak order on 2k + 1 positions: positions 1..k
+    are the first argument a, positions k+1..2k the second argument b, and
+    the last one is the zero point, so a position's sign is its comparison
+    with the last rank.  The result is the weak order of (op(a_1,b_1), ...,
+    op(a_k,b_k), 0), its last position again the zero point, since
+    op(0, 0) = 0.  Duals are evaluated by conjugation: reverse the joint,
+    apply the base operation, reverse the result.
     """
-    if joint.arity % 2:
-        raise MalformedPattern("joint pattern needs even arity")
+    if not joint.arity % 2:
+        raise MalformedPattern("joint pattern needs odd arity: a, b and the zero point")
     if op.is_dual:
-        return apply_temporal_op(op.base, joint.negated()).negated()
+        return apply_temporal_op(op.base, joint.reverse()).reverse()
     k = joint.arity // 2
-    ranks = joint.order.ranks
-    # Only a-to-a and b-to-b comparisons matter below, so the two halves
-    # are renumbered independently; how they interleave is irrelevant.
-    ra = _canon(ranks[:k])
-    rb = _canon(ranks[k:])
-    sa = joint.signs[:k]
-    sb = joint.signs[k:]
-    keys: list[tuple[int, ...]] = []
-    signs: list[int] = []
-    for i in range(k):
-        if op is TemporalOp.PP:
-            # pp(x, y) = x for x <= 0, else a positive value ordered by y.
-            if sa[i] <= 0:
-                keys.append((0, ra[i], 0))
-                signs.append(sa[i])
-            else:
-                keys.append((1, rb[i], 0))
-                signs.append(1)
-        else:
-            # ll: x <= 0 sorts below x > 0; ordered by (x, y) below and by
-            # (y, x) above.
-            if sa[i] <= 0:
-                keys.append((0, ra[i], rb[i]))
-                signs.append(sa[i] if sa[i] < 0 else sb[i])
-            else:
-                keys.append((1, rb[i], ra[i]))
-                signs.append(1)
-    return SignedWeakOrderType.from_signs(WeakOrderType.from_values(keys),
-                                          signs)
+    ranks = joint.ranks
+    zero = ranks[-1]
+    # Only a-to-a and b-to-b comparisons, the zero point counted in both
+    # halves, matter below; how the halves interleave is irrelevant.
+    pairs = [*zip(ranks[:k], ranks[k:-1]), (zero, zero)]
+    if op is TemporalOp.PP:
+        # pp(x, y) = x for x <= 0, else a positive value ordered by y.
+        keys = [(0, x, 0) if x <= zero else (1, y, 0) for x, y in pairs]
+    else:
+        # ll: x <= 0 sorts below x > 0; ordered by (x, y) below and by
+        # (y, x) above.
+        keys = [(0, x, y) if x <= zero else (1, y, x) for x, y in pairs]
+    return WeakOrderType.from_values(keys)
 
 
 @dataclass(frozen=True)
 class TemporalCounterexample:
-    """A joint pattern whose image escapes the relation.  Falsy."""
+    """A joint pattern whose image escapes the relation.  Falsy.  Both are
+    weak orders whose last position is the zero point."""
 
     op: TemporalOp
     left: WeakOrderType
     right: WeakOrderType
-    joint: SignedWeakOrderType
-    image: SignedWeakOrderType
+    joint: WeakOrderType
+    image: WeakOrderType
 
     def __bool__(self) -> bool:
         return False
-
-
-def _sign_cuts(num_blocks: int):
-    for neg in range(num_blocks + 1):
-        yield neg, False
-        if neg < num_blocks:
-            yield neg, True
 
 
 @lru_cache(maxsize=None)
@@ -368,22 +286,25 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
     and both kinds of answer are frozen values.
 
     Every componentwise application to members of the relation is covered
-    by enumerating type pairs and sign annotations of the first argument:
-    the image order never depends on how the two halves interleave nor on
-    the signs of the second half, so one canonical joint per choice (all
-    b-blocks above the a-blocks, positive) suffices.
+    by enumerating type pairs and the place of the zero point among the
+    blocks of the first argument, bottom first: the image order never
+    depends on how the two halves interleave nor on the signs of the second
+    half, so one canonical joint per choice (all b-blocks above the a-blocks
+    and the zero point) suffices.  In doubled ranks the a-blocks are odd and
+    the zero point takes every cut from 0 to 2 * blocks.
     """
     if rel.arity > PRESERVE_ARITY_LIMIT:
         raise BudgetExceeded(f"arity {rel.arity} > {PRESERVE_ARITY_LIMIT}")
+    k = rel.arity
     for ta in rel.sorted_types():
         shift = ta.num_blocks
-        for neg, zero in _sign_cuts(shift):
+        for cut in range(2 * shift + 1):
             for tb in rel.sorted_types():
-                joint = SignedWeakOrderType(
-                    WeakOrderType(ta.ranks + tuple(r + shift for r in tb.ranks)),
-                    neg, zero)
+                joint = WeakOrderType.from_values(
+                    [2 * r + 1 for r in ta.ranks]
+                    + [2 * (r + shift) + 1 for r in tb.ranks] + [cut])
                 image = apply_temporal_op(op, joint)
-                if image.order not in rel.types:
+                if image.restrict(range(k)) not in rel.types:
                     return TemporalCounterexample(op, ta, tb, joint, image)
     return True
 

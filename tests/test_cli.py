@@ -18,6 +18,7 @@ from orbitcsp.cli import (
     _COMMANDS,
     _PairReader,
     _build_parser,
+    _format_signed,
     main,
     parse_instance,
     parse_template,
@@ -271,6 +272,10 @@ class TestClassifyCommand:
         assert code == 1
         labels = [line.split()[1] for line in lines[1:]]
         assert labels == ["PP", "DUAL_PP", "LL", "DUAL_LL"]
+
+    def test_counterexample_marks_each_sign_against_the_zero_point(self):
+        # The last position is the zero point: 1 sits on it, 2 above, 3 below.
+        assert _format_signed(WeakOrderType((1, 2, 0, 1))) == "3<1<2 [0+-]"
 
     def test_plain_order_is_polynomial(self, files):
         report, code = run(["classify", files.path(LT_TEXT)])

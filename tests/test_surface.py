@@ -24,7 +24,7 @@ PUBLIC = [
     "Label", "LabeledType", "MAJ3", "MAJORITY", "MINORITY", "MalformedPattern", "OR2",
     "OpTable", "OrbitCspError", "PairBehavior", "ParameterError", "ParseError",
     "PatternSpace", "PreconditionFailed", "Relation", "SEMILATTICE", "SIGGERS", "Shape",
-    "ShapeUnsupported", "SignatureMismatch", "SignedWeakOrderType", "TOURNAMENT",
+    "ShapeUnsupported", "SignatureMismatch", "TOURNAMENT",
     "TemporalCounterexample", "TemporalOp", "TemporalPatterns", "TemporalRelation",
     "TemporalTemplate", "TemporalVerdict", "TypeSetRelation", "UnknownVariable",
     "UnsupportedBase", "Verdict", "VerdictKind", "WNU", "WeakOrderType", "XOR3",
@@ -38,7 +38,8 @@ PUBLIC = [
 ]
 
 # Names that left the package: deleted, replaced, or moved to ``oracles``.
-GONE_FUNCTIONS = ("free_set_containing", "_quotient_of", "cyclic", "wnu", "_IDENTITIES")
+GONE_FUNCTIONS = ("free_set_containing", "_quotient_of", "cyclic", "wnu", "_IDENTITIES",
+                  "SignedWeakOrderType", "_sign_cuts")
 GONE_MEMBERS = {
     "TemporalOp": ("LEX", "DUAL_LEX"),
     "PairBehavior": ("from_function",),

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from orbitcsp.relstruct import make_instance
 from orbitcsp.temporal import (
     LT,
     LT_TYPE,
-    SignedWeakOrderType,
     TemporalOp,
     TemporalRelation,
     TemporalTemplate,
@@ -94,18 +94,15 @@ Q_SEARCH_THEN_AND = TemporalTemplate({"LT": LT, "R": temporal_relation(
 Q_CHAIN3 = TemporalTemplate({"LT": LT, "C3": temporal_relation(3, [wot(0, 1, 2)])})
 
 
-def realize(pattern: SignedWeakOrderType) -> list[Fraction]:
-    """Concrete rationals with the pattern's order and signs."""
-    neg, zero = pattern.negative_blocks, pattern.has_zero
-    values = []
-    for rank in pattern.order.ranks:
-        if rank < neg:
-            values.append(Fraction(rank - neg))
-        elif zero and rank == neg:
-            values.append(Fraction(0))
-        else:
-            values.append(Fraction(rank - neg - (1 if zero else 0) + 1))
-    return values
+def realize(pattern: WeakOrderType) -> list[Fraction]:
+    """Concrete rationals with the pattern's order, its last position 0."""
+    return [Fraction(r - pattern.ranks[-1]) for r in pattern.ranks]
+
+
+def signs(pattern: WeakOrderType) -> tuple[int, ...]:
+    """The sign of each position but the last, the zero point."""
+    *ranks, zero = pattern.ranks
+    return tuple((r > zero) - (r < zero) for r in ranks)
 
 
 def dense(ranks):
@@ -113,27 +110,25 @@ def dense(ranks):
     return tuple(mapping[r] for r in ranks)
 
 
-def all_signed(order: WeakOrderType):
-    m = order.num_blocks
-    for neg in range(m + 1):
-        yield SignedWeakOrderType(order, neg, False)
-        if neg < m:
-            yield SignedWeakOrderType(order, neg, True)
+@lru_cache(maxsize=None)
+def dense_vectors(n: int) -> list[tuple[int, ...]]:
+    """Every dense rank vector on n positions, filtered from all vectors."""
+    return [ranks for ranks in product(range(n), repeat=n)
+            if set(ranks) == set(range(max(ranks) + 1))]
 
 
 def preserves_by_joint_scan(op: TemporalOp, rel: TemporalRelation) -> bool:
     """Independent oracle: enumerate every joint weak order whose halves lie
-    in the relation, every sign annotation of the joint, and evaluate on
-    concrete rationals."""
+    in the relation, insert the zero point below, on, between and above its
+    levels, and evaluate on concrete rationals."""
     k = rel.arity
     member = {t.ranks for t in rel.types}
-    for ranks in product(range(2 * k), repeat=2 * k):
-        if set(ranks) != set(range(max(ranks) + 1)):
-            continue
+    for ranks in dense_vectors(2 * k):
         if dense(ranks[:k]) not in member or dense(ranks[k:]) not in member:
             continue
-        for joint in all_signed(WeakOrderType(ranks)):
-            values = realize(joint)
+        # Doubled ranks are odd; the zero point takes each value between.
+        for cut in range(2 * max(ranks) + 3):
+            values = [Fraction(2 * r + 1 - cut) for r in ranks]
             image, _ = reference_apply(op.name, values[:k], values[k:])
             if dense(image) not in member:
                 return False
@@ -170,35 +165,6 @@ class TestWeakOrderType:
         assert not wot(0, 1, 2).respects(("x", "x", "y"))
 
 
-class TestSignedWeakOrderType:
-    def test_signs(self):
-        s = SignedWeakOrderType(wot(0, 1, 2), 1, True)
-        assert s.signs == (-1, 0, 1)
-        assert str(s) == "1<2<3 [-0+]"
-
-    def test_validation(self):
-        with pytest.raises(MalformedPattern):
-            SignedWeakOrderType(wot(0, 1), 3, False)
-        with pytest.raises(MalformedPattern):
-            SignedWeakOrderType(wot(0, 1), 2, True)
-
-    def test_negated_round_trip(self):
-        for order in enumerate_weak_orders(3):
-            for signed in all_signed(order):
-                flipped = signed.negated()
-                assert flipped.negated() == signed
-                assert flipped.signs == tuple(-s for s in signed.signs)
-                assert flipped.order == signed.order.reverse()
-
-    def test_from_signs(self):
-        s = SignedWeakOrderType.from_signs(wot(1, 0, 2), [0, -1, 1])
-        assert s == SignedWeakOrderType(wot(1, 0, 2), 1, True)
-        with pytest.raises(MalformedPattern):
-            SignedWeakOrderType.from_signs(wot(0, 0), [0, 1])
-        with pytest.raises(MalformedPattern):
-            SignedWeakOrderType.from_signs(wot(0, 1), [1, -1])
-
-
 class TestEnumeration:
     def test_small_counts(self):
         assert [t.ranks for t in enumerate_weak_orders(1)] == [(0,)]
@@ -225,49 +191,58 @@ class TestEnumeration:
 
 class TestApplyTemporalOp:
     def test_pp_keeps_nonpositive_argument(self):
-        # a negative, b positive, a below b
-        joint = SignedWeakOrderType(wot(0, 1), 1, False)
-        out = apply_temporal_op(TemporalOp.PP, joint)
-        assert out.order == wot(0)
-        assert out.signs == (-1,)
+        # a negative, b positive: a < 0 < b, the zero point last
+        out = apply_temporal_op(TemporalOp.PP, wot(0, 2, 1))
+        assert out == wot(0, 1)
+        assert signs(out) == (-1,)
 
     def test_ll_of_two_zeros_is_zero(self):
-        joint = SignedWeakOrderType(wot(0, 0), 0, True)
-        out = apply_temporal_op(TemporalOp.LL, joint)
-        assert out.signs == (0,)
+        out = apply_temporal_op(TemporalOp.LL, wot(0, 0, 0))
+        assert signs(out) == (0,)
 
     def test_pp_mixed_signs_worked_example(self):
         # a = (1, 0, 2), b = (2, 5, 1): the zero coordinate stays at the
         # bottom, the positive ones are reordered by b.
-        joint = SignedWeakOrderType(wot(1, 0, 2, 2, 3, 1), 0, True)
-        out = apply_temporal_op(TemporalOp.PP, joint)
-        assert out.order == wot(2, 0, 1)
-        assert out.signs == (1, 0, 1)
+        out = apply_temporal_op(TemporalOp.PP, wot(1, 0, 2, 2, 3, 1, 0))
+        assert out == wot(2, 0, 1, 0)
+        assert signs(out) == (1, 0, 1)
 
-    def test_odd_arity_rejected(self):
-        with pytest.raises(MalformedPattern):
-            apply_temporal_op(TemporalOp.PP, SignedWeakOrderType(wot(0, 1, 2), 0, False))
+    def test_even_arity_rejected(self):
+        # Two halves and the zero point make an odd arity.
+        for ranks in [(0, 1), (0, 1, 2, 0)]:
+            with pytest.raises(MalformedPattern):
+                apply_temporal_op(TemporalOp.PP, wot(*ranks))
 
     @pytest.mark.parametrize("op", list(TemporalOp))
     def test_agrees_with_concrete_evaluation(self, op):
         for k in (1, 2):
-            for order in enumerate_weak_orders(2 * k):
-                for joint in all_signed(order):
-                    values = realize(joint)
-                    ranks, signs = reference_apply(op.name, values[:k], values[k:])
-                    got = apply_temporal_op(op, joint)
-                    assert got.order.ranks == ranks, (op, joint)
-                    if signs is not None:
-                        assert got.signs == signs, (op, joint)
+            for joint in enumerate_weak_orders(2 * k + 1):
+                values = realize(joint)
+                ranks, want = reference_apply(op.name, values[:k], values[k:2 * k])
+                got = apply_temporal_op(op, joint)
+                assert got.restrict(range(k)).ranks == ranks, (op, joint)
+                if want is not None:
+                    assert signs(got) == want, (op, joint)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(list(TemporalOp)),
+           st.lists(st.integers(0, 6), min_size=7, max_size=7))
+    def test_agrees_with_concrete_evaluation_on_triples(self, op, values):
+        joint = WeakOrderType.from_values(values)
+        rationals = realize(joint)
+        ranks, want = reference_apply(op.name, rationals[:3], rationals[3:6])
+        got = apply_temporal_op(op, joint)
+        assert got.restrict(range(3)).ranks == ranks
+        if want is not None:
+            assert signs(got) == want
 
     def test_dual_is_conjugation(self):
-        for order in enumerate_weak_orders(4):
-            for joint in all_signed(order):
-                for base, dual in [(TemporalOp.PP, TemporalOp.DUAL_PP),
-                                   (TemporalOp.LL, TemporalOp.DUAL_LL)]:
-                    direct = apply_temporal_op(dual, joint)
-                    conjugated = apply_temporal_op(base, joint.negated()).negated()
-                    assert direct == conjugated
+        for joint in enumerate_weak_orders(5):
+            for base, dual in [(TemporalOp.PP, TemporalOp.DUAL_PP),
+                               (TemporalOp.LL, TemporalOp.DUAL_LL)]:
+                direct = apply_temporal_op(dual, joint)
+                conjugated = apply_temporal_op(base, joint.reverse()).reverse()
+                assert direct == conjugated
 
 
 class TestPreserves:
@@ -278,11 +253,11 @@ class TestPreserves:
     def test_betweenness_breaks_pp(self):
         witness = preserves_temporal(TemporalOp.PP, BETW)
         assert witness is not True and not witness
-        assert witness.image.order not in BETW.types
+        assert witness.image.restrict(range(3)) not in BETW.types
         # Re-derive the image from concrete rationals.
         values = realize(witness.joint)
-        ranks, _ = reference_apply("PP", values[:3], values[3:])
-        assert dense(ranks) == witness.image.order.ranks
+        ranks, _ = reference_apply("PP", values[:3], values[3:6])
+        assert dense(ranks) == witness.image.restrict(range(3)).ranks
 
     def test_r_min_is_pp_preserved(self):
         assert preserves_temporal(TemporalOp.PP, R_MIN) is True
@@ -300,9 +275,9 @@ class TestPreserves:
         witness = preserves_temporal(TemporalOp.LL, BETW)
         assert not witness
         k = BETW.arity
-        joint_ranks = witness.joint.order.ranks
+        joint_ranks = witness.joint.ranks
         assert dense(joint_ranks[:k]) == witness.left.ranks
-        assert dense(joint_ranks[k:]) == witness.right.ranks
+        assert dense(joint_ranks[k:2 * k]) == witness.right.ranks
 
     @pytest.mark.parametrize("op", list(TemporalOp))
     def test_binary_relations_against_joint_scan(self, op):
@@ -1133,8 +1108,8 @@ class TestClassify:
             rel = Q_BETW.relations[name]
             k = rel.arity
             values = realize(witness.joint)
-            ranks, _ = reference_apply(mode.name, values[:k], values[k:])
-            assert dense(ranks) == witness.image.order.ranks
+            ranks, _ = reference_apply(mode.name, values[:k], values[k:2 * k])
+            assert dense(ranks) == witness.image.restrict(range(k)).ranks
             assert dense(ranks) not in {t.ranks for t in rel.types}
 
     def test_deterministic(self):
