@@ -632,6 +632,26 @@ class TestRunHarness:
         assert report == f"error: {error}\n"
         assert code == 2
 
+    @pytest.mark.parametrize("text,error", [
+        ("base: tournament\nrel R/2: 1->2, 2->1\n",
+         "line 2, column 9: conflicting labels between 2 and 1"),
+        ("base: tournament\nrel R/3: 1=2, 1->2, 1->3\n",
+         "line 2, column 9: pair label within a merged block"),
+        ("base: tournament\nrel R/2: E(1,2)\n",
+         "line 2, column 9: expected an arc, got 'E(1,2)'"),
+        ("base: graph\nrel R/2: 1->2\n",
+         "line 2, column 9: expected an edge, got '1->2'"),
+        ("base: tournament\nrel R/3: 1->2, 2->3\n",
+         "line 2, column 9: missing arc between 1 and 3"),
+        ("base: kfree(3)\nrel R/3: E(1,2), E(2,3), E(1,3)\n",
+         "line 2, column 9: type contains a forbidden clique"),
+        ("base: temporal\nrel LT/2: 1<2\nrel R/3: 1<2=1<3\n",
+         "line 3, column 9: position 1 listed twice"),
+    ], ids=["conflict", "merged-block", "arc-expected", "edge-expected", "missing-arc",
+            "forbidden-clique", "listed-twice"])
+    def test_type_literal_error_is_one_exact_line(self, files, text, error):
+        assert run(["classify", files.path(text)]) == (f"error: {error}\n", 2)
+
     @pytest.mark.parametrize("command,template,instance", [
         ("classify", b"base: temporal\nrel LT/2: 1<2\xff", None),
         ("solve", LT_TEXT.encode(), b"vars x y\nLT(x,y)\xff\n"),
