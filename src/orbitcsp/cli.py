@@ -101,71 +101,6 @@ def _parse_weak_order(literal: str, arity: int, line: int, column: int) -> WeakO
     return WeakOrderType(tuple(ranks))
 
 
-class _PairReader:
-    """Shared machinery for the homogeneous type literals: '=' items merge
-    positions, the remaining items label block pairs."""
-
-    def __init__(self, arity: int, line: int, column: int):
-        self.arity = arity
-        self.line = line
-        self.column = column
-        self.parent = list(range(arity))
-        self.pair_labels: dict[tuple[int, int], Label] = {}
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def merge(self, item: str) -> None:
-        positions = [
-            _parse_position(tok.strip(), self.arity, self.line, self.column)
-            for tok in item.split("=")
-        ]
-        for p in positions[1:]:
-            ra, rb = self.find(positions[0]), self.find(p)
-            if ra != rb:
-                self.parent[max(ra, rb)] = min(ra, rb)
-
-    def put(self, a: int, b: int, label: Label) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            raise ParseError(
-                "pair label within a merged block", self.line, self.column
-            )
-        key = (min(ra, rb), max(ra, rb))
-        oriented = label if ra == key[0] else label.flipped
-        if self.pair_labels.get(key, oriented) is not oriented:
-            raise ParseError(
-                f"conflicting labels between {a + 1} and {b + 1}",
-                self.line,
-                self.column,
-            )
-        self.pair_labels[key] = oriented
-
-    def build(self, default: Optional[Label]) -> LabeledType:
-        """The type with one block per root, ordered by root (a root is its
-        block's least position), and the stored or default label on each
-        root pair."""
-        blocks: dict[int, list[int]] = {}
-        for p in range(self.arity):
-            blocks.setdefault(self.find(p), []).append(p)
-        labels = []
-        for r1, r2 in itertools.combinations(blocks, 2):
-            label = self.pair_labels.get((r1, r2), default)
-            if label is None:
-                raise ParseError(
-                    f"missing arc between {r1 + 1} and {r2 + 1}",
-                    self.line,
-                    self.column,
-                )
-            labels.append(label)
-        return LabeledType(
-            self.arity, tuple(map(tuple, blocks.values())), tuple(labels)
-        )
-
-
 def _split_items(literal: str) -> list[str]:
     items, depth, start = [], 0, 0
     for i, ch in enumerate(literal):
@@ -183,28 +118,54 @@ def _split_items(literal: str) -> list[str]:
 def _parse_homog_type(
     literal: str, arity: int, base: homog.Base, line: int, column: int
 ) -> LabeledType:
-    reader = _PairReader(arity, line, column)
+    """A tournament or graph type literal: the '=' items merge positions,
+    then each arc or edge item labels its pair of blocks.  Errors come in
+    that order: merges, labels in item order, then missing arcs."""
     items = [] if literal == "-" else _split_items(literal)
-    merges = [item for item in items if "=" in item]
-    rest = [item for item in items if "=" not in item]
-    for item in merges:
-        reader.merge(item)
-    for item in rest:
+    parent = list(range(arity))  # a union-find whose roots are least positions
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for item in items:
+        if "=" in item:
+            first, *others = [_parse_position(t.strip(), arity, line, column)
+                              for t in item.split("=")]
+            for p in others:
+                ra, rb = find(first), find(p)
+                parent[max(ra, rb)] = min(ra, rb)
+    # Blocks numbered by root, the table holding the label from block x toward y.
+    reps = [p for p in range(arity) if parent[p] == p]
+    number = {r: x for x, r in enumerate(reps)}
+    block_of = [number[find(p)] for p in range(arity)]
+    default = None if base.oriented else Label.N
+    table: list[list[Optional[Label]]] = [[default] * len(reps) for _ in reps]
+    for item in items:
+        if "=" in item:
+            continue
         if base.oriented:
             if "->" not in item:
                 raise ParseError(f"expected an arc, got {item!r}", line, column)
-            left, _, right = item.partition("->")
-            a = _parse_position(left.strip(), arity, line, column)
-            b = _parse_position(right.strip(), arity, line, column)
-            reader.put(a, b, Label.FWD)
+            ends, label = item.split("->", 1), Label.FWD
         else:
             match = _EDGE_ITEM.fullmatch(item)
             if not match:
                 raise ParseError(f"expected an edge, got {item!r}", line, column)
-            a = _parse_position(match.group(1), arity, line, column)
-            b = _parse_position(match.group(2), arity, line, column)
-            reader.put(a, b, Label.E)
-    return reader.build(None if base.oriented else Label.N)
+            ends, label = match.groups(), Label.E
+        a = _parse_position(ends[0].strip(), arity, line, column)
+        b = _parse_position(ends[1].strip(), arity, line, column)
+        x, y = block_of[a], block_of[b]
+        if x == y:
+            raise ParseError("pair label within a merged block", line, column)
+        if table[x][y] not in (label, default):
+            raise ParseError(f"conflicting labels between {a + 1} and {b + 1}", line, column)
+        table[x][y], table[y][x] = label, label.flipped
+    for x, y in itertools.combinations(range(len(reps)), 2):
+        if table[x][y] is None:
+            raise ParseError(f"missing arc between {reps[x] + 1} and {reps[y] + 1}", line, column)
+    return homog._type_of(block_of, table)
 
 
 def _parse_base(value: str, line: int) -> Union[str, homog.Base]:
@@ -332,15 +293,13 @@ def _format_homog_type(t: LabeledType, names: Optional[Sequence[str]] = None) ->
         if len(block) > 1:
             items.append("=".join(names[p] for p in block))
     reps = [block[0] for block in t.partition]
-    for bi in range(len(reps)):
-        for bj in range(bi + 1, len(reps)):
-            label = t.labels[homog._pair_index(len(reps), bi, bj)]
-            if label is Label.FWD:
-                items.append(f"{names[reps[bi]]}->{names[reps[bj]]}")
-            elif label is Label.BWD:
-                items.append(f"{names[reps[bj]]}->{names[reps[bi]]}")
-            elif label is Label.E:
-                items.append(f"E({names[reps[bi]]},{names[reps[bj]]})")
+    for (a, b), label in zip(itertools.combinations(reps, 2), t.labels):
+        if label is Label.FWD:
+            items.append(f"{names[a]}->{names[b]}")
+        elif label is Label.BWD:
+            items.append(f"{names[b]}->{names[a]}")
+        elif label is Label.E:
+            items.append(f"E({names[a]},{names[b]})")
     return ", ".join(items) if items else "-"
 
 

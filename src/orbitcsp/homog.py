@@ -31,7 +31,10 @@ position at a time, joining each existing block and then opening a new
 block under every labeling toward the earlier blocks, and a prefix callback
 prunes every completion of a rejected prefix.  ``enumerate_types`` sorts
 its output into partition-major order, and ``solve_instance_brute`` takes
-its first placement that passes every constraint.
+its first placement that passes every constraint.  Each placement is built
+by ``_type_of`` from a block vector and a table of block-pair labels, and
+so is each type literal the template parser reads
+(``cli._parse_homog_type``): one builder for both.
 """
 
 from __future__ import annotations
@@ -270,6 +273,23 @@ def _valid_type(**fields) -> LabeledType:
     return made
 
 
+def _type_of(block_of: Sequence[int], table: Sequence[Sequence[Label]]) -> LabeledType:
+    """The type whose position p lies in block ``block_of[p]`` and whose
+    blocks b < c are labeled ``table[b][c]``, the label from block b toward
+    block c.  Both callers, ``_placements`` and the template parser, number
+    blocks by least position and label every block pair with a base label,
+    so the parts are valid by construction."""
+    m = len(table)
+    blocks: list[list[int]] = [[] for _ in range(m)]
+    for p, b in enumerate(block_of):
+        blocks[b].append(p)
+    return _valid_type(
+        arity=len(block_of),
+        partition=tuple(map(tuple, blocks)),
+        labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
+        _block_index=tuple(block_of))
+
+
 def _closes_clique(
     joined: Callable[[int, int], bool], neighbours: Sequence[int], size: int
 ) -> bool:
@@ -368,14 +388,7 @@ def _place(
     no reference cycle behind."""
     n, m = len(block_of), len(table)
     if i == n:
-        blocks: list[list[int]] = [[] for _ in range(m)]
-        for p, b in enumerate(block_of):
-            blocks[b].append(p)
-        yield _valid_type(
-            arity=n,
-            partition=tuple(map(tuple, blocks)),
-            labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
-            _block_index=tuple(block_of))
+        yield _type_of(block_of, table)
         return
     for b in range(m):
         block_of[i] = b
@@ -417,8 +430,9 @@ class PairBehavior:
 
     ``symbols`` lists the alphabet with EQ first; ``values`` is the table in
     row-major order (last argument varies fastest).  The table maps the
-    all-EQ input to EQ and nothing else to EQ, and over the tournament
-    alphabet it commutes with reversing all arcs.
+    all-EQ input to EQ and nothing else to EQ, and it commutes with
+    reversing all arcs, so the symbols are closed under reversal; graph
+    labels are their own reversal.
     """
 
     arity: int
@@ -430,6 +444,8 @@ class PairBehavior:
             raise ParameterError("behaviors need arity >= 1")
         if len(set(self.symbols)) != len(self.symbols) or self.symbols[0] is not Label.EQ:
             raise MalformedPattern("symbols must be distinct and start with EQ")
+        if any(_FLIP.get(s) not in self.symbols for s in self.symbols):
+            raise MalformedPattern("symbols must be closed under reversal")
         if len(self.values) != len(self.symbols) ** self.arity:
             raise MalformedPattern("behavior table has the wrong size")
         if any(v not in self.symbols for v in self.values):
@@ -438,11 +454,9 @@ class PairBehavior:
             raise MalformedPattern("the all-EQ input must map to EQ")
         if any(v is Label.EQ for v in self.values[1:]):
             raise MalformedPattern("only the all-EQ input may map to EQ")
-        if Label.FWD in self.symbols:
-            for cell, value in self.cells():
-                flipped = tuple(l.flipped for l in cell)
-                if self.values[self.index(flipped)] is not value.flipped:
-                    raise MalformedPattern("behavior is not flip-equivariant")
+        flip_index = _alphabet(self.symbols[1:], self.arity)[2]
+        if list(map(self.values.__getitem__, flip_index)) != list(map(_FLIP.get, self.values)):
+            raise MalformedPattern("behavior is not flip-equivariant")
 
     @cached_property
     def _symbol_index(self) -> dict[Label, int]:
@@ -525,8 +539,9 @@ def _require_shape(base: Base, shape: Shape) -> None:
 def _alphabet(
     labels: tuple[Label, ...], n: int
 ) -> tuple[tuple[Label, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The table cells of arity ``n`` over the base labels: the symbols (EQ,
-    then the labels), the symbol of each reversed symbol, the cell of the
+    """The table cells of arity ``n`` over labels closed under reversal (a
+    base's, or a behavior's symbols after EQ): the symbols (EQ, then the
+    labels), the symbol of each reversed symbol, the cell of the
     reversed arcs of each cell and the free cells, ascending, keeping the
     lower cell of each flip pair.  Graph labels are symmetric, so there
     each cell is its own reversal and every free cell is kept."""

@@ -16,9 +16,9 @@ from orbitcsp.cli import (
     ARITY_LIMIT,
     SUPERSET_LIMIT,
     _COMMANDS,
-    _PairReader,
     _build_parser,
     _format_signed,
+    _parse_homog_type,
     main,
     parse_instance,
     parse_template,
@@ -201,48 +201,72 @@ class TestRoundTrip:
             assert again.relations[name].types == rel.types
 
 
-def pairwise_build(reader, default):
-    """The reader's type through the pairwise definition: every position
-    pair reads its roots' label, EQ within a block."""
-    def label_of(i, j):
-        ri, rj = reader.find(i), reader.find(j)
-        if ri == rj:
-            return Label.EQ
-        key = (min(ri, rj), max(ri, rj))
-        stored = reader.pair_labels.get(key, default)
-        if stored is None:
-            raise ParseError(f"missing arc between {i + 1} and {j + 1}",
-                             reader.line, reader.column)
-        return stored if ri == key[0] else stored.flipped
-
-    return from_pair_labels(reader.arity, label_of)
-
-
 @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
-def test_pair_reader_builds_the_pairwise_definition(base, data):
-    # The reader builds each type from its own union-find, one label per
-    # root pair; the result, or the missing-arc error, must be the same.
+def test_type_literal_reads_the_pairwise_definition(base, data):
+    # Merges and labeled pairs rendered as one literal in a drawn item
+    # order.  The parsed type, or its first error, must be the pairwise
+    # definition over roots computed here: merges first, then each label
+    # in item order, then the missing arcs.
     arity = data.draw(st.integers(1, 5))
     position = st.integers(0, arity - 1)
-    reader = _PairReader(arity, 1, 1)
-    for a, b in data.draw(st.lists(st.tuples(position, position), max_size=3)):
-        reader.merge(f"{a + 1}={b + 1}")
-    for a, b in data.draw(st.lists(st.tuples(position, position), max_size=10)):
-        try:
-            reader.put(a, b, data.draw(st.sampled_from(base.labels)))
-        except ParseError:
-            pass  # a label within a block or against an earlier one
+    labels = st.sampled_from(base.labels)
+    merges = data.draw(st.lists(st.tuples(position, position), max_size=3))
+    root = list(range(arity))  # the least position of each position's block
+    for a, b in merges:
+        low = min(root[a], root[b])
+        root = [low if r in (root[a], root[b]) else r for r in root]
+    pairs = data.draw(st.lists(st.tuples(position, position, labels), max_size=4))
+    if data.draw(st.booleans()):
+        # Also label every pair across blocks, so that most types are complete.
+        pairs += [(a, b, data.draw(labels)) for a, b in itertools.combinations(range(arity), 2)
+                  if root[a] != root[b]]
+    items = [f"{a + 1}={b + 1}" for a, b in merges]
+    arcs = []  # (a, b): the item labels the pair from a toward b
+    for a, b, drawn in pairs:
+        if drawn is Label.N:
+            continue  # a non-edge is the default and has no item
+        if drawn is Label.BWD:
+            a, b = b, a
+        arcs.append((a, b))
+        items.append(f"{a + 1}->{b + 1}" if base.oriented else f"E({a + 1},{b + 1})")
+    order = data.draw(st.permutations(range(len(items))))
+    literal = ", ".join(items[i] for i in order) or "-"
+
+    label = Label.FWD if base.oriented else Label.E
     default = None if base.oriented else Label.N
+    given = {}
+
+    def label_of(i, j):
+        if root[i] == root[j]:
+            return Label.EQ
+        found = given.get((root[i], root[j]), default)
+        if found is None:
+            low, high = sorted((root[i], root[j]))
+            raise ParseError(f"missing arc between {low + 1} and {high + 1}", 1, 1)
+        return found
+
+    def expected():
+        for a, b in (arcs[i - len(merges)] for i in order if i >= len(merges)):
+            ra, rb = root[a], root[b]
+            if ra == rb:
+                raise ParseError("pair label within a merged block", 1, 1)
+            if given.setdefault((ra, rb), label) is not label:
+                raise ParseError(f"conflicting labels between {a + 1} and {b + 1}", 1, 1)
+            given[(rb, ra)] = label.flipped
+        return from_pair_labels(arity, label_of)
+
     try:
-        expected = pairwise_build(reader, default)
+        want = expected()
     except ParseError as exc:
         with pytest.raises(ParseError) as info:
-            reader.build(default)
+            _parse_homog_type(literal, arity, base, 1, 1)
         assert str(info.value) == str(exc)
     else:
-        assert reader.build(default) == expected
+        got = _parse_homog_type(literal, arity, base, 1, 1)
+        assert got == want
+        assert got._block_index == want._block_index
 
 
 class CliFiles:

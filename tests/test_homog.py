@@ -334,11 +334,17 @@ class TestPairBehavior:
             behavior_from_function(2, (EQ, E, N), lambda a, b: E)
 
     def test_rejects_flip_equivariance_violation(self):
+        # EQ on all-EQ only, so every earlier check passes; but (EQ, B)
+        # maps to F while its reversal (EQ, F) maps to F, not B.
         def biased(a, b):
-            return F if EQ in (a, b) else (a if a is not EQ else b)
+            return EQ if a is b is EQ else (a if a is not EQ else F)
 
-        with pytest.raises(MalformedPattern):
+        with pytest.raises(MalformedPattern, match="flip-equivariant"):
             behavior_from_function(2, (EQ, F, B), biased)
+
+    def test_rejects_symbols_not_closed_under_reversal(self):
+        with pytest.raises(MalformedPattern, match="closed under reversal"):
+            PairBehavior(1, (EQ, F), (EQ, F))
 
     def test_graph_alphabet_has_no_flip_constraint(self):
         sl = behavior_from_function(
