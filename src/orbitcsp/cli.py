@@ -260,7 +260,8 @@ def parse_instance(text: str, template: Template) -> Instance:
     for v in variables:
         if not _NAME.fullmatch(v):
             raise ParseError(f"bad variable name {v!r}", header_line, 5)
-    if len(set(variables)) != len(variables):
+    declared = set(variables)
+    if len(declared) != len(variables):
         raise ParseError("duplicate variable", header_line, 5)
     constraints = []
     for line_no, line in lines[1:]:
@@ -279,7 +280,7 @@ def parse_instance(text: str, template: Template) -> Instance:
                 f"line {line_no}: {name} has arity {rel.arity}, got {len(scope)}"
             )
         for v in scope:
-            if v not in variables:
+            if v not in declared:
                 raise ParseError(f"unknown variable {v!r}", line_no, 1)
         constraints.append((name, scope))
     return make_instance(variables, constraints)
@@ -330,8 +331,9 @@ def _format_signed(pattern: WeakOrderType) -> str:
 
 
 def _behavior_lines(behavior: homog.PairBehavior) -> list[str]:
+    name = {s: s.name for s in behavior.symbols}
     return [
-        f"behavior {','.join(str(l) for l in cell)}: {value}"
+        f"behavior {','.join(map(name.__getitem__, cell))}: {name[value]}"
         for cell, value in behavior.cells()
     ]
 

@@ -30,19 +30,25 @@ and the chain L -> T -> S enforces every condition L -> S would, with the
 same greatest fixpoint.  For the same reason a constraint on a permuted or
 repeated scope is read through the table of its ascending distinct
 positions D, and its relation is translated instead, to the arity-|D|
-patterns whose reading at ``P = map(D.index, scope)`` is a member: a
-reading table for P maps each reading to the mask of the patterns that read
-to it, and the translation ORs the members' masks.
+patterns whose reading at ``P = map(D.index, scope)`` is a member.  Every
+scope, in order or not, is translated by one rule, which also needs the
+identity law ``project(p, range(arity)) == p``: read each member p back at
+F, the first index in P of each position of D.  If a pattern q reads to
+p, then ``project(p, F) == project(q, [P[f] for f in F])``, which is
+``project(q, range(|D|)) == q``; so ``project(p, F)`` is the only
+candidate, and it is one exactly when its reading at P is p.  The
+translation projects each member twice and no other pattern, and no table
+of all readings is built.
 
-The projection and reading tables depend only on the pattern sequence, not
-on the template or the instance, so they live as long as the process.  They
-are keyed on the identity of the sequence ``space.patterns`` returns (the
-memoised tuples of ``homog.enumerate_types``,
+The projection tables and the read-back numbers depend only on the pattern
+sequence, not on the template or the instance, so they live as long as the
+process.  They are keyed on the identity of the sequence ``space.patterns``
+returns (the memoised tuples of ``homog.enumerate_types``,
 ``temporal.enumerate_weak_orders`` and :class:`FinitePatterns`) and hold a
 reference to it; a space that builds a fresh sequence on every call gets
-tables for that call only.  A projection table is filled where it is read,
-over the mask it is read with, and a later call fills more; a reading table
-is made whole on first use.  Relation memberships, keyed by relation name,
+them for that call only.  A projection table is filled where it is read,
+over the mask it is read with, and a later call fills more; a member is
+read back at P on first use.  Relation memberships, keyed by relation name,
 depend on the template and belong to one call.
 
 The superset index depends only on n, min(k, n) and min(l, n): a
@@ -104,11 +110,13 @@ class PatternSpace(Protocol):
     return patterns equal to listed ones.  A space whose ``patterns`` returns
     the same sequence object on every call shares the engine's projection
     tables with every other call on that sequence, so ``project`` must then
-    depend on the pattern and the positions only.  Projections must compose:
+    depend on the pattern and the positions only.  Projections must compose,
     ``project(project(p, P), Q) == project(p, [P[q] for q in Q])`` for
-    every position list ``P`` (repeats allowed) and ``Q`` into ``P``; the
-    engine reads narrow subsets and permuted or repeated scopes through
-    that law.
+    every position list ``P`` (repeats allowed) and ``Q`` into ``P``, and
+    reading every position in order must give the pattern back,
+    ``project(p, range(arity)) == p``.  The engine reads narrow subsets and
+    permuted or repeated scopes through the first law, and translates a
+    relation to a scope's positions through both.
     """
 
     template: Any
@@ -209,10 +217,16 @@ class _Projection:
 
 class _Arity:
     """The numbered patterns of one arity, the number of each pattern
-    (``index``), and the projection tables read out of them, keyed by
-    positions."""
+    (``index``), the projection tables read out of them, keyed by
+    positions, and per positions P read back (``readbacks``) the number
+    of the one pattern that reads to each member met so far at P, or None.
 
-    __slots__ = ("patterns", "size", "full", "index", "tables", "readings")
+    A member p is read back at F, the first index in P of each position
+    below the arity.  By the composition and identity laws, a pattern q
+    with ``project(q, P) == p`` is ``project(p, F)``, so that is the only
+    candidate, and it counts when its reading at P is p."""
+
+    __slots__ = ("patterns", "size", "full", "index", "tables", "readbacks")
 
     def __init__(self, patterns: Sequence[object]):
         self.patterns = patterns
@@ -220,19 +234,7 @@ class _Arity:
         self.full = (1 << self.size) - 1
         self.index = {p: i for i, p in enumerate(patterns)}
         self.tables: dict[tuple[int, ...], _Projection] = {}
-        self.readings: dict[tuple[int, ...], dict[object, int]] = {}
-
-    def by_reading(self, positions: tuple[int, ...], project) -> dict[object, int]:
-        """Each reading at ``positions`` (repeats allowed) -> the mask of the
-        patterns that read to it, over all patterns, made once."""
-        readings = self.readings.get(positions)
-        if readings is None:
-            groups: dict[object, list[int]] = {}
-            for number, pattern in enumerate(self.patterns):
-                groups.setdefault(project(pattern, positions), []).append(number)
-            readings = self.readings[positions] = {
-                reading: _mask(group, self.size) for reading, group in groups.items()}
-        return readings
+        self.readbacks: dict[tuple[int, ...], dict[object, Optional[int]]] = {}
 
 
 # (space class, id of a patterns sequence) -> its numbered patterns and
@@ -434,14 +436,15 @@ class _KLState:
         key = (name, positions)
         mask = self._members.get(key)
         if mask is None:
-            source, members = self._arities[max(positions) + 1], self.space.members(name)
-            if positions == tuple(range(len(positions))):
-                index = source.index
-                mask = _mask((index[p] for p in members if p in index), source.size)
-            else:
-                by_reading, mask = source.by_reading(positions, self.space.project), 0
-                for p in members:
-                    mask |= by_reading.get(p, 0)
+            arity, project = max(positions) + 1, self.space.project
+            source, members = self._arities[arity], self.space.members(name)
+            first = tuple(map(positions.index, range(arity)))
+            numbers = source.readbacks.setdefault(positions, {})
+            for p in members:
+                if p not in numbers:
+                    q = project(p, first)
+                    numbers[p] = source.index.get(q) if project(q, positions) == p else None
+            mask = _mask((i for i in map(numbers.get, members) if i is not None), source.size)
             self._members[key] = mask
         return mask
 

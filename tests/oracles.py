@@ -236,6 +236,17 @@ def reference_establish_kl(instance, template, k=2, l=3):
     return ConsistencyState(k, l, variables, allowed)
 
 
+def reference_translated(space, name: str, positions: Sequence[int]) -> int:
+    """The mask of the patterns of arity ``max(positions) + 1`` whose reading
+    at ``positions`` is a member of relation ``name``, found by projecting
+    every pattern of that arity: the whole-arity translation that
+    :meth:`orbitcsp.consistency._KLState._translated` replaces by reading
+    each member back."""
+    members = space.members(name)
+    patterns = space.patterns(max(positions) + 1)
+    return sum(1 << i for i, p in enumerate(patterns) if space.project(p, positions) in members)
+
+
 def reference_horn_solve(instance: Instance, template: FiniteStructure,
                          top_down: bool) -> Optional[dict[str, int]]:
     """The sweeping Horn fixpoint, kept as a differential reference for the

@@ -36,7 +36,7 @@ from orbitcsp.temporal import (
     temporal_relation,
 )
 
-from oracles import exhaustive_hom, pair_label, reference_establish_kl
+from oracles import exhaustive_hom, pair_label, reference_establish_kl, reference_translated
 
 TWO_COLORING = FiniteStructure(2, {"E": relation(2, [(0, 1), (1, 0)])})
 ONE_IN_THREE = FiniteStructure(2, {"R": relation(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])})
@@ -321,13 +321,57 @@ COMPOSITION_SPACES = {
 @given(data=st.data())
 def test_projections_compose(kind, data):
     # The engine reads narrow subsets through k-subsets, and permuted or
-    # repeated scopes through their distinct positions, by this law.
+    # repeated scopes through their distinct positions, by the composition
+    # law; it translates relations to scopes by reading members back, which
+    # also needs the identity law.
     space = COMPOSITION_SPACES[kind]
     arity = data.draw(st.integers(1, 4))
     p = data.draw(st.sampled_from(space.patterns(arity)))
     P = tuple(data.draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=5)))
     Q = tuple(data.draw(st.lists(st.integers(0, len(P) - 1), min_size=1, max_size=5)))
     assert space.project(space.project(p, P), Q) == space.project(p, tuple(P[q] for q in Q))
+    assert space.project(p, tuple(range(arity))) == p
+
+
+def translations(space, name, scope):
+    """The kernel's and the whole-arity reference's translation of relation
+    ``name`` to ``scope``, a tuple of variable numbers below 4 (repeats
+    allowed), read at its ascending distinct variables."""
+    distinct = sorted(set(scope))
+    positions = tuple(map(distinct.index, scope))
+    state = _KLState(make_instance("abcd", []), space, 1, 4)
+    return state._translated(name, positions), reference_translated(space, name, positions)
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_translation_matches_the_whole_arity_reference(kind, data):
+    space = REFERENCE_SPACES[kind]
+    relations = space.template.relations
+    name = data.draw(st.sampled_from(sorted(relations)))
+    arity = relations[name].arity
+    scope = tuple(data.draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity)))
+    kernel, reference = translations(space, name, scope)
+    assert kernel == reference
+
+
+@pytest.mark.parametrize("kind,name,scope,empty", [
+    ("temporal", "LT", (0, 1), False),  # in order
+    ("temporal", "LT", (1, 0), False),  # permuted
+    ("temporal", "LT", (0, 0), True),  # x < x: no member reads back
+    ("temporal", "RMIN", (2, 0, 2), False),  # repeated and permuted
+    ("temporal", "R4", (1, 1, 0, 1), False),
+    ("finite", "EVEN4", (3, 0, 3, 1), False),
+    ("tournament", "CHAIN4", (2, 3, 1, 0), False),
+    ("tournament", "ARC", (2, 2), True),
+    ("graph", "MATCH4", (0, 2, 2, 0), False),
+    ("kfree3", "PATH", (1, 2, 0), False),
+])
+def test_translation_of_chosen_scopes(kind, name, scope, empty):
+    kernel, reference = translations(REFERENCE_SPACES[kind], name, scope)
+    assert kernel == reference
+    assert (kernel == 0) == empty
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
@@ -491,12 +535,13 @@ def planted_temporal_instance(rng, n, m):
     return make_instance(names, constraints)
 
 
-@pytest.mark.parametrize("n,k,l,calls", [(10, 2, 5, 11017), (8, 3, 5, 5833)])
+@pytest.mark.parametrize("n,k,l,calls", [(10, 2, 5, 11044), (8, 3, 5, 5857)])
 def test_project_calls_of_a_cold_call(n, k, l, calls):
     # Each pattern is projected once per table it fills.  A permuted or
     # repeated scope shares the table of its distinct positions, and a
     # superset wider than k leaves a constraint on fewer than k variables
-    # to its k-subsets, so it fills no table for it.
+    # to its k-subsets, so it fills no table for it.  Each member of a
+    # relation is projected twice per positions it is read back at.
     instance = planted_temporal_instance(random.Random(2), n, n)
     scopes = [scope for name, scope in instance.constraints if name == "RMIN"]
     assert any(len(set(scope)) < 3 for scope in scopes)
@@ -505,6 +550,21 @@ def test_project_calls_of_a_cold_call(n, k, l, calls):
     result = establish_kl(instance, space, k, l)
     assert result == establish_kl(instance, TemporalPatterns(TEMPORAL), k, l) != EMPTY_DERIVED
     assert space.calls == calls
+
+
+def test_out_of_order_scopes_project_as_much_as_in_order_ones():
+    # A scope is translated by reading each member of its relation back,
+    # whatever the order of its variables, not by projecting every pattern
+    # of the arity.  At (2,5) the one 5-ary superset takes R in through its
+    # translation alone, so either order costs the same.
+    chain5 = TemporalTemplate({"LT": LT, "R": temporal_relation(
+        5, [t for t in enumerate_weak_orders(5) if t.ranks == (0, 1, 2, 3, 4)])})
+    calls = []
+    for scope in ("abcde", "bacde"):
+        space = CountedFreshWeakOrders(chain5)
+        assert establish_kl(make_instance("abcde", [("R", tuple(scope))]), space, 2, 5)
+        calls.append(space.calls)
+    assert calls == [511, 511]
 
 
 class OwnWeakOrders(TemporalPatterns):
@@ -637,10 +697,10 @@ def test_alternating_templates_on_one_base(first, second):
 
 
 def memo_size():
-    """Memo entries, their projection tables and their per-positions
-    reading tables."""
+    """Memo entries, their projection tables and the positions they read
+    members back at."""
     return (len(_MEMO), sum(len(entry.tables) for entry in _MEMO.values()),
-            sum(len(entry.readings) for entry in _MEMO.values()))
+            sum(len(entry.readbacks) for entry in _MEMO.values()))
 
 
 def test_finite_templates_do_not_grow_the_memo():
