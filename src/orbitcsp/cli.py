@@ -30,6 +30,7 @@ from .homog import (
     Shape,
     TypeSetRelation,
     VerdictKind,
+    _pair_index,
     kfree,
 )
 from .relstruct import Instance, make_instance
@@ -74,9 +75,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_position(token: str, arity: int, line: int, column: int) -> int:
-    if not token.isdigit():
+    # isdecimal, not isdigit: int() refuses a digit such as '²'.
+    if not token.isdecimal():
         raise ParseError(f"expected a position number, got {token!r}", line, column)
-    value = int(token)
+    try:
+        value = int(token)
+    except ValueError:  # int() refuses more than 4300 digits
+        value = _bounded_int(token)
+        if value is None:
+            raise ParseError(
+                f"position {token.lstrip('0')} outside 1..{arity}", line, column) from None
     if not 1 <= value <= arity:
         raise ParseError(f"position {value} outside 1..{arity}", line, column)
     return value - 1
@@ -102,6 +110,9 @@ def _parse_weak_order(literal: str, arity: int, line: int, column: int) -> WeakO
 
 
 def _split_items(literal: str) -> list[str]:
+    """The items of a literal, cut at the commas outside parentheses."""
+    if "(" not in literal and ")" not in literal:
+        return [item.strip() for item in literal.split(",")]
     items, depth, start = [], 0, 0
     for i, ch in enumerate(literal):
         if ch == "(":
@@ -115,57 +126,89 @@ def _split_items(literal: str) -> list[str]:
     return items
 
 
-def _parse_homog_type(
-    literal: str, arity: int, base: homog.Base, line: int, column: int
-) -> LabeledType:
-    """A tournament or graph type literal: the '=' items merge positions,
-    then each arc or edge item labels its pair of blocks.  Errors come in
-    that order: merges, labels in item order, then missing arcs."""
-    items = [] if literal == "-" else _split_items(literal)
-    parent = list(range(arity))  # a union-find whose roots are least positions
+class _HomogReader:
+    """Reads the tournament or graph type literals of one relation: the '='
+    items merge positions, then each arc or edge item labels its pair of
+    blocks.  Errors come in that order: merges, labels in item order, then
+    missing arcs.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
+    Each distinct item text is read once per reader: a '=' item to its
+    positions, an arc or edge item to its ordered pair.  What an item reads
+    to depends only on the arity and the base, fixed per reader, and an item
+    that raises is not stored.
+    """
 
-    for item in items:
-        if "=" in item:
-            first, *others = [_parse_position(t.strip(), arity, line, column)
-                              for t in item.split("=")]
-            for p in others:
-                ra, rb = find(first), find(p)
-                parent[max(ra, rb)] = min(ra, rb)
-    # Blocks numbered by root, the table holding the label from block x toward y.
-    reps = [p for p in range(arity) if parent[p] == p]
-    number = {r: x for x, r in enumerate(reps)}
-    block_of = [number[find(p)] for p in range(arity)]
-    default = None if base.oriented else Label.N
-    table: list[list[Optional[Label]]] = [[default] * len(reps) for _ in reps]
-    for item in items:
-        if "=" in item:
-            continue
-        if base.oriented:
-            if "->" not in item:
-                raise ParseError(f"expected an arc, got {item!r}", line, column)
-            ends, label = item.split("->", 1), Label.FWD
-        else:
-            match = _EDGE_ITEM.fullmatch(item)
-            if not match:
-                raise ParseError(f"expected an edge, got {item!r}", line, column)
-            ends, label = match.groups(), Label.E
-        a = _parse_position(ends[0].strip(), arity, line, column)
-        b = _parse_position(ends[1].strip(), arity, line, column)
-        x, y = block_of[a], block_of[b]
-        if x == y:
-            raise ParseError("pair label within a merged block", line, column)
-        if table[x][y] not in (label, default):
-            raise ParseError(f"conflicting labels between {a + 1} and {b + 1}", line, column)
-        table[x][y], table[y][x] = label, label.flipped
-    for x, y in itertools.combinations(range(len(reps)), 2):
-        if table[x][y] is None:
-            raise ParseError(f"missing arc between {reps[x] + 1} and {reps[y] + 1}", line, column)
-    return homog._type_of(block_of, table)
+    def __init__(self, arity: int, base: homog.Base, line: int, column: int) -> None:
+        self.arity, self.line, self.column = arity, line, column
+        self.oriented = base.oriented
+        self.label = Label.FWD if self.oriented else Label.E
+        self.default = None if self.oriented else Label.N
+        self._items: dict[str, tuple[int, ...]] = {}
+
+    def _item(self, item: str) -> tuple[int, ...]:
+        """The positions of a '=' item, or the ordered pair of an arc or edge item."""
+        found = self._items.get(item)
+        if found is None:
+            if "=" in item:
+                tokens = item.split("=")
+            elif self.oriented:
+                if "->" not in item:
+                    raise ParseError(f"expected an arc, got {item!r}", self.line, self.column)
+                tokens = item.split("->", 1)
+            else:
+                match = _EDGE_ITEM.fullmatch(item)
+                if not match:
+                    raise ParseError(f"expected an edge, got {item!r}", self.line, self.column)
+                tokens = match.groups()
+            found = self._items[item] = tuple(
+                _parse_position(t.strip(), self.arity, self.line, self.column) for t in tokens)
+        return found
+
+    def read(self, literal: str) -> LabeledType:
+        """The type of one literal of the relation."""
+        items = [] if literal == "-" else _split_items(literal)
+        arcs = [item for item in items if "=" not in item]
+        # Blocks numbered by least position: reps[x] is block x's least
+        # position, block_of[p] the block of position p.
+        reps = block_of = range(self.arity)
+        if len(arcs) < len(items):
+            parent = list(reps)  # a union-find whose roots are least positions
+
+            def find(x: int) -> int:
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for first, *others in [self._item(item) for item in items if "=" in item]:
+                for p in others:
+                    ra, rb = find(first), find(p)
+                    parent[max(ra, rb)] = min(ra, rb)
+            reps = [p for p in reps if parent[p] == p]
+            number = {r: x for x, r in enumerate(reps)}
+            block_of = [number[find(p)] for p in block_of]
+        # labels[i]: the label of the i-th block pair x < y in lexicographic
+        # order, from block x toward block y.
+        m, label, default = len(reps), self.label, self.default
+        labels: list[Optional[Label]] = [default] * (m * (m - 1) // 2)
+        for item in arcs:
+            a, b = self._item(item)
+            x, y = block_of[a], block_of[b]
+            if x == y:
+                raise ParseError("pair label within a merged block", self.line, self.column)
+            if x < y:
+                i, got = _pair_index(m, x, y), label
+            else:
+                i, got = _pair_index(m, y, x), label.flipped
+            if labels[i] not in (got, default):
+                raise ParseError(
+                    f"conflicting labels between {a + 1} and {b + 1}", self.line, self.column)
+            labels[i] = got
+        if None in labels:
+            x, y = next(pair for pair, got in zip(itertools.combinations(range(m), 2), labels)
+                        if got is None)
+            raise ParseError(
+                f"missing arc between {reps[x] + 1} and {reps[y] + 1}", self.line, self.column)
+        return homog._type_of(block_of, labels)
 
 
 def _parse_base(value: str, line: int) -> Union[str, homog.Base]:
@@ -231,14 +274,9 @@ def parse_template(text: str) -> Template:
                 ]
                 relations[name] = temporal_relation(arity, types)
             else:
+                reader = _HomogReader(arity, base, line_no, column)
                 relations[name] = homog.type_set_relation(
-                    arity,
-                    base,
-                    [
-                        _parse_homog_type(lit, arity, base, line_no, column)
-                        for lit in literals
-                    ],
-                )
+                    arity, base, [reader.read(lit) for lit in literals])
         except ParseError:
             raise
         except OrbitCspError as exc:

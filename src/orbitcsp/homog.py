@@ -32,9 +32,11 @@ block under every labeling toward the earlier blocks, and a prefix callback
 prunes every completion of a rejected prefix.  ``enumerate_types`` sorts
 its output into partition-major order, and ``solve_instance_brute`` takes
 its first placement that passes every constraint.  Each placement is built
-by ``_type_of`` from a block vector and a table of block-pair labels, and
-so is each type literal the template parser reads
-(``cli._parse_homog_type``): one builder for both.
+by ``_type_of`` from a block vector and its block-pair labels in
+lexicographic pair order, and so is each type literal the template parser
+reads (``cli._HomogReader``): one builder for both.  ``_place`` reads the
+pair labels off its label table at each leaf; the parser writes them in
+pair order as it reads the arc or edge items.
 """
 
 from __future__ import annotations
@@ -273,20 +275,23 @@ def _valid_type(**fields) -> LabeledType:
     return made
 
 
-def _type_of(block_of: Sequence[int], table: Sequence[Sequence[Label]]) -> LabeledType:
+def _type_of(block_of: Sequence[int], labels: Sequence[Label]) -> LabeledType:
     """The type whose position p lies in block ``block_of[p]`` and whose
-    blocks b < c are labeled ``table[b][c]``, the label from block b toward
-    block c.  Both callers, ``_placements`` and the template parser, number
-    blocks by least position and label every block pair with a base label,
-    so the parts are valid by construction."""
-    m = len(table)
-    blocks: list[list[int]] = [[] for _ in range(m)]
+    block pairs b < c, in lexicographic order, are labeled ``labels``, each
+    the label from block b toward block c.  Both callers, ``_placements``
+    and the template parser, number blocks by least position and label
+    every block pair with a base label, so the parts are valid by
+    construction."""
+    blocks: list[list[int]] = []
     for p, b in enumerate(block_of):
-        blocks[b].append(p)
+        if b == len(blocks):
+            blocks.append([p])
+        else:
+            blocks[b].append(p)
     return _valid_type(
         arity=len(block_of),
         partition=tuple(map(tuple, blocks)),
-        labels=tuple(table[b][c] for b, c in itertools.combinations(range(m), 2)),
+        labels=tuple(labels),
         _block_index=tuple(block_of))
 
 
@@ -388,7 +393,7 @@ def _place(
     no reference cycle behind."""
     n, m = len(block_of), len(table)
     if i == n:
-        yield _type_of(block_of, table)
+        yield _type_of(block_of, [table[b][c] for b, c in itertools.combinations(range(m), 2)])
         return
     for b in range(m):
         block_of[i] = b

@@ -12,13 +12,14 @@ from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence
 
-from orbitcsp.cli import _format_homog_type
+from orbitcsp.cli import _EDGE_ITEM, _format_homog_type, _parse_position
 from orbitcsp.errors import (
     ArityMismatch,
     BudgetExceeded,
     DomainMismatch,
     MalformedPattern,
     OrbitCspError,
+    ParseError,
     UnknownVariable,
 )
 from orbitcsp.homog import Label, LabeledType, PairBehavior, _pair_index
@@ -830,6 +831,71 @@ def from_pair_labels(arity, label_of):
         if lbl is not expected:
             raise MalformedPattern("labels disagree across merged positions")
     return LabeledType(arity, partition, tuple(labels))
+
+
+def reference_read_homog_type(literal, arity, base, line, column):
+    """A tournament or graph type literal read on its own: the '=' items
+    merge positions, then each arc or edge item labels its pair of blocks
+    in a full block-by-block table.  Errors come in that order: merges,
+    labels in item order, then missing arcs.  The reference that
+    ``cli._HomogReader``, which reads each distinct item of a relation once
+    and writes labels in pair order, is tested against."""
+    items, depth, start = [], 0, 0
+    if literal != "-":
+        for i, ch in enumerate(literal):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                items.append(literal[start:i].strip())
+                start = i + 1
+        items.append(literal[start:].strip())
+    parent = list(range(arity))  # a union-find whose roots are least positions
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for item in items:
+        if "=" in item:
+            first, *others = [_parse_position(t.strip(), arity, line, column)
+                              for t in item.split("=")]
+            for p in others:
+                ra, rb = find(first), find(p)
+                parent[max(ra, rb)] = min(ra, rb)
+    reps = [p for p in range(arity) if parent[p] == p]
+    number = {r: x for x, r in enumerate(reps)}
+    block_of = [number[find(p)] for p in range(arity)]
+    default = None if base.oriented else Label.N
+    table = [[default] * len(reps) for _ in reps]
+    for item in items:
+        if "=" in item:
+            continue
+        if base.oriented:
+            if "->" not in item:
+                raise ParseError(f"expected an arc, got {item!r}", line, column)
+            ends, label = item.split("->", 1), Label.FWD
+        else:
+            match = _EDGE_ITEM.fullmatch(item)
+            if not match:
+                raise ParseError(f"expected an edge, got {item!r}", line, column)
+            ends, label = match.groups(), Label.E
+        a = _parse_position(ends[0].strip(), arity, line, column)
+        b = _parse_position(ends[1].strip(), arity, line, column)
+        x, y = block_of[a], block_of[b]
+        if x == y:
+            raise ParseError("pair label within a merged block", line, column)
+        if table[x][y] not in (label, default):
+            raise ParseError(f"conflicting labels between {a + 1} and {b + 1}", line, column)
+        table[x][y], table[y][x] = label, label.flipped
+    for x, y in combinations(range(len(reps)), 2):
+        if table[x][y] is None:
+            raise ParseError(f"missing arc between {reps[x] + 1} and {reps[y] + 1}", line, column)
+    partition = tuple(tuple(p for p in range(arity) if block_of[p] == x) for x in range(len(reps)))
+    labels = tuple(table[x][y] for x, y in combinations(range(len(reps)), 2))
+    return LabeledType(arity, partition, labels)
 
 
 def format_template(template):

@@ -17,19 +17,26 @@ from orbitcsp.cli import (
     SUPERSET_LIMIT,
     _COMMANDS,
     _build_parser,
+    _HomogReader,
     _format_signed,
-    _parse_homog_type,
     main,
     parse_instance,
     parse_template,
     run,
 )
-from orbitcsp.errors import ArityMismatch, ParseError
-from orbitcsp.homog import GRAPH, TOURNAMENT, HomogTemplate, Label
+from orbitcsp.errors import ArityMismatch, OrbitCspError, ParseError
+from orbitcsp.homog import GRAPH, TOURNAMENT, HomogTemplate, Label, kfree, type_set_relation
 from orbitcsp.polyengine import WNU, OpTable, preserves_op, satisfies_identities
 from orbitcsp.temporal import TemporalTemplate, WeakOrderType, build_afin
 
-from oracles import format_instance, format_template, from_pair_labels, is_injective, pair_label
+from oracles import (
+    format_instance,
+    format_template,
+    from_pair_labels,
+    is_injective,
+    pair_label,
+    reference_read_homog_type,
+)
 
 TEMPORAL_TEXT = "base: temporal\nrel Betw/3: 1<2<3; 3<2<1\nrel LT/2: 1<2\n"
 LT_TEXT = "base: temporal\nrel LT/2: 1<2\n"
@@ -261,12 +268,91 @@ def test_type_literal_reads_the_pairwise_definition(base, data):
         want = expected()
     except ParseError as exc:
         with pytest.raises(ParseError) as info:
-            _parse_homog_type(literal, arity, base, 1, 1)
+            _HomogReader(arity, base, 1, 1).read(literal)
         assert str(info.value) == str(exc)
     else:
-        got = _parse_homog_type(literal, arity, base, 1, 1)
+        got = _HomogReader(arity, base, 1, 1).read(literal)
         assert got == want
         assert got._block_index == want._block_index
+
+
+def _relation_literals(data, base):
+    """An arity and 2-8 literals over it that share items: arcs or edges
+    on a few position pairs, '=' items, now and then a position above the
+    arity, and stray characters."""
+    arity = data.draw(st.integers(1, 5))
+    position = st.sampled_from([*range(1, arity + 1)] * 3 + [arity + 1])
+    merge = st.lists(position, min_size=2, max_size=3).map(lambda ps: "=".join(map(str, ps)))
+    if base.oriented:
+        arc = st.tuples(position, position).map(lambda ab: f"{ab[0]}->{ab[1]}")
+    else:
+        arc = st.tuples(position, position).map(lambda ab: f"E({ab[0]},{ab[1]})")
+    pool = data.draw(st.lists(st.one_of(arc, arc, merge), min_size=1, max_size=6))
+    literals = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        items = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+        if data.draw(st.booleans()):
+            # Also an item on every position pair, so that most types are complete.
+            for a, b in itertools.combinations(range(1, arity + 1), 2):
+                if data.draw(st.booleans()):
+                    a, b = b, a
+                if base.oriented:
+                    items.append(f"{a}->{b}")
+                elif data.draw(st.booleans()):
+                    items.append(f"E({a},{b})")
+        order = data.draw(st.permutations(range(len(items))))
+        literal = data.draw(st.sampled_from([", ", ","])).join(items[i] for i in order) or "-"
+        for _ in range(data.draw(st.integers(0, 2)) if data.draw(st.booleans()) else 0):
+            at = data.draw(st.integers(0, len(literal)))
+            stray = data.draw(st.sampled_from(list("0123456789->=,E()²")))
+            literal = literal[:at] + stray + literal[at:]
+        literals.append(literal)
+    return arity, literals
+
+
+@pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reader_reads_each_literal_as_the_reference(base, data):
+    # One reader per relation reads every literal, on past an error too,
+    # and each must read as the reference reads it alone: the same type,
+    # block vector and fingerprint, or the same error.  The template of
+    # these relations must parse to the reference's relations, or stop at
+    # the reference's first error.
+    relations = [_relation_literals(data, base) for _ in range(data.draw(st.integers(1, 3)))]
+    text = f"base: {base}\n" + "".join(f"rel R{r}/{arity}: {'; '.join(literals)}\n"
+                                        for r, (arity, literals) in enumerate(relations))
+    first_error, reference = None, {}
+    for r, (arity, literals) in enumerate(relations):
+        line = text.splitlines()[r + 1]
+        line_no, column = r + 2, line.index(":") + 2
+        reader = _HomogReader(arity, base, line_no, column)
+        types = []
+        for literal in (lit.strip() for lit in literals):
+            try:
+                want = reference_read_homog_type(literal, arity, base, line_no, column)
+            except ParseError as exc:
+                first_error = first_error or str(exc)
+                with pytest.raises(ParseError) as info:
+                    reader.read(literal)
+                assert str(info.value) == str(exc)
+                continue
+            got = reader.read(literal)
+            assert (got.partition, got.labels, got._block_index, got.fingerprint) == (
+                want.partition, want.labels, want._block_index, want.fingerprint)
+            types.append(want)
+        if first_error is None:
+            try:
+                reference[f"R{r}"] = type_set_relation(arity, base, types).types
+            except OrbitCspError as exc:
+                first_error = str(ParseError(str(exc), line_no, column))
+    if first_error is not None:
+        with pytest.raises(ParseError) as info:
+            parse_template(text)
+        assert str(info.value) == first_error
+    else:
+        template = parse_template(text)
+        assert {name: rel.types for name, rel in template.relations.items()} == reference
 
 
 class CliFiles:
@@ -646,6 +732,15 @@ class TestRunHarness:
         ("solve", LT_TEXT, "vars x y\nLT()\n", "line 2: LT has arity 2, got 0"),
         ("solve", LT_TEXT + "rel U/1: 1\n", "vars x y\nU( )\n",
          "line 2: U has arity 1, got 0"),
+        # Digits that int() refuses: '²', and more than 4300 of them.
+        ("classify", "base: temporal\nrel R/2: 1<²\n", None,
+         "line 2, column 9: expected a position number, got '²'"),
+        ("classify", "base: tournament\nrel R/2: 1->²\n", None,
+         "line 2, column 9: expected a position number, got '²'"),
+        ("classify", f"base: temporal\nrel R/2: 1<{'9' * 5000}\n", None,
+         f"line 2, column 9: position {'9' * 5000} outside 1..2"),
+        ("classify", f"base: graph\nrel R/2: E(1,{'9' * 5000})\n", None,
+         f"line 2, column 9: position {'9' * 5000} outside 1..2"),
     ])
     def test_malformed_input_is_a_one_line_error(self, files, command, template,
                                                  instance, error):
