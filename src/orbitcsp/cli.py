@@ -46,9 +46,9 @@ from .temporal import (
 Template = Union[TemporalTemplate, HomogTemplate]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_REL_LINE = re.compile(r"rel\s+([A-Za-z_][A-Za-z0-9_]*)/(\d+)\s*:\s*(.*)")
+_REL_LINE = re.compile(r"rel\s+([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)\s*:\s*(.*)")
 _CONSTRAINT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^)]*)\)\s*")
-_EDGE_ITEM = re.compile(r"E\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_EDGE_ITEM = re.compile(r"E\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 _VARS_HEADER = re.compile(r"vars(\s|$)")
 
 #: Largest declared relation arity, largest n of ``kfree(n)``, and largest
@@ -75,8 +75,8 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_position(token: str, arity: int, line: int, column: int) -> int:
-    # isdecimal, not isdigit: int() refuses a digit such as '²'.
-    if not token.isdecimal():
+    # ASCII digits only: int() refuses a digit such as '²' and reads '٢'.
+    if not (token.isascii() and token.isdecimal()):
         raise ParseError(f"expected a position number, got {token!r}", line, column)
     try:
         value = int(token)
@@ -218,7 +218,7 @@ def _parse_base(value: str, line: int) -> Union[str, homog.Base]:
         return TOURNAMENT
     if value == "graph":
         return GRAPH
-    match = re.fullmatch(r"kfree\((\d+)\)", value)
+    match = re.fullmatch(r"kfree\(([0-9]+)\)", value)
     if match:
         n = _bounded_int(match.group(1))
         if n is None:
@@ -496,7 +496,7 @@ def _cmd_polysearch(
 def _cmd_consistency(
     template: Template, instance: Instance, args: argparse.Namespace
 ) -> tuple[list[str], int]:
-    match = re.fullmatch(r"(\d+),(\d+)", args.kl)
+    match = re.fullmatch(r"([0-9]+),([0-9]+)", args.kl)
     if not match:
         raise ParseError("--kl expects K,L")
     k, l = map(_bounded_int, match.groups())

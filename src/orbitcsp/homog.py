@@ -30,8 +30,11 @@ Complete types are built by one generator, ``_placements``: it places one
 position at a time, joining each existing block and then opening a new
 block under every labeling toward the earlier blocks, and a prefix callback
 prunes every completion of a rejected prefix.  ``enumerate_types`` sorts
-its output into partition-major order, and ``solve_instance_brute`` takes
-its first placement that passes every constraint.  Each placement is built
+its output into partition-major order, and ``solve_instance_brute`` is one
+call to ``relstruct._first_placement``, the exhaustive search shared with
+the temporal oracle: its prefix callback reads the position pair (p, q) off
+the label table as ``table[block_of[p]][block_of[q]]`` and compares the
+readings with the relations' fingerprints.  Each placement is built
 by ``_type_of`` from a block vector and its block-pair labels in
 lexicographic pair order, and so is each type literal the template parser
 reads (``cli._HomogReader``): one builder for both.  ``_place`` reads the
@@ -60,7 +63,7 @@ from .errors import (
     ShapeUnsupported,
     UnsupportedBase,
 )
-from .relstruct import Instance, _assignments, check_signature, encode_tuple
+from .relstruct import Instance, _assignments, _first_placement, encode_tuple
 
 TYPE_ARITY_LIMIT = 6
 BRUTE_VARIABLE_LIMIT = 6
@@ -998,40 +1001,13 @@ def solve_instance_brute(
     A solution is exactly a complete type over the variable tuple whose
     projection to every constraint scope lies in the constraint's relation
     (and which avoids forbidden cliques over a clique-free base).  The first
-    placement of ``_placements`` that passes every constraint is returned;
-    each constraint is checked as soon as its last variable is placed.
+    placement of ``_placements`` that passes every constraint is returned,
+    by ``relstruct._first_placement`` reading pairs off the label table.
     """
-    n = len(instance.variables)
-    if n > BRUTE_VARIABLE_LIMIT:
-        raise BudgetExceeded(
-            f"brute search capped at {BRUTE_VARIABLE_LIMIT} variables"
-        )
-    check_signature(instance, template)
-    position = {v: i for i, v in enumerate(instance.variables)}
-    constraints = []
-    # Per last variable: the fingerprints and position pairs of a constraint.
-    checks: list[list[tuple[frozenset, list[tuple[int, int]]]]] = [[] for _ in range(n)]
-    for name, scope in instance.constraints:
-        rel = template.relations[name]
-        indices = tuple(position[v] for v in scope)
-        constraints.append((rel, indices))
-        pairs = list(itertools.combinations(indices, 2))
-        checks[max(indices)].append((rel.fingerprints, pairs))
-
-    def prefix_ok(block_of: list[int], table: list[tuple[Label, ...]], i: int) -> bool:
-        # Placed positions never move, so a constraint is decided once its
-        # last variable is placed.
-        return all(
-            tuple(table[block_of[p]][block_of[q]] for p, q in pairs) in fingerprints
-            for fingerprints, pairs in checks[i]
-        )
-
-    solution = next(_placements(n, template.base, prefix_ok), None)
-    if solution is not None:
-        for rel, scope in constraints:
-            if solution.project(scope) not in rel.types:
-                raise AssertionError(f"brute solution violates the constraint on {scope}")
-    return solution
+    return _first_placement(
+        instance, HomogPatterns(template), BRUTE_VARIABLE_LIMIT,
+        lambda n, prefix_ok: _placements(n, template.base, prefix_ok),
+        operator.attrgetter("fingerprints"))
 
 
 @dataclass(frozen=True, eq=False)

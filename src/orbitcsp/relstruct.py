@@ -12,15 +12,25 @@ Search lives here, in one private generator over integer variables and
 answer; ``polyengine.find_polymorphism`` runs it on the identity-glued cells
 of a power of the template, since a polymorphism is a homomorphism from a
 power into the template.
+
+The exhaustive search over complete types of an infinite base lives here
+too, in ``_first_placement``: the temporal oracle and the homogeneous brute
+solver are each one call to it with their base's generator.  The generator
+calls the search's prefix test with a block vector and a pair table, and
+the test reads each position pair of a constraint as
+``table[block_of[p]][block_of[q]]`` and looks the tuple up among the
+relation's fingerprints, its types read the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     DomainMismatch,
     ParameterError,
     SignatureMismatch,
@@ -179,6 +189,52 @@ def _assignments(n: int, domain_size: int,
         if consistent(var):
             var += 1
             marks[var] = len(trail)
+
+
+def _first_placement(instance: Instance, space, limit: int,
+                     walk: Callable[[int, Callable], Iterator],
+                     fingerprints: Callable[[object], frozenset]):
+    """The first complete type ``walk`` yields on the instance's variables
+    whose projection to every constraint scope lies in the constraint's
+    relation, or None when there is none.
+
+    This is the package's one exhaustive search over an infinite base: the
+    temporal oracle and the homogeneous brute solver differ only in their
+    generator and pair table.  ``space`` is the base's pattern space (its
+    ``template``, ``project`` and ``members``).  ``walk(n, prefix_ok)``
+    yields complete types on ``n`` positions and calls ``prefix_ok(block_of,
+    table, i)`` once position i is placed; a false answer skips every
+    completion of ``block_of[:i + 1]``.  The prefix reads the position pair
+    (p, q) as ``table[block_of[p]][block_of[q]]``, and ``fingerprints(rel)``
+    holds, per type of the relation, these readings over its position pairs
+    in lexicographic order.  Placed positions never move, so each constraint
+    is decided once its last variable is placed.
+    """
+    n = len(instance.variables)
+    if n > limit:
+        raise BudgetExceeded(f"brute search capped at {limit} variables")
+    check_signature(instance, space.template)
+    position = {v: i for i, v in enumerate(instance.variables)}
+    read = {name: fingerprints(space.template.relations[name])
+            for name in {name for name, _ in instance.constraints}}
+    # Per last variable: the fingerprints and position pairs of a constraint.
+    checks: list[list[tuple[frozenset, list[tuple[int, int]]]]] = [[] for _ in range(n)]
+    for name, scope in instance.constraints:
+        indices = [position[v] for v in scope]
+        checks[max(indices)].append((read[name], list(combinations(indices, 2))))
+
+    def prefix_ok(block_of: Sequence[int], table: Sequence[Sequence], i: int) -> bool:
+        return all(
+            tuple(table[block_of[p]][block_of[q]] for p, q in pairs) in allowed
+            for allowed, pairs in checks[i]
+        )
+
+    answer = next(walk(n, prefix_ok), None)
+    if answer is not None:
+        for name, scope in instance.constraints:
+            if space.project(answer, [position[v] for v in scope]) not in space.members(name):
+                raise AssertionError(f"brute solution violates the constraint {name}{scope}")
+    return answer
 
 
 def hom_search(instance: Instance, template: FiniteStructure) -> Optional[dict[str, int]]:

@@ -20,6 +20,13 @@ weak orders with the zero point as one more position, so a sign is a
 comparison with that position and negation is reversal, and instance
 solutions are weak orders on the variable set (tuples of levels, bottom
 first).
+
+Weak orders are generated as dense rank vectors by ``_dense_rank_vectors``,
+whose prefix callback gets the rank vector and the pair table ``_ORDER``.
+The brute-force oracle is one call to ``relstruct._first_placement``, the
+exhaustive search shared with the homogeneous bases: it reads the position
+pair (p, q) as ``_ORDER[ranks[p]][ranks[q]]``, and a relation's
+fingerprints are the same comparisons over each type's position pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 from .errors import (
@@ -44,7 +51,7 @@ from .polyengine import (
     _narrow_solver,
     boolean_classify,
 )
-from .relstruct import FiniteStructure, Instance, check_signature, relation
+from .relstruct import FiniteStructure, Instance, _first_placement, check_signature, relation
 
 ENUMERATION_LIMIT = 8       # weak orders on more positions get huge
 PRESERVE_ARITY_LIMIT = 6    # pattern budget for preservation tests
@@ -121,20 +128,36 @@ class WeakOrderType:
                         for block in self.blocks)
 
 
-def _dense_rank_vectors(
-        k: int, prefix_ok: Callable[[list[int], int], bool],
-) -> Iterator[tuple[int, ...]]:
+#: ``_ORDER[r][s]`` is -1, 0 or 1 as rank r is below, equal to or above
+#: rank s: the pair table of every weak order, whose ranks are its blocks.
+_ORDER = tuple(tuple((r > s) - (r < s) for s in range(ENUMERATION_LIMIT))
+               for r in range(ENUMERATION_LIMIT))
+
+_PrefixOk = Callable[[list[int], Sequence[Sequence[int]], int], bool]
+
+
+def _comparisons(rel: "TemporalRelation") -> frozenset[tuple[int, ...]]:
+    """Per type of the relation, its ``_ORDER`` readings over the position
+    pairs in lexicographic order.  They are computed from the ranks, since a
+    relation may be wider than the table; the readings fix the weak order."""
+    pairs = list(combinations(range(rel.arity), 2))
+    return frozenset(
+        tuple((ranks[p] > ranks[q]) - (ranks[p] < ranks[q]) for p, q in pairs)
+        for ranks in (t.ranks for t in rel.types))
+
+
+def _dense_rank_vectors(k: int, prefix_ok: _PrefixOk) -> Iterator[tuple[int, ...]]:
     """Rank vectors of the weak orders on k positions, ascending.
 
-    ``prefix_ok(ranks, i)`` is called once after position i is placed; a
-    false answer skips every completion of ``ranks[:i + 1]``.
+    ``prefix_ok(ranks, _ORDER, i)`` is called once after position i is
+    placed; a false answer skips every completion of ``ranks[:i + 1]``.
     """
     return _rank_completions(0, -1, 0, [0] * k, [0] * k, prefix_ok)
 
 
 def _rank_completions(
         i: int, top: int, missing: int, ranks: list[int], counts: list[int],
-        prefix_ok: Callable[[list[int], int], bool],
+        prefix_ok: _PrefixOk,
 ) -> Iterator[tuple[int, ...]]:
     """The dense completions of ``ranks[:i]`` for ``_dense_rank_vectors``.
 
@@ -159,7 +182,7 @@ def _rank_completions(
         if gap > slots:
             continue
         ranks[i] = r
-        if not prefix_ok(ranks, i):
+        if not prefix_ok(ranks, _ORDER, i):
             continue
         counts[r] += 1
         yield from _rank_completions(i + 1, new_top, gap, ranks, counts, prefix_ok)
@@ -174,7 +197,7 @@ def enumerate_weak_orders(k: int) -> tuple[WeakOrderType, ...]:
     if k < 1:
         raise ParameterError("arity must be positive")
     return tuple(WeakOrderType(ranks)
-                 for ranks in _dense_rank_vectors(k, lambda ranks, i: True))
+                 for ranks in _dense_rank_vectors(k, lambda ranks, table, i: True))
 
 
 @dataclass(frozen=True)
@@ -651,33 +674,14 @@ def solve_master(instance: Instance, template: TemporalTemplate,
 
 def brute_oracle(instance: Instance,
                  template: TemporalTemplate) -> Optional[Levels]:
-    """Scan all weak orders on the variables, smallest rank vector first."""
-    n = len(instance.variables)
-    if n > ORACLE_VARIABLE_LIMIT:
-        raise BudgetExceeded(f"{n} variables > {ORACLE_VARIABLE_LIMIT}")
-    index = {v: i for i, v in enumerate(instance.variables)}
-    checks: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
-    constraints = _constraint_list(instance, template)
-    for rel, scope in constraints:
-        idx = tuple(index[v] for v in scope)
-        signatures = frozenset(t.ranks for t in rel.types)
-        checks[max(idx)].append((idx, signatures))
-
-    def prefix_ok(ranks: list[int], i: int) -> bool:
-        # Prefix ranks never change later, so constraints close as soon as
-        # their last variable is placed.
-        return all(_canon([ranks[j] for j in idx]) in signatures
-                   for idx, signatures in checks[i])
-
-    vector = next(_dense_rank_vectors(n, prefix_ok), None)
-    if vector is None:
-        return None
-    order = WeakOrderType(vector)
-    for rel, scope in constraints:
-        if order.restrict([index[v] for v in scope]) not in rel.types:
-            raise AssertionError("oracle order fails the original instance")
-    return tuple(tuple(instance.variables[p] for p in block)
-                 for block in order.blocks)
+    """Scan all weak orders on the variables, smallest rank vector first,
+    by ``relstruct._first_placement`` reading pairs off ``_ORDER``."""
+    order = _first_placement(
+        instance, TemporalPatterns(template), ORACLE_VARIABLE_LIMIT,
+        lambda n, prefix_ok: map(WeakOrderType, _dense_rank_vectors(n, prefix_ok)),
+        _comparisons)
+    return None if order is None else tuple(
+        tuple(instance.variables[p] for p in block) for block in order.blocks)
 
 
 @dataclass(frozen=True)

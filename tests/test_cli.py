@@ -635,6 +635,13 @@ class TestConsistencyCommand:
         report, code = run(["consistency", template, instance, "--kl", "wide"])
         assert code == 2
 
+    def test_non_ascii_kl_is_a_one_line_error(self, files):
+        # U+0662 and U+0663 are digits to int(), not to the --kl grammar.
+        template = files.path(LT_TEXT)
+        instance = files.path("vars x y\nLT(x,y)\n")
+        report, code = run(["consistency", template, instance, "--kl", "\u0662,\u0663"])
+        assert (report, code) == ("error: --kl expects K,L\n", 2)
+
     @pytest.mark.parametrize("kl", ["1," + "9" * 5000, "9" * 5000 + ",3", f"2,{ARITY_LIMIT + 1}"],
                              ids=["huge-l", "huge-k", "above-limit"])
     def test_oversized_kl_is_a_one_line_error(self, files, kl):
@@ -741,6 +748,16 @@ class TestRunHarness:
          f"line 2, column 9: position {'9' * 5000} outside 1..2"),
         ("classify", f"base: graph\nrel R/2: E(1,{'9' * 5000})\n", None,
          f"line 2, column 9: position {'9' * 5000} outside 1..2"),
+        # Digits that int() reads but the grammar refuses: only ASCII 0-9.
+        # U+0662 and U+0663 are the Arabic-Indic digits two and three.
+        ("classify", LT_TEXT + "rel R/\u0662: 1<\u0662\n", None,
+         "line 3, column 1: expected 'rel NAME/ARITY: types'"),
+        ("classify", "base: kfree(\u0663)\nrel R/2: E(1,2)\n", None,
+         "line 1, column 7: unknown base 'kfree(\u0663)'"),
+        ("classify", "base: graph\nrel R/2: E(1,\u0662)\n", None,
+         "line 2, column 9: expected an edge, got 'E(1,\u0662)'"),
+        ("classify", "base: temporal\nrel R/2: 1<\u0662\n", None,
+         "line 2, column 9: expected a position number, got '\u0662'"),
     ])
     def test_malformed_input_is_a_one_line_error(self, files, command, template,
                                                  instance, error):

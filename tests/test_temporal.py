@@ -1087,6 +1087,43 @@ class TestBruteOracle:
         with pytest.raises(AssertionError):
             brute_oracle(make_instance("xy", [("LT", "xy")]), Q_LT)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_returns_the_first_weak_order_that_passes_every_constraint(self, data):
+        n = data.draw(st.integers(1, 6))
+        variables = [f"v{i}" for i in range(n)]
+        relations = {"LT": LT}
+        for r in range(data.draw(st.integers(1, 3))):
+            arity = data.draw(st.integers(1, 4))
+            relations[f"R{r}"] = temporal_relation(
+                arity, data.draw(st.sets(st.sampled_from(enumerate_weak_orders(arity)))))
+        constraints = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            name = data.draw(st.sampled_from(sorted(relations)))
+            arity = relations[name].arity
+            # Drawn with replacement, so a scope may repeat a variable.
+            scope = data.draw(st.lists(st.sampled_from(variables),
+                                       min_size=arity, max_size=arity))
+            constraints.append((name, scope))
+        inst = make_instance(variables, constraints)
+        first = next(
+            (t for t in enumerate_weak_orders(n)
+             if all(t.restrict([variables.index(v) for v in scope]) in relations[name].types
+                    for name, scope in constraints)),
+            None)
+        want = None if first is None else tuple(
+            tuple(variables[p] for p in block) for block in first.blocks)
+        assert brute_oracle(inst, TemporalTemplate(relations)) == want
+
+    def test_a_relation_wider_than_the_pair_table(self):
+        # A 9-ary relation on two variables: its fingerprints compare the
+        # ranks of its own positions, which the table of ranks below
+        # ENUMERATION_LIMIT does not hold.
+        wide = temporal_relation(9, [WeakOrderType((0,) * 8 + (1,))])
+        template = TemporalTemplate({"LT": LT, "R": wide})
+        inst = make_instance("ab", [("R", "aaaaaaaab")])
+        assert brute_oracle(inst, template) == (("a",), ("b",))
+
 
 class TestClassify:
     def test_order_alone(self):
