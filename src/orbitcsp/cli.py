@@ -545,6 +545,18 @@ _COMMANDS: dict[str, tuple[Callable[..., tuple[list[str], int]], bool, bool]] = 
 }
 
 
+def _arity_argument(value: str) -> int:
+    """The value of ``--arity``: ASCII digits with an optional minus sign,
+    so that 0 and -1 reach the search's own errors, while ``٣``, `` 3``,
+    ``+3`` and ``3_0`` are usage errors, as ``z`` is."""
+    try:
+        if re.fullmatch(r"-?[0-9]+", value):
+            return int(value)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbitcsp", add_help=True)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -559,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers["polysearch"].add_argument("--shape", choices=sorted(s.value for s in Shape))
     subparsers["polysearch"].add_argument(
         "--identity", choices=[s.kind for s in polyengine.IDENTITIES])
-    subparsers["polysearch"].add_argument("--arity", type=int)
+    subparsers["polysearch"].add_argument("--arity", type=_arity_argument)
     subparsers["consistency"].add_argument("--kl", default="2,3")
     return parser
 

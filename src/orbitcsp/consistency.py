@@ -18,8 +18,11 @@ of one arity at fixed ascending, distinct positions, and holds one
 preimage mask per reading: the patterns filled so far that read to it.
 Filling projects each pattern once, lazily, so the masks are exact on the
 filled patterns and serve every pattern set inside them.  A table also
-caches, per allowed mask, the union of its readings' masks, so that a pass
-over a superset costs a few integer operations per subset.
+caches, per allowed mask, the union of its readings' masks, and per
+pattern mask its image, the mask of the readings of its patterns; so a
+pass over a superset costs a few integer operations and two dictionary
+lookups per subset.  A fill empties both caches, and a table drops its
+images once it holds :data:`IMAGE_LIMIT` of them.
 
 The engine relies on projections composing:
 ``project(project(p, P), Q) == project(p, [P[q] for q in Q])``.  So a
@@ -57,10 +60,13 @@ reads and, for each subset, the supersets that read it.  Shapes are shared
 by every call with the same three numbers, up to :data:`SUPERSET_LIMIT`
 supersets in all.  A call builds a :class:`_KLState` on its shape: per
 superset the mask of its patterns that satisfy every constraint inside it,
-found through an index of constraints by variable set, and per subset its
-allowed mask.  :meth:`_KLState.propagate` runs a FIFO worklist
-of supersets (AC-3, Mackworth 1977) that revisits a superset only when the
-allowed set of one of its subsets shrank.  The greatest fixpoint does not
+and per subset its allowed mask.  These are found from the constraints'
+supports (their sets of variables), not by scanning each superset's
+subsets: a support S is admitted only at the supersets that read it, the
+supersets of S's subset when S has at most k variables, else every
+superset of at most l variables around S.  :meth:`_KLState.propagate`
+runs a FIFO worklist of supersets (AC-3, Mackworth 1977) that revisits a
+superset only when the allowed set of one of its subsets shrank.  The greatest fixpoint does not
 depend on the order of visits.  The state is mapped back to pattern objects
 once, at the end.
 
@@ -84,10 +90,19 @@ from .relstruct import FiniteStructure, Instance, check_signature
 #: Largest number of supersets the ``consistency`` command lets a (k,l) call
 #: build, and the most that the superset shapes kept between calls hold
 #: together.  An 80-variable chain at (2,3) makes 85 400 supersets and takes
-#: about 0.9 s and 33 MB on a 2-core Xeon; time and memory grow with the
-#: count.  A shape near the limit keeps 13-16 MB ((2,3) on 84 variables and
-#: (2,4) on 39, measured with tracemalloc).
+#: about 0.4 s, with a 38 MB peak RSS, cold on a 2-core Xeon with CPython
+#: 3.11; time and memory grow with the count.  A shape near the limit keeps
+#: 18-27 MB ((2,3) on 84 variables and (2,4) on 39, measured with
+#: tracemalloc).
 SUPERSET_LIMIT = 100_000
+
+#: Most images one projection table keeps between fills; a table that holds
+#: this many drops them all before it adds another.  An image is keyed by a
+#: mask of the table's source arity, so a table's images take at most
+#: IMAGE_LIMIT such masks and as many of its readings' masks (about 80 KB
+#: for 100-bit masks).  The kl-consistency benchmark corpora of seeds 1-20,
+#: run in one process, leave at most 157 images in a table.
+IMAGE_LIMIT = 1024
 
 
 def superset_count(n: int, l: int) -> int:
@@ -175,14 +190,18 @@ def _mask(numbers: Iterable[int], size: int) -> int:
 class _Projection:
     """The patterns of one arity read at fixed positions: ``masks[q]`` is
     the mask of the filled patterns that read to number ``q``, ``filled``
-    masks the numbers filled so far, and ``unions`` caches, per allowed
-    mask, the union of its readings' masks."""
+    masks the numbers filled so far, ``unions`` caches, per allowed mask,
+    the union of its readings' masks, and ``images`` caches, per pattern
+    mask, the mask of the readings of its filled patterns.  A fill adds
+    patterns to some readings' masks, so it empties both caches; the
+    images are also dropped once there are :data:`IMAGE_LIMIT` of them."""
 
-    __slots__ = ("masks", "unions", "filled", "full", "_source", "_index", "_positions")
+    __slots__ = ("masks", "unions", "images", "filled", "full", "_source", "_index", "_positions")
 
     def __init__(self, source: _Arity, target: _Arity, positions: tuple[int, ...]):
         self.masks = [0] * target.size
         self.unions: dict[int, int] = {}
+        self.images: dict[int, int] = {}
         self.filled = 0
         self.full = source.full
         self._source, self._index, self._positions = source, target.index, positions
@@ -200,8 +219,9 @@ class _Projection:
         for q, group in groups.items():
             masks[q] |= _mask(group, size)
         self.filled |= missing
-        # A union cached before this fill lacks the new numbers.
+        # A union or image cached before this fill lacks the new numbers.
         self.unions.clear()
+        self.images.clear()
 
     def union(self, allowed: int) -> int:
         union = self.unions.get(allowed)
@@ -213,6 +233,16 @@ class _Projection:
                 rest ^= low
             self.unions[allowed] = union
         return union
+
+    def image(self, mask: int) -> int:
+        """The mask of the readings of the filled patterns of ``mask``."""
+        image = self.images.get(mask)
+        if image is None:
+            if len(self.images) >= IMAGE_LIMIT:
+                self.images.clear()
+            image = self.images[mask] = _mask(
+                compress(count(), [m & mask for m in self.masks]), len(self.masks))
+        return image
 
 
 class _Arity:
@@ -272,13 +302,15 @@ class _Shape:
     variables, are the subsets.  ``keys[s]`` is subset ``s``, ``index`` maps
     a subset to its number, ``sizes[i]`` is superset ``i``'s size,
     ``subsets[i]`` the subsets it reads in the order of ``widths[size]``
-    and :func:`~itertools.combinations`, and ``containing[s]`` the
-    supersets that read subset ``s``.  Nothing here is changed after it
-    is built, so every call with the same shape shares it."""
+    and :func:`~itertools.combinations`, ``containing[s]`` the supersets
+    that read subset ``s``, and ``ends[size]`` the number of supersets of
+    at most ``size`` variables.  Nothing here is changed after it is built,
+    so every call with the same shape shares it."""
 
-    __slots__ = ("keys", "index", "sizes", "widths", "subsets", "containing")
+    __slots__ = ("n", "keys", "index", "sizes", "widths", "subsets", "containing", "ends")
 
     def __init__(self, n: int, widest: int, top: int):
+        self.n = n
         # Per superset size, the sizes of the subsets it reads.
         self.widths = {size: (widest,) if size > widest else range(1, size + 1)
                        for size in range(1, top + 1)}
@@ -287,6 +319,7 @@ class _Shape:
         self.index = {S: s for s, S in enumerate(self.keys)}
         index, sizes, subsets = self.index, [], []
         containing: list[list[int]] = [[] for _ in self.keys]
+        self.ends: dict[int, int] = {}
         for size, widths in self.widths.items():
             for L in combinations(range(n), size):
                 read = tuple(map(index.__getitem__, chain.from_iterable(
@@ -295,8 +328,23 @@ class _Shape:
                     containing[s].append(len(sizes))
                 sizes.append(size)
                 subsets.append(read)
+            self.ends[size] = len(sizes)
         self.sizes, self.subsets = tuple(sizes), tuple(subsets)
         self.containing = tuple(map(tuple, containing))
+
+    def around(self, support: tuple[int, ...]) -> Iterable[tuple[int, tuple[int, ...]]]:
+        """Each superset that contains the ascending ``support``, as its
+        number and the positions of ``support`` in it.  Of the
+        size-t combinations of n variables, ``sum(comb(n - 1 - L[j], t - j))``
+        come after L, so L is numbered that many before ``ends[t] - 1``."""
+        n = self.n
+        rest = [v for v in range(n) if v not in support]
+        for size in range(len(support), len(self.ends) + 1):
+            last = self.ends[size] - 1
+            for extra in combinations(rest, size - len(support)):
+                L = sorted(support + extra)
+                yield (last - sum(math.comb(n - 1 - v, size - j) for j, v in enumerate(L)),
+                       tuple(map(L.index, support)))
 
 
 # (n, widest, top) -> its shape; at most SUPERSET_LIMIT supersets in all.
@@ -367,9 +415,19 @@ class _KLState:
     k-subsets carry every narrower reading and constraint, and the fixpoint
     is the one that reading every subset gives.
 
+    The candidates are found from the supports: the constraints on one
+    support S (its ascending distinct variables) are translated to S and
+    met in one mask, which is admitted only at the supersets that read S,
+    through the table that reads S in each (at S itself, directly).  These
+    are ``containing[s]`` when S is subset ``s``, else the supersets around
+    S (:meth:`_Shape.around`).  Supports come in size-then-lexicographic
+    order, so each superset admits its constraints in the order that
+    scanning its own subsets would, and every table fills over the same
+    candidates.
+
     A table is filled where it is read, over the mask it is read with: a
-    constraint's over the candidates (:meth:`_admit`), a reading's over the
-    visiting superset's mask, which shrinks with each reading before it.
+    support's over the candidates, a reading's over the visiting superset's
+    mask, which shrinks with each reading before it.
     """
 
     def __init__(self, instance: Instance, space: PatternSpace, k: int, l: int):
@@ -391,43 +449,50 @@ class _KLState:
         self.subsets, self.containing = shape.subsets, shape.containing
         self._widest = widest
         self._members: dict[tuple[str, tuple[int, ...]], int] = {}
-        self._admitted: dict[tuple[int, tuple[int, ...], str], int] = {}
-        self.empty = False
 
         position = self._position = {v: i for i, v in enumerate(self.variables)}
+        # Per support, its constraints with their scopes as positions in it.
         by_support: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
         for name, scope in instance.constraints:
             scope = tuple(map(position.__getitem__, scope))
-            by_support.setdefault(tuple(sorted(set(scope))), []).append((name, scope))
-        support_sizes = sorted({len(support) for support in by_support})
+            support = tuple(sorted(set(scope)))
+            by_support.setdefault(support, []).append((name, tuple(map(support.index, scope))))
 
-        self.allowed: list[int] = []
-        self.viable: list[int] = []
-        for size in arities:
-            for L in combinations(range(n), size):
-                candidates = arities[size].full
-                at = None
-                for m in support_sizes:
-                    if m > size:
-                        break
-                    if m < widest < size:
-                        # The k-subsets that L reads take these in.
-                        continue
-                    for support in combinations(L, m):
-                        for name, scope in by_support.get(support, ()):
-                            if at is None:
-                                at = {v: i for i, v in enumerate(L)}
-                            candidates = self._admit(
-                                candidates, size, tuple(map(at.__getitem__, scope)), name)
-                if size <= widest:
-                    if not candidates:
-                        self.empty = True
-                        return
-                    self.allowed.append(candidates)
-                self.viable.append(candidates)
         # Per superset size, the table of each reading, in combinations() order.
-        self.readings = {size: [_projection(arities, size, positions) for m in shape.widths[size]
-                                for positions in combinations(range(size), m)] for size in arities}
+        readings = self.readings = {
+            size: [_projection(arities, size, positions) for m in shape.widths[size]
+                   for positions in combinations(range(size), m)] for size in arities}
+        viable = self.viable = [arities[size].full for size in self.sizes]
+        sizes, subsets, project = self.sizes, self.subsets, space.project
+        for support in sorted(by_support, key=lambda S: (len(S), S)):
+            if len(support) > len(arities):
+                break  # no superset holds it
+            members = -1
+            for name, positions in by_support[support]:
+                members &= self._translated(name, positions)
+            # Each superset that reads the support, with the table it reads
+            # the support through, or None at the support itself.
+            if len(support) <= widest:
+                s = shape.index[support]
+                at = [(i, readings[sizes[i]][subsets[i].index(s)] if i != s else None)
+                      for i in shape.containing[s]]
+            else:
+                at = [(i, _projection(arities, sizes[i], positions)
+                       if len(positions) < sizes[i] else None)
+                      for i, positions in shape.around(support)]
+            for i, table in at:
+                candidates = viable[i]
+                if table is None:
+                    viable[i] = candidates & members
+                    continue
+                if table.filled != table.full:
+                    table.fill(candidates, project)
+                union = table.unions.get(members)
+                viable[i] = candidates & (table.union(members) if union is None else union)
+        self.allowed = viable[:len(self.keys)]
+        # A superset wider than k with an empty mask would end the fixpoint
+        # on its first visit, so the state is empty already.
+        self.empty = 0 in viable
 
     def _translated(self, name: str, positions: tuple[int, ...]) -> int:
         """The mask of the patterns of arity ``max(positions) + 1`` whose
@@ -447,32 +512,6 @@ class _KLState:
             mask = _mask((i for i in map(numbers.get, members) if i is not None), source.size)
             self._members[key] = mask
         return mask
-
-    def _admit(self, candidates: int, size: int, positions: tuple[int, ...], name: str) -> int:
-        """The candidates whose ``positions`` reading lies in relation ``name``.
-
-        The reading goes through the table of the ascending distinct
-        positions D, so every permutation and repeat of D shares it, and the
-        relation is translated to arity |D| instead.  The table is filled
-        over the candidates, so its masks are exact on them; once it is
-        complete, the answer is one mask per call, kept for the other
-        supersets of this size."""
-        key = (size, positions, name)
-        admitted = self._admitted.get(key)
-        if admitted is not None:
-            return candidates & admitted
-        distinct = tuple(sorted(set(positions)))
-        members = self._translated(name, tuple(map(distinct.index, positions)))
-        if distinct == tuple(range(size)):
-            admitted = members
-        else:
-            table = _projection(self._arities, size, distinct)
-            table.fill(candidates, self.space.project)
-            admitted = table.union(members)
-            if table.filled != table.full:
-                return candidates & admitted
-        self._admitted[key] = admitted
-        return candidates & admitted
 
     def subset(self, variables: Sequence[str]) -> int:
         """The number of the subset on ``variables``."""
@@ -495,8 +534,9 @@ class _KLState:
         one of the ``changed`` subsets (variable tuples), and then those
         whose subsets shrink in turn.  Every visit narrows the superset's
         mask by its readings and then cuts each subset it reads down to the
-        image of that mask; after the first visit a superset is queued again
-        only when one of those images loses a pattern, so its mask shrinks.
+        image of that mask, which each table keeps per mask; after the first
+        visit a superset is queued again only when one of those images loses
+        a pattern, so its mask shrinks.
         """
         if self.empty:
             return False
@@ -515,22 +555,20 @@ class _KLState:
         while queue:
             i = queue.popleft()
             mine = viable[i]
-            for s, table in zip(subsets[i], readings[sizes[i]]):
+            read = list(zip(subsets[i], readings[sizes[i]]))
+            # The caches are read inline: a method is called only on a miss.
+            for s, table in read:
                 if table.filled != table.full:
                     table.fill(mine, project)
-                mine &= table.union(allowed[s])
+                union = table.unions.get(allowed[s])
+                mine &= table.union(allowed[s]) if union is None else union
             if not mine:
                 self.empty = True
                 return False
             viable[i] = mine
-            for s, table in zip(subsets[i], readings[sizes[i]]):
-                masks = table.masks
-                kept = rest = allowed[s]
-                while rest:
-                    low = rest & -rest
-                    if not masks[low.bit_length() - 1] & mine:
-                        kept ^= low
-                    rest ^= low
+            for s, table in read:
+                image = table.images.get(mine)
+                kept = allowed[s] & (table.image(mine) if image is None else image)
                 if kept != allowed[s]:
                     # Every pattern of ``mine`` reads into allowed[s], so
                     # kept is not empty, and it is the image of ``mine``:

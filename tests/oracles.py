@@ -237,6 +237,41 @@ def reference_establish_kl(instance, template, k=2, l=3):
     return ConsistencyState(k, l, variables, allowed)
 
 
+def reference_initial_masks(instance, space, k=2, l=3):
+    """Each superset's candidate mask and each subset's allowed mask before
+    the (k,l) fixpoint runs, found superset by superset, as the kernel did
+    before it admitted each constraint only at the supersets that read its
+    support.  Supersets of at most l variables come in size-then-
+    lexicographic order.  A superset L takes in every constraint whose
+    variables all lie in L, except that L takes none on fewer than k
+    variables when L has more than k (its k-subsets carry those): its mask
+    holds the patterns whose reading at the scope's positions in L is a
+    member.  Returns ``(viable, allowed)``, the masks of all supersets and
+    those of the subsets, of at most k variables."""
+    variables = instance.variables
+    n = len(variables)
+    widest, top = min(k, n), min(l, n)
+    admitted = {}
+    viable = []
+    for size in range(1, top + 1):
+        patterns = space.patterns(size)
+        for L in combinations(variables, size):
+            at = {v: i for i, v in enumerate(L)}
+            mask = (1 << len(patterns)) - 1
+            for name, scope in instance.constraints:
+                support = set(scope)
+                if not support <= at.keys() or len(support) < widest < size:
+                    continue
+                key = (size, tuple(at[v] for v in scope), name)
+                if key not in admitted:
+                    members = space.members(name)
+                    admitted[key] = sum(1 << i for i, p in enumerate(patterns)
+                                        if space.project(p, key[1]) in members)
+                mask &= admitted[key]
+            viable.append(mask)
+    return viable, viable[:sum(comb(n, m) for m in range(1, widest + 1))]
+
+
 def reference_translated(space, name: str, positions: Sequence[int]) -> int:
     """The mask of the patterns of arity ``max(positions) + 1`` whose reading
     at ``positions`` is a member of relation ``name``, found by projecting

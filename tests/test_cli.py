@@ -815,8 +815,11 @@ class TestRunHarness:
         ["improvise"], ["classify"], ["solve", "t"], ["consistency"],
         ["solve", "t", "i", "--mode", "lex"], ["polysearch", "t", "--shape", "round"],
         ["polysearch", "t", "--identity", "wnu", "--arity", "z"],
+        # --arity takes ASCII digits and a minus sign only.
+        *(["polysearch", "t", "--identity", "wnu", "--arity", arity]
+          for arity in ["\u0663", " 3", "+3", "3_0", "3 ", "9" * 5000]),
         ["classify", "t", "--kl", "2,3"],
-    ], ids=" ".join)
+    ], ids=lambda argv: " ".join(argv)[:60])
     def test_help_and_usage_match_a_fresh_parser(self, files, capsys, monkeypatch,
                                                  columns, argv):
         # The shared parser prints what a parser built for this call would,

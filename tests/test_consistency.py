@@ -36,7 +36,13 @@ from orbitcsp.temporal import (
     temporal_relation,
 )
 
-from oracles import exhaustive_hom, pair_label, reference_establish_kl, reference_translated
+from oracles import (
+    exhaustive_hom,
+    pair_label,
+    reference_establish_kl,
+    reference_initial_masks,
+    reference_translated,
+)
 
 TWO_COLORING = FiniteStructure(2, {"E": relation(2, [(0, 1), (1, 0)])})
 ONE_IN_THREE = FiniteStructure(2, {"R": relation(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])})
@@ -505,6 +511,39 @@ def test_wide_supersets_read_only_their_k_subsets(k, l):
             S for size in sizes for S in combinations(L, size)]
 
 
+@st.composite
+def support_instances(draw, relations):
+    """One to six constraints on at most five variables.  Each scope is
+    drawn with replacement, or as distinct variables in any order, so that
+    a relation as wide as the instance spans that many variables."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    constraints = []
+    for name in draw(st.lists(st.sampled_from(sorted(relations)), min_size=1, max_size=6)):
+        arity = relations[name].arity
+        if arity <= len(names) and draw(st.booleans()):
+            scope = draw(st.permutations(names))[:arity]
+        else:
+            scope = draw(st.lists(st.sampled_from(names), min_size=arity, max_size=arity))
+        constraints.append((name, tuple(scope)))
+    return make_instance(names, constraints)
+
+
+@pytest.mark.parametrize("k,l", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 5), (3, 4)])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SPACES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_initial_masks_match_the_superset_scan(kind, k, l, data):
+    # Each constraint support is admitted only at the supersets that read
+    # it.  Supports come narrower than k, wider than k and wider than l, from
+    # permuted and repeated scopes; the masks before the fixpoint must be
+    # those that scanning each superset gives.
+    space = REFERENCE_SPACES[kind]
+    instance = data.draw(support_instances(space.template.relations))
+    state = _KLState(instance, space, k, l)
+    viable, allowed = reference_initial_masks(instance, space, k, l)
+    assert (state.viable, state.allowed, state.empty) == (viable, allowed, 0 in viable)
+
+
 class CountedFreshWeakOrders(TemporalPatterns):
     """A temporal space that builds a new pattern list on every call, so
     that each call starts with empty tables, and counts ``project`` calls."""
@@ -589,6 +628,40 @@ def test_a_table_filled_further_by_a_later_call():
     for constraints in ([("LT", ("x", "y")), ("LT", ("y", "z"))], [("LT", ("y", "x"))]):
         instance = make_instance("xyz", constraints)
         assert establish_kl(instance, space, 2, 3) == reference_establish_kl(instance, space, 2, 3)
+
+
+def test_a_fill_drops_the_images_it_makes_stale():
+    # An image holds the readings of a mask's filled patterns, so a fill
+    # that adds patterns of the mask must drop it.  The fixpoint asks only
+    # for images of masks its tables are filled over, so this reads one
+    # table of fresh patterns directly.
+    space = OwnWeakOrders(TEMPORAL)
+    arities = consistency._numbered(space, {m: space.patterns(m) for m in (2, 3)})
+    table = consistency._projection(arities, 3, (0, 1))
+    triples, pairs = space.patterns(3), space.patterns(2)
+
+    def image(numbers):
+        return consistency._mask({pairs.index(triples[i].restrict((0, 1))) for i in numbers},
+                                 len(pairs))
+
+    below = [i for i, t in enumerate(triples) if t.ranks[0] < t.ranks[1]]
+    table.fill(consistency._mask(below, len(triples)), space.project)
+    everything = (1 << len(triples)) - 1
+    assert table.image(everything) == image(below) != image(range(len(triples)))
+    table.fill(everything, space.project)
+    assert table.image(everything) == image(range(len(triples)))
+
+
+def test_a_table_keeps_at_most_image_limit_images(monkeypatch):
+    monkeypatch.setattr(consistency, "IMAGE_LIMIT", 2)
+    space = OwnWeakOrders(TEMPORAL)
+    arities = consistency._numbered(space, {m: space.patterns(m) for m in (2, 3)})
+    table = consistency._projection(arities, 3, (0, 1))
+    table.fill(arities[3].full, space.project)
+    for mask in range(1, 6):
+        table.image(mask)
+        assert 1 <= len(table.images) <= 2
+    assert table.image(5) == table.image(1) | table.image(4)
 
 
 class CountedOwnWeakOrders(OwnWeakOrders):
