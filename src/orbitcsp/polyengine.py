@@ -13,18 +13,20 @@ delegation to the fixed tables rather than by searching a 64-cell table.
 
 Boolean solving has one entry point, ``_boolean_solver``.  It takes
 ``(rows, variable indices)`` constraints and a class set, picks the first
-class in table order, and returns ``solve(pins)``.  Both Horn classes
-share ``_HornEngine``, a watch-list fixpoint that computes the pin-free
-fixpoint once and answers each pin set from it, in time linear in the
-instance size.  Affine builds one reduced GF(2) system with the solver,
-and a solve reduces only its pins into a copy of it.  The other classes
-take the pins as unary constraints: majority runs (2,3)-consistency on
-binary projections, a constant class tries its constant, and no class
-means backtracking search.  Every answer is checked against every
-constraint: the Horn engine keeps every constraint holding at its
-pin-free fixpoint and checks only the constraints without the start row
-and those watching a variable a fixpoint or a solve moved, the other
-solvers check every constraint on every answer.
+class in table order, and returns ``solve(pins)``, whose answer is the
+set of variables a solution sets to 1, or None.  Both Horn classes share
+``_HornEngine``, a watch-list fixpoint that keeps the pin-free fixpoint
+and answers each pin set from the trail of the variables its pins move,
+in time linear in what they touch.  Affine builds one reduced GF(2)
+system with the solver, and a solve reduces only its pins into a copy of
+it.  The other classes take the pins as unary constraints: majority runs
+(2,3)-consistency on binary projections, a constant class tries its
+constant, and no class means backtracking search.  Every answer is
+checked against every constraint: the Horn engine keeps every
+constraint holding at its pin-free fixpoint and checks only the
+constraints without the start row and those watching a variable a
+fixpoint or a solve moved, the other solvers check every constraint on
+every answer.
 ``schaefer_solve`` indexes a named instance and
 solves it once; ``temporal`` compiles one solver per master call, solves
 it under many pin sets, and narrows it with ``_narrow_solver`` as levels
@@ -37,7 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .consistency import EMPTY_DERIVED, establish_kl
@@ -392,13 +394,18 @@ class _HornEngine:
     some constraint has the other value at one of its positions.  Each
     constraint is watched by the variables in its scope and revisited only
     when one of them moves, so a fixpoint costs time linear in the instance
-    size (Dowling and Gallier, 1984).  The pin-free fixpoint, ``base``, is
-    computed once, when the engine is built, and again by :meth:`narrow`,
-    which narrows or drops constraints in place; :meth:`solve` starts from
-    it and queues only the constraints of the variables its pins move.  A
-    constraint reads its rows as bit masks of the positions off the start
-    value, memoised for the process per row set (:func:`_row_masks`), so an
-    engine rebuilt on the same rows computes none.
+    size (Dowling and Gallier, 1984).  The pin-free fixpoint, ``base``, and
+    the variables it moved from the start, ``shifted``, are computed when
+    the engine is built.  :meth:`narrow` narrows or drops constraints in
+    place; it keeps ``base`` when no constraint lacks the start row and
+    ``base`` is the all-start row, which is then the fixpoint again, and
+    recomputes it from the start otherwise.  :meth:`solve` moves only the
+    variables its pins force, on ``base`` itself, keeps them on a trail,
+    reads its answer off the trail and undoes it, so a solve costs what
+    its pins touch.  A constraint reads its rows as bit masks of the
+    positions off the start value, memoised for the process per row set
+    (:func:`_row_masks`), so an engine rebuilt on the same rows computes
+    none.
 
     The answers are checked through one invariant: every constraint holds
     at ``base``.  A constraint with the start row holds at the all-start
@@ -409,8 +416,8 @@ class _HornEngine:
     not closed can fail a check, a solver fault: the solve raises, and once
     a ``base`` has failed, every later solve does.  Every nonempty relation
     of the temporal quotient holds the all-P row, 0: there a bottom-up
-    engine has no ``lacking`` constraint and its ``base`` stays all 0, and
-    only a top-down ``base`` moves.
+    engine has no ``lacking`` constraint, its ``base`` stays all 0 and no
+    narrowing recomputes it; only a top-down ``base`` moves.
     """
 
     def __init__(self, n: int, constraints: _Constraints, top_down: bool):
@@ -425,6 +432,7 @@ class _HornEngine:
         # from the start.
         self.lacking = {c for c, masks in enumerate(self.masks) if 0 not in masks}
         self.base: Optional[bytearray] = None
+        self.shifted: frozenset[int] = frozenset()
         self.faulty = False
         self._fixpoint()
 
@@ -432,8 +440,10 @@ class _HornEngine:
                ) -> None:
         """Give each changed constraint its new ``(rows, scope)``, whose
         variables must all lie in its current scope so that the watch lists
-        stay valid, or drop it (None); then recompute the pin-free
-        fixpoint."""
+        stay valid, or drop it (None).  Then keep the pin-free fixpoint if
+        it is the all-start row and no constraint lacks the start row: every
+        constraint holds there, and nothing moves from it.  Otherwise
+        recompute it from the all-start row."""
         for c, constraint in changes.items():
             if constraint is None:
                 # An empty scope always holds and is always stable, so the
@@ -445,7 +455,8 @@ class _HornEngine:
                 self.lacking.discard(c)
             else:
                 self.lacking.add(c)
-        self._fixpoint()
+        if self.lacking or self.shifted or self.base is None:
+            self._fixpoint()
 
     def _fixpoint(self) -> None:
         """Recompute the pin-free fixpoint every solve starts from, None
@@ -455,9 +466,9 @@ class _HornEngine:
         base = bytearray([self.start]) * len(self.watch)
         moved: list[int] = []
         if not self._propagate(base, (), list(self.lacking), moved):
-            self.base = None
+            self.base, self.shifted = None, frozenset()
             return
-        self.base = base
+        self.base, self.shifted = base, frozenset(moved)
         check = [*self.lacking, *(c for v in moved for c in self.watch[v])]
         if not self._holds(base, check):
             self.faulty = True
@@ -501,36 +512,54 @@ class _HornEngine:
                         queue.extend(watch[v])
         return True
 
-    def solve(self, pins: Mapping[int, int]) -> Optional[list[int]]:
-        """The least (greatest) solution with the pinned variables fixed to
-        their values, or None."""
+    def solve(self, pins: Mapping[int, int]) -> Optional[frozenset[int]]:
+        """The variables set to 1 in the least (greatest) solution with the
+        pinned variables fixed to their values, or None.
+
+        The solve moves variables on ``base`` itself, keeps them on a
+        trail, ``moved``, and sets them back to the start value before it
+        returns, so ``base`` is the same after every solve.  Bottom-up the
+        answer is ``shifted`` and the trail: the variables at 1 are those
+        the pin-free fixpoint or the pins moved from 0.  Top-down the start
+        value is 1, and the ones are the complement of what moved: the
+        variables that neither ``base`` nor the pins moved to 0.  They are
+        read off the bound before the trail is undone, so the answer is the
+        solution itself, at a cost linear in n."""
         if self.faulty:
             raise AssertionError("horn solution violated a constraint")
-        if self.base is None:
+        bound = self.base
+        if bound is None:
             return None
-        bound = bytearray(self.base)
+        start = self.start
         frozen = set()
         queue: list[int] = []
         moved: list[int] = []
-        for v, value in pins.items():
-            if value == self.start:
-                if bound[v] != value:
-                    return None
-                frozen.add(v)
-            elif bound[v] != value:
-                bound[v] = value
-                moved.append(v)
-                queue.extend(self.watch[v])
-        if not self._propagate(bound, frozen, queue, moved):
-            return None
-        # At the fixpoint the meet (join) of each constraint's feasible rows
-        # equals the bound on its scope, and closure puts it inside the rows.
-        for v in moved:
-            if not self._holds(bound, self.watch[v]):
-                raise AssertionError("horn solution violated a constraint")
-        if any(bound[v] != value for v, value in pins.items()):
-            raise AssertionError("horn solution violated a pin")
-        return list(bound)
+        try:
+            for v, value in pins.items():
+                if value == start:
+                    if bound[v] != value:
+                        return None
+                    frozen.add(v)
+                elif bound[v] != value:
+                    bound[v] = value
+                    moved.append(v)
+                    queue.extend(self.watch[v])
+            if not self._propagate(bound, frozen, queue, moved):
+                return None
+            # At the fixpoint the meet (join) of each constraint's feasible
+            # rows equals the bound on its scope, and closure puts it inside
+            # the rows.
+            for v in moved:
+                if not self._holds(bound, self.watch[v]):
+                    raise AssertionError("horn solution violated a constraint")
+            if any(bound[v] != value for v, value in pins.items()):
+                raise AssertionError("horn solution violated a pin")
+            if start:
+                return frozenset(compress(range(len(bound)), bound))
+            return self.shifted.union(moved)
+        finally:
+            for v in moved:
+                bound[v] = start
 
 
 def _majority_solve(n: int, constraints: _Constraints) -> Optional[list[int]]:
@@ -641,19 +670,26 @@ def _affine_pinned(n: int, system: Optional[dict[int, tuple[int, int]]],
 _PIN_ROWS = (frozenset({(0,)}), frozenset({(1,)}))
 
 
-def _solver_class(classes: Iterable[BooleanClass]) -> BooleanClass:
+@lru_cache(maxsize=None)
+def _solver_class(classes: frozenset[BooleanClass]) -> BooleanClass:
     """The class whose algorithm :func:`_boolean_solver` runs: the first of
-    ``classes`` in table order, TRIVIAL when none is given."""
+    ``classes`` in table order, TRIVIAL when none is given.  Memoised per
+    class set, which recurs at every level of a master solve."""
     return next((c for c, _ in _CLASS_TABLES if c in classes), BooleanClass.TRIVIAL)
 
 
+#: A solver's answer to a pin set: the variables set to 1, or None.
+_Solve = Callable[[Mapping[int, int]], Optional[frozenset[int]]]
+
+
 def _boolean_solver(n: int, constraints: _Constraints,
-                    classes: Iterable[BooleanClass],
-                    ) -> Callable[[Mapping[int, int]], Optional[list[int]]]:
+                    classes: Iterable[BooleanClass]) -> _Solve:
     """The solver of boolean constraints on variables ``0..n-1`` for the
     first of ``classes`` in table order; backtracking search when none is
     given.  The returned ``solve(pins)`` fixes each pinned variable to its
-    value and returns a solution vector, or None.
+    value and returns the variables that a solution sets to 1, or None:
+    one answer for every algorithm, so that a caller reads a Horn engine's
+    trail and a full solution vector alike.
 
     This and :func:`_narrow_solver` are the only code that maps a class to
     its algorithm.  Both Horn classes answer from one :class:`_HornEngine`.
@@ -665,13 +701,13 @@ def _boolean_solver(n: int, constraints: _Constraints,
     answer that fails means no constant solution, any other that fails is
     a solver fault.
     """
-    cls = _solver_class(classes)
+    cls = _solver_class(frozenset(classes))
     if cls in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR):
         return _HornEngine(n, constraints, top_down=cls is BooleanClass.DUAL_HORN_OR).solve
     if cls is BooleanClass.MINORITY_AFFINE:
         system = _affine_system(constraints)
 
-    def solve(pins: Mapping[int, int]) -> Optional[list[int]]:
+    def solve(pins: Mapping[int, int]) -> Optional[frozenset[int]]:
         pinned = [*constraints, *((_PIN_ROWS[value], (v,)) for v, value in pins.items())]
         if cls is BooleanClass.MAJORITY_2SAT:
             values = _majority_solve(n, pinned)
@@ -684,7 +720,7 @@ def _boolean_solver(n: int, constraints: _Constraints,
         if values is None:
             return None
         if all(tuple(values[v] for v in scope) in tuples for tuples, scope in pinned):
-            return list(values)
+            return frozenset(compress(range(n), values))
         if cls in (BooleanClass.CONSTANT0, BooleanClass.CONSTANT1):
             return None
         raise AssertionError(f"{cls.value} solution violated a constraint")
@@ -692,8 +728,7 @@ def _boolean_solver(n: int, constraints: _Constraints,
     return solve
 
 
-def _narrow_solver(solve: Callable[[Mapping[int, int]], Optional[list[int]]],
-                   classes: Iterable[BooleanClass],
+def _narrow_solver(solve: _Solve, classes: Iterable[BooleanClass],
                    changes: Mapping[int, Optional[tuple[frozenset, tuple[int, ...]]]],
                    ) -> bool:
     """Narrow a solver that :func:`_boolean_solver` returned in place, as
@@ -702,7 +737,7 @@ def _narrow_solver(solve: Callable[[Mapping[int, int]], Optional[list[int]]],
     position.  False, with the solver unchanged, when a fresh solver must
     be built."""
     engine = getattr(solve, "__self__", None)
-    cls = _solver_class(classes)
+    cls = _solver_class(frozenset(classes))
     if (not isinstance(engine, _HornEngine)
             or cls not in (BooleanClass.HORN_AND, BooleanClass.DUAL_HORN_OR)
             or engine.start != (cls is BooleanClass.DUAL_HORN_OR)):
@@ -724,5 +759,5 @@ def schaefer_solve(instance: Instance, template: FiniteStructure,
     index = {v: i for i, v in enumerate(instance.variables)}
     constraints = [(template.relations[name].tuples, tuple(index[v] for v in scope))
                    for name, scope in instance.constraints]
-    values = _boolean_solver(len(index), constraints, {cls})({})
-    return None if values is None else dict(zip(instance.variables, values))
+    ones = _boolean_solver(len(index), constraints, {cls})({})
+    return None if ones is None else {v: int(i in ones) for v, i in index.items()}

@@ -35,7 +35,8 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from heapq import heappop, heappush
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence
 
 from .errors import (
@@ -347,26 +348,31 @@ def preserves_temporal(op: TemporalOp, rel: TemporalRelation):
 # the first free set found in declaration order, which in the ll modes each
 # later member's least free set replaces when smaller.  A variable that
 # some live constraint forbids at Z on its own, with no quotient row that
-# puts it at Z, lies in no free set, and the pass skips it unsolved; the
-# quotient keeps these blocked counts up to date as levels are committed.
-# Then it commits the level and asks again of what is left.  So one
-# _Quotient is compiled per solve_master call: one pattern lookup per
-# constraint, scopes as variable indices, a variable-to-constraint index,
-# the class set, and the solver that polyengine._boolean_solver picks for
-# it.  The class set is kept as a count of (arity, patterns) pairs and
-# memoised on them for the process.  Committing a level (_Quotient.commit)
-# visits only the constraints whose scope meets it and recounts the blocked
-# variables of those alone; constraints keep their ids in the instance.
-# Each is projected past the level by _project, memoised for the process,
-# so the same (relation, positions) gives the same relation object and the
-# pattern lookup hits by identity.  Then polyengine._narrow_solver narrows
-# a Horn engine in place when the classes still pick its algorithm (a
-# scope only shrinks to remaining variables, so its watch lists stay
-# valid, and the pin-free fixpoint is recomputed once per level);
-# otherwise a fresh solver is built on the remaining variables.  A pin is
-# a solver index mapped to Z or P; a Horn quotient answers it from the
-# pin-free fixpoint.  Every quotient solve is a call of _solve_afin, under
-# that global name, so that it can be counted.
+# puts it at Z, lies in no free set: it is blocked.  The quotient keeps a
+# blocked count per variable and a heap of the declaration positions whose
+# count is 0, so the pass pops only unblocked candidates.  Then it commits
+# the level and asks again of what is left.
+#
+# One _Quotient is compiled per solve_master call.  Each live constraint is
+# a scope and a _State: its relation and the shape of its repeated scope
+# variables, with the zero/positive patterns, the first-occurrence
+# positions never at Z, and the (arity, patterns) class key.  States are
+# memoised for the process and looked up once per constraint, when the
+# quotient is built.  Committing a level (_Quotient.commit) visits only the
+# constraints whose scope meets it and moves each along one transition,
+# (state, positions on the level) -> (next state or None, kept positions),
+# memoised for the process, so a level recomputes no projection, pattern
+# set or blocked position that an earlier level or call has computed.  The
+# class set is kept as a count of class keys, its classes memoised on them
+# for the process.  Then polyengine._narrow_solver narrows a Horn engine in
+# place when the classes still pick its algorithm (a scope only shrinks to
+# remaining variables, so its watch lists stay valid); otherwise a fresh
+# solver is built on the remaining variables.  A pin is a solver index
+# mapped to Z or P, and a solve answers with the solver indices set to 1,
+# which is Z: a bottom-up Horn engine reads them off the trail of the
+# variables its pins moved, so a level costs what it touches.  Every
+# quotient solve is a call of _solve_afin, under that global name, so that
+# it can be counted.
 # ---------------------------------------------------------------------------
 
 Z_VALUE = 1
@@ -423,23 +429,6 @@ def _constraint_list(instance: Instance,
     return [(template.relations[name], scope) for name, scope in instance.constraints]
 
 
-@lru_cache(maxsize=None)
-def _never_zero(patterns: frozenset[tuple[int, ...]], arity: int) -> tuple[int, ...]:
-    """The positions that no row of ``patterns`` puts at Z."""
-    return tuple(i for i in range(arity) if all(row[i] != Z_VALUE for row in patterns))
-
-
-def _blocked(patterns: frozenset[tuple[int, ...]],
-             scope: tuple[str, ...]) -> tuple[str, ...]:
-    """The variables of the scope that no row of ``patterns`` puts at Z at
-    all of their positions: a constraint on this scope forbids each of
-    them at Z on its own.  A row on the scope gives a repeated variable
-    one value at all of its positions (:func:`_fin_patterns` skips the
-    types that do not), so the positions never at Z name them."""
-    return tuple(dict.fromkeys(scope[i] for i in _never_zero(patterns, len(scope))))
-
-
-@lru_cache(maxsize=None)
 def _project(rel: TemporalRelation, positions: tuple[int, ...],
              ) -> tuple[Optional[TemporalRelation], tuple[int, ...]]:
     """The relation left once the positions sit on the committed level,
@@ -456,36 +445,93 @@ def _project(rel: TemporalRelation, positions: tuple[int, ...],
     return TemporalRelation(len(rest), types), rest
 
 
+class _State:
+    """A live constraint's relation on a scope of one repeat shape, given
+    as the index of each scope entry's first occurrence, e.g. ``(0, 0, 2)``
+    for ``(x, x, y)``.  It holds the zero/positive ``patterns``
+    (:func:`_fin_patterns_of`); ``never_zero``, the first-occurrence
+    positions that no pattern puts at Z, whose scope variables are the
+    ones the constraint forbids at Z on its own, each named once; and the
+    class ``key``, ``(arity, patterns)``.  States are memoised for the
+    process (:func:`_state`), so equal ones are one object."""
+
+    __slots__ = ("rel", "repeats", "patterns", "never_zero", "key")
+
+    def __init__(self, rel: TemporalRelation, repeats: tuple[int, ...]):
+        self.rel = rel
+        self.repeats = repeats
+        self.patterns = patterns = _fin_patterns_of(rel, repeats)
+        # A pattern gives a repeated variable one value at all of its
+        # positions (_fin_patterns_of skips the types that do not), so its
+        # first position stands for all of them.
+        self.never_zero = tuple(
+            i for i, first in enumerate(repeats)
+            if first == i and all(row[i] != Z_VALUE for row in patterns))
+        self.key = (rel.arity, patterns)
+
+
+@lru_cache(maxsize=None)
+def _state(rel: TemporalRelation, repeats: tuple[int, ...]) -> _State:
+    return _State(rel, repeats)
+
+
+def _constraint_state(rel: TemporalRelation, scope: Sequence[str]) -> _State:
+    """The state of a constraint: one lookup, made when a quotient is
+    built."""
+    return _state(rel, tuple(map(scope.index, scope)))
+
+
+@lru_cache(maxsize=None)
+def _transition(state: _State, positions: tuple[int, ...],
+                ) -> tuple[Optional[_State], tuple[int, ...]]:
+    """The state a constraint moves to once ``positions`` of its scope
+    sit on the committed level, None when it keeps no position, and the
+    positions it keeps.  Memoised for the process."""
+    rel, rest = _project(state.rel, positions)
+    if rel is None:
+        return None, rest
+    first: dict[int, int] = {}
+    repeats = state.repeats
+    return _state(rel, tuple(first.setdefault(repeats[i], j) for j, i in enumerate(rest))), rest
+
+
 class _Quotient:
     """A quotient instance compiled for repeated solves under pins and
     narrowed one committed level at a time.  ``variables`` are the
     remaining variables, ``index`` maps each to its solver index, ``names``
     maps a solver index back to its variable, None once committed, and
-    ``solve`` maps pins on solver indices to a solution vector, or None.
+    ``solve`` maps pins on solver indices to the solver indices at Z, or
+    None.
 
-    ``blocked`` counts, per remaining variable, the live constraints that
-    forbid it at Z on their own (:func:`_blocked`); no free set contains a
-    variable with a count above 0, so :func:`_next_level` skips those in
-    its scan of ``variables``."""
+    Per constraint id, ``states`` holds its :class:`_State`, None once
+    dropped, and ``scopes`` its scope.  ``blocked`` counts, per remaining
+    variable, the live constraints that forbid it at Z on their own: those
+    with the variable at a ``never_zero`` position.  No free set contains
+    a variable with a count above 0.  ``ready`` is a heap of positions in
+    ``declared``, for :func:`_next_level`: every remaining variable whose
+    count is 0 has its position there, pushed when the count reaches 0.
+    Entries committed or blocked since then stay until they are popped."""
 
-    def __init__(self, variables: tuple[str, ...],
+    def __init__(self, variables: Sequence[str],
                  constraints: Sequence[_Constraint]):
-        self.index = {v: i for i, v in enumerate(variables)}
-        # Per constraint id: the relation and scope, None once dropped, and
-        # the zero/positive patterns of the relation on that scope; per
-        # variable, the ids of the constraints whose scope holds it.
-        self.constraints: list[Optional[_Constraint]] = list(constraints)
-        self.patterns = [_fin_patterns(rel, scope) for rel, scope in constraints]
-        self.blocked = dict.fromkeys(variables, 0)
+        self.declared = variables = tuple(variables)
+        self.position = {v: p for p, v in enumerate(variables)}
+        self.index = dict(self.position)
+        self.states: list[Optional[_State]] = [
+            _constraint_state(rel, scope) for rel, scope in constraints]
+        self.scopes = [scope for _, scope in constraints]
+        self.blocked = blocked = dict.fromkeys(variables, 0)
+        # Per variable, the ids of the constraints whose scope holds it.
         self.touching: dict[str, list[int]] = {v: [] for v in variables}
-        for c, (_, scope) in enumerate(constraints):
-            for v in _blocked(self.patterns[c], scope):
-                self.blocked[v] += 1
+        for c, (state, scope) in enumerate(zip(self.states, self.scopes)):
+            for i in state.never_zero:
+                blocked[scope[i]] += 1
             for v in dict.fromkeys(scope):
                 self.touching[v].append(c)
+        # Ascending, so already a heap.
+        self.ready = [p for p, v in enumerate(variables) if not blocked[v]]
         # The class key: a count of live constraints per (arity, patterns).
-        self.counts = Counter((len(scope), patterns) for (_, scope), patterns
-                              in zip(constraints, self.patterns))
+        self.counts = Counter(state.key for state in self.states)
         self._build(self._classes(frozenset(self.counts)))
 
     @property
@@ -507,47 +553,52 @@ class _Quotient:
         """A fresh solver on the remaining variables and live constraints."""
         index = self.index = {v: i for i, v in enumerate(self.index)}
         self.names: list[Optional[str]] = list(index)
-        live = [c for c, constraint in enumerate(self.constraints) if constraint is not None]
+        live = [c for c, state in enumerate(self.states) if state is not None]
         self.solve = _boolean_solver(
             len(index),
-            [(self.patterns[c], tuple(index[v] for v in self.constraints[c][1]))
+            [(self.states[c].patterns, tuple(index[v] for v in self.scopes[c]))
              for c in live],
             classes)
         self.solver_id = {c: k for k, c in enumerate(live)}
 
     def commit(self, level: tuple[str, ...]) -> None:
-        """Remove a level of remaining variables: project every constraint
-        whose scope meets it past it, dropping those it covers, update the
-        blocked counts of their variables, and narrow the solver, or build
-        a fresh one when the classes pick another."""
+        """Remove a level of remaining variables: move every constraint
+        whose scope meets it along its transition, dropping those it
+        covers, update the blocked counts of their variables, push the
+        positions whose count reaches 0, and narrow the solver, or build a
+        fresh one when the classes pick another."""
         members = frozenset(level)
         touched = list(dict.fromkeys(c for v in level for c in self.touching[v]))
-        counts, blocked = self.counts, self.blocked
+        counts, blocked, states, scopes = self.counts, self.blocked, self.states, self.scopes
+        freed = set()
         for c in touched:
-            rel, scope = self.constraints[c]
-            old = (len(scope), self.patterns[c])
-            counts[old] -= 1
-            if not counts[old]:
-                del counts[old]
-            for v in _blocked(self.patterns[c], scope):
+            state, scope = states[c], scopes[c]
+            counts[state.key] -= 1
+            if not counts[state.key]:
+                del counts[state.key]
+            for i in state.never_zero:
+                v = scope[i]
                 blocked[v] -= 1
-            rel, rest = _project(
-                rel, tuple(i for i, v in enumerate(scope) if v in members))
-            if rel is None:
-                self.constraints[c] = None
+                if not blocked[v]:
+                    freed.add(v)
+            state, rest = _transition(
+                state, tuple(i for i, v in enumerate(scope) if v in members))
+            states[c] = state
+            if state is None:
                 continue
-            scope = tuple(scope[i] for i in rest)
-            self.constraints[c] = (rel, scope)
-            self.patterns[c] = patterns = _fin_patterns(rel, scope)
-            for v in _blocked(patterns, scope):
-                blocked[v] += 1
-            counts[len(scope), patterns] += 1
+            scopes[c] = scope = tuple(scope[i] for i in rest)
+            for i in state.never_zero:
+                blocked[scope[i]] += 1
+            counts[state.key] += 1
         index = self.index
         for v in level:
             self.names[index.pop(v)] = None
             del blocked[v]
-        changes = {self.solver_id[c]: None if self.constraints[c] is None else
-                   (self.patterns[c], tuple(index[v] for v in self.constraints[c][1]))
+        for v in freed:
+            if blocked.get(v) == 0:
+                heappush(self.ready, self.position[v])
+        changes = {self.solver_id[c]: None if states[c] is None else
+                   (states[c].patterns, tuple(index[v] for v in scopes[c]))
                    for c in touched}
         classes = self._classes(frozenset(counts))
         if not _narrow_solver(self.solve, classes, changes):
@@ -558,13 +609,16 @@ def _solve_afin(quotient: _Quotient,
                 pins: Mapping[str, int]) -> Optional[frozenset[str]]:
     """Solve the compiled quotient instance with the pinned variables fixed
     to Z or P: the remaining variables at Z, or None.  Z is 1 and P is 0,
-    so the solution vector selects them; a committed variable, named None,
-    may sit at either."""
+    so the solver's answer, the solver indices set to 1, names them; a
+    committed variable, named None, may sit at either.  A bottom-up Horn
+    engine answers from the trail of its pins, so the set costs what they
+    moved."""
     index = quotient.index
-    values = quotient.solve({index[v]: value for v, value in pins.items()})
-    if values is None:
+    ones = quotient.solve({index[v]: value for v, value in pins.items()})
+    if ones is None:
         return None
-    zeros = set(compress(quotient.names, values))
+    names = quotient.names
+    zeros = {names[i] for i in ones}
     zeros.discard(None)
     return frozenset(zeros)
 
@@ -592,35 +646,53 @@ def _next_level(quotient: _Quotient,
     """The next level, in declaration order, or None when no remaining
     variable lies in a free set.
 
-    One pass over the remaining variables in declaration order that skips
-    those with a blocked count above 0: a blocked variable lies in no free
-    set, so skipping it changes no level.  The first variable whose free
-    set exists gives the level.  With ``minimal`` (the ll modes) the
-    quotient is AND-closed, and its Horn engine's least solution with x
-    pinned to Z is the least free set containing x.  So each later member
-    whose set is smaller replaces the level, which ends minimal.  A member
-    passed over lies in no later replacement, since its least free set was
-    the whole level then; so the pass needs no restart.
+    One pass that pops the quotient's ``ready`` heap, lowest declaration
+    position first, so it reads only candidates whose blocked count is 0:
+    a blocked variable lies in no free set, so skipping it changes no
+    level.  A popped entry that is committed or blocked is dropped; when
+    its count reaches 0 again, the commit pushes it again.  The first
+    candidate whose free set exists gives the level, and the candidates
+    passed over, which lie in no free set yet, are pushed back.  With
+    ``minimal`` (the ll modes) the quotient is AND-closed, and its Horn
+    engine's least solution with x pinned to Z is the least free set
+    containing x.  So each later member whose set is smaller replaces the
+    level, which ends minimal, and a first candidate left out of it is
+    pushed back too.  A member passed over lies in no later replacement,
+    since its least free set was the whole level then; so the pass needs no
+    restart.
     """
-    blocked = quotient.blocked
-    for x in quotient.variables:
-        if not blocked[x]:
-            level = _free_set(quotient, x)
-            if level is not None:
-                break
-    else:
+    ready, declared, blocked = quotient.ready, quotient.declared, quotient.blocked
+    passed: list[int] = []
+    level = None
+    while ready:
+        first = heappop(ready)
+        # A position pushed again while an older entry waited is read once.
+        while ready and ready[0] == first:
+            heappop(ready)
+        x = declared[first]
+        if blocked.get(x, 1):
+            continue
+        level = _free_set(quotient, x)
+        if level is not None:
+            break
+        passed.append(first)
+    for position in passed:
+        heappush(ready, position)
+    if level is None:
         return None
-    # No member comes before the first variable: its free set would exist.
-    # Solver indices follow declaration order.
+    # No member comes before the first candidate: its free set would
+    # exist.  Solver indices follow declaration order.
     members = sorted(level, key=quotient.index.__getitem__)
     if minimal:
-        for x in members[1:]:
-            if x in level:
-                found = _free_set(quotient, x)
+        for v in members[1:]:
+            if v in level:
+                found = _free_set(quotient, v)
                 if found is None or not found <= level:
                     raise AssertionError(
                         "least free set of a level member is not inside the level")
                 level = found
+        if x not in level:
+            heappush(ready, first)
     return tuple(v for v in members if v in level)
 
 
@@ -655,8 +727,7 @@ def solve_master(instance: Instance, template: TemporalTemplate,
         raise PreconditionFailed(f"{mode.value} does not preserve {failed[0]}")
     constraints = searched = _constraint_list(instance, template)
     if mode.is_dual:
-        # One reversed object per relation, so that projections and pattern
-        # lookups of its constraints hit by identity.
+        # Each relation is reversed once, not once per constraint.
         reverse = {rel: rel.reverse() for rel in template.relations.values()}
         searched = [(reverse[rel], scope) for rel, scope in constraints]
     levels = _run_master(instance.variables, searched, mode.base is TemporalOp.LL)

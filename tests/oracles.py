@@ -344,9 +344,10 @@ def sweep_horn(n: int, constraints, top_down: bool, pins=None):
     every position of every constraint to the meet (join) of its feasible
     rows, the rows on or above (below) the bound.  The operator is
     monotone, so the fixpoint does not depend on the order.  Returns the
-    fixpoint values, None when a constraint runs out of feasible rows, or
-    HORN_FAULT when the fixpoint falls outside some constraint's rows,
-    which closed rows never allow."""
+    variables the fixpoint sets to 1, as the boolean solvers answer, None
+    when a constraint runs out of feasible rows, or HORN_FAULT when the
+    fixpoint falls outside some constraint's rows, which closed rows never
+    allow."""
     start = 1 if top_down else 0
     pinned = [*constraints, *((frozenset({(value,)}), (v,)) for v, value in (pins or {}).items())]
     bound = [start] * n
@@ -368,7 +369,7 @@ def sweep_horn(n: int, constraints, top_down: bool, pins=None):
                     changed = True
     if any(tuple(bound[v] for v in scope) not in rows for rows, scope in pinned):
         return HORN_FAULT
-    return bound
+    return {v for v in range(n) if bound[v]}
 
 
 def affine_rows(tuples: frozenset) -> Optional[list[tuple[tuple[int, ...], int]]]:
@@ -688,6 +689,18 @@ def reference_solve_instance_brute(instance, template):
         return None
 
     return place(0)
+
+
+def blocked_variables(patterns, scope):
+    """The variables of the scope that no row of ``patterns`` puts at Z at
+    all of their positions: a constraint on this scope forbids each of
+    them at Z on its own.  A reference for the ``never_zero`` positions of
+    ``orbitcsp.temporal._State``, read from the scope's first occurrences:
+    a row on the scope gives a repeated variable one value at all of its
+    positions, since ``_fin_patterns_of`` skips the types that do not."""
+    never_zero = [i for i in range(len(scope))
+                  if all(row[i] != Z_VALUE for row in patterns)]
+    return tuple(dict.fromkeys(scope[i] for i in never_zero))
 
 
 def shrink_free_set(quotient, start):
