@@ -21,7 +21,12 @@ the shape pins: the all-EQ cell and injective cells.  Every shape acts
 symmetrically there (majority, minority, a semilattice), so all orderings
 of such a tuple have one image, and the check is read once per multiset of
 types, in blocks by largest type that are built only when a pass reaches
-them; the first failure ends the pass.  A tuple that mixes partitions reads
+them; the first failure ends the pass.  A minority pass reads no multiset:
+on two labels minority is x ^ y ^ z at each position pair, and the images
+of a partition class stay in its partition, so the class is closed exactly
+when its types, as bit masks over the pairs, form a GF(2) coset, which one
+rank computation decides (``polyengine._gf2_span``, the span the affine
+solver reduces too).  A tuple that mixes partitions reads
 a free cell, which mixes EQ with base labels and need not be symmetric, so
 it stays one check per ordered tuple: a finite constraint over the free
 cells, solved by ``relstruct._assignments``, the package's one backtracker.
@@ -63,6 +68,7 @@ from .errors import (
     ShapeUnsupported,
     UnsupportedBase,
 )
+from .polyengine import _gf2_span
 from .relstruct import Instance, _assignments, _first_placement, encode_tuple
 
 TYPE_ARITY_LIMIT = 6
@@ -205,8 +211,12 @@ class LabeledType:
 
     @cached_property
     def fingerprint(self) -> tuple[Label, ...]:
-        """label(i, j) for every position pair i < j, in lexicographic order."""
+        """label(i, j) for every position pair i < j, in lexicographic order.
+        When every position is its own block, block pairs are position pairs
+        and the fingerprint is ``labels`` itself."""
         m = len(self.partition)
+        if m == self.arity:
+            return self.labels
         block_of = self._block_index
         out = []
         for i, j in itertools.combinations(range(self.arity), 2):
@@ -236,7 +246,8 @@ class LabeledType:
             else:
                 partition[c].append(a)
         m, labels = len(self.partition), self.labels
-        return _valid_type(
+        return _unchecked(
+            LabeledType,
             arity=len(positions),
             partition=tuple(map(tuple, partition)),
             labels=tuple(
@@ -269,11 +280,12 @@ class LabeledType:
         return any(_closes_clique(joined, earlier, size) for earlier in self._joined_earlier)
 
 
-def _valid_type(**fields) -> LabeledType:
-    """A type from parts that are valid by construction, so __post_init__'s
-    checks are skipped; the instance is frozen, hence the ``__dict__``
-    update.  ``fields`` may also fill a cached property."""
-    made = object.__new__(LabeledType)
+def _unchecked(cls: type, **fields):
+    """A ``LabeledType`` or ``PairBehavior`` from parts that are valid by
+    construction, so __post_init__'s checks are skipped; the instance is
+    frozen, hence the ``__dict__`` update.  ``fields`` may also fill a
+    cached property."""
+    made = object.__new__(cls)
     made.__dict__.update(fields)
     return made
 
@@ -291,7 +303,8 @@ def _type_of(block_of: Sequence[int], labels: Sequence[Label]) -> LabeledType:
             blocks.append([p])
         else:
             blocks[b].append(p)
-    return _valid_type(
+    return _unchecked(
+        LabeledType,
         arity=len(block_of),
         partition=tuple(map(tuple, blocks)),
         labels=tuple(labels),
@@ -584,7 +597,8 @@ def _pinned_table(
 
 class _Multisets:
     """The pinned checks of one partition class of one relation: every
-    multiset of ``n`` of the class's types, in blocks by largest type.
+    multiset of ``n`` of the class's types, in blocks by largest type, or
+    for a minority behavior one coset test (``is_coset``).
 
     The types of one partition merge the same position pairs, so at each
     pair a multiset of them reads the all-EQ cell or an injective cell,
@@ -626,6 +640,18 @@ class _Multisets:
         """The cells of each multiset of a block."""
         return zip(*[iter(block)] * self.pairs)
 
+    def is_coset(self) -> bool:
+        """Whether the class is closed under a minority behavior, read with
+        no multiset.  On two labels minority is x ^ y ^ z at each position
+        pair, taking symbol 1 to bit 0 and symbol 2 to bit 1; the EQ pairs
+        of the class read EQ in every type and in every image.  A set of
+        bit masks is closed under x ^ y ^ z exactly when it is a coset of a
+        GF(2) subspace, and the class's masks, distinct since the types
+        are, fill the coset of the span of their differences exactly when
+        they number 2 ** rank."""
+        masks = [sum(s >> 1 << p for p, s in enumerate(v)) for v in self._vectors]
+        return len(masks) == 1 << len(_gf2_span(masks))
+
 
 @dataclass(frozen=True, eq=False)
 class _Checks:
@@ -642,10 +668,12 @@ class _Checks:
     A check whose types share one partition reads only pinned cells, and
     every shape's pinned cells hold a symmetric action (majority, minority,
     a semilattice, EQ on all-EQ), so all orderings of its types give one
-    image: it is read once per multiset of types (``_Multisets``).  A check
-    whose types differ in partition reads a free cell, where the table need
-    not be symmetric, so it stays one check per ordered tuple, in product
-    order (``free_checks``).
+    image: it is read once per multiset of types (``_Multisets``), and for
+    a minority behavior not at all, since x ^ y ^ z on two labels makes
+    them one coset test per partition class (``_Multisets.is_coset``).  A
+    check whose types differ in partition reads a free cell, where the
+    table need not be symmetric, so it stays one check per ordered tuple,
+    in product order (``free_checks``).
     """
 
     arity: int
@@ -774,16 +802,25 @@ def _free_constraint(
 def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
     """The first behavior acting as ``shape`` that passes every check.
 
-    The pinned checks are read block by block, once per multiset of types;
-    the first failure ends the search before any further block is built.
+    For a minority behavior the pinned checks of each partition class are
+    one coset test (``_Multisets.is_coset``), which is exact: the pinned
+    cells hold x ^ y ^ z on two labels, and a class's images stay in its
+    partition.  Other shapes read them block by block, once per multiset of
+    types, and the first failure ends the search before any further block
+    is built.  The witness's table is flip-equivariant by construction, so
+    it skips ``PairBehavior``'s checks.
     """
     table = list(_pinned_table(checks.symbols, checks.arity, shape))
     read = table.__getitem__
     for multisets in checks.pinned:
-        member = multisets.fingerprints.__contains__
-        for block in multisets:
-            if not all(map(member, multisets.cells(map(read, block)))):
-                return None
+        if shape is Shape.TERNARY_MINORITY:
+            closed = multisets.is_coset()
+        else:
+            member = multisets.fingerprints.__contains__
+            closed = all(all(map(member, multisets.cells(map(read, block))))
+                         for block in multisets)
+        if not closed:
+            return None
     readings: list = list(table)
     for x, c in enumerate(checks.free):
         readings[c] = -1 - 2 * x
@@ -807,9 +844,9 @@ def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
     for c, value in zip(checks.free, first):
         table[c] = value + 1
         table[checks.flip_index[c]] = checks.flip_symbol[value + 1]
-    return PairBehavior(
-        shape.arity, checks.symbols, tuple(checks.symbols[s] for s in table)
-    )
+    return _unchecked(
+        PairBehavior, arity=shape.arity, symbols=checks.symbols,
+        values=tuple(checks.symbols[s] for s in table))
 
 
 def search_behavior(
@@ -822,7 +859,10 @@ def search_behavior(
     over the tournament).  Every tuple of relation types is one closure
     check.  A check whose types share one partition reads only pinned
     cells, where every shape acts symmetrically, so it is evaluated once
-    per multiset of types, and the first failure ends the search.  Each
+    per multiset of types, and the first failure ends the search.  A
+    minority behavior reads none of them: it acts as x ^ y ^ z on the two
+    labels and keeps each partition, so a partition class passes exactly
+    when its types form a GF(2) coset, one rank computation.  Each
     other check reads a free cell and stays one per ordered tuple: it
     becomes a finite constraint over the variables it reads, and the first
     solution of ``relstruct._assignments`` (variables in cell order, values

@@ -612,6 +612,17 @@ def _gf2_reduce(system: dict[int, tuple[int, int]], mask: int, rhs: int) -> bool
     return True
 
 
+def _gf2_span(masks: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """The differences ``mask ^ masks[0]`` reduced into one system, in
+    ``_gf2_reduce``'s form: the span of the differences, whose rank is the
+    number of pivots.  The masks lie in the coset ``masks[0] ^ span``, so
+    they fill it exactly when, distinct, they number 2 ** rank."""
+    span: dict[int, tuple[int, int]] = {}
+    for mask in masks:
+        _gf2_reduce(span, mask ^ masks[0], 0)
+    return span
+
+
 def _affine_equations(rows: frozenset) -> Optional[list[tuple[int, int]]]:
     """Equations ``(mask, rhs)`` on positions that define the affine hull
     of a row set: the row differences reduced, then one equation per
@@ -619,9 +630,7 @@ def _affine_equations(rows: frozenset) -> Optional[list[tuple[int, int]]]:
     if not rows:
         return None
     masks = [sum(x << i for i, x in enumerate(row)) for row in rows]
-    span: dict[int, tuple[int, int]] = {}
-    for mask in masks:
-        _gf2_reduce(span, mask ^ masks[0], 0)
+    span = _gf2_span(masks)
     equations = []
     for c in range(len(next(iter(rows)))):
         if c not in span:

@@ -815,6 +815,24 @@ def is_injective(t):
     return len(t.partition) == t.arity
 
 
+def reference_fingerprint(t):
+    """label(i, j) for every position pair i < j of the complete type ``t``,
+    read off its partition and block-pair labels: the general loop that
+    ``LabeledType.fingerprint`` skips for a type with one position per
+    block."""
+    m = len(t.partition)
+    block_of = {p: b for b, block in enumerate(t.partition) for p in block}
+    out = []
+    for i, j in combinations(range(t.arity), 2):
+        bi, bj = block_of[i], block_of[j]
+        if bi == bj:
+            out.append(Label.EQ)
+        else:
+            stored = t.labels[_pair_index(m, min(bi, bj), max(bi, bj))]
+            out.append(stored if bi < bj else stored.flipped)
+    return tuple(out)
+
+
 def pair_label(t, i, j):
     """The label of the ordered position pair (i, j) of the complete type
     ``t``, read from its fingerprint; EQ when i and j are merged."""

@@ -311,14 +311,26 @@ def _relation_literals(data, base):
 
 
 @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_reader_reads_each_literal_as_the_reference(base, data):
-    # One reader per relation reads every literal, on past an error too,
-    # and each must read as the reference reads it alone: the same type,
-    # block vector and fingerprint, or the same error.  The template of
-    # these relations must parse to the reference's relations, or stop at
-    # the reference's first error.
+    _reads_as_the_reference(base, data)
+
+
+@pytest.mark.full_sample
+@pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reader_reads_each_literal_as_the_reference_in_full(base, data):
+    _reads_as_the_reference(base, data)
+
+
+def _reads_as_the_reference(base, data):
+    """One reader per relation reads every literal, on past an error too,
+    and each must read as the reference reads it alone: the same type,
+    block vector and fingerprint, or the same error.  The template of these
+    relations must parse to the reference's relations, or stop at the
+    reference's first error."""
     relations = [_relation_literals(data, base) for _ in range(data.draw(st.integers(1, 3)))]
     text = f"base: {base}\n" + "".join(f"rel R{r}/{arity}: {'; '.join(literals)}\n"
                                         for r, (arity, literals) in enumerate(relations))

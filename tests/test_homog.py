@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from orbitcsp import homog
 from orbitcsp.cli import ARITY_LIMIT
@@ -55,6 +55,7 @@ from oracles import (
     labeled_type_count,
     pair_label,
     reference_enumerate_types,
+    reference_fingerprint,
     reference_search_behavior,
     reference_solve_instance_brute,
 )
@@ -112,6 +113,46 @@ def majority_of(labels):
 def random_relation(rng, base, arity, count):
     pool = enumerate_types(arity, base)
     return type_set_relation(arity, base, rng.sample(pool, min(count, len(pool))))
+
+
+def coset_types(data, base, k):
+    """Types of one drawn partition whose block-pair labels, read as bits
+    (first label 0, second label 1), form a GF(2) coset: a drawn offset
+    plus the span of a drawn basis.  One type of the partition may be
+    added or one removed; over a clique-free base the types with a
+    forbidden clique are dropped."""
+    partition = data.draw(st.sampled_from(sorted({t.partition for t in enumerate_types(k, base)})))
+    pairs = len(partition) * (len(partition) - 1) // 2
+    masks = {data.draw(st.integers(0, 2 ** pairs - 1))}
+    for _ in range(data.draw(st.integers(0, min(pairs, 3)))):
+        step = data.draw(st.integers(0, 2 ** pairs - 1))
+        masks |= {mask ^ step for mask in masks}
+    types = {LabeledType(k, partition, tuple(base.labels[mask >> i & 1] for i in range(pairs)))
+             for mask in masks}
+    change = data.draw(st.sampled_from(["none", "add", "remove"]))
+    if change == "add":
+        types.add(data.draw(st.sampled_from(
+            [t for t in enumerate_types(k, base) if t.partition == partition])))
+    elif change == "remove" and len(types) > 1:
+        types.remove(data.draw(st.sampled_from(sorted(types))))
+    if base.kind == "kfree":
+        types = {t for t in types if not t.has_clique(base.forbidden)}
+    return types
+
+
+def reference_verdict(template):
+    """``classify_reduct``'s verdict when its shape searches decide it, with
+    every search run by the check-object reference, in the same order."""
+    shapes = [Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY]
+    if not template[0].base.oriented:
+        shapes[:0] = [Shape.BINARY_SL_E, Shape.BINARY_SL_N]
+    for shape in shapes:
+        found = reference_search_behavior(template, shape)
+        if found is not None:
+            kind = (VerdictKind.P_NOT_BOUNDED_WIDTH if shape is Shape.TERNARY_MINORITY
+                    else VerdictKind.P_BOUNDED_WIDTH)
+            return Verdict(kind, found, shape)
+    return Verdict(VerdictKind.NP_COMPLETE)
 
 
 def random_instance(rng, template, max_vars=5, max_constraints=6):
@@ -187,6 +228,14 @@ class TestLabeledType:
         assert pair_label(t, 0, 1) is F
         assert pair_label(t, 1, 3) is B
         assert pair_label(t, 0, 3) is EQ
+
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+    def test_fingerprint_matches_the_general_loop(self, base):
+        # A type with one position per block returns its labels; every
+        # other type reads them through its partition.
+        for k in range(1, 6):
+            for t in enumerate_types(k, base):
+                assert t.fingerprint == reference_fingerprint(t)
 
     def test_from_pair_labels_round_trip(self):
         for t in enumerate_types(4, TOURNAMENT):
@@ -572,6 +621,33 @@ class TestSearchBehavior:
             assert confirm_no_behavior(template, shape) == (found is None)
 
 
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_minority_coset_test_matches_the_check_object_reference(self, base, data):
+        # Cosets of one partition, and cosets with one type added or
+        # removed, so both outcomes of the coset test occur; a relation of
+        # two cosets often mixes partitions, so its free checks run too.
+        template = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            k = data.draw(st.integers(1, 5))
+            types = set()
+            for _ in range(data.draw(st.integers(1, 2))):
+                types |= coset_types(data, base, k)
+            template.append(type_set_relation(k, base, types or enumerate_types(k, base)[:1]))
+        found = search_behavior(template, Shape.TERNARY_MINORITY)
+        assert found == reference_search_behavior(template, Shape.TERNARY_MINORITY)
+        event("minority found" if found is not None else "no minority")
+        if found is not None:
+            # The witness skips PairBehavior's checks; its table passes them.
+            assert found == PairBehavior(found.arity, found.symbols, found.values)
+        if base.kind != "kfree":
+            verdict = classify_reduct(template)
+            if verdict.kind not in (VerdictKind.P_CONSTANT, VerdictKind.EQUALITY_P,
+                                    VerdictKind.EQUALITY_NPC):
+                assert verdict == reference_verdict(template)
+
+
 class TestCompileCount:
     """Closure checks compiled per ``classify_reduct`` call: each behavior
     arity at most once, shared by the shapes of that arity."""
@@ -598,7 +674,9 @@ class TestCompileCount:
 
 class TestPinnedMultisets:
     """A check that reads only pinned cells is read once per multiset of
-    types, block by block, and a failing pass stops at its first block."""
+    types, block by block, and a failing pass stops at its first block; a
+    minority pass reads none, as one coset test per partition class
+    decides them."""
 
     @pytest.mark.parametrize("base,shape", [
         (base, shape) for base in (TOURNAMENT, GRAPH, kfree(3)) for shape in Shape
@@ -621,11 +699,19 @@ class TestPinnedMultisets:
         return [sum(len(block) for block in multisets.blocks) // multisets.pairs
                 for multisets in checks.pinned]
 
-    def test_a_full_pass_reads_each_multiset_once(self):
+    def test_a_minority_pass_reads_no_multiset(self, monkeypatch):
+        # The coset test decides each partition class, while the hardness
+        # certificate still reads each of the C(32 + 2, 3) multisets once.
+        compiled = []
+        compile_checks = homog._compile_checks
+        monkeypatch.setattr(homog, "_compile_checks",
+                            lambda *args: compiled.append(compile_checks(*args)) or compiled[-1])
         for base in (TOURNAMENT, GRAPH):
             checks = homog._compile_checks(base, [("R4", parity_relation(base))], 3)
             assert homog._search(checks, Shape.TERNARY_MINORITY) is not None
-            assert self.read(checks) == [math.comb(32 + 2, 3)] == [5984]
+            assert self.read(checks) == [0]
+            assert not confirm_no_behavior([parity_relation(base)], Shape.TERNARY_MINORITY)
+            assert self.read(compiled[-1]) == [math.comb(32 + 2, 3)] == [5984]
 
     def test_a_failing_pass_reads_only_its_first_blocks(self):
         checks = homog._compile_checks(TOURNAMENT, [("R4", parity_relation())], 3)
@@ -633,9 +719,9 @@ class TestPinnedMultisets:
         (multisets,) = checks.pinned
         # Block 2 holds the first multiset of three distinct types.
         assert len(multisets.blocks) == 3 and self.read(checks) == [1 + 3 + 6]
-        # The next shape of the arity reuses the built blocks.
+        # The minority pass of the same compile builds no further block.
         assert homog._search(checks, Shape.TERNARY_MINORITY) is not None
-        assert self.read(checks) == [5984]
+        assert self.read(checks) == [1 + 3 + 6]
 
     def test_merged_types_split_into_partition_classes(self):
         # Both arcs and the merged pair: each partition reads its own
