@@ -12,24 +12,23 @@ brute-force instance oracle and a pattern-space adapter for the local
 consistency engine.
 
 A behavior search compiles the closure checks of a template once per
-behavior arity (``_compile_checks``): each type's fingerprint becomes a
-vector of symbol indices, and a tuple of types reads, at each position
-pair, the table cell of its symbols there.  The checks depend on the arity,
-not on the shape, so ``classify_reduct`` shares one compile between the
-shapes of an arity.  A tuple of types of one partition reads only cells
-the shape pins: the all-EQ cell and injective cells.  Every shape acts
-symmetrically there (majority, minority, a semilattice), so all orderings
-of such a tuple have one image, and the check is read once per multiset of
-types, in blocks by largest type that are built only when a pass reaches
-them; the first failure ends the pass.  A minority pass reads no multiset:
-on two labels minority is x ^ y ^ z at each position pair, and the images
-of a partition class stay in its partition, so the class is closed exactly
-when its types, as bit masks over the pairs, form a GF(2) coset, which one
-rank computation decides (``polyengine._gf2_span``, the span the affine
-solver reduces too).  A tuple that mixes partitions reads
-a free cell, which mixes EQ with base labels and need not be symmetric, so
-it stays one check per ordered tuple: a finite constraint over the free
-cells, solved by ``relstruct._assignments``, the package's one backtracker.
+behavior arity (``_compile_checks``).  The checks depend on the arity, not
+on the shape, so ``classify_reduct`` shares one compile between the shapes
+of an arity.  A tuple of types of one partition reads only cells the shape
+pins: the all-EQ cell and injective cells.  On a base's two labels each
+shape acts there as one Boolean operation on one bit per position pair
+(``_SHAPE_OPS``: bitwise majority, x ^ y ^ z, AND, OR), and the images of a
+partition class stay in its partition.  So a class passes its pinned checks
+exactly when its types, as bit masks, are closed under that operation,
+Schaefer's closure test (``_closed``): one rank computation for minority
+(``polyengine._gf2_span``, the span the affine solver reduces too), and one
+image per distinct pair or triple of masks for the other shapes.  A tuple
+that mixes partitions reads a free cell, which mixes EQ with base labels
+and need not be symmetric, so it stays one check per ordered tuple: each
+type's fingerprint becomes a vector of symbol indices, the tuple reads, at
+each position pair, the table cell of its symbols there, and the checks
+form a finite constraint over the free cells, solved by
+``relstruct._assignments``, the package's one backtracker.
 
 Complete types are built by one generator, ``_placements``: it places one
 position at a time, joining each existing block and then opening a new
@@ -74,11 +73,18 @@ from .relstruct import Instance, _assignments, _first_placement, encode_tuple
 TYPE_ARITY_LIMIT = 6
 BRUTE_VARIABLE_LIMIT = 6
 RECHECK_CELL_LIMIT = 20
-CHECK_LIMIT = 2 ** 20  # closure checks one relation may ask of one arity
-#: Most table cells the closure checks of one arity may read, one per check
+#: Most closure checks one relation may ask of one arity: the ordered tuples
+#: of types that mix partition classes, and apart from them the distinct
+#: tuples of masks the closure test of a shape other than minority reads.
+#: A majority-closed class of 162 five-ary tournament types reads all
+#: C(162, 3) = 695 520 triples: classify takes 0.13 s and peaks at 18 MB on
+#: a 2-core Xeon.
+CHECK_LIMIT = 2 ** 20
+#: Most table cells the free checks of one arity may read, one per check
 #: and position pair, over all relations.  20 graph types of arity 32, each
-#: with one merged pair, read 3 968 000 cells at arity 3: classify takes
-#: 0.3 s and peaks at 80 MB on a 2-core Xeon.
+#: of its own partition (one merged pair), read 20^3 - 20 = 7 980 mixing
+#: triples of 496 pairs, 3 958 080 cells, at arity 3: classify takes 0.3 s
+#: and peaks at 80 MB on a 2-core Xeon.
 CELL_LIMIT = 2 ** 22
 #: Most block sets the clique tests of one clique-free relation may read.
 #: A 150-block K(75,75) type over kfree(3) reads 208 125 and is checked in
@@ -514,19 +520,19 @@ class Shape(Enum):
         return 3 if self in (Shape.TERNARY_MAJORITY, Shape.TERNARY_MINORITY) else 2
 
 
-def _shape_value(shape: Shape, cell: Sequence[Label]) -> Label:
-    if shape is Shape.BINARY_SL_E:
-        return Label.E if Label.E in cell else Label.N
-    if shape is Shape.BINARY_SL_N:
-        return Label.N if Label.N in cell else Label.E
-    a, b, c = cell
-    if shape is Shape.TERNARY_MAJORITY:
-        return a if b == a or c == a else b
-    if a == b:
-        return c
-    if a == c:
-        return b
-    return a
+#: Each shape's action on one bit per position pair, a base's second label
+#: being bit 1 and its first bit 0: the injective cells of the shape's
+#: table, and the operation a partition class's masks must be closed under.
+_SHAPE_OPS: dict[Shape, Callable[..., int]] = {
+    Shape.TERNARY_MAJORITY: lambda x, y, z: x & y | x & z | y & z,
+    Shape.TERNARY_MINORITY: lambda x, y, z: x ^ y ^ z,
+    Shape.BINARY_SL_E: operator.and_,
+    Shape.BINARY_SL_N: operator.or_,
+}
+
+#: A ``bytes.translate`` table that reads a fingerprint as a mask's bits:
+#: the second labels (BWD, N) are 1, EQ and the first labels 0.
+_BIT = bytes.maketrans(bytes(Label), b"00101")
 
 
 TemplateLike = Union[HomogTemplate, Sequence[TypeSetRelation]]
@@ -580,77 +586,32 @@ def _alphabet(
 
 
 @lru_cache(maxsize=None)
-def _pinned_table(
-    symbols: tuple[Label, ...], n: int, shape: Shape
-) -> tuple[Optional[int], ...]:
-    """The shape's table of arity ``n`` as symbol indices: EQ on the all-EQ
-    cell, the shape's value on each injective cell, None on the free cells
-    that mix EQ with base labels."""
-    table = []
-    for cell in itertools.product(symbols, repeat=n):
-        if Label.EQ not in cell:
-            table.append(symbols.index(_shape_value(shape, cell)))
-        else:
-            table.append(0 if all(s is Label.EQ for s in cell) else None)
-    return tuple(table)
+def _pinned_table(n: int, shape: Shape) -> tuple[Optional[int], ...]:
+    """The shape's table of arity ``n`` as symbol indices (EQ, then a
+    base's two labels): EQ on the all-EQ cell, the shape's bit operation on
+    each injective cell, None on the free cells that mix EQ with base
+    labels."""
+    op = _SHAPE_OPS[shape]
+    return tuple(
+        1 + op(*(s - 1 for s in cell)) if all(cell) else None if any(cell) else 0
+        for cell in itertools.product(range(3), repeat=n)
+    )
 
 
-class _Multisets:
-    """The pinned checks of one partition class of one relation: every
-    multiset of ``n`` of the class's types, in blocks by largest type, or
-    for a minority behavior one coset test (``is_coset``).
-
-    The types of one partition merge the same position pairs, so at each
-    pair a multiset of them reads the all-EQ cell or an injective cell,
-    both pinned.  A multiset's cell at a pair is the product-order number
-    of its types' symbols there, in ascending type order.  Block m holds
-    the multisets whose largest type is type m: the multisets of n - 1
-    types up to type m, each extended by type m's symbols.  Those grow the
-    same way, one level down, so adding type m builds one block per level.
-    Blocks are built when a pass first reaches them and kept for the next.
-    A block is one flat list, multiset by multiset, of ``pairs`` cells each.
-    """
-
-    def __init__(
-        self, fingerprints: frozenset, vectors: list[tuple[int, ...]], n: int, q: int
-    ) -> None:
-        self.fingerprints = fingerprints
-        self.pairs = len(vectors[0])
-        self._vectors = vectors
-        self._scale = q.__mul__
-        # _lower[k]: q times the cells of each multiset of k + 1 of the types
-        # placed so far.
-        self._lower: list[list[int]] = [[] for _ in range(n - 1)]
-        self.blocks: list[list[int]] = []
-
-    def __iter__(self) -> Iterator[list[int]]:
-        for m, vector in enumerate(self._vectors):
-            if m == len(self.blocks):
-                self._add(vector)
-            yield self.blocks[m]
-
-    def _add(self, vector: tuple[int, ...]) -> None:
-        new = list(vector)
-        for lower in self._lower:
-            lower.extend(map(self._scale, new))
-            new = list(map(operator.add, lower, itertools.cycle(vector)))
-        self.blocks.append(new)
-
-    def cells(self, block: Iterable[int]) -> Iterator[tuple[int, ...]]:
-        """The cells of each multiset of a block."""
-        return zip(*[iter(block)] * self.pairs)
-
-    def is_coset(self) -> bool:
-        """Whether the class is closed under a minority behavior, read with
-        no multiset.  On two labels minority is x ^ y ^ z at each position
-        pair, taking symbol 1 to bit 0 and symbol 2 to bit 1; the EQ pairs
-        of the class read EQ in every type and in every image.  A set of
-        bit masks is closed under x ^ y ^ z exactly when it is a coset of a
-        GF(2) subspace, and the class's masks, distinct since the types
-        are, fill the coset of the span of their differences exactly when
-        they number 2 ** rank."""
-        masks = [sum(s >> 1 << p for p, s in enumerate(v)) for v in self._vectors]
+def _closed(masks: Sequence[int], shape: Shape) -> bool:
+    """Whether one partition class, as the distinct bit masks of its types,
+    is closed under the shape's bit operation: whether it passes every
+    pinned check.  The EQ pairs of the class are bit 0 in every mask and in
+    every image.  A set of masks is closed under x ^ y ^ z exactly when it
+    is a coset of a GF(2) subspace, and distinct masks fill the coset of
+    the span of their differences exactly when they number 2 ** rank.  The
+    other operations are symmetric and map a tuple that repeats a mask to
+    a member (majority keeps the repeated mask, a semilattice is
+    idempotent), so each distinct pair or triple of masks is read once."""
+    if shape is Shape.TERNARY_MINORITY:
         return len(masks) == 1 << len(_gf2_span(masks))
+    return all(map(set(masks).__contains__, itertools.starmap(
+        _SHAPE_OPS[shape], itertools.combinations(masks, shape.arity))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -665,15 +626,12 @@ class _Checks:
     relation.  Cells mixing EQ with base labels are free; the others are
     pinned by the shape.  None of this depends on the shape.
 
-    A check whose types share one partition reads only pinned cells, and
-    every shape's pinned cells hold a symmetric action (majority, minority,
-    a semilattice, EQ on all-EQ), so all orderings of its types give one
-    image: it is read once per multiset of types (``_Multisets``), and for
-    a minority behavior not at all, since x ^ y ^ z on two labels makes
-    them one coset test per partition class (``_Multisets.is_coset``).  A
-    check whose types differ in partition reads a free cell, where the
-    table need not be symmetric, so it stays one check per ordered tuple,
-    in product order (``free_checks``).
+    The checks whose types share one partition read only pinned cells, so
+    they are one closure test per partition class, kept as the bit masks of
+    the class's types (``pinned``; ``_closed``).  A check whose types differ
+    in partition reads a free cell, where the table need not be symmetric,
+    so it stays one check per ordered tuple, in product order
+    (``free_checks``).
     """
 
     arity: int
@@ -683,8 +641,8 @@ class _Checks:
     flip_index: tuple[int, ...]
     # The free cells, ascending, keeping the lower cell of each flip pair.
     free: tuple[int, ...]
-    # The pinned checks, one _Multisets per partition class of each relation.
-    pinned: tuple[_Multisets, ...]
+    # Per relation: its name and, per partition class, the masks of its types.
+    pinned: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
     # Per relation with types of more than one partition: its fingerprints,
     # its type vectors and the partition class of each type.
     split: tuple[tuple[frozenset, list[tuple[int, ...]], list[int]], ...]
@@ -717,25 +675,32 @@ def _compile_checks(
 ) -> _Checks:
     """Set up every closure check for behaviors of arity ``n``.
 
-    Each type's fingerprint is read once, and the types of each relation
-    are split by partition; no cell is built here.  Tuples of one
-    partition read only pinned cells, where every shape acts symmetrically,
-    so they are checked once per multiset (a ``_Multisets`` per partition);
-    tuples that mix partitions read a free cell and stay ordered.  Raises
-    BudgetExceeded before any work when a relation asks for more than
-    CHECK_LIMIT checks, or the checks would read more than CELL_LIMIT
-    cells in all (one per check and position pair).  Both count ordered
-    tuples of types, not multisets.
+    The types of each relation are split by partition.  Each class becomes
+    the bit masks of its types, one C-level read of each fingerprint, and
+    each type of a relation with several classes a vector of symbol
+    indices for the free checks; no cell is built here.  Raises
+    BudgetExceeded before any fingerprint is read when a relation asks for
+    more than CHECK_LIMIT free checks, or the free checks would read more
+    than CELL_LIMIT cells in all (one per check and position pair).  Both
+    count the ordered tuples of types that mix partition classes, the
+    checks ``free_checks`` builds; the pinned pass has its own budget
+    (``_pinned_closed``).
     """
+    grouped = []
     cells = 0
     for name, rel in named:
-        count = len(rel.types) ** n
+        types = rel.sorted_types()
+        classes: dict[tuple[tuple[int, ...], ...], list[LabeledType]] = {}
+        for t in types:
+            classes.setdefault(t.partition, []).append(t)
+        count = len(types) ** n - sum(len(members) ** n for members in classes.values())
         if count > CHECK_LIMIT:
             raise BudgetExceeded(
                 f"relation {name} needs {count} closure checks at arity {n}; "
                 f"the cap is {CHECK_LIMIT}"
             )
         cells += count * (rel.arity * (rel.arity - 1) // 2)
+        grouped.append((name, types, classes))
     if cells > CELL_LIMIT:
         raise BudgetExceeded(
             f"the closure checks at arity {n} read {cells} table cells; "
@@ -743,27 +708,38 @@ def _compile_checks(
         )
     symbols, flip_symbol, flip_index, free = _alphabet(base.labels, n)
     symbol_of = {s: i for i, s in enumerate(symbols)}.__getitem__
-    pinned: list[_Multisets] = []
+    pinned = []
     split = []
-    for _, rel in named:
-        types = rel.sorted_types()
-        vectors = [tuple(map(symbol_of, t.fingerprint)) for t in types]
-        fingerprints = frozenset(vectors)
-        classes: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
-        for t, v in zip(types, vectors):
-            classes.setdefault(t.partition, []).append(v)
-        pinned.extend(
-            _Multisets(fingerprints, members, n, len(symbols))
-            for members in classes.values()
-        )
+    for name, types, classes in grouped:
+        # The leading b"0" reads a type of arity 1, which has no pair, as 0.
+        pinned.append((name, tuple(
+            tuple(int(b"0" + bytes(t.fingerprint).translate(_BIT), 2) for t in members)
+            for members in classes.values())))
         if len(classes) > 1:
+            vectors = [tuple(map(symbol_of, t.fingerprint)) for t in types]
             class_of = {partition: c for c, partition in enumerate(classes)}
             split.append(
-                (fingerprints, vectors, [class_of[t.partition] for t in types])
+                (frozenset(vectors), vectors, [class_of[t.partition] for t in types])
             )
     return _Checks(
         n, symbols, flip_symbol, flip_index, free, tuple(pinned), tuple(split)
     )
+
+
+def _pinned_closed(checks: _Checks, shape: Shape) -> bool:
+    """Whether every partition class passes its pinned checks under
+    ``shape`` (``_closed``).  Raises BudgetExceeded before it reads any
+    class when a relation's classes hold more than CHECK_LIMIT distinct
+    tuples of ``shape.arity`` masks; the rank test of minority reads none."""
+    if shape is not Shape.TERNARY_MINORITY:
+        for name, classes in checks.pinned:
+            count = sum(math.comb(len(masks), shape.arity) for masks in classes)
+            if count > CHECK_LIMIT:
+                raise BudgetExceeded(
+                    f"relation {name} needs {count} closure checks at arity "
+                    f"{shape.arity}; the cap is {CHECK_LIMIT}"
+                )
+    return all(_closed(masks, shape) for _, classes in checks.pinned for masks in classes)
 
 
 def _free_constraint(
@@ -802,25 +778,16 @@ def _free_constraint(
 def _search(checks: _Checks, shape: Shape) -> Optional[PairBehavior]:
     """The first behavior acting as ``shape`` that passes every check.
 
-    For a minority behavior the pinned checks of each partition class are
-    one coset test (``_Multisets.is_coset``), which is exact: the pinned
-    cells hold x ^ y ^ z on two labels, and a class's images stay in its
-    partition.  Other shapes read them block by block, once per multiset of
-    types, and the first failure ends the search before any further block
-    is built.  The witness's table is flip-equivariant by construction, so
-    it skips ``PairBehavior``'s checks.
+    The pinned checks are one closure test per partition class
+    (``_pinned_closed``), which is exact: the pinned cells hold the shape's
+    bit operation, and a class's images stay in its partition.  A failed
+    class ends the search before any free check is built.  The witness's
+    table is flip-equivariant by construction, so it skips
+    ``PairBehavior``'s checks.
     """
-    table = list(_pinned_table(checks.symbols, checks.arity, shape))
-    read = table.__getitem__
-    for multisets in checks.pinned:
-        if shape is Shape.TERNARY_MINORITY:
-            closed = multisets.is_coset()
-        else:
-            member = multisets.fingerprints.__contains__
-            closed = all(all(map(member, multisets.cells(map(read, block))))
-                         for block in multisets)
-        if not closed:
-            return None
+    if not _pinned_closed(checks, shape):
+        return None
+    table = list(_pinned_table(checks.arity, shape))
     readings: list = list(table)
     for x, c in enumerate(checks.free):
         readings[c] = -1 - 2 * x
@@ -857,16 +824,16 @@ def search_behavior(
     The injective cells are pinned by the shape and the all-EQ cell maps to
     EQ; the EQ-mixed cells are search variables (paired up by arc reversal
     over the tournament).  Every tuple of relation types is one closure
-    check.  A check whose types share one partition reads only pinned
-    cells, where every shape acts symmetrically, so it is evaluated once
-    per multiset of types, and the first failure ends the search.  A
-    minority behavior reads none of them: it acts as x ^ y ^ z on the two
-    labels and keeps each partition, so a partition class passes exactly
-    when its types form a GF(2) coset, one rank computation.  Each
-    other check reads a free cell and stays one per ordered tuple: it
-    becomes a finite constraint over the variables it reads, and the first
-    solution of ``relstruct._assignments`` (variables in cell order, values
-    in ``base.labels`` order) fills the table, so an exhausted search is a
+    check.  The checks whose types share one partition read only pinned
+    cells, where the shape acts as one bit operation on the two labels
+    (majority, x ^ y ^ z, AND or OR), so a partition class passes them
+    exactly when the bit masks of its types are closed under it: a rank
+    computation for minority, one image per distinct pair or triple of
+    masks otherwise, and the first failure ends the search.  Each other
+    check reads a free cell and stays one per ordered tuple: it becomes a
+    finite constraint over the variables it reads, and the first solution
+    of ``relstruct._assignments`` (variables in cell order, values in
+    ``base.labels`` order) fills the table, so an exhausted search is a
     proof that no such behavior exists.
     """
     base, named = _template_relations(template)
@@ -878,17 +845,19 @@ def confirm_no_behavior(template: TemplateLike, shape: Shape) -> bool:
     """Re-check a failed search by enumerating the free-cell assignments.
 
     Returns True when no assignment passes all closure checks.  This is the
-    hardness certificate, so it shares only the compiled cells with
-    ``search_behavior``, not its constraint solver.  It reads each pinned
-    check once per multiset of types, as the symmetric pinned cells allow,
-    and each check that reads a free cell once per ordered tuple.  The
-    checks are read in the order of the last free cell they read, pinned
-    checks first, and the assignments run in product order.  When a check
-    fails, every later assignment that agrees with the current one up to
-    that last free cell fails it too, so the enumeration moves past all of
-    them; a failed pinned check fails every assignment.  The checks before
-    the failed one still pass, so each step reads on from the first check
-    whose last free cell changed.
+    hardness certificate.  It shares the compiled checks and the pinned
+    closure test (``_pinned_closed``) with ``search_behavior``, so its
+    independence is the enumeration of the free cells, which replaces the
+    search's constraint solver.  The pinned test's independent reference is
+    ``reference_search_behavior`` in ``tests/oracles.py``, which reads every
+    tuple of types off each shape's label-level definition.  A
+    failed partition class fails every assignment.  The free checks are
+    read once per ordered tuple, in the order of the last free cell they
+    read, and the assignments run in product order.  When a check fails,
+    every later assignment that agrees with the current one up to that
+    last free cell fails it too, so the enumeration moves past all of
+    them.  The checks before the failed one still pass, so each step reads
+    on from the first check whose last free cell changed.
     """
     base, named = _template_relations(template)
     _require_shape(base, shape)
@@ -898,19 +867,16 @@ def confirm_no_behavior(template: TemplateLike, shape: Shape) -> bool:
         raise BudgetExceeded(
             f"full enumeration capped at {RECHECK_CELL_LIMIT} free cells"
         )
-    table = list(_pinned_table(checks.symbols, checks.arity, shape))
+    if not _pinned_closed(checks, shape):
+        return True
+    table = list(_pinned_table(checks.arity, shape))
     read = table.__getitem__
     # The free cell each table cell is, -1 on the pinned cells.
     variable = [-1] * len(table)
     for x, c in enumerate(free):
         variable[c] = x
         variable[flip_index[c]] = x
-    every = [
-        (-1, cells, multisets.fingerprints)
-        for multisets in checks.pinned
-        for block in multisets
-        for cells in multisets.cells(block)
-    ] + sorted(
+    every = sorted(
         ((max(map(variable.__getitem__, cells)), cells, fingerprints)
          for cells, fingerprints in checks.free_checks),
         key=operator.itemgetter(0),

@@ -22,7 +22,7 @@ from orbitcsp.errors import (
     ParseError,
     UnknownVariable,
 )
-from orbitcsp.homog import Label, LabeledType, PairBehavior, _pair_index
+from orbitcsp.homog import Label, LabeledType, PairBehavior, Shape, _pair_index
 from orbitcsp.relstruct import FiniteStructure, Instance, Relation, encode_tuple
 from orbitcsp.temporal import (
     P_VALUE,
@@ -462,6 +462,27 @@ def reference_affine_solve(n, constraints, pins):
     return gf2_solve(n, rows)
 
 
+def shape_value(shape, cell):
+    """The label a shape's behaviour gives an injective cell, read off the
+    definition on labels: a semilattice gives its label when the cell holds
+    it, majority the label that occurs twice, and minority the label that
+    occurs once, or the one label of a constant cell.  The reference for
+    :func:`orbitcsp.homog._pinned_table`, which derives the same cells
+    from one bit operation per shape."""
+    if shape is Shape.BINARY_SL_E:
+        return Label.E if Label.E in cell else Label.N
+    if shape is Shape.BINARY_SL_N:
+        return Label.N if Label.N in cell else Label.E
+    a, b, c = cell
+    if shape is Shape.TERNARY_MAJORITY:
+        return a if b == a or c == a else b
+    if a == b:
+        return c
+    if a == c:
+        return b
+    return a
+
+
 def reference_search_behavior(template, shape):
     """The check-object behaviour search, kept as a differential reference
     for :func:`orbitcsp.homog.search_behavior`: one closure check per tuple
@@ -469,7 +490,7 @@ def reference_search_behavior(template, shape):
     search over the free cells that tests each check once its last free
     cell is assigned."""
     from orbitcsp.errors import DomainMismatch, ParameterError, ShapeUnsupported
-    from orbitcsp.homog import HomogTemplate, Label, PairBehavior, Shape, _shape_value
+    from orbitcsp.homog import HomogTemplate, Label, PairBehavior, Shape
 
     if isinstance(template, HomogTemplate):
         relations = [template.relations[n] for n in sorted(template.relations)]
@@ -493,7 +514,7 @@ def reference_search_behavior(template, shape):
         if all(l is Label.EQ for l in cell):
             table[i] = Label.EQ
         elif all(l is not Label.EQ for l in cell):
-            table[i] = _shape_value(shape, cell)
+            table[i] = shape_value(shape, cell)
     flip_index = None
     if base.oriented:
         flip_index = [index_of[tuple(l.flipped for l in cell)] for cell in cells]

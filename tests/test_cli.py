@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -916,20 +917,42 @@ class TestRunHarness:
         assert template.relations["R"].arity == ARITY_LIMIT
         assert template.relations["LT"].arity == 2
 
-    @pytest.mark.parametrize("command", [["classify"], ["polysearch", "--shape", "minority"]])
-    def test_too_many_closure_checks_are_a_one_line_error(self, files, command):
-        # 128 five-ary tournament types: 128^3 = 2^21 checks per ternary shape.
+    @staticmethod
+    def five_ary_tournament(name, masks):
+        """One five-ary tournament type per mask: bit b of the mask reverses
+        the arc of the b-th position pair."""
         pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
         literals = [
             ", ".join(f"{i}->{j}" if bits >> b & 1 else f"{j}->{i}"
                       for b, (i, j) in enumerate(pairs))
-            for bits in range(128)
+            for bits in masks
         ]
-        template = files.path("base: tournament\nrel WIDE/5: " + "; ".join(literals) + "\n")
-        report, code = run([command[0], template] + command[1:])
-        assert report == ("error: relation WIDE needs 2097152 closure checks at arity 3; "
-                          "the cap is 1048576\n")
-        assert code == 2
+        return f"base: tournament\nrel {name}/5: " + "; ".join(literals) + "\n"
+
+    def test_too_many_closure_checks_are_a_one_line_error(self, files):
+        # 256 five-ary tournament types of one partition: a majority pass
+        # reads C(256, 3) = 2763520 triples of masks, while the minority
+        # rank test reads none, and no tuple mixes partitions.
+        template = files.path(self.five_ary_tournament("WIDE", range(256)))
+        assert run(["classify", template]) == (
+            "error: relation WIDE needs 2763520 closure checks at arity 3; "
+            "the cap is 1048576\n", 2)
+        report, code = run(["polysearch", template, "--shape", "minority"])
+        assert report.startswith("op: FOUND\n") and code == 0
+
+    def test_parity_five_minority_is_found_and_majority_refused(self, files):
+        # The 512 five-ary tournament types with an even number of reversed
+        # arcs form a GF(2) subspace: one rank computation finds minority,
+        # while majority would read C(512, 3) triples of masks.
+        template = files.path(self.five_ary_tournament(
+            "R5", [bits for bits in range(1024) if bin(bits).count("1") % 2 == 0]))
+        start = time.perf_counter()
+        report, code = run(["polysearch", template, "--shape", "minority"])
+        assert time.perf_counter() - start < 1
+        assert report.startswith("op: FOUND\n") and code == 0
+        assert run(["classify", template]) == (
+            "error: relation R5 needs 22238720 closure checks at arity 3; "
+            "the cap is 1048576\n", 2)
 
     @staticmethod
     def bottom_first(k):
@@ -987,9 +1010,12 @@ class TestRunHarness:
         ("base: graph\nrel R/80: " + "; ".join(f"E(1,{j})" for j in range(2, 81))
          + "; " + "; ".join(f"E(2,{j})" for j in range(3, 25)) + "\n",
          "line 2, column 10: relation R holds 319160 pair labels; the cap is 65536"),
-        # 20 types of arity 80: 20^3 checks of 3160 position pairs each.
-        ("base: graph\nrel R/80: " + "; ".join(f"E(1,{j})" for j in range(2, 22)) + "\n",
-         "the closure checks at arity 3 read 25280000 table cells; the cap is 4194304"),
+        # 20 types of arity 80, each of its own partition: the semilattice
+        # passes read 20^2 - 20 mixing pairs and find no behavior, and the
+        # majority pass would read 20^3 - 20 mixing triples of 3160 position
+        # pairs each.
+        ("base: graph\nrel R/80: " + "; ".join(f"1={j}" for j in range(2, 22)) + "\n",
+         "the closure checks at arity 3 read 25216800 table cells; the cap is 4194304"),
         # K(91,90) has no triangle, but its test reads 91 * C(90, 2) pairs.
         ("base: kfree(3)\nrel R/181: " + ", ".join(
             f"E({i},{j})" for i in range(1, 91) for j in range(91, 182)) + "\n",
@@ -999,7 +1025,7 @@ class TestRunHarness:
         ("base: kfree(" + "9" * 5000 + ")\nrel R/2: E(1,2)\n",
          "line 1, column 7: kfree(n) needs n <= 4096"),
     ], ids=["graph-4096", "graph-1024", "graph-363", "tournament-2000", "kfree-400",
-            "kfree-4096", "graph-101x80", "graph-20x80", "kfree-bipartite-181",
+            "kfree-4096", "graph-101x80", "graph-20-partitions-x80", "kfree-bipartite-181",
             "kfree-bound-4097", "kfree-bound-5000-digits"])
     def test_oversized_homogeneous_template_is_a_one_line_error(self, files, text, error):
         assert run(["classify", files.path(text)]) == (f"error: {error}\n", 2)

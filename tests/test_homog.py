@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
@@ -58,6 +57,7 @@ from oracles import (
     reference_fingerprint,
     reference_search_behavior,
     reference_solve_instance_brute,
+    shape_value,
 )
 
 EQ, F, B, E, N = Label.EQ, Label.FWD, Label.BWD, Label.E, Label.N
@@ -594,8 +594,8 @@ class TestSearchBehavior:
     def test_matches_the_check_object_reference(self, base, data):
         # Types of every partition, so checks read free cells and, over the
         # tournament, cells paired with their arc reversal.  The last
-        # relation mixes injective and merged types, so its checks read
-        # both pinned multisets and free cells in product order.
+        # relation mixes injective and merged types, so its checks run both
+        # the pinned closure test and the free checks in product order.
         template = []
         for _ in range(data.draw(st.integers(0, 1))):
             k = data.draw(st.integers(1, 4))
@@ -673,18 +673,17 @@ class TestCompileCount:
 
 
 class TestPinnedMultisets:
-    """A check that reads only pinned cells is read once per multiset of
-    types, block by block, and a failing pass stops at its first block; a
-    minority pass reads none, as one coset test per partition class
-    decides them."""
+    """The checks that read only pinned cells are one closure test per
+    partition class, on the bit masks of its types, with a budget of its
+    own; the free checks count only the tuples that mix classes."""
 
-    @pytest.mark.parametrize("base,shape", [
-        (base, shape) for base in (TOURNAMENT, GRAPH, kfree(3)) for shape in Shape
-        if not (base.oriented and shape.arity == 2)
-    ], ids=str)
+    SHAPES = [(base, shape) for base in (TOURNAMENT, GRAPH, kfree(3)) for shape in Shape
+              if not (base.oriented and shape.arity == 2)]
+
+    @pytest.mark.parametrize("base,shape", SHAPES, ids=str)
     def test_pinned_table_ignores_the_order_of_a_cells_arguments(self, base, shape):
         symbols = (EQ,) + base.labels
-        table = homog._pinned_table(symbols, shape.arity, shape)
+        table = homog._pinned_table(shape.arity, shape)
         cells = list(itertools.product(symbols, repeat=shape.arity))
         index = {cell: i for i, cell in enumerate(cells)}
         pinned = [cell for cell in cells if table[index[cell]] is not None]
@@ -693,45 +692,26 @@ class TestPinnedMultisets:
             for permuted in itertools.permutations(cell):
                 assert table[index[permuted]] == table[index[cell]]
 
-    @staticmethod
-    def read(checks):
-        """Pinned checks built so far, per partition class."""
-        return [sum(len(block) for block in multisets.blocks) // multisets.pairs
-                for multisets in checks.pinned]
-
-    def test_a_minority_pass_reads_no_multiset(self, monkeypatch):
-        # The coset test decides each partition class, while the hardness
-        # certificate still reads each of the C(32 + 2, 3) multisets once.
-        compiled = []
-        compile_checks = homog._compile_checks
-        monkeypatch.setattr(homog, "_compile_checks",
-                            lambda *args: compiled.append(compile_checks(*args)) or compiled[-1])
-        for base in (TOURNAMENT, GRAPH):
-            checks = homog._compile_checks(base, [("R4", parity_relation(base))], 3)
-            assert homog._search(checks, Shape.TERNARY_MINORITY) is not None
-            assert self.read(checks) == [0]
-            assert not confirm_no_behavior([parity_relation(base)], Shape.TERNARY_MINORITY)
-            assert self.read(compiled[-1]) == [math.comb(32 + 2, 3)] == [5984]
-
-    def test_a_failing_pass_reads_only_its_first_blocks(self):
-        checks = homog._compile_checks(TOURNAMENT, [("R4", parity_relation())], 3)
-        assert homog._search(checks, Shape.TERNARY_MAJORITY) is None
-        (multisets,) = checks.pinned
-        # Block 2 holds the first multiset of three distinct types.
-        assert len(multisets.blocks) == 3 and self.read(checks) == [1 + 3 + 6]
-        # The minority pass of the same compile builds no further block.
-        assert homog._search(checks, Shape.TERNARY_MINORITY) is not None
-        assert self.read(checks) == [1 + 3 + 6]
+    @pytest.mark.parametrize("base,shape", SHAPES, ids=str)
+    def test_pinned_table_matches_the_label_definition(self, base, shape):
+        symbols = (EQ,) + base.labels
+        table = homog._pinned_table(shape.arity, shape)
+        for cell, value in zip(itertools.product(symbols, repeat=shape.arity), table):
+            if EQ not in cell:
+                assert symbols[value] == shape_value(shape, cell)
+            else:
+                assert value == (0 if set(cell) == {EQ} else None)
 
     def test_merged_types_split_into_partition_classes(self):
-        # Both arcs and the merged pair: each partition reads its own
-        # multisets, and the 27 - 8 - 1 ordered tuples that mix the two
-        # partitions read a free cell, one check each, in product order.
+        # Both arcs and the merged pair: each partition is one class of
+        # masks (BWD is bit 1), and the 27 - 8 - 1 ordered tuples that mix
+        # the two partitions read a free cell, one check each, in product
+        # order.
         rel = type_set_relation(2, TOURNAMENT, [inj((F,)), inj((B,)),
                                                 LabeledType.all_equal(2)])
         checks = homog._compile_checks(TOURNAMENT, [("R", rel)], 3)
         assert homog._search(checks, Shape.TERNARY_MAJORITY) is not None
-        assert self.read(checks) == [math.comb(2 + 2, 3), 1]
+        assert checks.pinned == (("R", ((0, 1), (0,))),)
         symbol = {F: 1, B: 2, EQ: 0}
         mixing = [
             (symbol[a] * 9 + symbol[b] * 3 + symbol[c],)
@@ -740,6 +720,111 @@ class TestPinnedMultisets:
         ]
         assert [cells for cells, _ in checks.free_checks] == mixing
         assert len(mixing) == 18
+
+    @pytest.mark.parametrize("base", [TOURNAMENT, GRAPH], ids=str)
+    def test_minority_is_not_refused_for_a_class_over_the_caps(self, monkeypatch, base):
+        # One partition class of 32 types: 32^3 ordered tuples, and C(32, 3)
+        # distinct triples, are over both caps, but the rank test reads no
+        # tuple and no free check exists.
+        monkeypatch.setattr(homog, "CHECK_LIMIT", 100)
+        monkeypatch.setattr(homog, "CELL_LIMIT", 100)
+        rel = parity_relation(base)
+        assert search_behavior([rel], Shape.TERNARY_MINORITY) is not None
+        assert not confirm_no_behavior([rel], Shape.TERNARY_MINORITY)
+
+    def test_majority_is_refused_before_it_reads_a_class(self, monkeypatch):
+        monkeypatch.setattr(homog, "CHECK_LIMIT", 100)
+        read = []
+        monkeypatch.setattr(homog, "_closed", lambda *args: read.append(args))
+        # The small class alone is within the cap; the parity class is not.
+        small = type_set_relation(2, TOURNAMENT, [inj((F,))])
+        for search in (search_behavior, confirm_no_behavior):
+            with pytest.raises(BudgetExceeded) as error:
+                search([small, parity_relation()], Shape.TERNARY_MAJORITY)
+            assert str(error.value) == (
+                "relation #2 needs 4960 closure checks at arity 3; the cap is 100")
+        assert read == []
+
+    @pytest.mark.parametrize("limit,error", [
+        ("CHECK_LIMIT", "relation #1 needs 18 closure checks at arity 3; the cap is 17"),
+        ("CELL_LIMIT", "the closure checks at arity 3 read 18 table cells; the cap is 17"),
+    ], ids=["CHECK_LIMIT", "CELL_LIMIT"])
+    def test_free_checks_count_only_the_tuples_that_mix_classes(
+            self, monkeypatch, limit, error):
+        # 27 ordered triples of the three types, 18 of them mixing the two
+        # partitions, each reading one position pair.
+        rel = type_set_relation(2, TOURNAMENT, [inj((F,)), inj((B,)),
+                                                LabeledType.all_equal(2)])
+        monkeypatch.setattr(homog, limit, 18)
+        assert search_behavior([rel], Shape.TERNARY_MAJORITY) is not None
+        monkeypatch.setattr(homog, limit, 17)
+        with pytest.raises(BudgetExceeded) as raised:
+            search_behavior([rel], Shape.TERNARY_MAJORITY)
+        assert str(raised.value) == error
+
+
+def closed_class(rng, base, k, shape):
+    """The types of one partition generated by 1-4 seed types under
+    ``shape``, read label by label off ``oracles.shape_value``, so the
+    class is closed under it; then, one time in two, one type of the
+    partition is added or one removed.  The partition is that of a random
+    type, so partitions with many types come often.  Over a clique-free
+    base the types with a forbidden clique are dropped."""
+    partition = rng.choice(enumerate_types(k, base)).partition
+    same = [t for t in enumerate_types(k, base) if t.partition == partition]
+    types = set(rng.choices(same, k=rng.randint(1, 4)))
+    grown = True
+    while grown:
+        images = {LabeledType(k, partition,
+                              tuple(shape_value(shape, cell) for cell in zip(*(u.labels for u in t))))
+                  for t in itertools.product(sorted(types), repeat=shape.arity)}
+        grown = not images <= types
+        types |= images
+    change = rng.choice(["none", "none", "add", "remove"])
+    if change == "add":
+        types.add(rng.choice(same))
+    elif change == "remove" and len(types) > 1:
+        types.remove(rng.choice(sorted(types)))
+    if base.kind == "kfree":
+        types = {t for t in types if not t.has_clique(base.forbidden)}
+    return types
+
+
+def _pinned_closure_matches_the_reference(base, data):
+    # Each relation is one or two classes closed under a random shape, each
+    # perhaps with a type added or removed, so both outcomes of every
+    # shape's closure test occur; two classes of different partitions make
+    # free checks too.  The classes are built from one drawn seed, since
+    # hypothesis's own small draws give mostly classes of one or two types.
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = [shape for shape in Shape if not (base.oriented and shape.arity == 2)]
+    template = []
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(2, 5)
+        types = set()
+        for _ in range(rng.randint(1, 2)):
+            types |= closed_class(rng, base, k, rng.choice(shapes))
+        template.append(type_set_relation(k, base, types or enumerate_types(k, base)[:1]))
+    for shape in shapes:
+        found = search_behavior(template, shape)
+        assert found == reference_search_behavior(template, shape)
+        event(f"{shape.value} found" if found is not None else f"no {shape.value}")
+        assert confirm_no_behavior(template, shape) == (found is None)
+
+
+@pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pinned_closure_matches_the_check_object_reference(base, data):
+    _pinned_closure_matches_the_reference(base, data)
+
+
+@pytest.mark.full_sample
+@pytest.mark.parametrize("base", [TOURNAMENT, GRAPH, kfree(3)], ids=str)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pinned_closure_matches_the_check_object_reference_in_full(base, data):
+    _pinned_closure_matches_the_reference(base, data)
 
 
 class TestConfirmNoBehavior:
